@@ -19,12 +19,12 @@
 // cycle.
 //
 // `condorg serve -standby ADDR` runs the same binary as a hot standby: it
-// tails the primary's hash-chained journal stream into its own state
-// directory and promotes itself to a full agent when the primary's lease
-// expires. `condorg audit verify -state DIR` proves a state directory's
-// journal history offline — the root store and every owner partition —
-// exiting non-zero (naming the damaged segment and chain sequence) on
-// any corruption.
+// tails the hash-chained journal stream of every partition of the primary
+// (a `serve -ha`) into its own state directory and promotes itself to a
+// full agent when the primary's lease expires. `condorg audit verify
+// -state DIR` proves a state directory's journal history offline — every
+// owner partition — exiting non-zero (naming the damaged segment and chain
+// sequence) on any corruption.
 //
 // Job-op failures map the control plane's fault classes onto exit codes:
 // transient failures (agent restarting, site unreachable) exit 75
@@ -35,7 +35,7 @@
 //	condorg serve -listen 127.0.0.1:7100 -sites host:p1,host:p2 [-mds addr] [-state dir] [-sync] [-ha] [-standby addr] [-lease-ttl d] [-standby-poll d] [-max-submit-retries n] [-per-site-inflight n] [-max-inflight n] [-stage-chunk-size n] [-stage-streams n] [-no-stage] [-no-metrics] [-journal-partitions n] [-max-queued-per-owner n] [-max-active-per-owner n] [-submit-rate r] [-submit-burst n] [-myproxy addr] [-myproxy-user u] [-myproxy-pass p] [-myproxy-users file] [-cred-renew-lead d] [-cred-renew-jitter d] [-cred-renew-interval d] [-cred-renew-lifetime d]
 //	condorg gateway -listen 127.0.0.1:8080 -agent 127.0.0.1:7100 -users file
 //	condorg submit -agent 127.0.0.1:7100 [-owner u] [-site addr] program [args...]
-//	condorg q      -agent 127.0.0.1:7100 [-owner u] [-state idle,running] [-limit n] [-after job-id]
+//	condorg q      -agent 127.0.0.1:7100 [-owner u] [-state idle,running] [-limit n] [-after cursor]
 //	condorg status -agent 127.0.0.1:7100 <job-id>
 //	condorg wait   -agent 127.0.0.1:7100 <job-id>
 //	condorg rm     -agent 127.0.0.1:7100 <job-id>
@@ -123,42 +123,37 @@ func audit(args []string) {
 		os.Exit(2)
 	}
 	fs := flag.NewFlagSet("audit verify", flag.ExitOnError)
-	state := fs.String("state", "", "agent state directory (or a queue store directory)")
+	state := fs.String("state", "", "agent state directory (or its queue directory)")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
 	fs.Parse(args[1:])
 	if *state == "" {
 		log.Fatal("condorg audit verify: need -state")
 	}
 	dir := *state
-	// Accept either the agent StateDir or its queue store directly.
+	// Accept either the agent StateDir or its queue directory directly.
 	if st, err := os.Stat(filepath.Join(dir, "queue")); err == nil && st.IsDir() {
 		dir = filepath.Join(dir, "queue")
 	}
-	// A partitioned queue is many independent stores: the root (spool
-	// keys, pre-partition history) plus one store per owner bucket. Each
+	// The queue is many independent stores, one per owner bucket. Each
 	// carries its own snapshot anchor and hash chain; all must verify.
-	dirs := append([]string{dir}, journal.PartitionDirs(filepath.Join(dir, "parts"))...)
+	dirs := journal.PartitionDirs(filepath.Join(dir, "parts"))
 	failed := false
+	for _, f := range journal.StoreFiles(dir) {
+		fmt.Fprintf(os.Stderr, "condorg audit: %s holds records outside parts/ (the retired single-store layout); the agent refuses this state directory\n", f)
+		failed = true
+	}
 	for _, d := range dirs {
 		rep, verr := journal.VerifyDir(d)
 		if *asJSON {
 			out, _ := json.MarshalIndent(rep, "", "  ")
 			fmt.Println(string(out))
 		} else {
-			if len(dirs) > 1 {
-				fmt.Printf("== %s ==\n", d)
-			}
-			if rep.Anchored {
-				fmt.Printf("snapshot: %d keys, chain anchor seq %d\n", rep.Keys, rep.Snapshot.Seq)
-			} else {
-				fmt.Printf("snapshot: %d keys, legacy (no chain anchor)\n", rep.Keys)
-			}
+			fmt.Printf("== %s ==\n", d)
+			fmt.Printf("snapshot: %d keys, chain anchor seq %d\n", rep.Keys, rep.Snapshot.Seq)
 			for _, seg := range rep.Segments {
 				status := "ok"
 				if seg.Err != "" {
 					status = "CORRUPT: " + seg.Err
-				} else if seg.Legacy {
-					status = "ok (contains unchained records)"
 				}
 				fmt.Printf("%-40s %7d records  seq %d..%d  %s\n", seg.Path, seg.Records, seg.First, seg.Last, status)
 			}
@@ -290,7 +285,7 @@ func serve(args []string) {
 	standby := fs.String("standby", "", "run as a hot standby tailing the primary at this control address; take over when its lease expires")
 	leaseTTL := fs.Duration("lease-ttl", 0, "standby: declare the primary dead after this long without contact (0 = default 3s)")
 	standbyPoll := fs.Duration("standby-poll", 0, "standby: journal stream long-poll bound (0 = default 1s)")
-	journalPartitions := fs.Int("journal-partitions", 0, "owner hash buckets the job journal is sharded across (0 = default 16, -1 = single store; pinned at first start; rejected with -ha, which replicates one chain)")
+	journalPartitions := fs.Int("journal-partitions", 0, "owner hash buckets the job journal is sharded across (0 = default 16; pinned at first start)")
 	maxQueuedPerOwner := fs.Int("max-queued-per-owner", 0, "reject a submit once the owner has this many non-terminal jobs (0 = unlimited)")
 	maxActivePerOwner := fs.Int("max-active-per-owner", 0, "reject a submit once the owner has this many non-held active jobs (0 = unlimited)")
 	submitRate := fs.Float64("submit-rate", 0, "per-owner submit token-bucket refill rate in submits/second (0 = unlimited)")
@@ -313,8 +308,8 @@ func serve(args []string) {
 	credRenewInterval := fs.Duration("cred-renew-interval", 0, "credential monitor scan period (0 = default 1m)")
 	credRenewLifetime := fs.Duration("cred-renew-lifetime", 0, "lifetime requested for auto-renewed proxies (0 = default 12h)")
 	fs.Parse(args)
-	if err := checkServeFlags(*ha, *journalPartitions); err != nil {
-		log.Fatal(err)
+	if *journalPartitions < 0 {
+		log.Fatalf("condorg serve: -journal-partitions %d: the count must be positive (0 = default 16)", *journalPartitions)
 	}
 
 	var adaptive *broker.Adaptive
@@ -409,7 +404,7 @@ func serve(args []string) {
 			sb.Close()
 			return
 		case <-sb.TakeoverCh():
-			fmt.Printf("condorg standby: primary lease expired at replicated seq %d; taking over\n", sb.Head().Seq)
+			fmt.Println("condorg standby: replication from the primary has ended; taking over")
 		}
 		agent, err := sb.Takeover(cfg)
 		if err != nil {
@@ -463,17 +458,6 @@ func serve(args []string) {
 	fmt.Printf("condorg agent: control endpoint %s (state %s)\n", ctl.Addr(), stateDir)
 	<-sig
 	fmt.Println("condorg agent: shutting down")
-}
-
-// checkServeFlags rejects flag combinations that would otherwise
-// misbehave silently. -ha replicates a single hash-chained journal, so an
-// owner-partitioned store cannot be combined with it — an operator
-// setting both must get a hard error, not an unpartitioned store.
-func checkServeFlags(ha bool, journalPartitions int) error {
-	if ha && journalPartitions > 0 {
-		return fmt.Errorf("condorg serve: -journal-partitions %d cannot be combined with -ha: hot-standby replication streams a single journal chain and would silently ignore the partitioning; drop one of the two flags", journalPartitions)
-	}
-	return nil
 }
 
 // credFlags carries the serve credential-lifecycle flag values.
@@ -705,7 +689,7 @@ func queue(args []string) {
 	owner := fs.String("owner", "", "only this owner's jobs")
 	stateNames := fs.String("state", "", "comma-separated states (idle,running,completed,failed,held,removed)")
 	limit := fs.Int("limit", 0, "page size (0 = everything)")
-	after := fs.String("after", "", "resume after this job id (cursor from the previous page)")
+	after := fs.String("after", "", "resume after this cursor (from the \"more:\" line of the previous page)")
 	fs.Parse(args)
 
 	var states []condorg.JobState
@@ -777,7 +761,7 @@ func health(args []string) {
 		if ha.SyncArmed {
 			armed = "sync replication armed"
 		}
-		fmt.Printf("HA: chain seq %d, follower acked %d (%s)\n", ha.ChainSeq, ha.FollowerAcked, armed)
+		fmt.Printf("HA: %d records journaled, follower acked %d (%s)\n", ha.ChainSeq, ha.FollowerAcked, armed)
 	}
 	fmt.Printf("%-10s %-22s %-10s %6s %8s %9s %10s %11s\n",
 		"OWNER", "SITE", "BREAKER", "FAILS", "QUEUED", "INFLIGHT", "STAGE-HIT", "STAGE-MISS")

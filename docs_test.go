@@ -122,6 +122,16 @@ func TestHAFlagsDocumented(t *testing.T) {
 	if !strings.Contains(string(design), "Verifiable journal & hot-standby failover") {
 		t.Error("DESIGN.md lost its verifiable journal / failover section")
 	}
+	// One queue topology and one peer generation: the documents must not
+	// describe the retired alternatives as if they still existed.
+	for _, gone := range []string{
+		"Compatibility matrix", "keeps the single root store",
+		"Cannot be combined with `-ha`", "`-1` keeps the single root store",
+	} {
+		if strings.Contains(string(design), gone) || strings.Contains(string(doc), gone) {
+			t.Errorf("the docs still describe a retired mechanism: %q", gone)
+		}
+	}
 }
 
 // TestTenancyFlagsDocumented guards the multi-tenant surface: the serve

@@ -110,8 +110,7 @@ type StageOptions struct {
 // per-site pipeline workers drain queued submits bound for the same
 // gatekeeper into single gram.batch-submit frames, and the probe/cancel
 // dispatchers chunk same-site jobs into jm.batch-status / jm.batch-cancel
-// frames — one RPC per chunk instead of one per job. Sites that predate
-// the batch verbs are detected on first use and served per-job thereafter.
+// frames — one RPC per chunk instead of one per job.
 type BatchOptions struct {
 	// MaxJobs caps the entries carried in one batch frame (default 32).
 	// 1 disables batching entirely.
@@ -124,8 +123,7 @@ type BatchOptions struct {
 }
 
 // WireOptions selects wire-protocol v2 features for the agent's GRAM
-// clients. Both default on; each negotiates down transparently against
-// peers that predate it.
+// clients. Both default on.
 type WireOptions struct {
 	// Codec names the frame encoding offered at the wire handshake:
 	// wire.CodecBinary (the default) or wire.CodecJSON.
@@ -251,9 +249,21 @@ type HAOptions struct {
 	SyncTimeout time.Duration
 }
 
-// spoolKeyPrefix namespaces replicated job payloads inside the queue
-// store, apart from the job records keyed by bare job ID.
+// spoolKeyPrefix namespaces replicated job payloads inside the owner's
+// queue partition, apart from the job records keyed by bare job ID.
 const spoolKeyPrefix = "spool/"
+
+// openQueue opens the job queue of an agent or standby state directory:
+// the owner-partitioned store set under queue/parts. Store files in queue/
+// itself (the retired single-store layout) are refused, never migrated.
+func openQueue(stateDir string, partitions int, opts journal.StoreOptions) (*journal.PartitionSet, error) {
+	queue := filepath.Join(stateDir, "queue")
+	if files := journal.StoreFiles(queue); len(files) > 0 {
+		return nil, faultclass.New(faultclass.Permanent, fmt.Errorf(
+			"condorg: %s holds job-queue records outside queue/parts (the retired single-store layout); drain them with the release that wrote them, or move the file away", files[0]))
+	}
+	return journal.OpenPartitionSet(filepath.Join(queue, "parts"), partitions, opts)
+}
 
 // maxOpenUserLogs bounds the persistent user-log file handles kept open for
 // non-terminal jobs; excess handles are closed and reopened on demand.
@@ -263,7 +273,6 @@ const maxOpenUserLogs = 128
 // GridManagers.
 type Agent struct {
 	cfg   AgentConfig
-	store *journal.Store
 	gassS *gass.Server
 	cbSrv *wire.Server
 	stage *gass.Client // shared loopback staging client (safe concurrently)
@@ -280,8 +289,9 @@ type Agent struct {
 	// granted round-robin across owners when saturated (fairsem.go).
 	pipeSem *fairSem
 
-	// parts is the owner-partitioned journal (nil when HA is enabled:
-	// synchronous replication streams the single root store's chain).
+	// parts is the persistent job queue (DESIGN.md §11): each owner's
+	// records live in a hash bucket with its own chain, snapshot, and
+	// group-commit window; a standby tails each partition's chain.
 	parts *journal.PartitionSet
 
 	// shards stripes the job table per owner; each shard has its own
@@ -384,29 +394,17 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	jopts := cfg.Journal
 	jopts.Obs = a.obs
-	store, err := journal.OpenStoreOptions(filepath.Join(cfg.StateDir, "queue"), jopts)
+	parts, err := openQueue(cfg.StateDir, cfg.Tenancy.Partitions, jopts)
 	if err != nil {
 		return nil, err
 	}
-	a.store = store
+	a.parts = parts
 	if cfg.HA.Enabled {
-		store.SyncReplication(cfg.HA.SyncTimeout)
-	} else if cfg.Tenancy.Partitions >= 0 {
-		// Owner-partitioned journaling (DESIGN.md §11): each owner's
-		// records live in a hash bucket with its own chain, snapshot,
-		// and group-commit window, so one owner's fsync burst never
-		// stalls another's. The HA primary keeps the single root store
-		// instead — its replication stream carries one chain.
-		parts, err := journal.OpenPartitionSet(filepath.Join(cfg.StateDir, "queue", "parts"), cfg.Tenancy.Partitions, jopts)
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		a.parts = parts
+		parts.SyncReplication(cfg.HA.SyncTimeout)
 	}
 	gassS, err := gass.NewServer(filepath.Join(cfg.StateDir, "spool"), gass.ServerOptions{Faults: cfg.Faults.GASS})
 	if err != nil {
-		store.Close()
+		parts.Close()
 		return nil, err
 	}
 	a.gassS = gassS
@@ -414,7 +412,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	cbSrv, err := wire.NewServer(wire.ServerConfig{Name: gram.CallbackService, Faults: cfg.Faults.Callback})
 	if err != nil {
 		gassS.Close()
-		store.Close()
+		parts.Close()
 		return nil, err
 	}
 	cbSrv.Handle("gram.callback", a.handleCallback)
@@ -541,88 +539,65 @@ func (a *Agent) Trace(id string) (obs.Timeline, error) {
 // recover reloads the queue and restarts GridManagers for unfinished work.
 // For jobs whose GASS URLs reference the agent's previous address, the URLs
 // are rewritten and pushed to the JobManagers — the §4.2 restart path.
-// Partitions are read first (they are authoritative for their owners);
-// job records still sitting in the root store — a legacy single-store
-// state dir, an HA-replicated queue reopened without HA, or a crash
-// mid-migration — are loaded too and migrated into their owner's
-// partition afterwards.
 func (a *Agent) recover() error {
 	var recovered []*jobRecord
 	tombOwners := make(map[string]bool)
 	spool := make(map[string][]byte)
-	var migrate []*jobRecord // root-store records to move into partitions
-	var stale []string       // root-store duplicates of partition records
-	load := func(fromRoot bool) func(key string, raw json.RawMessage) error {
-		return func(key string, raw json.RawMessage) error {
-			if rel, ok := strings.CutPrefix(key, spoolKeyPrefix); ok {
-				// A replicated job payload, not a job record: collect it for
-				// materialization into the GASS spool below (the standby's disk
-				// has the journal but not the staged files).
-				var data []byte
-				if err := json.Unmarshal(raw, &data); err != nil {
-					return fmt.Errorf("condorg: spool entry %s: %w", key, err)
-				}
-				spool[rel] = data
-				return nil
+	err := a.parts.ForEach(func(key string, raw json.RawMessage) error {
+		if rel, ok := strings.CutPrefix(key, spoolKeyPrefix); ok {
+			// A replicated job payload, not a job record: collect it for
+			// materialization into the GASS spool below (the standby's disk
+			// has the journal but not the staged files).
+			var data []byte
+			if err := json.Unmarshal(raw, &data); err != nil {
+				return fmt.Errorf("condorg: spool entry %s: %w", key, err)
 			}
-			var rec jobRecord
-			if err := json.Unmarshal(raw, &rec.JobInfo); err != nil {
-				return err
-			}
-			if _, dup := a.job(rec.ID); dup {
-				// Already loaded from a partition: this root copy is a
-				// leftover from an interrupted migration. Drop it.
-				stale = append(stale, rec.ID)
-				return nil
-			}
-			var full struct {
-				SubmissionID string        `json:"submission_id"`
-				Spec         gram.JobSpec  `json:"spec"`
-				Remote       gram.JobState `json:"remote"`
-				Trace        obs.Timeline  `json:"trace"`
-			}
-			if err := json.Unmarshal(raw, &full); err != nil {
-				return err
-			}
-			rec.SubmissionID = full.SubmissionID
-			rec.Spec = full.Spec
-			rec.Remote = full.Remote
-			rec.Trace = full.Trace
-			sh, err := a.shard(rec.Owner)
-			if err != nil {
-				return err
-			}
-			a.indexJob(sh, &rec)
-			a.mu.Lock()
-			if rec.Contact.JobID != "" {
-				a.bySiteJob[rec.Contact.JobID] = rec.ID
-			}
-			if len(rec.CancelPending) > 0 {
-				// An old incarnation's cancel never got acknowledged; a
-				// GridManager must keep chasing it even if this job is
-				// otherwise finished.
-				a.tombstoned[rec.ID] = &rec
-				tombOwners[rec.Owner] = true
-			}
-			a.mu.Unlock()
-			if n := int64(parseAgentSerial(rec.ID)); n > a.serial.Load() {
-				a.serial.Store(n)
-			}
-			if !rec.State.Terminal() {
-				recovered = append(recovered, &rec)
-			}
-			if fromRoot && a.parts != nil {
-				migrate = append(migrate, &rec)
-			}
+			spool[rel] = data
 			return nil
 		}
-	}
-	if a.parts != nil {
-		if err := a.parts.ForEach(load(false)); err != nil {
+		var rec jobRecord
+		if err := json.Unmarshal(raw, &rec.JobInfo); err != nil {
 			return err
 		}
-	}
-	if err := a.store.ForEach(load(true)); err != nil {
+		var full struct {
+			SubmissionID string        `json:"submission_id"`
+			Spec         gram.JobSpec  `json:"spec"`
+			Remote       gram.JobState `json:"remote"`
+			Trace        obs.Timeline  `json:"trace"`
+		}
+		if err := json.Unmarshal(raw, &full); err != nil {
+			return err
+		}
+		rec.SubmissionID = full.SubmissionID
+		rec.Spec = full.Spec
+		rec.Remote = full.Remote
+		rec.Trace = full.Trace
+		sh, err := a.shard(rec.Owner)
+		if err != nil {
+			return err
+		}
+		a.indexJob(sh, &rec)
+		a.mu.Lock()
+		if rec.Contact.JobID != "" {
+			a.bySiteJob[rec.Contact.JobID] = rec.ID
+		}
+		if len(rec.CancelPending) > 0 {
+			// An old incarnation's cancel never got acknowledged; a
+			// GridManager must keep chasing it even if this job is
+			// otherwise finished.
+			a.tombstoned[rec.ID] = &rec
+			tombOwners[rec.Owner] = true
+		}
+		a.mu.Unlock()
+		if n := int64(parseAgentSerial(rec.ID)); n > a.serial.Load() {
+			a.serial.Store(n)
+		}
+		if !rec.State.Terminal() {
+			recovered = append(recovered, &rec)
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	// Re-stage replicated payloads before any job restarts: a recovered
@@ -646,16 +621,6 @@ func (a *Agent) recover() error {
 		if !held {
 			a.managerFor(rec.Owner).enqueueRecovery(rec)
 		}
-	}
-	// Migrate legacy root-store records into their owner partitions so
-	// the next recovery reads each owner from one place (persist routes
-	// to the partition; the root copy then retires).
-	for _, rec := range migrate {
-		a.persist(rec)
-		_ = a.store.Delete(rec.ID)
-	}
-	for _, id := range stale {
-		_ = a.store.Delete(id)
 	}
 	// Owners whose only remaining business is unacknowledged cancels
 	// (terminal or held jobs with tombstones) still need a manager.
@@ -735,17 +700,17 @@ func (a *Agent) unindexSiteJob(siteJobID, jobID string) {
 // non-terminal index and its user-log handle is released. Call after the
 // final state is set and logged.
 func (a *Agent) finishJob(rec *jobRecord) {
-	if sh := a.shardIfPresent(rec.Owner); sh != nil {
-		sh.mu.Lock()
-		delete(sh.active, rec.ID)
-		sh.mu.Unlock()
-	}
+	// Every job record is created through shard(owner), so the shard exists.
+	sh := a.shardIfPresent(rec.Owner)
+	sh.mu.Lock()
+	delete(sh.active, rec.ID)
+	sh.mu.Unlock()
 	a.closeUserLog(rec.ID)
 	if a.cfg.HA.Enabled {
 		// The replicated payload has served its purpose; drop it so the
 		// journal stream and snapshots don't carry finished jobs' bytes.
-		_ = a.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "executable"))
-		_ = a.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "stdin"))
+		_ = sh.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "executable"))
+		_ = sh.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "stdin"))
 	}
 }
 
@@ -844,7 +809,8 @@ func (a *Agent) persist(rec *jobRecord) {
 	}{rec.JobInfo, rec.SubmissionID, rec.Spec, rec.Remote, rec.Trace}
 	rec.mu.Unlock()
 	start := time.Now()
-	_ = a.storeFor(doc.Owner).Put(doc.ID, doc)
+	// Every job record is created through shard(owner), so the shard exists.
+	_ = a.shardIfPresent(doc.Owner).store.Put(doc.ID, doc)
 	a.mPersist.Observe(time.Since(start).Seconds())
 }
 
@@ -1056,7 +1022,7 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		// Replicate the payload through the journal stream BEFORE the job
 		// record: a standby that holds the record also holds the bytes it
 		// must re-stage after takeover.
-		if err := a.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "executable"), req.Executable); err != nil {
+		if err := sh.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "executable"), req.Executable); err != nil {
 			return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal executable: %w", err))
 		}
 	}
@@ -1076,7 +1042,7 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 			return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: stage stdin: %w", err))
 		}
 		if a.cfg.HA.Enabled {
-			if err := a.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "stdin"), req.Stdin); err != nil {
+			if err := sh.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "stdin"), req.Stdin); err != nil {
 				return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal stdin: %w", err))
 			}
 		}
@@ -1731,10 +1697,7 @@ func (a *Agent) Close() {
 	a.cbSrv.Close()
 	a.stage.Close()
 	a.gassS.Close()
-	if a.parts != nil {
-		a.parts.Close()
-	}
-	a.store.Close()
+	a.parts.Close()
 	a.logMu.Lock()
 	for id, f := range a.logFiles {
 		f.Close()

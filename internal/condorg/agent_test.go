@@ -111,6 +111,17 @@ func waitAgentState(t *testing.T, a *Agent, id string, want JobState) JobInfo {
 	return JobInfo{}
 }
 
+// waitMail returns owner's mailbox once it holds a message: the agent
+// notifies after it has journaled the state a test just waited for.
+func waitMail(a *Agent, owner string) []Mail {
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if msgs := a.Mailbox().Messages(owner); len(msgs) > 0 {
+			return msgs
+		}
+	}
+	return a.Mailbox().Messages(owner)
+}
+
 func TestSubmitRunComplete(t *testing.T) {
 	w := newWorld(t, 1)
 	id, err := w.agent.Submit(SubmitRequest{
@@ -150,7 +161,7 @@ func TestSubmitRunComplete(t *testing.T) {
 		}
 	}
 	// Completion notification was delivered.
-	if msgs := w.agent.Mailbox().Messages("jfrey"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "completed") {
+	if msgs := waitMail(w.agent, "jfrey"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "completed") {
 		t.Fatalf("mailbox = %+v", msgs)
 	}
 	if w.runs.Load() != 1 {
@@ -208,7 +219,7 @@ func TestApplicationFailureIsFinal(t *testing.T) {
 	if !strings.Contains(info.Error, "application exit 1") {
 		t.Fatalf("error = %q", info.Error)
 	}
-	if msgs := w.agent.Mailbox().Messages("u"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "failed") {
+	if msgs := waitMail(w.agent, "u"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "failed") {
 		t.Fatalf("mailbox = %+v", msgs)
 	}
 }

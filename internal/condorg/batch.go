@@ -6,7 +6,6 @@ import (
 	"condorg/internal/faultclass"
 	"condorg/internal/gram"
 	"condorg/internal/obs"
-	"condorg/internal/wire"
 )
 
 // Batched task bodies. The per-site pipelines coalesce submits, probes,
@@ -59,15 +58,6 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	}
 	results, err := gm.gram.BatchSubmit(site, entries)
 	if err != nil {
-		if wire.IsNoSuchMethod(err) {
-			// Legacy site: run each job through the per-job two-phase
-			// commit (the client has remembered; future dispatch passes
-			// skip batching for this address entirely).
-			for _, m := range ms {
-				gm.submit(m.rec)
-			}
-			return
-		}
 		for _, m := range ms {
 			gm.submitFailed(m.rec, site, err)
 		}
@@ -106,10 +96,9 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	}
 	cerrs, err := gm.gram.BatchCommit(site, ids)
 	if err != nil {
-		// The whole commit frame was lost (or the site is legacy): every
-		// journaled contact goes to recovery, where the idempotent
-		// per-job Commit settles it — same as the single-job
-		// COMMIT_RETRY path.
+		// The whole commit frame was lost: every journaled contact goes
+		// to recovery, where the idempotent per-job Commit settles it —
+		// same as the single-job COMMIT_RETRY path.
 		for _, cm := range coms {
 			gm.commitRetry(cm.rec, err)
 		}
@@ -178,14 +167,6 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	}
 	results, err := gm.gram.BatchStatus(gkAddr, ids)
 	if err != nil {
-		if wire.IsNoSuchMethod(err) {
-			// Legacy site: fall back to per-job probes this tick; the
-			// client has remembered for future dispatch passes.
-			for _, m := range ms {
-				gm.probeJob(m.rec)
-			}
-			return
-		}
 		// Transport failure: one gatekeeper ping decides for the whole
 		// batch — the members share the machine, so N individual probe
 		// ladders would reach the same verdict N times slower.
@@ -244,11 +225,6 @@ func (gm *GridManager) cancelBatch(pairs []cancelPair) {
 	}
 	results, err := gm.gram.BatchCancel(gkAddr, ids)
 	if err != nil {
-		if wire.IsNoSuchMethod(err) {
-			for _, p := range pairs {
-				gm.cancelOldCopy(p.rec, p.contact)
-			}
-		}
 		// Transport failure: the tombstones stay; the dispatcher retries
 		// them next tick.
 		return

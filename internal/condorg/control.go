@@ -2,13 +2,9 @@ package condorg
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
-	"condorg/internal/faultclass"
 	"condorg/internal/gsi"
 	"condorg/internal/wire"
 )
@@ -48,8 +44,7 @@ type ControlConfig struct {
 // ControlServer exposes an Agent over the wire protocol so the condorg CLI
 // (and tests) can submit, query, and manage jobs from another process.
 // All commands travel through the versioned "ctl.v1" envelope (see
-// controlv1.go); the pre-envelope per-method ctl.* protocol is retired —
-// its method names answer only with a typed upgrade error (IsV0Retired).
+// controlv1.go).
 type ControlServer struct {
 	agent *Agent
 	srv   *wire.Server
@@ -79,32 +74,7 @@ func NewControlServerConfig(agent *Agent, addr string, cfg ControlConfig) (*Cont
 	c := &ControlServer{agent: agent, srv: srv, cfg: cfg}
 	c.registerOps()
 	srv.Handle("ctl.v1", c.handleV1)
-	// The v0 per-method protocol (PR 4, kept "for one release") is
-	// retired: the old method names remain routable only so outdated
-	// CLIs get a deliberate upgrade message instead of the generic
-	// "no such method".
-	for _, m := range []string{
-		"ctl.submit", "ctl.q", "ctl.status", "ctl.rm", "ctl.hold",
-		"ctl.release", "ctl.log", "ctl.stdout", "ctl.wait",
-	} {
-		srv.Handle(m, v0Retired)
-	}
 	return c, nil
-}
-
-// v0RetiredMsg is the stable marker carried by every retired-protocol
-// rejection; IsV0Retired matches it after the error crosses the wire.
-const v0RetiredMsg = "condorg: the per-method ctl.* protocol (v0) is retired; upgrade the CLI to speak the ctl.v1 envelope"
-
-// v0Retired answers every retired v0 method with the typed upgrade error.
-func v0Retired(_ string, _ json.RawMessage) (any, error) {
-	return nil, faultclass.New(faultclass.Permanent, errors.New(v0RetiredMsg))
-}
-
-// IsV0Retired reports whether err is the server telling an old CLI that
-// the v0 ctl.* protocol is gone (locally or as a wire.RemoteError).
-func IsV0Retired(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "ctl.* protocol (v0) is retired")
 }
 
 // Addr returns the control endpoint address.

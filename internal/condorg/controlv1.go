@@ -158,20 +158,20 @@ func encodeCursor(id string) string {
 	return ctlCursorPrefix + base64.RawURLEncoding.EncodeToString([]byte(id))
 }
 
-// decodeCursor unwraps a cursor; bare legacy cursors (pre-v1.1 raw job
-// IDs) are still accepted so in-flight paginations survive an upgrade.
+// decodeCursor unwraps a cursor minted by encodeCursor.
 func decodeCursor(s string) (string, error) {
 	if s == "" {
 		return "", nil
 	}
-	if rest, ok := strings.CutPrefix(s, ctlCursorPrefix); ok {
-		raw, err := base64.RawURLEncoding.DecodeString(rest)
-		if err != nil {
-			return "", fmt.Errorf("condorg: bad queue cursor: %v", err)
-		}
-		return string(raw), nil
+	rest, ok := strings.CutPrefix(s, ctlCursorPrefix)
+	if !ok {
+		return "", fmt.Errorf("condorg: bad queue cursor: no %q version prefix", ctlCursorPrefix)
 	}
-	return s, nil
+	raw, err := base64.RawURLEncoding.DecodeString(rest)
+	if err != nil {
+		return "", fmt.Errorf("condorg: bad queue cursor: %v", err)
+	}
+	return string(raw), nil
 }
 
 // CtlTraceResp is a job's lifecycle timeline.
@@ -201,9 +201,10 @@ type CtlSiteHealth struct {
 	StageMisses int `json:"stage_misses,omitempty"`
 }
 
-// CtlHAStatus summarizes the primary's replication state: the queue's
-// chain head, how far the standby has acknowledged, and whether the
-// synchronous-replication wait is currently armed.
+// CtlHAStatus sums the primary's replication state over the queue's open
+// partitions: ChainSeq counts records journaled (chain heads summed),
+// FollowerAcked those the standby has acknowledged; SyncArmed says the
+// synchronous-replication wait is armed on every one of them.
 type CtlHAStatus struct {
 	Enabled       bool   `json:"enabled"`
 	ChainSeq      uint64 `json:"chain_seq"`
@@ -584,13 +585,15 @@ func (c *ControlServer) opHealth(owner string, _ json.RawMessage) (any, error) {
 	}
 	resp := CtlHealthResp{Sites: c.agent.PipelineHealth()}
 	if c.agent.cfg.HA.Enabled {
-		acked, armed := c.agent.store.FollowerAckedSeq()
-		resp.HA = &CtlHAStatus{
-			Enabled:       true,
-			ChainSeq:      c.agent.store.ChainHead().Seq,
-			FollowerAcked: acked,
-			SyncArmed:     armed,
+		stores := c.agent.parts.Stores()
+		ha := &CtlHAStatus{Enabled: true, SyncArmed: len(stores) > 0}
+		for _, st := range stores {
+			acked, armed := st.FollowerAckedSeq()
+			ha.ChainSeq += st.ChainHead().Seq
+			ha.FollowerAcked += acked
+			ha.SyncArmed = ha.SyncArmed && armed
 		}
+		resp.HA = ha
 	}
 	return resp, nil
 }

@@ -64,9 +64,11 @@ func runFailoverSeed(t *testing.T, seed int64) {
 	}
 
 	// Arm sync replication before the burst: one replicated write, then
-	// wait until the standby has acknowledged it.
+	// wait until the standby has acknowledged it and is polling — and so
+	// armed — every partition the burst's owners will write to.
+	requireSpread(t, primary, haOwners)
 	warmID, err := primary.Submit(SubmitRequest{
-		Owner: "u", Executable: gram.Program("chaos"),
+		Owner: haOwners[0], Executable: gram.Program("chaos"),
 		Args: []string{fmt.Sprintf("s%dwarm", seed), "10ms"},
 	})
 	if err != nil {
@@ -74,7 +76,15 @@ func runFailoverSeed(t *testing.T, seed int64) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if acked, armed := primary.store.FollowerAckedSeq(); armed && acked > 0 {
+		stores := primary.parts.Stores()
+		ready := len(stores) == primary.parts.Partitions()
+		var ackedTotal uint64
+		for _, st := range stores {
+			acked, armed := st.FollowerAckedSeq()
+			ready = ready && armed
+			ackedTotal += acked
+		}
+		if ready && ackedTotal > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -109,7 +119,7 @@ func runFailoverSeed(t *testing.T, seed int64) {
 			key := fmt.Sprintf("s%dj%d", seed, i)
 			d := durations[i]
 			id, err := primary.Submit(SubmitRequest{
-				Owner:      "u",
+				Owner:      haOwners[i%len(haOwners)],
 				Executable: gram.Program("chaos"),
 				Args:       []string{key, d.String()},
 			})

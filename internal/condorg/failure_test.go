@@ -308,7 +308,7 @@ func TestSubmitRetriesAreCapped(t *testing.T) {
 	if !strings.Contains(info.HoldReason, "submission failed 3 times") {
 		t.Fatalf("hold reason = %q", info.HoldReason)
 	}
-	if msgs := agent.Mailbox().Messages("u"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "held") {
+	if msgs := waitMail(agent, "u"); len(msgs) != 1 || !strings.Contains(msgs[0].Subject, "held") {
 		t.Fatalf("mailbox = %+v", msgs)
 	}
 	// Release resets the budget: the job is retryable again by hand.

@@ -655,9 +655,9 @@ func (gm *GridManager) dispatchCredRefresh() {
 // JobManager (a taskRefreshCred body) via jm.refresh-credential — the
 // in-band path that replaces the remote proxy without disturbing the
 // running job. Failure policy: breaker fast-fails and transient errors
-// retry (the latter up to maxCredRefreshTries); a peer predating the
-// refresh verb or a permanent rejection falls back to hold-and-notify, the
-// §4.3 response when re-delegation needs a human.
+// retry (the latter up to maxCredRefreshTries); an exhausted budget or a
+// permanent rejection falls back to hold-and-notify, the §4.3 response
+// when re-delegation needs a human.
 func (gm *GridManager) refreshJobCred(rec *jobRecord) {
 	rec.mu.Lock()
 	if rec.State.Terminal() || rec.State == Held || !rec.credRefresh || rec.Contact.JobID == "" {
@@ -686,22 +686,6 @@ func (gm *GridManager) refreshJobCred(rec *jobRecord) {
 		return // parked; the dispatcher re-queues once the site recovers
 	}
 	class := faultclass.ClassOf(err)
-	if wire.IsNoSuchMethod(err) {
-		// A peer from before the refresh verb: fall back to the paper's
-		// hold/release re-forwarding — the hold tombstone-cancels the
-		// remote copy (which holds the stale proxy) and the release
-		// resubmits under the fresh credential.
-		rec.mu.Lock()
-		rec.credRefresh = false
-		id := rec.ID
-		rec.mu.Unlock()
-		gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "unsupported")).Inc()
-		gm.agent.log(rec, "CRED_REFRESH", "site predates in-band refresh; falling back to hold/release")
-		if gm.agent.Hold(id, "credential refresh unsupported by site; recycling the incarnation") == nil {
-			_ = gm.agent.Release(id)
-		}
-		return
-	}
 	rec.mu.Lock()
 	rec.credRefreshTries++
 	n := rec.credRefreshTries

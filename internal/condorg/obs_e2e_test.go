@@ -195,41 +195,6 @@ func TestControlV1TypedErrors(t *testing.T) {
 	}
 }
 
-// TestControlV0Retired: the pre-envelope per-method ctl.* protocol is
-// gone — every old method name must answer with the typed upgrade error
-// (IsV0Retired), tagged Permanent so old CLIs fail fast instead of
-// retrying.
-func TestControlV0Retired(t *testing.T) {
-	w := newWorld(t, 1)
-	ctl, err := NewControlServer(w.agent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	wc := wire.Dial(ctl.Addr(), wire.ClientConfig{ServerName: ControlService, Timeout: 3 * time.Second})
-	defer wc.Close()
-
-	for _, m := range []string{"ctl.submit", "ctl.q", "ctl.status", "ctl.rm",
-		"ctl.hold", "ctl.release", "ctl.log", "ctl.stdout", "ctl.wait"} {
-		err := wc.Call(m, struct{}{}, nil)
-		if !wire.IsRemote(err) {
-			t.Fatalf("%s: err=%v, want a remote error", m, err)
-		}
-		if !IsV0Retired(err) {
-			t.Fatalf("%s: err=%v, want IsV0Retired", m, err)
-		}
-		if faultclass.ClassOf(err) != faultclass.Permanent {
-			t.Fatalf("%s classified %v, want Permanent", m, faultclass.ClassOf(err))
-		}
-	}
-	// The v1 envelope still answers on the same endpoint.
-	cli := NewControlClient(ctl.Addr())
-	defer cli.Close()
-	if _, err := cli.Queue(); err != nil {
-		t.Fatalf("ctl.v1 q after v0 retirement: %v", err)
-	}
-}
-
 // TestControlQueueFilterPagination drives the v1 queue op: owner and
 // state filters plus cursor pagination over a stable job-ID order.
 func TestControlQueueFilterPagination(t *testing.T) {

@@ -140,7 +140,7 @@ func (gm *GridManager) workerLoop(w *siteWorker) {
 		// so a burst aimed at one gatekeeper goes out as one frame
 		// instead of one two-phase commit per worker pass.
 		var batch []gmTask
-		if t.kind == taskSubmit && gm.batch.MaxJobs > 1 && gm.gram.BatchSupported(w.addr) {
+		if t.kind == taskSubmit && gm.batch.MaxJobs > 1 {
 			batch = gm.drainSubmitsLocked(w, []gmTask{t})
 		}
 		n := 1
@@ -445,7 +445,7 @@ func (gm *GridManager) dispatchProbes() {
 		if skip {
 			continue
 		}
-		if gm.batch.MaxJobs <= 1 || !gm.gram.BatchSupported(addr) {
+		if gm.batch.MaxJobs <= 1 {
 			gm.enqueueTask(addr, gmTask{kind: taskProbe, rec: rec})
 			continue
 		}
@@ -490,7 +490,7 @@ func (gm *GridManager) dispatchCancels() {
 			gm.cancelBusy[key] = true
 			gm.mu.Unlock()
 			addr := contact.GatekeeperAddr
-			if gm.batch.MaxJobs <= 1 || !gm.gram.BatchSupported(addr) {
+			if gm.batch.MaxJobs <= 1 {
 				gm.enqueueTask(addr, gmTask{kind: taskCancel, rec: rec, contact: contact})
 				continue
 			}

@@ -35,10 +35,8 @@ var (
 // across journal.DefaultPartitions buckets.
 type TenancyOptions struct {
 	// Partitions is the number of journal partitions the job queue is
-	// hash-sharded across by owner (0 = journal.DefaultPartitions;
-	// negative = a single shared store). Ignored when HA is enabled:
-	// synchronous replication streams one hash chain, so the HA primary
-	// keeps the single root store.
+	// hash-sharded across by owner (0 = journal.DefaultPartitions). The
+	// count is pinned in the state directory at first start.
 	Partitions int
 	// MaxQueuedPerOwner caps one owner's total non-terminal jobs,
 	// held included (0 = unlimited).
@@ -94,7 +92,7 @@ func (a *Agent) MyProxyBinding(owner string) (MyProxyBinding, bool) {
 // (token bucket) state. One owner's burst contends only on its shard.
 type ownerShard struct {
 	owner string
-	store *journal.Store // journal partition (the root store when unpartitioned)
+	store *journal.Store // the journal partition owner hashes to
 
 	// Admission counters are resolved once per shard: a hostile owner
 	// spinning on rejections must not serialize every attempt through
@@ -123,13 +121,9 @@ func (a *Agent) shard(owner string) (*ownerShard, error) {
 	if sh = a.shards[owner]; sh != nil {
 		return sh, nil
 	}
-	st := a.store
-	if a.parts != nil {
-		var err error
-		st, err = a.parts.PartitionFor(owner)
-		if err != nil {
-			return nil, err
-		}
+	st, err := a.parts.PartitionFor(owner)
+	if err != nil {
+		return nil, err
 	}
 	burst := float64(a.cfg.Tenancy.SubmitBurst)
 	if burst < 1 {
@@ -176,23 +170,6 @@ func (a *Agent) job(id string) (*jobRecord, bool) {
 	rec, ok := a.ids[id]
 	a.idMu.RUnlock()
 	return rec, ok
-}
-
-// storeFor returns the journal store owner's records persist to.
-func (a *Agent) storeFor(owner string) *journal.Store {
-	if a.parts == nil {
-		return a.store
-	}
-	if sh := a.shardIfPresent(owner); sh != nil {
-		return sh.store
-	}
-	st, err := a.parts.PartitionFor(owner)
-	if err != nil {
-		// Never lose a persist: fall back to the root store, which
-		// recovery also reads (and re-migrates from).
-		return a.store
-	}
-	return st
 }
 
 // indexJob makes rec visible: global ID index plus its owner's shard.

@@ -1,7 +1,10 @@
 package condorg
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 	"condorg/internal/faultclass"
 	"condorg/internal/gram"
 	"condorg/internal/gsi"
+	"condorg/internal/journal"
 )
 
 // TestFairSemRotation: with the cap saturated, freed slots rotate
@@ -217,53 +221,35 @@ func TestMaxActivePerOwnerAllowsHeld(t *testing.T) {
 }
 
 // TestPartitionedRecovery: jobs of many owners land in per-owner journal
-// partitions and all survive a restart; pre-partition records in the
-// root store migrate into their owner's partition on recovery.
+// partitions and all survive a restart. Records in queue/ itself — the
+// retired single-store layout — are refused with a Permanent error
+// naming the file: never migrated, never ignored.
 func TestPartitionedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	site := newSite(t, "part-site", &atomic.Int64{}, t.TempDir(), "")
 	t.Cleanup(site.Close)
 	sel := &RoundRobinSelector{Sites: []string{site.GatekeeperAddr()}}
 
-	// Epoch 1: unpartitioned (the pre-tenancy layout).
-	a1, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel,
-		Tenancy: TenancyOptions{Partitions: -1}})
+	a1, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
 	if err != nil {
 		t.Fatal(err)
-	}
-	legacy, err := a1.Submit(SubmitRequest{Owner: "old", Executable: gram.Program("task"), Args: []string{"30s"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1.Close()
-
-	// Epoch 2: partitioned. The legacy job must migrate; new jobs of
-	// several owners land in their buckets.
-	a2, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a2.Status(legacy); err != nil {
-		t.Fatalf("legacy job lost in migration: %v", err)
 	}
 	ids := map[string]string{}
 	for _, owner := range []string{"amy", "ben", "cas"} {
-		id, err := a2.Submit(SubmitRequest{Owner: owner, Executable: gram.Program("task"), Args: []string{"30s"}})
+		id, err := a1.Submit(SubmitRequest{Owner: owner, Executable: gram.Program("task"), Args: []string{"30s"}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[owner] = id
 	}
-	a2.Close()
+	a1.Close()
 
-	// Epoch 3: everything recovers from the partitions.
-	a3, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
+	a2, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a3.Close()
 	for owner, id := range ids {
-		info, err := a3.Status(id)
+		info, err := a2.Status(id)
 		if err != nil {
 			t.Fatalf("%s's job %s lost across restart: %v", owner, id, err)
 		}
@@ -271,17 +257,54 @@ func TestPartitionedRecovery(t *testing.T) {
 			t.Fatalf("job %s recovered with owner %q, want %q", id, info.Owner, owner)
 		}
 	}
-	if _, err := a3.Status(legacy); err != nil {
-		t.Fatalf("legacy job lost after second restart: %v", err)
+	if owners := a2.Owners(); len(owners) != 3 {
+		t.Fatalf("recovered owners %v, want 3", owners)
 	}
-	owners := a3.Owners()
-	if len(owners) != 4 {
-		t.Fatalf("recovered owners %v, want 4", owners)
+	a2.Close()
+
+	// A root store with one job record appears in queue/.
+	queue := filepath.Join(dir, "queue")
+	root, err := journal.OpenStore(queue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Put("gj99", JobInfo{ID: "gj99", Owner: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	root.Close()
+	rootJournal := filepath.Join(queue, "journal.log")
+	before, err := os.ReadFile(rootJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = NewAgent(AgentConfig{StateDir: dir, Selector: sel})
+	if err == nil || !strings.Contains(err.Error(), rootJournal) {
+		t.Fatalf("NewAgent over root-store records = %v; want a refusal naming %s", err, rootJournal)
+	}
+	if faultclass.ClassOf(err) != faultclass.Permanent {
+		t.Fatalf("refusal classified %v, want Permanent", faultclass.ClassOf(err))
+	}
+	if after, err := os.ReadFile(rootJournal); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("refused root store was modified (err=%v)", err)
+	}
+	for _, pdir := range journal.PartitionDirs(filepath.Join(queue, "parts")) {
+		st, err := journal.OpenStore(pdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info JobInfo
+		found, _ := st.Get("gj99", &info)
+		st.Close()
+		if found {
+			t.Fatalf("root-store record migrated into %s", pdir)
+		}
 	}
 }
 
 // TestQueueCursorOpaque: the v1 queue cursor is versioned-opaque, round
-// trips across pages, and legacy raw-job-ID cursors are still accepted.
+// trips across pages, and anything else — a bare job ID included — is a
+// typed bad-request.
 func TestQueueCursorOpaque(t *testing.T) {
 	w := newWorld(t, 1)
 	ctl, err := NewControlServer(w.agent)
@@ -316,18 +339,11 @@ func TestQueueCursorOpaque(t *testing.T) {
 	if len(page2) != 2 || page2[0].ID == page1[1].ID {
 		t.Fatalf("page2 did not advance: %+v", page2)
 	}
-	// A legacy cursor (bare job ID, the pre-redesign format) resumes too.
-	legacyPage, _, err := cli.QueueFiltered(CtlQueueReq{Limit: 2, After: page1[1].ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyPage) != 2 || legacyPage[0].ID != page2[0].ID {
-		t.Fatalf("legacy cursor resumed at %+v, want same as page2", legacyPage)
-	}
-	// Garbage after the version prefix is a typed bad-request.
-	var ce *CtlError
-	if _, _, err := cli.QueueFiltered(CtlQueueReq{After: "c1.!!!"}); !errors.As(err, &ce) || ce.Code != CtlCodeBadRequest {
-		t.Fatalf("bad cursor: %v, want code %s", err, CtlCodeBadRequest)
+	for _, bad := range []string{"c1.!!!", page1[1].ID} {
+		var ce *CtlError
+		if _, _, err := cli.QueueFiltered(CtlQueueReq{After: bad}); !errors.As(err, &ce) || ce.Code != CtlCodeBadRequest {
+			t.Fatalf("cursor %q: %v, want code %s", bad, err, CtlCodeBadRequest)
+		}
 	}
 }
 
@@ -426,7 +442,7 @@ func TestAuthenticatedOwnerScoping(t *testing.T) {
 	if _, err := alice.Health(); !errors.As(err, &ce) || ce.Code != CtlCodeForbidden {
 		t.Fatalf("tenant health: %v, want code %s", err, CtlCodeForbidden)
 	}
-	if _, err := alice.JournalSnapshot(); !errors.As(err, &ce) || ce.Code != CtlCodeForbidden {
+	if _, err := alice.JournalSnapshot(0); !errors.As(err, &ce) || ce.Code != CtlCodeForbidden {
 		t.Fatalf("tenant journal.snapshot: %v, want code %s", err, CtlCodeForbidden)
 	}
 	if _, err := root.Metrics(); err != nil {

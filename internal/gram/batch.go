@@ -9,9 +9,7 @@
 // Every batch op returns exactly one result per entry, in order, and a
 // failing entry never fails the batch: per-entry errors carry their own
 // fault class so the caller can hold, resubmit, or retry each job
-// independently. Against a site that predates these verbs the whole call
-// fails with "no such method" and the client remembers to fall back to
-// the per-job protocol for that address.
+// independently.
 package gram
 
 import (
@@ -220,26 +218,6 @@ func entryErr(msg string, class faultclass.Class) error {
 	return &wire.RemoteError{Msg: msg, Class: class}
 }
 
-// noteBatch records whether addr understands the batch verbs, keyed off
-// the whole-call error (nil or otherwise) of a batch op.
-func (c *Client) noteBatch(addr string, err error) {
-	if !wire.IsNoSuchMethod(err) {
-		return
-	}
-	c.mu.Lock()
-	c.noBatch[addr] = true
-	c.mu.Unlock()
-}
-
-// BatchSupported reports whether the gatekeeper at addr is believed to
-// understand the batch verbs: optimistically true until a batch call
-// there comes back "no such method".
-func (c *Client) BatchSupported(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.noBatch[addr]
-}
-
 // observeBatch feeds the batch-size histogram for one issued batch op.
 func (c *Client) observeBatch(verb string, n int) {
 	c.mu.Lock()
@@ -276,7 +254,6 @@ func (c *Client) BatchSubmit(gkAddr string, entries []BatchSubmitEntry) ([]Batch
 	if err := c.guard(gkAddr, "batch-submit", func() error {
 		return c.gatekeeper(gkAddr).Call("gram.batch-submit", req, &resp)
 	}); err != nil {
-		c.noteBatch(gkAddr, err)
 		return nil, err
 	}
 	if len(resp.Results) != len(entries) {
@@ -306,7 +283,6 @@ func (c *Client) BatchCommit(gkAddr string, jobIDs []string) ([]error, error) {
 	if err := c.guard(gkAddr, "batch-commit", func() error {
 		return c.gatekeeper(gkAddr).Call("gram.batch-commit", batchIDsReq{JobIDs: jobIDs}, &resp)
 	}); err != nil {
-		c.noteBatch(gkAddr, err)
 		return nil, err
 	}
 	if len(resp.Results) != len(jobIDs) {
@@ -329,7 +305,6 @@ func (c *Client) BatchStatus(gkAddr string, jobIDs []string) ([]BatchStatusResul
 	if err := c.guard(gkAddr, "batch-status", func() error {
 		return c.gatekeeper(gkAddr).Call("jm.batch-status", batchIDsReq{JobIDs: jobIDs}, &resp)
 	}); err != nil {
-		c.noteBatch(gkAddr, err)
 		return nil, err
 	}
 	if len(resp.Results) != len(jobIDs) {
@@ -355,7 +330,6 @@ func (c *Client) BatchCancel(gkAddr string, jobIDs []string) ([]error, error) {
 	if err := c.guard(gkAddr, "batch-cancel", func() error {
 		return c.gatekeeper(gkAddr).Call("jm.batch-cancel", batchIDsReq{JobIDs: jobIDs}, &resp)
 	}); err != nil {
-		c.noteBatch(gkAddr, err)
 		return nil, err
 	}
 	if len(resp.Results) != len(jobIDs) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"condorg/internal/faultclass"
-	"condorg/internal/wire"
 )
 
 // One batch-submit + one batch-commit must carry N jobs through the
@@ -124,32 +123,6 @@ func TestBatchSubmitDedupInBatch(t *testing.T) {
 	if results[0].Contact.JobID != results[1].Contact.JobID {
 		t.Fatalf("duplicate SubmissionID created two jobs: %s / %s",
 			results[0].Contact.JobID, results[1].Contact.JobID)
-	}
-}
-
-// Against a gatekeeper that predates the batch verbs the whole call must
-// come back "no such method" and the client must remember the verdict so
-// callers stop offering batches to that address.
-func TestBatchLegacyGatekeeperFallback(t *testing.T) {
-	srv, err := wire.NewServer(wire.ServerConfig{Name: GatekeeperService})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c := NewClient(nil, nil)
-	c.SetTimeouts(300*time.Millisecond, 1)
-	defer c.Close()
-	addr := srv.Addr()
-	if !c.BatchSupported(addr) {
-		t.Fatal("fresh address should be optimistically batch-capable")
-	}
-	_, err = c.BatchStatus(addr, []string{"j1"})
-	if !wire.IsNoSuchMethod(err) {
-		t.Fatalf("want no-such-method, got %v", err)
-	}
-	if c.BatchSupported(addr) {
-		t.Fatal("legacy verdict not remembered")
 	}
 }
 

@@ -34,9 +34,6 @@ type Client struct {
 	// connections (SetWire).
 	codec     string
 	noSession bool
-	// noBatch remembers gatekeepers that answered a batch verb with "no
-	// such method": protocol capability, so it survives reconnects.
-	noBatch map[string]bool
 }
 
 // NewClient creates a GRAM client authenticating as cred.
@@ -52,7 +49,6 @@ func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
 		jmConn:  make(map[string]*wire.Client),
 		timeout: 2 * time.Second,
 		retries: 3,
-		noBatch: make(map[string]bool),
 	}
 }
 

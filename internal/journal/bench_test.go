@@ -69,53 +69,43 @@ func BenchmarkStorePut(b *testing.B) {
 
 // BenchmarkRecoveryReplay measures crash recovery of a store whose live
 // journal holds one million deltas — the paper's "scheduler crashes are a
-// fact of life" scale test — and isolates what hash-chain verification
-// (SHA-256 per record) adds on top of frame CRCs by re-running unchained.
+// fact of life" scale test — hash-chain verification (SHA-256 per record)
+// included.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	const records = 1 << 20
-	for _, mode := range []struct {
-		name    string
-		noChain bool
-	}{
-		{"chained", false},
-		{"unchained", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			dir := b.TempDir()
-			// Build the journal directly (the store would rotate and fold it
-			// into the snapshot long before a million records accumulate).
-			j, err := Open(filepath.Join(dir, storeJournalFile), Options{NoChain: mode.noChain})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < records; i++ {
-				d := storeDelta{Key: fmt.Sprintf("job-%06d", i%100000),
-					Value: []byte(fmt.Sprintf(`{"n":%d,"s":"running"}`, i))}
-				if err := j.Append(recSet, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := j.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := OpenStore(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Len() != 100000 {
-					b.Fatalf("recovered %d keys", s.Len())
-				}
-				b.StopTimer()
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+	dir := b.TempDir()
+	// Build the journal directly (the store would rotate and fold it
+	// into the snapshot long before a million records accumulate).
+	j, err := Open(filepath.Join(dir, storeJournalFile), Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	for i := 0; i < records; i++ {
+		d := storeDelta{Key: fmt.Sprintf("job-%06d", i%100000),
+			Value: []byte(fmt.Sprintf(`{"n":%d,"s":"running"}`, i))}
+		if err := j.Append(recSet, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := OpenStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != 100000 {
+			b.Fatalf("recovered %d keys", s.Len())
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkStorePutDurableParallel isolates the group-commit win: many

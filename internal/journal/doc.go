@@ -46,22 +46,22 @@
 //
 // # Hash chain and corruption semantics
 //
-// Chained records (the Store's only write path, and any Journal opened
-// without Options.NoChain) carry a sequence number and the SHA-256 of the
-// previous record's framed body, making the whole history a verifiable
-// hash chain anchored in the snapshot. Recovery distinguishes two kinds
-// of damage:
+// There is one on-disk format. Every record carries a sequence number
+// and the SHA-256 of the previous record's framed body, making the whole
+// history a verifiable hash chain anchored in the snapshot (which records
+// the chain head it was folded at). Recovery distinguishes two kinds of
+// damage:
 //
 //   - A torn tail — damage with no intact record after it — is the
-//     expected crash signature: the tail is silently discarded, exactly
-//     as in the unchained contract above.
+//     expected crash signature: the tail is silently discarded.
 //
 //   - Mid-chain damage — a bad CRC with intact records after it, a
-//     spliced or rewritten body (hash mismatch), a sequence gap, or an
-//     unchained record following chained ones — is evidence, not a crash
-//     artifact. Replay stops with a *CorruptionError (faultclass
-//     Permanent) naming the segment, sequence, and offset; the Store
-//     renames the damaged segment to *.quarantine and refuses to open —
+//     spliced or rewritten body (hash mismatch), a sequence gap, a
+//     record with no chain sequence, or a snapshot with no chain anchor
+//     — is evidence, not a crash artifact. Replay stops with a
+//     *CorruptionError (faultclass Permanent) naming the file,
+//     sequence, and offset; the Store
+//     renames the damaged file to *.quarantine and refuses to open —
 //     including on every subsequent attempt until the operator removes
 //     the quarantined file. There is no silent partial replay.
 //
@@ -73,4 +73,9 @@
 // offline (`condorg audit verify`), and the chain head is what the
 // hot-standby replication stream (Store.StreamSince / ApplyReplica)
 // uses to guarantee a follower's copy extends the primary's history.
+//
+// A PartitionSet shards one logical store across independent Stores by
+// owner hash; each partition keeps its own snapshot, segments and chain,
+// and a replication follower tails each partition's chain separately
+// (PartitionSet.Partition, PartitionSet.SyncReplication).
 package journal

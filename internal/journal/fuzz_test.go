@@ -51,6 +51,9 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add(chained(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }))
 	f.Add(chained(func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe, 0xef) }))
 	f.Add(chained(func(b []byte) []byte { return b[40:] })) // lost prefix
+	rogue := unchainedFrame(recSet, []byte(`{"key":"k","value":{"n":2}}`))
+	f.Add(rogue)                                                         // unchained only
+	f.Add(chained(func(b []byte) []byte { return append(b, rogue...) })) // unchained suffix
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()

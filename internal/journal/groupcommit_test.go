@@ -170,7 +170,7 @@ func TestStoreSyncGroupCommitConcurrent(t *testing.T) {
 func TestStoreRecoversLeftoverSegments(t *testing.T) {
 	dir := t.TempDir()
 	// A snapshot that does NOT include the rotated deltas.
-	if err := SaveJSONAtomic(filepath.Join(dir, "snapshot.json"),
+	if err := writeSnapshotAtomic(filepath.Join(dir, "snapshot.json"), ChainState{},
 		map[string]json.RawMessage{"base": json.RawMessage(`{"n":0}`)}); err != nil {
 		t.Fatal(err)
 	}

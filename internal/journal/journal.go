@@ -18,10 +18,9 @@ import (
 	"condorg/internal/obs"
 )
 
-// Record is one journal entry: an opaque type tag plus a JSON payload.
-// Chained records additionally carry their chain sequence number and the
-// SHA-256 (hex) of their predecessor's framed body; legacy records written
-// before chaining have Seq 0 and no Prev.
+// Record is one journal entry: an opaque type tag plus a JSON payload,
+// its chain sequence number (from 1) and the SHA-256 (hex) of its
+// predecessor's framed body (empty for the first record of a history).
 type Record struct {
 	Type string          `json:"type"`
 	Seq  uint64          `json:"seq,omitempty"`
@@ -66,9 +65,8 @@ type Journal struct {
 	err     error  // latched fatal write error
 	appends int
 
-	chain   ChainState // hash-chain head after the last enqueued record
-	noChain bool       // write legacy (unchained) frames
-	size    int64      // bytes in the file plus bytes enqueued (rotation sizing)
+	chain ChainState // hash-chain head after the last enqueued record
+	size  int64      // bytes in the file plus bytes enqueued (rotation sizing)
 
 	hFlush   *obs.Histogram // journal_flush_seconds: write+fsync latency per flush
 	hBatch   *obs.Histogram // journal_batch_records: records per group commit
@@ -98,10 +96,6 @@ type Options struct {
 	// starts a fresh chain at the genesis state — correct only for an
 	// empty file.
 	Chain *ChainState
-	// NoChain writes legacy unchained frames (no seq/prev, no SHA-256).
-	// It exists so benchmarks can quantify the chain's cost; durable
-	// stores never set it.
-	NoChain bool
 }
 
 // Open opens (creating if needed) the journal at path.
@@ -116,7 +110,6 @@ func Open(path string, opts Options) (*Journal, error) {
 		sync:     opts.Sync,
 		window:   opts.GroupWindow,
 		noGroup:  opts.NoGroupCommit,
-		noChain:  opts.NoChain,
 		hFlush:   opts.Obs.Histogram("journal_flush_seconds"),
 		hBatch:   opts.Obs.Histogram("journal_batch_records"),
 		cAppends: opts.Obs.Counter("journal_appends_total"),
@@ -133,9 +126,8 @@ func Open(path string, opts Options) (*Journal, error) {
 
 // frameRecord builds the length+CRC framed wire form of one record. The
 // payload is spliced in directly — the Record envelope is produced without
-// re-marshalling the already-marshalled data. seq 0 produces the legacy
-// unchained frame; otherwise the record carries its chain sequence and the
-// predecessor hash.
+// re-marshalling the already-marshalled data. The record carries its chain
+// sequence and the predecessor hash.
 func frameRecord(recType string, data []byte, seq uint64, prev string) []byte {
 	tag, _ := json.Marshal(recType) // a string never fails to marshal
 	if len(data) == 0 {
@@ -144,14 +136,11 @@ func frameRecord(recType string, data []byte, seq uint64, prev string) []byte {
 	rec := make([]byte, 8, 8+len(tag)+len(data)+len(prev)+64)
 	rec = append(rec, `{"type":`...)
 	rec = append(rec, tag...)
-	if seq > 0 {
-		rec = append(rec, `,"seq":`...)
-		rec = appendUint(rec, seq)
-		rec = append(rec, `,"prev":"`...)
-		rec = append(rec, prev...) // hex, never needs escaping
-		rec = append(rec, '"')
-	}
-	rec = append(rec, `,"data":`...)
+	rec = append(rec, `,"seq":`...)
+	rec = appendUint(rec, seq)
+	rec = append(rec, `,"prev":"`...)
+	rec = append(rec, prev...) // hex, never needs escaping
+	rec = append(rec, `","data":`...)
 	rec = append(rec, data...)
 	rec = append(rec, '}')
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(rec)-8))
@@ -214,7 +203,7 @@ func (j *Journal) Enqueue(recType string, data json.RawMessage) (uint64, error) 
 
 // EnqueueChained is Enqueue plus the appended record's chain Link, so a
 // caller mirroring records to a follower can ship seq/prev/hash without
-// re-deriving them. In NoChain mode the Link is zero.
+// re-deriving them.
 func (j *Journal) EnqueueChained(recType string, data json.RawMessage) (uint64, Link, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -224,16 +213,10 @@ func (j *Journal) EnqueueChained(recType string, data json.RawMessage) (uint64, 
 	if j.err != nil {
 		return 0, Link{}, j.err
 	}
-	var frame []byte
-	var link Link
-	if j.noChain {
-		frame = frameRecord(recType, data, 0, "")
-	} else {
-		link = Link{Seq: j.chain.Seq + 1, Prev: j.chain.Hash}
-		frame = frameRecord(recType, data, link.Seq, link.Prev)
-		link.Hash = hashBody(frame[8:])
-		j.chain = ChainState{Seq: link.Seq, Hash: link.Hash}
-	}
+	link := Link{Seq: j.chain.Seq + 1, Prev: j.chain.Hash}
+	frame := frameRecord(recType, data, link.Seq, link.Prev)
+	link.Hash = hashBody(frame[8:])
+	j.chain = ChainState{Seq: link.Seq, Hash: link.Hash}
 	j.size += int64(len(frame))
 	if j.noGroup {
 		// Historical path: write (and fsync) inline under the lock.

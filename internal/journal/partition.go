@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Owner-partitioned journaling: a PartitionSet shards one logical store
@@ -40,8 +42,10 @@ type PartitionSet struct {
 	opts StoreOptions
 	n    int
 
-	mu    sync.Mutex
-	parts map[int]*Store
+	mu       sync.Mutex
+	parts    map[int]*Store // nil once closed
+	syncRepl bool           // arm SyncReplication(syncWait) on every store
+	syncWait time.Duration
 }
 
 type partitionMeta struct {
@@ -84,6 +88,15 @@ func OpenPartitionSet(dir string, n int, opts StoreOptions) (*PartitionSet, erro
 	return ps, nil
 }
 
+// PinnedPartitions returns the bucket count the set rooted at dir was
+// created with, or 0 when dir holds no (readable) pin yet.
+func PinnedPartitions(dir string) int {
+	raw, _ := os.ReadFile(filepath.Join(dir, partitionMetaFile))
+	var meta partitionMeta
+	json.Unmarshal(raw, &meta)
+	return meta.N
+}
+
 // existing lists the partition indexes that have directories on disk,
 // including buckets beyond n left behind by an older, wider layout.
 func (ps *PartitionSet) existing() []int {
@@ -124,9 +137,21 @@ func (ps *PartitionSet) PartitionFor(owner string) (*Store, error) {
 	return ps.open(ps.IndexFor(owner))
 }
 
+// Partition returns (opening or creating if needed) the Store of bucket
+// idx — how a replication stream addresses one chain of the set.
+func (ps *PartitionSet) Partition(idx int) (*Store, error) {
+	if idx < 0 || idx >= ps.n {
+		return nil, fmt.Errorf("journal: partition %d out of range (the set has %d)", idx, ps.n)
+	}
+	return ps.open(idx)
+}
+
 func (ps *PartitionSet) open(idx int) (*Store, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	if ps.parts == nil {
+		return nil, errors.New("journal: partition set closed")
+	}
 	if st, ok := ps.parts[idx]; ok {
 		return st, nil
 	}
@@ -134,16 +159,29 @@ func (ps *PartitionSet) open(idx int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ps.syncRepl {
+		st.SyncReplication(ps.syncWait)
+	}
 	ps.parts[idx] = st
 	return st, nil
 }
 
-// ForEach visits every record of every open partition (which, after
-// OpenPartitionSet, is every partition with data on disk). Iteration
-// order across partitions is by bucket index; within a partition it is
-// the Store's own (unordered map) order.
-func (ps *PartitionSet) ForEach(fn func(key string, raw json.RawMessage) error) error {
+// SyncReplication enables synchronous mirroring (see Store.SyncReplication)
+// on every partition: the ones open now and each one opened later.
+func (ps *PartitionSet) SyncReplication(wait time.Duration) {
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.syncRepl, ps.syncWait = true, wait
+	for _, st := range ps.parts {
+		st.SyncReplication(wait)
+	}
+}
+
+// Stores returns the open partitions (after OpenPartitionSet, every
+// partition with data on disk) in bucket order.
+func (ps *PartitionSet) Stores() []*Store {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	idxs := make([]int, 0, len(ps.parts))
 	for idx := range ps.parts {
 		idxs = append(idxs, idx)
@@ -153,8 +191,14 @@ func (ps *PartitionSet) ForEach(fn func(key string, raw json.RawMessage) error) 
 	for i, idx := range idxs {
 		stores[i] = ps.parts[idx]
 	}
-	ps.mu.Unlock()
-	for _, st := range stores {
+	return stores
+}
+
+// ForEach visits every record of every open partition. Iteration order
+// across partitions is by bucket index; within a partition it is the
+// Store's own (unordered map) order.
+func (ps *PartitionSet) ForEach(fn func(key string, raw json.RawMessage) error) error {
+	for _, st := range ps.Stores() {
 		if err := st.ForEach(fn); err != nil {
 			return err
 		}
@@ -162,17 +206,18 @@ func (ps *PartitionSet) ForEach(fn func(key string, raw json.RawMessage) error) 
 	return nil
 }
 
-// Close closes every open partition, returning the first error.
+// Close closes every open partition, returning the first error. The set
+// opens nothing afterwards.
 func (ps *PartitionSet) Close() error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	var first error
-	for idx, st := range ps.parts {
+	for _, st := range ps.parts {
 		if err := st.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(ps.parts, idx)
 	}
+	ps.parts = nil
 	return first
 }
 

@@ -148,17 +148,12 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 		return nil, &CorruptionError{Path: q[0],
 			Reason: "quarantined segment from an earlier corrupted recovery is still present; inspect and remove it before reopening"}
 	}
-	chain, anchored, snap, err := loadSnapshotFile(s.snapshotPath())
-	switch {
-	case err == nil:
+	chain, snap, err := loadSnapshotFile(s.snapshotPath())
+	if err != nil {
+		return nil, s.quarantineOnCorruption(err)
+	}
+	if snap != nil {
 		s.data = snap
-		if s.data == nil {
-			s.data = make(map[string]json.RawMessage)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		anchored = true // fresh store: the chain starts at genesis
-	default:
-		return nil, fmt.Errorf("journal: load snapshot: %w", err)
 	}
 	apply := func(rec Record) error {
 		var d storeDelta
@@ -173,7 +168,7 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 		}
 		return nil
 	}
-	verifier := &chainVerifier{anchor: chain, anchored: anchored}
+	verifier := &chainVerifier{anchor: chain}
 	verifyStart := time.Now()
 	// Rotated segments left by a compaction the crash interrupted: they
 	// hold deltas the snapshot may or may not include, so replay them (in
@@ -244,6 +239,22 @@ func quarantinedFiles(dir string) []string {
 	return out
 }
 
+// StoreFiles lists the non-empty Store files directly in dir (snapshot,
+// journal segments, quarantined evidence): does dir itself hold a Store?
+func StoreFiles(dir string) []string {
+	entries, _ := os.ReadDir(dir)
+	var out []string
+	for _, e := range entries {
+		name := e.Name()
+		_, old := oldSegmentNumber(name)
+		ours := old || name == storeSnapshotFile || name == storeJournalFile || strings.HasSuffix(name, quarantineSuffix)
+		if info, err := e.Info(); ours && err == nil && info.Size() > 0 {
+			out = append(out, filepath.Join(dir, name))
+		}
+	}
+	return out
+}
+
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, storeSnapshotFile) }
 func (s *Store) journalPath() string  { return filepath.Join(s.dir, storeJournalFile) }
 func (s *Store) oldPath(n int) string {
@@ -295,36 +306,33 @@ func (s *Store) listOldSegments() []int {
 	return olds
 }
 
-// storeSnapshotV2 is the on-disk snapshot wrapper: format version, the
-// chain head the data was captured at, and the folded key space. Legacy
-// snapshots are a bare JSON object of keys (no chain anchor).
+// storeSnapshotV2 is the on-disk snapshot: format version, the chain head
+// the data was captured at, and the folded key space.
 type storeSnapshotV2 struct {
 	V     int                        `json:"v"`
 	Chain ChainState                 `json:"chain"`
 	Data  map[string]json.RawMessage `json:"data"`
 }
 
-// loadSnapshotFile reads a snapshot in either format. anchored reports
-// whether the file carried a chain anchor (v2); legacy snapshots return
-// a zero chain with anchored false, which relaxes chain verification to
-// whatever the journal files themselves can prove.
-func loadSnapshotFile(path string) (chain ChainState, anchored bool, data map[string]json.RawMessage, err error) {
+// loadSnapshotFile reads a snapshot; a missing file is the empty snapshot
+// at the genesis chain state. A file that does not parse or carries no
+// chain anchor is a *CorruptionError.
+func loadSnapshotFile(path string) (ChainState, map[string]json.RawMessage, error) {
 	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return ChainState{}, nil, nil
+	}
 	if err != nil {
-		return ChainState{}, false, nil, err
+		return ChainState{}, nil, err
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return ChainState{}, false, nil, fmt.Errorf("snapshot does not parse: %w", err)
+	var snap storeSnapshotV2
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return ChainState{}, nil, &CorruptionError{Path: path, Reason: fmt.Sprintf("snapshot does not parse: %v", err)}
 	}
-	if string(probe["v"]) == "2" && probe["data"] != nil {
-		var snap storeSnapshotV2
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return ChainState{}, false, nil, fmt.Errorf("v2 snapshot does not parse: %w", err)
-		}
-		return snap.Chain, true, snap.Data, nil
+	if snap.V != 2 {
+		return ChainState{}, nil, &CorruptionError{Path: path, Reason: "snapshot carries no chain anchor (not a v2 snapshot)"}
 	}
-	return ChainState{}, false, probe, nil
+	return snap.Chain, snap.Data, nil
 }
 
 // writeSnapshotAtomic streams a v2 snapshot to a temp file entry by entry

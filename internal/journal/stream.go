@@ -33,9 +33,6 @@ func (s *Store) ChainHead() ChainState {
 // Caller holds s.mu. Followers further behind than the ring's base must
 // re-bootstrap from a snapshot.
 func (s *Store) appendRingLocked(sr StreamRecord) {
-	if sr.Seq == 0 {
-		return // NoChain journal: no replication
-	}
 	if len(s.ring) >= s.ringCap {
 		drop := len(s.ring) - s.ringCap + 1
 		s.ring = append(s.ring[:0], s.ring[drop:]...)
@@ -172,9 +169,6 @@ func (s *Store) FollowerAckedSeq() (uint64, bool) {
 // is already locally durable; this wait only narrows the window in which a
 // primary crash could strand an acknowledged mutation off the standby.
 func (s *Store) waitFollower(seq uint64) {
-	if seq == 0 {
-		return
-	}
 	s.ackMu.Lock()
 	if !s.syncRepl || !s.syncArmed || s.ackClosed || s.ackSeq >= seq {
 		s.ackMu.Unlock()

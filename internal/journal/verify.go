@@ -45,18 +45,16 @@ func (e *CorruptionError) FaultClass() faultclass.Class { return faultclass.Perm
 // directory (snapshot anchor → rotated segments → live journal) and checks
 // every chained record against it.
 type chainVerifier struct {
-	anchor   ChainState // chain head the snapshot was captured at
-	anchored bool       // anchor is trustworthy (false for legacy snapshots)
-	cur      ChainState // last chained record verified
-	started  bool       // at least one chained record seen
-	legacy   bool       // in unchained history; checks resume at the next chained record
+	anchor  ChainState // chain head the snapshot was captured at (zero = genesis)
+	cur     ChainState // last record verified
+	started bool       // at least one record seen
 }
 
 // head returns the effective chain head after verification: the last
 // verified record, or the snapshot anchor when the surviving files end
 // short of it (their tail was already folded into the snapshot).
 func (v *chainVerifier) head() ChainState {
-	if v.anchored && v.anchor.Seq > v.cur.Seq {
+	if v.anchor.Seq > v.cur.Seq {
 		return v.anchor
 	}
 	return v.cur
@@ -67,30 +65,21 @@ func (v *chainVerifier) head() ChainState {
 // corruption; badSeq is the chain position it was detected at.
 func (v *chainVerifier) check(rec *Record, sum string) (reason string, badSeq uint64) {
 	if rec.Seq == 0 {
-		// Legacy unchained record. Legitimate only as pre-chaining history:
-		// once chained records exist, an unchained one means the file was
-		// spliced (or written by software that must not touch this store).
-		if v.started && !v.legacy {
-			return "unchained record follows hash-chained history", v.cur.Seq + 1
-		}
-		v.legacy = true
-		return "", 0
+		// Every record this package writes is chained: this one was
+		// spliced in, or written by software that must not touch the store.
+		return "unchained record (no chain sequence)", v.head().Seq + 1
 	}
-	first := !v.started || v.legacy
-	if first {
+	if !v.started {
 		switch {
-		case v.started && v.legacy:
-			// Chaining begins mid-history (an upgraded store): nothing to
-			// verify the first chained record's prev against.
-		case v.anchored && rec.Seq == v.anchor.Seq+1:
+		case rec.Seq == v.anchor.Seq+1:
 			if rec.Prev != v.anchor.Hash {
 				return fmt.Sprintf("prev hash %.12s does not extend the snapshot head %.12s",
 					rec.Prev, v.anchor.Hash), rec.Seq
 			}
-		case v.anchored && rec.Seq <= v.anchor.Seq:
+		case rec.Seq <= v.anchor.Seq:
 			// Overlap: the snapshot already folded this prefix in. The
 			// chain is verified against the anchor when it reaches it.
-		case v.anchored:
+		default:
 			return fmt.Sprintf("chain gap: first surviving record is seq %d but the snapshot head is %d",
 				rec.Seq, v.anchor.Seq), rec.Seq
 		}
@@ -104,8 +93,8 @@ func (v *chainVerifier) check(rec *Record, sum string) (reason string, badSeq ui
 		}
 	}
 	v.cur = ChainState{Seq: rec.Seq, Hash: sum}
-	v.started, v.legacy = true, false
-	if v.anchored && rec.Seq == v.anchor.Seq && sum != v.anchor.Hash {
+	v.started = true
+	if rec.Seq == v.anchor.Seq && sum != v.anchor.Hash {
 		return fmt.Sprintf("record at snapshot head seq %d hashes %.12s, snapshot recorded %.12s (divergent history)",
 			rec.Seq, sum, v.anchor.Hash), rec.Seq
 	}
@@ -115,16 +104,15 @@ func (v *chainVerifier) check(rec *Record, sum string) (reason string, badSeq ui
 // replayStats summarizes one verified file.
 type replayStats struct {
 	Records     int
-	First, Last uint64 // chain seq range delivered (0 when none/unchained)
-	Legacy      bool   // file contains unchained records
+	First, Last uint64 // chain seq range delivered (0 when none)
 }
 
 // replayVerified reads the journal at path, CRC-checking every frame and
 // verifying hash-chain continuity through v (which persists across files).
 // fn, when non-nil, receives each intact record. A damaged tail with no
-// intact record after it is a crash-torn write and ends replay silently,
-// exactly as Replay does; damage with intact records beyond it — and any
-// chain violation — yields a *CorruptionError.
+// intact record after it is a crash-torn write and ends replay silently;
+// damage with intact records beyond it — and any chain violation — yields
+// a *CorruptionError. A missing file yields zero records.
 func replayVerified(path string, v *chainVerifier, fn func(rec Record) error) (replayStats, error) {
 	var stats replayStats
 	f, err := os.Open(path)
@@ -178,14 +166,10 @@ func replayVerified(path string, v *chainVerifier, fn func(rec Record) error) (r
 			}
 		}
 		stats.Records++
-		if rec.Seq > 0 {
-			if stats.First == 0 {
-				stats.First = rec.Seq
-			}
-			stats.Last = rec.Seq
-		} else {
-			stats.Legacy = true
+		if stats.First == 0 {
+			stats.First = rec.Seq
 		}
+		stats.Last = rec.Seq
 		off += int64(8 + size)
 	}
 }
@@ -226,21 +210,18 @@ type SegmentReport struct {
 	// Records is how many intact records the file holds.
 	Records int `json:"records"`
 	// First and Last bound the chain sequences in the file (0 when the
-	// file is empty or fully unchained).
+	// file is empty).
 	First uint64 `json:"first,omitempty"`
 	Last  uint64 `json:"last,omitempty"`
-	// Legacy marks files containing pre-chaining (unchained) records.
-	Legacy bool `json:"legacy,omitempty"`
 	// Err is the corruption found in this file, empty when intact.
 	Err string `json:"err,omitempty"`
 }
 
 // DirReport is the end-to-end verification result for one store directory.
 type DirReport struct {
-	// Snapshot is the chain head recorded in the snapshot (zero for a
-	// legacy or missing snapshot); Anchored says whether it was present.
+	// Snapshot is the chain head recorded in the snapshot (zero when there
+	// is no snapshot yet: the chain starts at genesis).
 	Snapshot ChainState `json:"snapshot"`
-	Anchored bool       `json:"anchored"`
 	// Keys counts entries in the snapshot.
 	Keys int `json:"keys"`
 	// Segments lists every journal file in replay order.
@@ -271,15 +252,11 @@ func (r *DirReport) OK() bool {
 func VerifyDir(dir string) (*DirReport, error) {
 	rep := &DirReport{}
 	snapPath := filepath.Join(dir, storeSnapshotFile)
-	chain, anchored, data, err := loadSnapshotFile(snapPath)
-	switch {
-	case err == nil:
-		rep.Snapshot, rep.Anchored, rep.Keys = chain, anchored, len(data)
-	case errors.Is(err, os.ErrNotExist):
-		rep.Anchored = true // a fresh store chains from genesis
-	default:
-		return rep, fmt.Errorf("journal: verify snapshot: %w", err)
+	chain, data, err := loadSnapshotFile(snapPath)
+	if err != nil {
+		return rep, err
 	}
+	rep.Snapshot, rep.Keys = chain, len(data)
 	entries, _ := os.ReadDir(dir)
 	var olds []int
 	for _, e := range entries {
@@ -291,32 +268,25 @@ func VerifyDir(dir string) (*DirReport, error) {
 		}
 	}
 	sort.Ints(olds)
-	v := &chainVerifier{anchor: rep.Snapshot, anchored: rep.Anchored}
-	var firstErr error
+	v := &chainVerifier{anchor: rep.Snapshot}
+	// Replay order: rotated segments, then the live journal.
+	var paths []string
 	for _, n := range olds {
-		path := filepath.Join(dir, fmt.Sprintf("%s%d", storeOldPrefix, n))
-		stats, err := replayVerified(path, v, nil)
-		seg := SegmentReport{Path: path, Records: stats.Records, First: stats.First, Last: stats.Last, Legacy: stats.Legacy}
-		if err != nil {
-			seg.Err = err.Error()
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		rep.Segments = append(rep.Segments, seg)
-		if err != nil {
-			break // the chain is broken; later files cannot be verified
-		}
+		paths = append(paths, filepath.Join(dir, fmt.Sprintf("%s%d", storeOldPrefix, n)))
 	}
-	if firstErr == nil {
-		path := filepath.Join(dir, storeJournalFile)
+	paths = append(paths, filepath.Join(dir, storeJournalFile))
+	var firstErr error
+	for _, path := range paths {
 		stats, err := replayVerified(path, v, nil)
-		seg := SegmentReport{Path: path, Records: stats.Records, First: stats.First, Last: stats.Last, Legacy: stats.Legacy}
+		seg := SegmentReport{Path: path, Records: stats.Records, First: stats.First, Last: stats.Last}
 		if err != nil {
 			seg.Err = err.Error()
 			firstErr = err
 		}
 		rep.Segments = append(rep.Segments, seg)
+		if err != nil {
+			break // the chain is broken; later files cannot be verified
+		}
 	}
 	rep.Head = v.head()
 	return rep, firstErr

@@ -87,8 +87,8 @@ func TestVerifyDirCleanStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VerifyDir: %v", err)
 	}
-	if !rep.OK() || !rep.Anchored {
-		t.Fatalf("report not OK/anchored: %+v", rep)
+	if !rep.OK() {
+		t.Fatalf("report not OK: %+v", rep)
 	}
 	if rep.Head.Seq != 15 {
 		t.Fatalf("verified head seq %d, want 15", rep.Head.Seq)
@@ -271,76 +271,71 @@ func TestChainGapAgainstSnapshot(t *testing.T) {
 	}
 }
 
-// TestUnchainedAfterChained: an unchained record appended to chained history
-// means the file was touched by something that must not write here.
-func TestUnchainedAfterChained(t *testing.T) {
-	dir := t.TempDir()
-	seedStore(t, dir, 5)
-	jpath := filepath.Join(dir, storeJournalFile)
+// unchainedFrame builds a CRC-valid frame whose record carries no chain
+// sequence — the format this package no longer writes or accepts.
+func unchainedFrame(recType string, data []byte) []byte {
+	body := []byte(fmt.Sprintf(`{"type":%q,"data":%s}`, recType, data))
+	frame := make([]byte, 8, 8+len(body))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	return append(frame, body...)
+}
+
+// TestUnchainedRecordRefused: a record without a chain sequence is
+// corruption wherever it sits — alone in a fresh journal or appended to
+// chained history — and recovery quarantines the segment rather than
+// replaying it.
+func TestUnchainedRecordRefused(t *testing.T) {
 	delta, _ := json.Marshal(storeDelta{Key: "rogue", Value: json.RawMessage(`{"n":1}`)})
-	frame := frameRecord(recSet, delta, 0, "")
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(frame)
-	f.Close()
-	_, err = VerifyDir(dir)
-	var ce *CorruptionError
-	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "unchained") {
-		t.Fatalf("unchained suffix not detected: %v", err)
+	for _, seeded := range []int{0, 5} {
+		t.Run(fmt.Sprintf("after=%d", seeded), func(t *testing.T) {
+			dir := t.TempDir()
+			seedStore(t, dir, seeded)
+			jpath := filepath.Join(dir, storeJournalFile)
+			f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(unchainedFrame(recSet, delta))
+			f.Close()
+			_, err = VerifyDir(dir)
+			var ce *CorruptionError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "unchained") || ce.Path != jpath {
+				t.Fatalf("unchained record not detected: %v", err)
+			}
+			_, err = OpenStore(dir)
+			if !errors.As(err, &ce) || faultclass.ClassOf(err) != faultclass.Permanent {
+				t.Fatalf("open over an unchained record = %v; want a Permanent CorruptionError", err)
+			}
+			if _, err := os.Stat(jpath + quarantineSuffix); err != nil {
+				t.Fatalf("segment not quarantined: %v", err)
+			}
+		})
 	}
 }
 
-// TestLegacyStoreUpgrade: a pre-chaining store (bare-map snapshot, unchained
-// journal) must open cleanly, start chaining new writes, and verify.
-func TestLegacyStoreUpgrade(t *testing.T) {
+// TestUnanchoredSnapshotRefused: a snapshot without the v2 chain anchor (a
+// bare key map) cannot prove the journal extends it, so it is refused and
+// quarantined like any other damage — never loaded.
+func TestUnanchoredSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveJSONAtomic(filepath.Join(dir, storeSnapshotFile),
-		map[string]json.RawMessage{"old": json.RawMessage(`{"n":1}`)}); err != nil {
+	spath := filepath.Join(dir, storeSnapshotFile)
+	if err := SaveJSONAtomic(spath, map[string]json.RawMessage{"old": json.RawMessage(`{"n":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(filepath.Join(dir, storeJournalFile), Options{NoChain: true})
-	if err != nil {
-		t.Fatal(err)
+	_, err := VerifyDir(dir)
+	var ce *CorruptionError
+	if !errors.As(err, &ce) || ce.Path != spath {
+		t.Fatalf("VerifyDir over a bare-map snapshot = %v; want a CorruptionError naming it", err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(recSet, storeDelta{Key: fmt.Sprintf("legacy-%d", i),
-			Value: json.RawMessage(`{"n":2}`)}); err != nil {
-			t.Fatal(err)
-		}
+	_, err = OpenStore(dir)
+	if !errors.As(err, &ce) || ce.Path != spath || faultclass.ClassOf(err) != faultclass.Permanent {
+		t.Fatalf("open over a bare-map snapshot = %v; want a Permanent CorruptionError naming it", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(spath + quarantineSuffix); err != nil {
+		t.Fatalf("snapshot not quarantined: %v", err)
 	}
-
-	s, err := OpenStore(dir)
-	if err != nil {
-		t.Fatalf("legacy store refused: %v", err)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("recovered %d keys, want 4", s.Len())
-	}
-	// New writes chain from genesis (nothing anchored the legacy history).
-	if err := s.Put("new", payload{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if head := s.ChainHead(); head.Seq != 1 {
-		t.Fatalf("first chained write got seq %d, want 1", head.Seq)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := VerifyDir(dir)
-	if err != nil || !rep.OK() {
-		t.Fatalf("upgraded store fails verification: %v (%+v)", err, rep)
-	}
-	s2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 5 {
-		t.Fatalf("reopen recovered %d keys, want 5", s2.Len())
+	if _, err := OpenStore(dir); err == nil {
+		t.Fatal("second open over the quarantined snapshot succeeded")
 	}
 }

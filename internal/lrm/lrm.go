@@ -295,8 +295,11 @@ func (c *Cluster) Submit(job Job, estimate time.Duration) (string, error) {
 	c.queue = append(c.queue, &QueuedJob{
 		ID: job.ID, Owner: job.Owner, Cpus: job.Cpus, Estimate: estimate, Submit: rec.status.Queued,
 	})
+	// Copy under the lock: a concurrent Submit's schedule() may already be
+	// starting this job.
+	status := rec.status
 	c.mu.Unlock()
-	c.emit(rec.status)
+	c.emit(status)
 	c.schedule()
 	return job.ID, nil
 }

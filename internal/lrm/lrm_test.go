@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,6 +196,53 @@ func TestStatusCallbackSequence(t *testing.T) {
 	for i := range want {
 		if states[i] != want[i] {
 			t.Fatalf("events = %v, want %v", states, want)
+		}
+	}
+}
+
+// TestConcurrentSubmitEvents: Submit reports the Queued transition from a
+// copy taken under the cluster lock, so a concurrent Submit's scheduling
+// pass — which may already be starting the job — neither races with the
+// report nor replaces it (run under -race).
+func TestConcurrentSubmitEvents(t *testing.T) {
+	var mu sync.Mutex
+	queued := map[string]int{}
+	c, err := NewCluster(Config{Name: "x", Cpus: 4, OnEvent: func(s JobStatus) {
+		if s.State == Queued {
+			mu.Lock()
+			queued[s.ID]++
+			mu.Unlock()
+			// Yield between Submit's report and its own scheduling pass,
+			// so other submitters get to start this job first.
+			runtime.Gosched()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const submitters, perSubmitter = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				if _, err := c.Submit(Job{Owner: "u", Run: func(context.Context) error { return nil }}, 0); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(queued) != submitters*perSubmitter {
+		t.Fatalf("%d jobs reported Queued, want %d", len(queued), submitters*perSubmitter)
+	}
+	for id, n := range queued {
+		if n != 1 {
+			t.Fatalf("job %s reported Queued %d times", id, n)
 		}
 	}
 }

@@ -41,8 +41,7 @@ type ClientConfig struct {
 	// retries against a recovering server spread out.
 	RetryBackoffMax time.Duration
 	// Codec requests a frame encoding: CodecJSON (the default) or
-	// CodecBinary. Binary is negotiated by the wire.hello handshake and
-	// falls back to JSON transparently against servers that predate it.
+	// CodecBinary. Binary is negotiated by the wire.hello handshake.
 	Codec string
 	// DisableSession keeps per-message auth tokens even when a
 	// credential is set (no session handshake) — the protocol v1
@@ -90,7 +89,6 @@ type Client struct {
 	mu      sync.Mutex
 	cc      *clientConn
 	pending map[uint64]pendingCall
-	legacy  bool // server predates wire.hello; skip future handshakes
 	closed  bool
 }
 
@@ -290,10 +288,9 @@ func (c *Client) conn() (*clientConn, error) {
 	cc := &clientConn{ready: make(chan struct{})}
 	c.cc = cc
 	cred := c.cfg.Credential
-	legacy := c.legacy
 	c.mu.Unlock()
 
-	if err := c.establish(cc, cred, legacy); err != nil {
+	if err := c.establish(cc, cred); err != nil {
 		cc.err = err
 		close(cc.ready)
 		c.drop(cc)
@@ -315,7 +312,7 @@ func (c *Client) conn() (*clientConn, error) {
 }
 
 // establish dials and, when warranted, runs the wire.hello handshake on cc.
-func (c *Client) establish(cc *clientConn, cred *gsi.Credential, legacy bool) error {
+func (c *Client) establish(cc *clientConn, cred *gsi.Credential) error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.Timeout)
 	if err != nil {
 		return err
@@ -331,15 +328,14 @@ func (c *Client) establish(cc *clientConn, cred *gsi.Credential, legacy bool) er
 	go c.readLoop(cc)
 	wantSession := cred != nil && !c.cfg.DisableSession
 	wantBinary := c.cfg.Codec == CodecBinary
-	if legacy || (!wantSession && !wantBinary) {
-		return nil // plain v1 connection; nothing to negotiate
+	if !wantSession && !wantBinary {
+		return nil // per-message tokens and JSON frames: nothing to negotiate
 	}
 	return c.handshake(cc, cred, wantSession)
 }
 
 // handshake sends wire.hello and applies the negotiated session and codec
-// to cc. Against a server that predates the handshake it marks the client
-// legacy and returns successfully with v1 semantics.
+// to cc.
 func (c *Client) handshake(cc *clientConn, cred *gsi.Credential, wantSession bool) error {
 	body, err := json.Marshal(helloReq{Codecs: []string{c.cfg.Codec}})
 	if err != nil {
@@ -384,16 +380,7 @@ func (c *Client) handshake(cc *clientConn, cred *gsi.Credential, wantSession boo
 			return fmt.Errorf("wire: connection lost during handshake")
 		}
 		if m.Error != "" {
-			rerr := &RemoteError{Msg: m.Error, Class: faultclass.Parse(m.Fault)}
-			if IsNoSuchMethod(rerr) {
-				// v1 server: remember so future dials skip the probe,
-				// and continue with per-message tokens + JSON frames.
-				c.mu.Lock()
-				c.legacy = true
-				c.mu.Unlock()
-				return nil
-			}
-			return rerr
+			return &RemoteError{Msg: m.Error, Class: faultclass.Parse(m.Fault)}
 		}
 		var resp helloResp
 		if err := json.Unmarshal(m.Body, &resp); err != nil {

@@ -8,19 +8,15 @@
 // The same handshake negotiates the frame codec for the server->client
 // and client->server write directions.
 //
-// Compatibility is free in both directions: hello is an ordinary "req"
-// frame, so a v1 server answers it with "wire: no such method wire.hello"
-// and the v2 client silently falls back to per-message tokens and JSON
-// frames; a v1 client never sends hello and the v2 server keeps verifying
-// its per-message tokens. Sessions die with their connection — a redial
-// or a credential refresh (Client.SetCredential) re-handshakes.
+// A client that never sends hello (ClientConfig.DisableSession with the
+// JSON codec) keeps per-message tokens, which the server goes on verifying.
+// Sessions die with their connection — a redial or a credential refresh
+// (Client.SetCredential) re-handshakes.
 package wire
 
 import (
 	"encoding/json"
-	"errors"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -148,16 +144,4 @@ func (s *Server) handleHello(sc *srvConn, msg *Message) {
 	sc.wmu.Lock()
 	sc.codec = codec
 	sc.wmu.Unlock()
-}
-
-// noSuchMethodPrefix is the server error for an unregistered method. The
-// handshake keys legacy-peer detection off it, as do the gram batch verbs.
-const noSuchMethodPrefix = "wire: no such method"
-
-// IsNoSuchMethod reports whether err is a server reply saying the method
-// does not exist there — the signal that the peer predates the method and
-// the caller should fall back to the older protocol.
-func IsNoSuchMethod(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && strings.HasPrefix(re.Msg, noSuchMethodPrefix)
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -128,71 +127,6 @@ func TestBinaryCodecNegotiated(t *testing.T) {
 		t.Fatalf("codec=%q session=%q, want binary + session", cc2.codec, cc2.session)
 	}
 	_ = count
-}
-
-// legacyV1Server speaks the pre-handshake protocol: JSON frames only, and
-// any unknown method (including wire.hello) gets the v1 error string.
-func legacyV1Server(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					msg, err := ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					resp := &Message{ClientID: msg.ClientID, Seq: msg.Seq, Kind: "resp"}
-					if msg.Method == "echo" {
-						resp.Body = msg.Body
-					} else {
-						resp.Error = "wire: no such method " + msg.Method
-					}
-					if WriteFrame(conn, resp) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// A v2 client offered the binary codec must degrade transparently against
-// a v1 server: one hello probe, then per-message semantics and JSON
-// frames, with the legacy verdict remembered across redials.
-func TestLegacyServerFallback(t *testing.T) {
-	addr := legacyV1Server(t)
-	c := Dial(addr, ClientConfig{ServerName: "svc", Codec: CodecBinary})
-	defer c.Close()
-
-	var resp echoResp
-	if err := c.Call("echo", echoReq{Text: "old"}, &resp); err != nil {
-		t.Fatalf("call against v1 server failed: %v", err)
-	}
-	if resp.Text != "old" {
-		t.Fatalf("echo = %q", resp.Text)
-	}
-	c.mu.Lock()
-	legacy := c.legacy
-	c.mu.Unlock()
-	if !legacy {
-		t.Fatal("client did not remember the server is legacy")
-	}
-	cc := currentConn(t, c)
-	if cc.codec != "" || cc.session != "" {
-		t.Fatalf("legacy conn negotiated codec=%q session=%q", cc.codec, cc.session)
-	}
 }
 
 // DisableSession preserves exact v1 behaviour: no handshake, a signed
@@ -378,19 +312,5 @@ func TestSessionsAreDistinctPerConnection(t *testing.T) {
 	s2 := currentConn(t, c2).session
 	if s1 == "" || s2 == "" || s1 == s2 {
 		t.Fatalf("sessions %q / %q: want two distinct non-empty IDs", s1, s2)
-	}
-}
-
-// Sanity for the batch-verb fallback signal shared with gram.
-func TestIsNoSuchMethod(t *testing.T) {
-	s, _ := newEchoServer(t, ServerConfig{Name: "svc"})
-	c := Dial(s.Addr(), ClientConfig{ServerName: "svc"})
-	defer c.Close()
-	err := c.Call("gram.batch-submit", json.RawMessage(`{}`), nil)
-	if !IsNoSuchMethod(err) {
-		t.Fatalf("want no-such-method verdict, got %v", err)
-	}
-	if IsNoSuchMethod(nil) || IsNoSuchMethod(ErrTimeout) {
-		t.Fatal("false positive")
 	}
 }

@@ -18,6 +18,11 @@ fi
 
 go vet ./...
 
+# bench/ is a nested module (its own go.mod, `replace condorg => ../`), so
+# the root `./...` never sees it: vet and build it here, or an API change
+# that breaks the repository benchmark stays invisible until it runs.
+(cd bench && go vet ./... && go build ./...)
+
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
 # control-plane types, the glidein autoscaler, the credential manager,
@@ -47,4 +52,4 @@ if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime "$CHECK_FUZZ_TIME" ./internal/journal/
 fi
 
-echo "check.sh: gofmt + go vet + fuzz corpus clean"
+echo "check.sh: gofmt + go vet + bench module + fuzz corpus clean"
