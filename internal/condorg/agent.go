@@ -284,6 +284,9 @@ type Agent struct {
 	// job-state change; its lock is a leaf taken under no other.
 	changed stateBroadcast
 
+	// stageKnown remembers which sites hold which executables (stage.go).
+	stageKnown stageKnown
+
 	// pipeSem is the agent-wide remote-operation cap shared by every
 	// GridManager's site workers (AgentConfig.Pipeline.MaxInFlight),
 	// granted round-robin across owners when saturated (fairsem.go).
@@ -706,6 +709,17 @@ func (a *Agent) finishJob(rec *jobRecord) {
 	delete(sh.active, rec.ID)
 	sh.mu.Unlock()
 	a.closeUserLog(rec.ID)
+	// A busy owner's manager never retires: it must not keep a connection
+	// per JobManager it ever probed.
+	rec.mu.Lock()
+	jmAddr := rec.Contact.JobManagerAddr
+	rec.mu.Unlock()
+	a.mu.Lock()
+	gm := a.managers[rec.Owner]
+	a.mu.Unlock()
+	if gm != nil && jmAddr != "" {
+		gm.gram.ForgetJobManager(jmAddr)
+	}
 	if a.cfg.HA.Enabled {
 		// The replicated payload has served its purpose; drop it so the
 		// journal stream and snapshots don't carry finished jobs' bytes.
@@ -819,17 +833,21 @@ func (a *Agent) log(rec *jobRecord, code, format string, args ...any) {
 	rec.mu.Lock()
 	rec.Log = append(rec.Log, ev)
 	id := rec.ID
+	over := rec.State.Terminal()
 	rec.mu.Unlock()
 	a.persist(rec)
 	// Mirror to the on-disk user log (§4.1: "obtain access to detailed
 	// logs, providing a complete history of their jobs' execution") so
 	// the history is greppable without the agent API.
-	a.appendUserLog(id, ev)
+	a.appendUserLog(id, ev, !over)
 }
 
 // appendUserLog writes one event line through a persistent per-job handle,
-// avoiding an open/close syscall pair per event.
-func (a *Agent) appendUserLog(id string, ev LogEvent) {
+// avoiding an open/close syscall pair per event. keep=false is for a job
+// that is already over (a submit's own log line can trail the Done callback
+// of a very short job): finishJob has released, or is about to release, the
+// handle, so a new one is not kept.
+func (a *Agent) appendUserLog(id string, ev LogEvent, keep bool) {
 	a.logMu.Lock()
 	defer a.logMu.Unlock()
 	f := a.logFiles[id]
@@ -839,14 +857,18 @@ func (a *Agent) appendUserLog(id string, ev LogEvent) {
 		if err != nil {
 			return
 		}
-		if len(a.logFiles) >= maxOpenUserLogs {
-			for victim, vf := range a.logFiles {
-				vf.Close()
-				delete(a.logFiles, victim)
-				break
+		if !keep {
+			defer f.Close()
+		} else {
+			if len(a.logFiles) >= maxOpenUserLogs {
+				for victim, vf := range a.logFiles {
+					vf.Close()
+					delete(a.logFiles, victim)
+					break
+				}
 			}
+			a.logFiles[id] = f
 		}
-		a.logFiles[id] = f
 	}
 	fmt.Fprintf(f, "%s %-16s %s\n", ev.Time.Format(time.RFC3339Nano), ev.Code, ev.Text)
 }
@@ -877,6 +899,20 @@ func (a *Agent) managerFor(owner string) *GridManager {
 	gm := newGridManager(a, owner, a.ownerCredLocked(owner))
 	a.managers[owner] = gm
 	return gm
+}
+
+// enqueueSubmit hands rec to its owner's GridManager, starting a new one if
+// the current manager retires before taking it. On a closed agent the job
+// stays in the journal for the next NewAgent to recover.
+func (a *Agent) enqueueSubmit(rec *jobRecord) {
+	for {
+		a.mu.Lock()
+		closed := a.closed
+		a.mu.Unlock()
+		if closed || a.managerFor(rec.Owner).enqueueSubmit(rec) {
+			return
+		}
+	}
 }
 
 // SiteHealth reports the circuit-breaker state of one remote address as
@@ -1073,7 +1109,7 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		dest = "a deferred-binding site"
 	}
 	a.log(rec, "SUBMIT", "job submitted to agent, destined for %s", dest)
-	a.managerFor(req.Owner).enqueueSubmit(rec)
+	a.enqueueSubmit(rec)
 	a.changed.Notify()
 	a.obs.Counter("agent_jobs_submitted_total").Inc()
 	elapsed := time.Since(start).Seconds()
@@ -1226,7 +1262,7 @@ func (a *Agent) Release(id string) error {
 	rec.bumpLocked()
 	rec.mu.Unlock()
 	a.log(rec, "RELEASED", "job released from hold")
-	a.managerFor(rec.Owner).enqueueSubmit(rec)
+	a.enqueueSubmit(rec)
 	a.changed.Notify()
 	return nil
 }
@@ -1647,6 +1683,7 @@ func (a *Agent) SiteRetired(addr string) {
 	if addr == "" {
 		return
 	}
+	a.stageKnown.forgetSite(addr)
 	a.idMu.RLock()
 	recs := make([]*jobRecord, 0, len(a.ids))
 	for _, rec := range a.ids {

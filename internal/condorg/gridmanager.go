@@ -100,16 +100,23 @@ func (gm *GridManager) poke() {
 	}
 }
 
-// enqueueSubmit hands a new or released job to the manager.
-func (gm *GridManager) enqueueSubmit(rec *jobRecord) {
+// enqueueSubmit hands a new or released job to the manager. It reports
+// false when the manager has retired (the caller asks managerFor again).
+func (gm *GridManager) enqueueSubmit(rec *jobRecord) bool {
 	gm.mu.Lock()
+	if gm.finished {
+		gm.mu.Unlock()
+		return false
+	}
 	gm.pending = append(gm.pending, rec)
 	gm.mu.Unlock()
 	gm.poke()
+	return true
 }
 
 // enqueueRecovery hands a job recovered from the persistent queue: it may
-// or may not have a remote contact yet.
+// or may not have a remote contact yet. (Recovery runs before the agent
+// accepts work, so the fresh manager cannot have retired.)
 func (gm *GridManager) enqueueRecovery(rec *jobRecord) {
 	rec.mu.Lock()
 	hasContact := rec.Contact.JobID != ""
@@ -126,14 +133,15 @@ func (gm *GridManager) enqueueRecovery(rec *jobRecord) {
 	gm.poke()
 }
 
-// run is the manager's dispatch loop. New-work and retirement passes are
-// event-driven (the wake channel fires on enqueue, on job-state changes,
-// and when a worker finishes a task); the §4.2 failure probe stays
-// strictly ticker-paced so a burst of events never turns into a probe
-// storm against remote sites. No remote I/O happens on this goroutine —
-// every pass only partitions work onto the per-site pipelines, so the
-// tick cadence (and the probe-lag metric) stays flat even when a site is
-// blackholed.
+// run is the manager's dispatch loop. New-work passes are event-driven (the
+// wake channel fires on enqueue, on job-state changes, and when a worker
+// finishes a task); the §4.2 failure probe and retirement stay strictly
+// ticker-paced, so a burst of events never turns into a probe storm against
+// remote sites and a queue that drains and refills within one interval keeps
+// its manager — GRAM sessions and breaker memory included. No remote I/O
+// happens on this goroutine — every pass only partitions work onto the
+// per-site pipelines, so the tick cadence (and the probe-lag metric) stays
+// flat even when a site is blackholed.
 func (gm *GridManager) run() {
 	defer gm.wg.Done()
 	interval := gm.agent.cfg.Probe.Interval
@@ -141,17 +149,27 @@ func (gm *GridManager) run() {
 	defer ticker.Stop()
 	lag := gm.agent.obs.Histogram("gm_probe_lag_seconds")
 	var lastTick time.Time
+	// idleSinceTick: no pass since the previous tick found unfinished work.
+	idleSinceTick := false
 	for {
 		gm.dispatchPending()
 		gm.dispatchRecovery()
 		gm.dispatchCredRefresh()
-		if gm.tryRetire() {
-			return
+		idle := gm.idle()
+		if !idle {
+			idleSinceTick = false
 		}
 		select {
 		case <-gm.stopCh:
 			return
 		case <-ticker.C:
+			// "One GridManager process handles all jobs for a single user
+			// and terminates once all jobs are complete": it retires on the
+			// first tick that finds it idle since the previous one.
+			if idle && idleSinceTick && gm.retire() {
+				return
+			}
+			idleSinceTick = idle
 			// Probe lag: how far behind schedule the detector is running
 			// (a starved dispatcher delays the next tick delivery).
 			now := time.Now()
@@ -168,19 +186,17 @@ func (gm *GridManager) run() {
 	}
 }
 
-// tryRetire exits the manager when the user has no unfinished jobs —
-// "one GridManager process handles all jobs for a single user and
-// terminates once all jobs are complete".
-func (gm *GridManager) tryRetire() bool {
+// idle reports whether the user has no unfinished work for this manager.
+func (gm *GridManager) idle() bool {
 	gm.mu.Lock()
 	// Outstanding pipeline tasks are live remote operations (a submit may
 	// be mid-two-phase-commit); retirement must wait for the ledger to
 	// drain or gram.Close would yank connections out from under them.
-	if len(gm.pending) > 0 || len(gm.recovery) > 0 || gm.outstanding > 0 {
-		gm.mu.Unlock()
+	busy := len(gm.pending) > 0 || len(gm.recovery) > 0 || gm.outstanding > 0
+	gm.mu.Unlock()
+	if busy {
 		return false
 	}
-	gm.mu.Unlock()
 	// Unacknowledged cancels are unfinished work: an old copy may still
 	// be runnable at a partitioned site.
 	if len(gm.agent.pendingCancels(gm.owner)) > 0 {
@@ -194,10 +210,21 @@ func (gm *GridManager) tryRetire() bool {
 			return false
 		}
 	}
+	return true
+}
+
+// retire ends an idle manager. The queues are re-checked under the lock
+// enqueueSubmit takes, so a job handed over since the idle check either
+// lands before (and keeps the manager) or is refused and goes to a new one.
+func (gm *GridManager) retire() bool {
 	gm.mu.Lock()
 	if gm.finished {
 		gm.mu.Unlock()
 		return true
+	}
+	if len(gm.pending) > 0 || len(gm.recovery) > 0 || gm.outstanding > 0 {
+		gm.mu.Unlock()
+		return false
 	}
 	gm.finished = true
 	close(gm.stopCh)
@@ -329,11 +356,13 @@ func (gm *GridManager) recoverJob(rec *jobRecord) {
 		// Gatekeeper down or job unknown; the probe path will sort it out.
 		return
 	}
+	// Tell the JobManager where our GASS server lives now — before asking
+	// for status: a reply that carries a terminal state lets the JobManager
+	// exit, and it can only drain its output first if it knows where to.
+	gm.gram.UpdateURLFile(contact, gm.agent.gassS.Addr())
 	if st, err := gm.gram.Status(contact); err == nil {
 		gm.agent.applyRemoteStatus(rec, st)
 	}
-	// Tell the JobManager where our GASS server lives now.
-	gm.gram.UpdateURLFile(contact, gm.agent.gassS.Addr())
 }
 
 // probeJob is the per-job §4.2 failure detector (a taskProbe body): "The
@@ -349,6 +378,16 @@ func (gm *GridManager) probeJob(rec *jobRecord) {
 		gm.agent.applyRemoteStatus(rec, st)
 		gm.maybeResubmit(rec, st)
 		gm.maybeMigrate(rec, st)
+		return
+	}
+	// A JobManager exits once the agent has acknowledged Done; a probe that
+	// was already in flight then finds nobody home, and nothing is wrong.
+	rec.mu.Lock()
+	settled := rec.State.Terminal() || rec.State == Held || rec.Contact != contact
+	rec.mu.Unlock()
+	if settled {
+		// The failed call re-created what finishJob had dropped.
+		gm.gram.ForgetJobManager(contact.JobManagerAddr)
 		return
 	}
 	// "If a JobManager fails to respond, the GridManager then probes the

@@ -379,14 +379,26 @@ func (gm *GridManager) dispatchPending() {
 		}
 		// A job whose executable has not reached the site yet stages first:
 		// staging is a first-class task, so breaker parking and half-open
-		// probe gating above apply to transfers exactly as to submits.
+		// probe gating above apply to transfers exactly as to submits. When
+		// the agent already knows the site holds the executable, the cache
+		// hit is decided here and journaled by the submit that follows.
 		kind := taskSubmit
+		knownHash := ""
 		if !gm.agent.cfg.Stage.Disabled && rec.Stage.Hash != "" && !rec.Stage.Done {
-			kind = taskStage
+			if gm.agent.stageKnown.has(site, rec.Stage.Hash) {
+				knownHash = rec.Stage.Hash
+				rec.Stage.Done, rec.Stage.CacheHit, rec.Stage.Offset = true, true, 0
+				gm.agent.traceLocked(rec, obs.PhaseStage, "", "executable "+short(knownHash)+" known to be cached at "+site)
+			} else {
+				kind = taskStage
+			}
 		}
 		rec.opBusy = true
 		gm.agent.traceLocked(rec, obs.PhaseDispatch, "", "queued on the "+site+" pipeline ("+kind.String()+")")
 		rec.mu.Unlock()
+		if knownHash != "" {
+			gm.noteStageHit(site, knownHash)
+		}
 		gm.enqueueTask(site, gmTask{kind: kind, rec: rec})
 	}
 	if len(parked) > 0 {

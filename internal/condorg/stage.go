@@ -22,6 +22,71 @@ import (
 	"condorg/internal/obs"
 )
 
+// maxStageKnown bounds the agent's stage-known set. At the bound an arbitrary
+// entry makes room: forgetting one costs its next job a stage-check, nothing
+// more.
+const maxStageKnown = 4096
+
+type stageKey struct{ site, hash string }
+
+// stageKnown is the agent-wide memory of "site S holds executable H", filled
+// by a stage-check hit or a completed push and shared by every owner's
+// GridManager. A job whose (site, hash) is in it skips the staging task — no
+// gram.stage-check round trip, no journal write — and goes straight to the
+// GRAM submit. It is a hint, never an authority: a site that lost the bytes
+// (cache wiped, restarted elsewhere) pulls them through GASS at commit time,
+// as it does for any executable it does not hold, and caches them again. It
+// lives in memory only; a restarted agent relearns it one stage-check per
+// (site, executable).
+type stageKnown struct {
+	mu sync.Mutex
+	m  map[stageKey]struct{}
+}
+
+func (k *stageKnown) add(site, hash string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.m == nil {
+		k.m = make(map[stageKey]struct{})
+	}
+	if len(k.m) >= maxStageKnown {
+		for victim := range k.m {
+			delete(k.m, victim)
+			break
+		}
+	}
+	k.m[stageKey{site, hash}] = struct{}{}
+}
+
+func (k *stageKnown) has(site, hash string) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	_, ok := k.m[stageKey{site, hash}]
+	return ok
+}
+
+// forgetSite drops everything known about a site that is gone for good (a
+// retired pilot's address may be reused by one with an empty cache).
+func (k *stageKnown) forgetSite(site string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for key := range k.m {
+		if key.site == site {
+			delete(k.m, key)
+		}
+	}
+}
+
+// noteStageHit counts one job served by site's executable cache — in the
+// metrics, in the per-site health columns — and remembers the pair.
+func (gm *GridManager) noteStageHit(site, hash string) {
+	gm.mu.Lock()
+	gm.stageHits[site]++
+	gm.mu.Unlock()
+	gm.agent.obs.Counter("stage_cache_hits_total").Inc()
+	gm.agent.stageKnown.add(site, hash)
+}
+
 // maxStageAttempts bounds resume attempts within one staging task. A
 // transfer that keeps dying re-checks the site's acked offset and resumes
 // from there; once the budget is spent the task abandons pre-staging and
@@ -71,7 +136,8 @@ func (a *Agent) readSpool(ref string) ([]byte, error) {
 // Outcomes:
 //
 //   - cache hit or completed push → Stage.Done journaled, job requeued
-//     (the next dispatch pass runs the submit);
+//     (the next dispatch pass runs the submit), and the (site, hash) pair
+//     remembered so later jobs skip this task altogether;
 //   - breaker open → requeued; the dispatcher parks it until the site is
 //     due its half-open probe;
 //   - AuthExpired → job held for a credential refresh;
@@ -117,10 +183,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		return
 	}
 	if present {
-		gm.mu.Lock()
-		gm.stageHits[site]++
-		gm.mu.Unlock()
-		gm.agent.obs.Counter("stage_cache_hits_total").Inc()
+		gm.noteStageHit(site, hash)
 		finish(true, "executable "+short(hash)+" already cached at "+site)
 		return
 	}
@@ -207,6 +270,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		gm.stageFailed(rec, site, err, requeue, finish)
 		return
 	}
+	gm.agent.stageKnown.add(site, hash)
 	finish(false, fmt.Sprintf("staged %d bytes in %d chunks to %s", len(data), chunks, site))
 }
 

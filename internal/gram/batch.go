@@ -128,11 +128,16 @@ func (s *Site) handleBatchStatus(peer string, body json.RawMessage) (any, error)
 		}
 		job.mu.Lock()
 		st := job.status
-		alive := job.jm != nil
+		jm := job.jm
 		job.mu.Unlock()
 		st.StdoutSent = job.stdout.sentBytes()
 		st.StderrSent = job.stderr.sentBytes()
-		resp.Results[i] = batchStatusResult{Status: st, JMAlive: alive}
+		resp.Results[i] = batchStatusResult{Status: st, JMAlive: jm != nil}
+		if jm != nil && st.State.Terminal() {
+			// This reply tells the client the job is over, which is what
+			// its JobManager was waiting for before exiting.
+			jm.markDelivered()
+		}
 	}
 	return resp, nil
 }

@@ -399,15 +399,25 @@ func (c *Client) RestartJobManager(contact JobContact) (JobContact, error) {
 	if err != nil {
 		return contact, err
 	}
-	// Drop any cached connection to the dead JobManager.
-	c.mu.Lock()
-	if wc, ok := c.jmConn[contact.JobManagerAddr]; ok && contact.JobManagerAddr != resp.JobManagerAddr {
-		wc.Close()
-		delete(c.jmConn, contact.JobManagerAddr)
+	if contact.JobManagerAddr != resp.JobManagerAddr {
+		c.ForgetJobManager(contact.JobManagerAddr)
 	}
-	c.mu.Unlock()
 	contact.JobManagerAddr = resp.JobManagerAddr
 	return contact, nil
+}
+
+// ForgetJobManager drops the cached connection and the breaker memory of a
+// JobManager that is dead or whose job is over. JobManagers come and go with
+// their jobs, so a client that outlives many jobs must not keep an entry per
+// job ever run.
+func (c *Client) ForgetJobManager(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if wc, ok := c.jmConn[addr]; ok {
+		wc.Close()
+		delete(c.jmConn, addr)
+	}
+	c.health.Success(addr) // Success is how a BreakerSet drops an entry
 }
 
 // RefreshCredential re-forwards a fresh proxy to the job's site (§4.3).

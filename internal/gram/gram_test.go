@@ -238,7 +238,12 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGramState(t, g.client, contact, StateFailed)
-	// Cancel after terminal is idempotent.
+	// Serving the terminal state was the JobManager's cue to exit; a cancel
+	// after terminal reaches a restarted one and is idempotent.
+	contact, err := g.client.RestartJobManager(contact)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := g.client.Cancel(contact); err != nil {
 		t.Fatal(err)
 	}

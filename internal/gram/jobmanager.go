@@ -16,16 +16,29 @@ import (
 // the client's GASS server, and relays status callbacks. Killing a
 // JobManager does not kill the underlying LRM job — that separation is the
 // essence of GRAM's resource-side fault tolerance.
+//
+// It lives as long as the job needs it and no longer: once the job is
+// terminal, the client has been told so, and both output streams are fully
+// acknowledged by the client's GASS server, the daemon exits on its own
+// (run). A client that missed the news finds the endpoint gone and takes the
+// §4.2 ladder — gatekeeper ping, gram.jm-restart — to a replacement that
+// reports the same terminal state, so an early exit costs one restart and
+// never a second execution.
 type JobManager struct {
 	site *Site
 	job  *siteJob
 	srv  *wire.Server
 
-	mu       sync.Mutex
-	closed   bool
-	cbClient *wire.Client
-	stopPush chan struct{}
+	mu        sync.Mutex
+	closed    bool
+	delivered bool // the client holds the job's terminal state
+	cbClient  *wire.Client
+	stop      chan struct{}
 }
+
+// pushRetry paces output-push retries after a failed gass.append (client
+// GASS server unreachable). Nothing is polled while pushes succeed.
+const pushRetry = 10 * time.Millisecond
 
 // startJobManager creates and registers a JobManager for job.
 func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
@@ -38,7 +51,7 @@ func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	jm := &JobManager{site: s, job: job, srv: srv, stopPush: make(chan struct{})}
+	jm := &JobManager{site: s, job: job, srv: srv, stop: make(chan struct{})}
 	srv.Handle("jm.ping", func(string, json.RawMessage) (any, error) { return struct{}{}, nil })
 	srv.Handle("jm.status", jm.handleStatus)
 	srv.Handle("jm.cancel", jm.handleCancel)
@@ -56,8 +69,17 @@ func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
 			Retries:    1,
 		})
 	}
-	go jm.pushLoop()
+	go jm.run()
 	return jm, nil
+}
+
+// markDelivered records that the client holds the job's terminal state — a
+// Done callback it acknowledged, or a status reply that carried it.
+func (jm *JobManager) markDelivered() {
+	jm.mu.Lock()
+	jm.delivered = true
+	jm.mu.Unlock()
+	jm.job.wake()
 }
 
 // Addr returns the JobManager's contact address.
@@ -71,7 +93,7 @@ func (jm *JobManager) Close() {
 		return
 	}
 	jm.closed = true
-	close(jm.stopPush)
+	close(jm.stop)
 	cb := jm.cbClient
 	jm.mu.Unlock()
 	jm.srv.Close()
@@ -102,6 +124,9 @@ func (jm *JobManager) handleStatus(peer string, _ json.RawMessage) (any, error) 
 	jm.job.mu.Unlock()
 	st.StdoutSent = jm.job.stdout.sentBytes()
 	st.StderrSent = jm.job.stderr.sentBytes()
+	if st.State.Terminal() {
+		jm.markDelivered()
+	}
 	return st, nil
 }
 
@@ -188,50 +213,100 @@ func (jm *JobManager) handleUpdateURLFile(peer string, body json.RawMessage) (an
 			return nil, err
 		}
 	}
+	jm.job.wake() // unsent output now has somewhere to go
 	return struct{}{}, nil
 }
 
-// pushLoop streams output buffers to the client's GASS URLs, resuming from
-// the high-water mark after any failure — "real-time streaming of standard
-// output and error".
-func (jm *JobManager) pushLoop() {
+// run is the daemon's main loop, woken through the job's kick channel. Each
+// wake-up streams unsent output to the client's GASS URLs, resuming from the
+// high-water mark after any failure — "real-time streaming of standard output
+// and error" — and then exits the daemon if its work is over. A failed push
+// is retried at pushRetry pace.
+func (jm *JobManager) run() {
 	jm.job.mu.Lock()
 	cred := jm.job.cred
 	jm.job.mu.Unlock()
 	gc := gass.NewClient(cred, jm.site.cfg.Clock)
 	defer gc.Close()
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
 	for {
 		select {
-		case <-jm.stopPush:
+		case <-jm.stop:
+			// Killed (crash injection, site shutdown). A nudge this loop
+			// swallowed on its way out belongs to the replacement daemon.
+			jm.job.wake()
 			return
-		case <-ticker.C:
-			jm.job.mu.Lock()
-			stdoutURL, stderrURL := jm.job.spec.StdoutURL, jm.job.spec.StderrURL
-			jm.job.mu.Unlock()
-			jm.pushStream(gc, &jm.job.stdout, stdoutURL)
-			jm.pushStream(gc, &jm.job.stderr, stderrURL)
+		default:
+		}
+		jm.job.mu.Lock()
+		stdoutURL, stderrURL := jm.job.spec.StdoutURL, jm.job.spec.StderrURL
+		terminal := jm.job.status.State.Terminal()
+		jm.job.mu.Unlock()
+		// Both streams are attempted even when the first fails.
+		outDone := jm.pushStream(gc, &jm.job.stdout, stdoutURL)
+		errDone := jm.pushStream(gc, &jm.job.stderr, stderrURL)
+		// terminal was read before the push: the payload writes all of its
+		// output before the LRM reports it finished, so a drained buffer
+		// seen after a terminal state is the whole output.
+		if terminal && outDone && errDone && jm.exit() {
+			return
+		}
+		var retry <-chan time.Time
+		if !outDone || !errDone {
+			retry = time.After(pushRetry)
+		}
+		select {
+		case <-jm.stop:
+		case <-jm.job.kick:
+		case <-retry:
 		}
 	}
 }
 
-func (jm *JobManager) pushStream(gc *gass.Client, buf *outBuffer, urlStr string) {
+// pushStream sends buf's unsent tail to urlStr and reports whether the
+// stream has nothing left to send (a job without an output URL never has).
+func (jm *JobManager) pushStream(gc *gass.Client, buf *outBuffer, urlStr string) bool {
 	if urlStr == "" {
-		return
+		return true
 	}
 	data, _ := buf.unsent()
 	if len(data) == 0 {
-		return
+		return true
 	}
 	u, err := gass.ParseURL(urlStr)
 	if err != nil {
-		return
+		return true // nowhere to send it, now or later
 	}
 	if _, err := gc.Append(u, data); err != nil {
-		return // client GASS unreachable; retry next tick from the mark
+		return false // client GASS unreachable; retried from the mark
 	}
 	buf.markSent(int64(len(data)))
+	return true
+}
+
+// exit ends the daemon once the client holds the terminal state (the caller
+// has checked that the job is terminal and its output drained). Requests
+// being served finish first, so the jm.status reply that delivered the
+// terminal state is not torn by the exit it triggered. It reports false when
+// the client has not been told yet, or when the daemon was already closed.
+func (jm *JobManager) exit() bool {
+	jm.mu.Lock()
+	if jm.closed || !jm.delivered {
+		jm.mu.Unlock()
+		return false
+	}
+	jm.closed = true
+	cb := jm.cbClient
+	jm.mu.Unlock()
+	jm.job.mu.Lock()
+	if jm.job.jm == jm {
+		jm.job.jm = nil
+	}
+	jm.job.mu.Unlock()
+	jm.srv.Shutdown()
+	if cb != nil {
+		cb.Close()
+	}
+	return true
 }
 
 // sendCallback delivers a status change to the client's callback endpoint.
@@ -245,7 +320,26 @@ func (jm *JobManager) sendCallback(st StatusInfo) {
 		return
 	}
 	st.JobManagerAddr = jm.Addr() // identify the incarnation for the receiver
-	go cb.Call("gram.callback", st, nil)
+	go func() {
+		// A state the job has already left is not worth a round trip: the
+		// watcher reports every LRM transition the instant it happens, and
+		// a short job's Pending and Active are history before they could
+		// leave the machine. The terminal state always goes out.
+		if !st.State.Terminal() {
+			jm.job.mu.Lock()
+			stale := jm.job.status.State != st.State
+			jm.job.mu.Unlock()
+			if stale {
+				return
+			}
+		}
+		// Only an acknowledged Done settles the matter: the client acts on a
+		// Failed verdict (resubmit, hold, give up) from its probe, so this
+		// daemon stays to answer that probe.
+		if err := cb.Call("gram.callback", st, nil); err == nil && st.State == StateDone {
+			jm.markDelivered()
+		}
+	}()
 }
 
 // CallbackService is the wire service name for client callback endpoints.

@@ -76,6 +76,7 @@ type Site struct {
 	gk      *wire.Server
 	gkAddr  string // stable across restarts
 	jobs    map[string]*siteJob
+	bySubID map[string]*siteJob // jobs by SubmissionID: gram.submit's dedup lookup
 	serial  int
 	crashed bool
 	closing bool // Close in progress: LRM kills are site-lost, not failures
@@ -105,6 +106,20 @@ type siteJob struct {
 	stdout       outBuffer
 	stderr       outBuffer
 	commitTimer  *time.Timer
+	// kick wakes the job's JobManager (see wake). Buffered so a nudge
+	// raised while the daemon is busy pushing is not lost.
+	kick chan struct{}
+}
+
+// wake nudges whichever JobManager is serving the job: output was written,
+// the job changed state, or the client learned how it ended. Lock-free — the
+// payload's writes must not queue behind job.mu — and non-blocking: a
+// pending nudge is enough.
+func (j *siteJob) wake() {
+	select {
+	case j.kick <- struct{}{}:
+	default:
+	}
 }
 
 type persistJob struct {
@@ -127,12 +142,16 @@ type outBuffer struct {
 	mu   sync.Mutex
 	data []byte
 	sent int64
+	wake func() // called after every Write; set before the job can run
 }
 
 func (b *outBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	b.data = append(b.data, p...)
 	b.mu.Unlock()
+	if b.wake != nil {
+		b.wake()
+	}
 	return len(p), nil
 }
 
@@ -178,7 +197,8 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		store.Close()
 		return nil, err
 	}
-	s := &Site{cfg: cfg, store: store, stage: stage, jobs: make(map[string]*siteJob)}
+	s := &Site{cfg: cfg, store: store, stage: stage,
+		jobs: make(map[string]*siteJob), bySubID: make(map[string]*siteJob)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -212,8 +232,12 @@ func (s *Site) recover() error {
 			status: StatusInfo{
 				JobID: p.ID, State: p.State, Error: p.Error, Fault: p.Fault, LocalUser: p.LocalUser,
 			},
+			kick: make(chan struct{}, 1),
 		}
 		s.jobs[p.ID] = job
+		if p.SubmissionID != "" {
+			s.bySubID[p.SubmissionID] = job
+		}
 		// Restore the ID counter past every recovered job: a restarted
 		// site must never re-issue an ID, or the new submission would
 		// overwrite the recovered record and clients probing the old
@@ -330,9 +354,8 @@ func (s *Site) Name() string { return s.cfg.Name }
 // Cluster exposes the LRM (resource ads need queue depth etc.).
 func (s *Site) Cluster() *lrm.Cluster { return s.cfg.Cluster }
 
-// ActiveJobs counts jobs that have not reached a terminal state. Glidein
-// pilots use it as the idle signal for §5's runaway-daemon guard.
-func (s *Site) ActiveJobs() int {
+// countJobs counts the jobs pred holds for; pred runs with the job locked.
+func (s *Site) countJobs(pred func(*siteJob) bool) int {
 	s.mu.Lock()
 	jobs := make([]*siteJob, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -342,12 +365,25 @@ func (s *Site) ActiveJobs() int {
 	n := 0
 	for _, j := range jobs {
 		j.mu.Lock()
-		if !j.status.State.Terminal() {
+		if pred(j) {
 			n++
 		}
 		j.mu.Unlock()
 	}
 	return n
+}
+
+// ActiveJobs counts jobs that have not reached a terminal state. Glidein
+// pilots use it as the idle signal for §5's runaway-daemon guard.
+func (s *Site) ActiveJobs() int {
+	return s.countJobs(func(j *siteJob) bool { return !j.status.State.Terminal() })
+}
+
+// LiveJobManagers counts the JobManager daemons currently running on the
+// interface machine: one per job from submit until the job is over and the
+// client knows it (see JobManager).
+func (s *Site) LiveJobManagers() int {
+	return s.countJobs(func(j *siteJob) bool { return j.jm != nil })
 }
 
 // authorize maps a peer subject through the gridmap.
@@ -419,20 +455,15 @@ func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 	s.mu.Lock()
 	// Exactly-once across Gatekeeper restarts: a resent submission with a
 	// known SubmissionID returns the existing job instead of a new one.
-	if req.SubmissionID != "" {
-		for _, job := range s.jobs {
-			if job.submissionID == req.SubmissionID {
-				existing := job
-				s.mu.Unlock()
-				existing.mu.Lock()
-				defer existing.mu.Unlock()
-				addr := ""
-				if existing.jm != nil {
-					addr = existing.jm.Addr()
-				}
-				return submitResp{JobID: existing.id, JobManagerAddr: addr}, nil
-			}
+	if existing, ok := s.bySubID[req.SubmissionID]; ok && req.SubmissionID != "" {
+		s.mu.Unlock()
+		existing.mu.Lock()
+		defer existing.mu.Unlock()
+		addr := ""
+		if existing.jm != nil {
+			addr = existing.jm.Addr()
 		}
+		return submitResp{JobID: existing.id, JobManagerAddr: addr}, nil
 	}
 	s.serial++
 	id := fmt.Sprintf("%s-job%d", s.cfg.Name, s.serial)
@@ -445,8 +476,14 @@ func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 		callback:     req.Callback,
 		cred:         cred,
 		status:       StatusInfo{JobID: id, State: StateUnsubmitted, LocalUser: localUser},
+		kick:         make(chan struct{}, 1),
 	}
+	job.stdout.wake = job.wake
+	job.stderr.wake = job.wake
 	s.jobs[id] = job
+	if req.SubmissionID != "" {
+		s.bySubID[req.SubmissionID] = job
+	}
 	s.mu.Unlock()
 
 	jm, err := s.startJobManager(job)
@@ -755,15 +792,12 @@ func (s *Site) pullResumable(gc *gass.Client, u gass.URL) ([]byte, error) {
 	}
 }
 
-// watchLRM polls the LRM for terminal state and mirrors transitions into
-// the GRAM status. (The LRM also has callbacks; polling keeps this
-// resilient to missed events and is how the real JobManager watches PBS.)
+// watchLRM mirrors the LRM job's transitions into the GRAM status until it
+// is terminal, sleeping in the cluster's per-job state-change wait between
+// them (how a real JobManager watches PBS, minus the polling interval).
 func (s *Site) watchLRM(job *siteJob, lrmID string) {
-	for {
-		st, err := s.cfg.Cluster.Status(lrmID)
-		if err != nil {
-			return
-		}
+	st, err := s.cfg.Cluster.Status(lrmID)
+	for ; err == nil; st, err = s.cfg.Cluster.WaitChange(lrmID, st.State) {
 		job.mu.Lock()
 		var newState JobState
 		switch st.State {
@@ -808,7 +842,6 @@ func (s *Site) watchLRM(job *siteJob, lrmID string) {
 		if newState.Terminal() {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -821,6 +854,7 @@ func (s *Site) notifyStatus(job *siteJob) {
 	job.mu.Unlock()
 	if jm != nil {
 		jm.sendCallback(st)
+		job.wake() // a terminal state may be the last thing it was waiting for
 	}
 }
 

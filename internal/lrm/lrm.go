@@ -210,6 +210,21 @@ type jobRec struct {
 	job    Job
 	status JobStatus
 	cancel context.CancelFunc
+	// changed is closed and replaced on every state transition and by
+	// Close, waking the job's WaitChange callers to look again.
+	changed chan struct{}
+}
+
+// wake releases the job's WaitChange callers. Caller holds the cluster lock.
+func (rec *jobRec) wake() {
+	close(rec.changed)
+	rec.changed = make(chan struct{})
+}
+
+// transition moves rec to state and wakes its waiters. Caller holds c.mu.
+func (c *Cluster) transition(rec *jobRec, state State) {
+	rec.status.State = state
+	rec.wake()
 }
 
 // Config configures a cluster.
@@ -268,7 +283,7 @@ func (c *Cluster) Submit(job Job, estimate time.Duration) (string, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return "", errors.New("lrm: cluster closed")
+		return "", ErrClosed
 	}
 	if job.Cpus <= 0 {
 		job.Cpus = 1
@@ -290,6 +305,7 @@ func (c *Cluster) Submit(job Job, estimate time.Duration) (string, error) {
 		status: JobStatus{
 			ID: job.ID, Owner: job.Owner, State: Queued, Queued: time.Now(),
 		},
+		changed: make(chan struct{}),
 	}
 	c.jobs[job.ID] = rec
 	c.queue = append(c.queue, &QueuedJob{
@@ -315,6 +331,37 @@ func (c *Cluster) Status(id string) (JobStatus, error) {
 	return rec.status, nil
 }
 
+// ErrClosed is returned by operations on a cluster that has been closed.
+var ErrClosed = errors.New("lrm: cluster closed")
+
+// WaitChange blocks until job id is in a state other than seen and returns
+// its status — the event-driven form of polling Status. It returns at once
+// when the job has already moved on. On a closed cluster a job that can no
+// longer move yields ErrClosed; one Close is still killing is waited out.
+func (c *Cluster) WaitChange(id string, seen State) (JobStatus, error) {
+	c.mu.Lock()
+	for {
+		rec, ok := c.jobs[id]
+		if !ok {
+			c.mu.Unlock()
+			return JobStatus{}, fmt.Errorf("lrm: no such job %q", id)
+		}
+		if rec.status.State != seen {
+			status := rec.status
+			c.mu.Unlock()
+			return status, nil
+		}
+		if c.closed && seen != Running {
+			c.mu.Unlock()
+			return JobStatus{}, ErrClosed
+		}
+		changed := rec.changed
+		c.mu.Unlock()
+		<-changed
+		c.mu.Lock()
+	}
+}
+
 // Cancel removes a queued job or kills a running one.
 func (c *Cluster) Cancel(id string) error {
 	c.mu.Lock()
@@ -331,7 +378,7 @@ func (c *Cluster) Cancel(id string) error {
 				break
 			}
 		}
-		rec.status.State = Cancelled
+		c.transition(rec, Cancelled)
 		rec.status.Finished = time.Now()
 		status := rec.status
 		c.mu.Unlock()
@@ -375,7 +422,7 @@ func (c *Cluster) schedule() {
 			continue
 		}
 		rec := c.jobs[q.ID]
-		rec.status.State = Running
+		c.transition(rec, Running)
 		rec.status.Started = time.Now()
 		c.free -= rec.job.Cpus
 		started = append(started, rec)
@@ -420,15 +467,15 @@ func (c *Cluster) finish(rec *jobRec, ctx context.Context, err error) {
 	rec.status.Finished = time.Now()
 	switch {
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		rec.status.State = TimedOut
 		rec.status.Error = "walltime limit exceeded"
+		c.transition(rec, TimedOut)
 	case errors.Is(ctx.Err(), context.Canceled):
-		rec.status.State = Cancelled
+		c.transition(rec, Cancelled)
 	case err != nil:
-		rec.status.State = Failed
 		rec.status.Error = err.Error()
+		c.transition(rec, Failed)
 	default:
-		rec.status.State = Completed
+		c.transition(rec, Completed)
 	}
 	c.free += rec.job.Cpus
 	status := rec.status
@@ -472,11 +519,17 @@ func (c *Cluster) Close() {
 	var cancelled []JobStatus
 	for _, q := range c.queue {
 		rec := c.jobs[q.ID]
-		rec.status.State = Cancelled
+		c.transition(rec, Cancelled)
 		rec.status.Finished = time.Now()
 		cancelled = append(cancelled, rec.status)
 	}
 	c.queue = nil
+	// Wake every waiter: those on jobs that will not move again must not
+	// outlive the cluster (running jobs' waiters go back to sleep until the
+	// kill below lands).
+	for _, rec := range c.jobs {
+		rec.wake()
+	}
 	c.mu.Unlock()
 	for _, s := range cancelled {
 		c.emit(s)

@@ -333,3 +333,88 @@ func TestQuickPoliciesNeverOvercommit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWaitChange follows one job through every transition without polling,
+// and checks that Close releases waiters on jobs that can no longer move and
+// lets waiters on running jobs see the kill.
+func TestWaitChange(t *testing.T) {
+	c, err := NewCluster(Config{Name: "pbs", Cpus: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	first, err := c.Submit(Job{Run: func(context.Context) error { <-release; return nil }}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The single CPU is taken: the second job stays Queued until release.
+	second, err := c.Submit(Job{Run: func(ctx context.Context) error { <-ctx.Done(); return nil }}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		st  JobStatus
+		err error
+	}
+	started := make(chan result, 1)
+	go func() {
+		st, err := c.WaitChange(second, Queued)
+		started <- result{st, err}
+	}()
+	select {
+	case r := <-started:
+		t.Fatalf("WaitChange returned %+v before any transition", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if r := <-started; r.err != nil || r.st.State != Running {
+		t.Fatalf("after release: %+v, want Running", r)
+	}
+	// A state already left behind returns at once.
+	if st, err := c.WaitChange(first, Queued); err != nil || st.State == Queued {
+		t.Fatalf("WaitChange(first, Queued) = %+v, %v", st, err)
+	}
+	st, err := c.WaitChange(first, Running)
+	if err != nil || st.State != Completed {
+		t.Fatalf("WaitChange(first, Running) = %+v, %v; want Completed", st, err)
+	}
+	if _, err := c.WaitChange("nope", Queued); err == nil {
+		t.Fatal("WaitChange on an unknown job succeeded")
+	}
+
+	// Two waiters across Close: one on a finished job (nothing will ever
+	// change), one on the job Close is about to kill.
+	stuck := make(chan result, 1)
+	killed := make(chan result, 1)
+	go func() {
+		st, err := c.WaitChange(first, Completed)
+		stuck <- result{st, err}
+	}()
+	go func() {
+		st, err := c.WaitChange(second, Running)
+		killed <- result{st, err}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	c.Close()
+	for name, ch := range map[string]chan result{"finished": stuck, "running": killed} {
+		select {
+		case r := <-ch:
+			switch name {
+			case "finished":
+				if !errors.Is(r.err, ErrClosed) {
+					t.Errorf("waiter on the finished job: %+v, want ErrClosed", r)
+				}
+			case "running":
+				if r.err != nil || r.st.State != Cancelled {
+					t.Errorf("waiter on the running job: %+v, want Cancelled", r)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close left the waiter on the %s job blocked", name)
+		}
+	}
+	if _, err := c.WaitChange(first, Completed); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitChange after Close = %v, want ErrClosed", err)
+	}
+}

@@ -318,3 +318,33 @@ func TestClosedClient(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestShutdownLetsRepliesOut: a handler that arranges its own server's
+// Shutdown still gets its reply to the client, the server is gone afterwards,
+// and Close would have torn the same reply.
+func TestShutdownLetsRepliesOut(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		s, err := NewServer(ServerConfig{Name: "svc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := make(chan error, 1)
+		s.Handle("bye", func(string, json.RawMessage) (any, error) {
+			go func() { down <- s.Shutdown() }()
+			time.Sleep(time.Millisecond) // the shutdown is waiting on us by now
+			return echoResp{Text: "last words"}, nil
+		})
+		c := Dial(s.Addr(), ClientConfig{ServerName: "svc", Timeout: 2 * time.Second, Retries: -1})
+		var resp echoResp
+		if err := c.Call("bye", struct{}{}, &resp); err != nil || resp.Text != "last words" {
+			t.Fatalf("round %d: reply lost to the shutdown: %+v, %v", i, resp, err)
+		}
+		if err := <-down; err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if err := c.Call("bye", struct{}{}, &resp); err == nil {
+			t.Fatal("server still answers after Shutdown")
+		}
+		c.Close()
+	}
+}

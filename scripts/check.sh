@@ -19,9 +19,18 @@ fi
 go vet ./...
 
 # bench/ is a nested module (its own go.mod, `replace condorg => ../`), so
-# the root `./...` never sees it: vet and build it here, or an API change
-# that breaks the repository benchmark stays invisible until it runs.
-(cd bench && go vet ./... && go build ./...)
+# the root `./...` never sees it: vet, build and smoke-test it here, or a
+# change that breaks the repository benchmark stays invisible until it
+# runs. -short keeps the smoke to `interactive` + `recovery`: the full
+# smoke's 1 s window does not fit `staging` on a 2-core box.
+(cd bench && go vet ./... && go build ./... && go test -short -count=1 ./...)
+
+# The submit ladder and the daemon lifetimes around it: what one warm job
+# costs on the wire, and that GridManagers and JobManagers last as long as
+# they are needed and no longer.
+go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridManagerRetiresAtProbePace|TestJobManagerExits' ./internal/condorg/
+go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
+go test -race -count=1 -run 'TestShutdownLetsRepliesOut' ./internal/wire/
 
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
@@ -52,4 +61,4 @@ if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime "$CHECK_FUZZ_TIME" ./internal/journal/
 fi
 
-echo "check.sh: gofmt + go vet + bench module + fuzz corpus clean"
+echo "check.sh: gofmt + go vet + bench module + ladder tests + fuzz corpus clean"
