@@ -275,7 +275,6 @@ type Agent struct {
 	cfg   AgentConfig
 	gassS *gass.Server
 	cbSrv *wire.Server
-	stage *gass.Client // shared loopback staging client (safe concurrently)
 
 	logMu    sync.Mutex // guards logFiles and on-disk user-log appends
 	logFiles map[string]*os.File
@@ -411,7 +410,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	a.gassS = gassS
-	a.stage = gass.NewClient(nil, cfg.Clock)
 	cbSrv, err := wire.NewServer(wire.ServerConfig{Name: gram.CallbackService, Faults: cfg.Faults.Callback})
 	if err != nil {
 		gassS.Close()
@@ -606,7 +604,7 @@ func (a *Agent) recover() error {
 	// Re-stage replicated payloads before any job restarts: a recovered
 	// submission's JobManager will fetch the executable from these URLs.
 	for rel, data := range spool {
-		if err := a.stage.WriteFile(a.gassS.URLFor(rel), data); err != nil {
+		if err := a.gassS.WriteFile(rel, data); err != nil {
 			return fmt.Errorf("condorg: re-stage %s: %w", rel, err)
 		}
 	}
@@ -995,6 +993,23 @@ func (a *Agent) ActiveGridManagers() int {
 	return n
 }
 
+// spool writes one of job id's input files into the agent's own GASS tree
+// (no round trip) and returns its URL. Under HA the payload also enters the
+// journal stream, BEFORE the job record: a standby that holds the record
+// holds the bytes it must re-stage after takeover. A failed write is a local
+// hiccup, not a verdict on the job: Transient, so callers retry.
+func (a *Agent) spool(sh *ownerShard, id, name string, data []byte) (string, error) {
+	rel := filepath.Join("jobs", id, name)
+	err := a.gassS.WriteFile(rel, data)
+	if err == nil && a.cfg.HA.Enabled {
+		err = sh.store.Put(spoolKeyPrefix+rel, data)
+	}
+	if err != nil {
+		return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: stage %s: %w", name, err))
+	}
+	return a.gassS.URLFor(rel).String(), nil
+}
+
 // Submit stages the executable into the agent's GASS spool and enqueues the
 // job; the owner's GridManager drives it from there.
 func (a *Agent) Submit(req SubmitRequest) (string, error) {
@@ -1047,23 +1062,12 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		}
 	}
 
-	execURL := a.gassS.URLFor(filepath.Join("jobs", id, "executable"))
-	if err := a.stage.WriteFile(execURL, req.Executable); err != nil {
-		// A loopback spool write failing is a local hiccup, not a verdict
-		// on the job: classify Transient so callers retry instead of
-		// surfacing an unclassified error.
-		return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: stage executable: %w", err))
-	}
-	if a.cfg.HA.Enabled {
-		// Replicate the payload through the journal stream BEFORE the job
-		// record: a standby that holds the record also holds the bytes it
-		// must re-stage after takeover.
-		if err := sh.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "executable"), req.Executable); err != nil {
-			return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal executable: %w", err))
-		}
+	execURL, err := a.spool(sh, id, "executable", req.Executable)
+	if err != nil {
+		return "", err
 	}
 	spec := gram.JobSpec{
-		Executable: execURL.String(),
+		Executable: execURL,
 		Args:       req.Args,
 		Cpus:       req.Cpus,
 		WallLimit:  req.WallLimit,
@@ -1073,16 +1077,9 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		StderrURL:  a.gassS.URLFor(filepath.Join("jobs", id, "stderr")).String(),
 	}
 	if req.Stdin != nil {
-		stdinURL := a.gassS.URLFor(filepath.Join("jobs", id, "stdin"))
-		if err := a.stage.WriteFile(stdinURL, req.Stdin); err != nil {
-			return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: stage stdin: %w", err))
+		if spec.Stdin, err = a.spool(sh, id, "stdin", req.Stdin); err != nil {
+			return "", err
 		}
-		if a.cfg.HA.Enabled {
-			if err := sh.store.Put(spoolKeyPrefix+filepath.Join("jobs", id, "stdin"), req.Stdin); err != nil {
-				return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal stdin: %w", err))
-			}
-		}
-		spec.Stdin = stdinURL.String()
 	}
 
 	rec := &jobRecord{
@@ -1374,13 +1371,11 @@ func (a *Agent) readStream(id, stream string) ([]byte, error) {
 	if _, err := a.Status(id); err != nil {
 		return nil, err
 	}
-	u := a.gassS.URLFor(filepath.Join("jobs", id, stream))
-	if _, exists, err := a.stage.Stat(u); err != nil {
-		return nil, err
-	} else if !exists {
+	data, err := a.gassS.ReadFile(filepath.Join("jobs", id, stream))
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil // no output streamed yet
 	}
-	return a.stage.ReadAll(u)
+	return data, err
 }
 
 // UserLog returns the job's event history.
@@ -1732,7 +1727,6 @@ func (a *Agent) Close() {
 		gm.stop()
 	}
 	a.cbSrv.Close()
-	a.stage.Close()
 	a.gassS.Close()
 	a.parts.Close()
 	a.logMu.Lock()

@@ -13,8 +13,6 @@ package condorg
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"condorg/internal/faultclass"
@@ -122,14 +120,14 @@ func (gm *GridManager) stageStats() (hits, misses map[string]int) {
 	return hits, misses
 }
 
-// readSpool resolves a gass:// URL of the agent's own spool server to its
-// on-disk file and reads it.
+// readSpool reads the file a gass:// URL of the agent's own spool server
+// names, through the server's local door.
 func (a *Agent) readSpool(ref string) ([]byte, error) {
 	u, err := gass.ParseURL(ref)
 	if err != nil {
 		return nil, err
 	}
-	return os.ReadFile(filepath.Join(a.gassS.Root(), filepath.FromSlash(u.Path)))
+	return a.gassS.ReadFile(u.Path)
 }
 
 // stageJob pushes one job's executable to its site (a taskStage body).
@@ -201,17 +199,14 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		return
 	}
 
+	// Resume at the site's ack: that is what the site holds. The journaled
+	// offset only says how far an earlier push (a torn response, an agent
+	// crash) believed it had got.
 	off := siteOff
-	if off > journaled {
-		// The site is ahead of our journal: a previous push's acks were
-		// lost with a torn response or an agent crash. Trust the site.
+	if off > 0 || journaled > 0 {
 		gm.agent.obs.Counter("stage_resumes_total").Inc()
 		gm.agent.trace(rec, obs.PhaseStage, "",
-			fmt.Sprintf("resuming at site-acked offset %d/%d", off, total))
-	} else if journaled > 0 {
-		gm.agent.obs.Counter("stage_resumes_total").Inc()
-		gm.agent.trace(rec, obs.PhaseStage, "",
-			fmt.Sprintf("resuming at journaled offset %d/%d (site acked %d)", journaled, total, off))
+			fmt.Sprintf("resuming at site-acked offset %d/%d (journaled %d)", off, total, journaled))
 	}
 
 	attempts := 0

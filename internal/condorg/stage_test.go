@@ -3,6 +3,7 @@ package condorg
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -350,5 +351,64 @@ func TestStageUnreachableSiteFallsBack(t *testing.T) {
 	}
 	if !info.Stage.Done {
 		t.Fatal("staging never yielded to the submit path")
+	}
+}
+
+// TestAgentIssuesNoSelfRPC: the agent fills and reads its own spool through
+// the GASS server's local door. Over a whole Submit (executable and stdin)
+// → run → Stdout/Stderr, the only requests its GASS server sees are the
+// site's: the stdout stream coming home, and nothing else.
+func TestAgentIssuesNoSelfRPC(t *testing.T) {
+	w := newStageWorld(t, 8<<10, 2)
+	w.agent.Close()
+	var mu sync.Mutex
+	seen := map[string]int{}
+	gassFaults := &wire.Faults{}
+	gassFaults.SetDelay(func(method string) time.Duration {
+		mu.Lock()
+		seen[method]++
+		mu.Unlock()
+		return 0
+	})
+	cfg := w.cfg
+	cfg.StateDir = t.TempDir()
+	cfg.Faults.GASS = gassFaults
+	agent, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	exec := paddedProgram("task", 40<<10, 'z') // five staging chunks
+	id, err := agent.Submit(SubmitRequest{Owner: "u", Executable: exec, Args: []string{"1ms"}, Stdin: []byte("input")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := agent.Stdout(id); err != nil || len(out) != 0 {
+		t.Fatalf("Stdout before the job ran = %q, %v; want empty", out, err)
+	}
+	waitAgentState(t, agent, id, Completed)
+	out, err := agent.Stdout(id)
+	if err != nil || !strings.HasPrefix(string(out), "task ok") {
+		t.Fatalf("Stdout = %q, %v", out, err)
+	}
+	if errOut, err := agent.Stderr(id); err != nil || len(errOut) != 0 {
+		t.Fatalf("Stderr = %q, %v", errOut, err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for method, n := range seen {
+		// The executable was pushed and is in the site's cache; stdin is
+		// the one file the site still pulls.
+		if method != "gass.append" && method != "gass.read" {
+			t.Errorf("agent's GASS server saw %d %s request(s)", n, method)
+		}
+	}
+	if seen["gass.append"] == 0 {
+		t.Error("stdout never streamed through the agent's GASS server: the counter is not wired")
+	}
+	if seen["gass.read"] > 1 {
+		t.Errorf("%d gass.read requests for a 5-byte stdin", seen["gass.read"])
 	}
 }

@@ -80,7 +80,7 @@ func (c *Client) Close() {
 // Stat returns the size of the file at u and whether it exists.
 func (c *Client) Stat(u URL) (size int64, exists bool, err error) {
 	var resp statResp
-	if err := c.conn(u.Addr).Call("gass.stat", statReq{Path: u.Path}, &resp); err != nil {
+	if err := c.conn(u.Addr).Call("gass.stat", fileReq{Path: u.Path}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Size, resp.Exists, nil
@@ -89,10 +89,8 @@ func (c *Client) Stat(u URL) (size int64, exists bool, err error) {
 // ReadAt reads up to maxLen bytes at offset.
 func (c *Client) ReadAt(u URL, offset int64, maxLen int) (data []byte, eof bool, err error) {
 	var resp readResp
-	if err := c.conn(u.Addr).Call("gass.read", readReq{Path: u.Path, Offset: offset, MaxLen: maxLen}, &resp); err != nil {
-		return nil, false, err
-	}
-	return resp.Data, resp.EOF, nil
+	data, err = c.conn(u.Addr).CallBlob("gass.read", fileReq{Path: u.Path, Offset: offset, MaxLen: maxLen}, nil, &resp)
+	return data, resp.EOF, err
 }
 
 // ReadAll fetches the whole file at u.
@@ -120,17 +118,12 @@ func (c *Client) ReadAllFrom(u URL, off int64) ([]byte, error) {
 
 // WriteFile replaces the file at u with data.
 func (c *Client) WriteFile(u URL, data []byte) error {
-	// First chunk truncates; the rest are positional writes.
-	if len(data) == 0 {
-		return c.conn(u.Addr).Call("gass.write", writeReq{Path: u.Path, Truncate: true}, nil)
-	}
-	for off := 0; off < len(data); off += ChunkSize {
-		end := off + ChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		req := writeReq{Path: u.Path, Offset: int64(off), Data: data[off:end], Truncate: off == 0}
-		if err := c.conn(u.Addr).Call("gass.write", req, nil); err != nil {
+	// First chunk truncates (and exists even for an empty file); the rest
+	// are positional writes.
+	for off := 0; off == 0 || off < len(data); off += ChunkSize {
+		end := min(off+ChunkSize, len(data))
+		req := fileReq{Path: u.Path, Offset: int64(off), Truncate: off == 0}
+		if _, err := c.conn(u.Addr).CallBlob("gass.write", req, data[off:end], nil); err != nil {
 			return err
 		}
 	}
@@ -140,36 +133,8 @@ func (c *Client) WriteFile(u URL, data []byte) error {
 // Append appends data to the file at u and returns the resulting size.
 func (c *Client) Append(u URL, data []byte) (int64, error) {
 	var resp appendResp
-	if err := c.conn(u.Addr).Call("gass.append", appendReq{Path: u.Path, Data: data}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Size, nil
-}
-
-// Ping checks that the server at addr is reachable.
-func (c *Client) Ping(addr string) error {
-	return c.conn(addr).Ping("gass.ping")
-}
-
-// Download copies the remote file at u to localPath.
-func (c *Client) Download(u URL, localPath string) error {
-	data, err := c.ReadAll(u)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(localPath), 0o700); err != nil {
-		return err
-	}
-	return os.WriteFile(localPath, data, 0o700)
-}
-
-// Upload copies localPath to the remote file at u.
-func (c *Client) Upload(localPath string, u URL) error {
-	data, err := os.ReadFile(localPath)
-	if err != nil {
-		return err
-	}
-	return c.WriteFile(u, data)
+	_, err := c.conn(u.Addr).CallBlob("gass.append", fileReq{Path: u.Path}, data, &resp)
+	return resp.Size, err
 }
 
 // The URL-file mechanism of §4.2: a running job learns its GASS server's

@@ -5,12 +5,16 @@
 //
 // # Wire framing
 //
-// The service speaks the length-prefixed JSON RPC of package wire, under
-// five operations: gass.stat, gass.read, gass.write, gass.append, and
-// gass.ping. Every payload carries a server-relative path; the server
-// confines all paths to its root directory (".." escapes are rejected).
-// Reads and writes move at most ChunkSize bytes per call, so a single RPC
-// is always small enough for the wire layer's framing and timeouts.
+// The service speaks the RPC of package wire, under four operations:
+// gass.stat, gass.read, gass.write and gass.append. A request's JSON body
+// names a server-relative path and a position; file bytes travel beside it
+// as the frame's raw blob (gass.read answers with one, gass.write and
+// gass.append carry one). The server confines all paths to its root
+// directory (a ".." segment is rejected). Reads and writes move at most
+// ChunkSize bytes per call, so a single RPC always fits the wire layer's
+// framing and timeouts. The process that owns a Server does not dial it:
+// Server.WriteFile and Server.ReadFile are the local door to the same
+// confined tree, and how the Condor-G agent fills and reads its own spool.
 //
 // # Resume contract
 //
@@ -106,10 +110,9 @@ func NewServer(root string, opts ServerOptions) (*Server, error) {
 	}
 	s := &Server{root: root, srv: ws}
 	ws.Handle("gass.stat", s.handleStat)
-	ws.Handle("gass.read", s.handleRead)
-	ws.Handle("gass.write", s.handleWrite)
-	ws.Handle("gass.append", s.handleAppend)
-	ws.Handle("gass.ping", func(string, json.RawMessage) (any, error) { return struct{}{}, nil })
+	ws.HandleBlob("gass.read", s.handleRead)
+	ws.HandleBlob("gass.write", s.handleWrite)
+	ws.HandleBlob("gass.append", s.handleAppend)
 	return s, nil
 }
 
@@ -125,21 +128,70 @@ func (s *Server) URLFor(relPath string) URL { return URL{Addr: s.Addr(), Path: r
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Pause and Resume simulate partitions for the fault experiments.
-func (s *Server) Pause()  { s.srv.Pause() }
-func (s *Server) Resume() { s.srv.Resume() }
-
 // resolve confines a request path to the served root.
 func (s *Server) resolve(p string) (string, error) {
-	clean := filepath.Clean("/" + p)
-	if strings.Contains(clean, "..") {
-		return "", fmt.Errorf("gass: path escapes root: %q", p)
+	for _, seg := range strings.Split(filepath.ToSlash(p), "/") {
+		if seg == ".." {
+			return "", fmt.Errorf("gass: path escapes root: %q", p)
+		}
 	}
-	return filepath.Join(s.root, clean), nil
+	return filepath.Join(s.root, filepath.Clean("/"+p)), nil
 }
 
-type statReq struct {
-	Path string `json:"path"`
+// openForWrite resolves rel, makes its directory and opens the file for
+// writing. The caller holds s.mu across the open and what it writes.
+func (s *Server) openForWrite(rel string, flags int, perm os.FileMode) (*os.File, error) {
+	path, err := s.resolve(rel)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o700); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flags, perm)
+}
+
+// writeAt is gass.write: data lands at off, in a file emptied first when
+// truncate is set.
+func (s *Server) writeAt(rel string, off int64, data []byte, truncate bool) error {
+	flags := 0
+	if truncate {
+		flags = os.O_TRUNC
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, err := s.openForWrite(rel, flags, 0o700)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = f.WriteAt(data, off)
+	return err
+}
+
+// WriteFile replaces the file at rel (a path under the served root) with
+// data, without a round trip: the local form of Client.WriteFile.
+func (s *Server) WriteFile(rel string, data []byte) error {
+	return s.writeAt(rel, 0, data, true)
+}
+
+// ReadFile returns the file at rel (a path under the served root); a file
+// nobody has written yet is os.ErrNotExist.
+func (s *Server) ReadFile(rel string) ([]byte, error) {
+	path, err := s.resolve(rel)
+	if err != nil {
+		return nil, err
+	}
+	return os.ReadFile(path)
+}
+
+// fileReq is the body of every verb: the file, where (gass.read/write), how
+// much (gass.read), and whether to empty the file first (gass.write).
+type fileReq struct {
+	Path     string `json:"path"`
+	Offset   int64  `json:"offset,omitempty"`
+	MaxLen   int    `json:"max_len,omitempty"`
+	Truncate bool   `json:"truncate,omitempty"`
 }
 
 type statResp struct {
@@ -148,7 +200,7 @@ type statResp struct {
 }
 
 func (s *Server) handleStat(_ string, body json.RawMessage) (any, error) {
-	var req statReq
+	var req fileReq
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
@@ -166,29 +218,22 @@ func (s *Server) handleStat(_ string, body json.RawMessage) (any, error) {
 	return statResp{Size: fi.Size(), Exists: true}, nil
 }
 
-type readReq struct {
-	Path   string `json:"path"`
-	Offset int64  `json:"offset"`
-	MaxLen int    `json:"max_len"`
-}
-
 type readResp struct {
-	Data []byte `json:"data"`
-	EOF  bool   `json:"eof"`
+	EOF bool `json:"eof"` // the bytes are the response's blob
 }
 
-func (s *Server) handleRead(_ string, body json.RawMessage) (any, error) {
-	var req readReq
+func (s *Server) handleRead(_ string, body json.RawMessage, _ []byte) (any, []byte, error) {
+	var req fileReq
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	path, err := s.resolve(req.Path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("gass: %w", err)
+		return nil, nil, fmt.Errorf("gass: %w", err)
 	}
 	defer f.Close()
 	if req.MaxLen <= 0 || req.MaxLen > ChunkSize {
@@ -197,81 +242,41 @@ func (s *Server) handleRead(_ string, body json.RawMessage) (any, error) {
 	buf := make([]byte, req.MaxLen)
 	n, err := f.ReadAt(buf, req.Offset)
 	if err != nil && err != io.EOF {
-		return nil, err
+		return nil, nil, err
 	}
-	return readResp{Data: buf[:n], EOF: err == io.EOF}, nil
+	return readResp{EOF: err == io.EOF}, buf[:n], nil
 }
 
-type writeReq struct {
-	Path     string `json:"path"`
-	Offset   int64  `json:"offset"`
-	Data     []byte `json:"data"`
-	Truncate bool   `json:"truncate"`
-}
-
-func (s *Server) handleWrite(_ string, body json.RawMessage) (any, error) {
-	var req writeReq
+func (s *Server) handleWrite(_ string, body json.RawMessage, data []byte) (any, []byte, error) {
+	var req fileReq
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	path, err := s.resolve(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o700); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	flags := os.O_CREATE | os.O_WRONLY
-	if req.Truncate {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o700)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(req.Data, req.Offset); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
-}
-
-type appendReq struct {
-	Path string `json:"path"`
-	Data []byte `json:"data"`
+	return struct{}{}, nil, s.writeAt(req.Path, req.Offset, data, req.Truncate)
 }
 
 type appendResp struct {
 	Size int64 `json:"size"` // file size after append
 }
 
-func (s *Server) handleAppend(_ string, body json.RawMessage) (any, error) {
-	var req appendReq
+func (s *Server) handleAppend(_ string, body json.RawMessage, data []byte) (any, []byte, error) {
+	var req fileReq
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	path, err := s.resolve(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o700); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := s.openForWrite(req.Path, os.O_APPEND, 0o600)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	if _, err := f.Write(req.Data); err != nil {
-		return nil, err
+	if _, err := f.Write(data); err != nil {
+		return nil, nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return appendResp{Size: fi.Size()}, nil
+	return appendResp{Size: fi.Size()}, nil, nil
 }

@@ -2,8 +2,10 @@ package gass
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,27 +103,61 @@ func TestPathEscapeRejected(t *testing.T) {
 	// Plant a file outside the root.
 	outside := filepath.Join(filepath.Dir(s.Root()), "secret")
 	os.WriteFile(outside, []byte("x"), 0o600)
-	if _, err := c.ReadAll(URL{Addr: s.Addr(), Path: "../secret"}); err == nil {
-		t.Fatal("path escape allowed")
+	for _, escape := range []string{"../secret", "jobs/../../secret", "jobs/gj1/.."} {
+		if _, err := c.ReadAll(URL{Addr: s.Addr(), Path: escape}); err == nil || !strings.Contains(err.Error(), "escapes root") {
+			t.Fatalf("read of %q: err = %v, want the escape refused", escape, err)
+		}
+		if err := c.WriteFile(URL{Addr: s.Addr(), Path: escape}, []byte("y")); err == nil {
+			t.Fatalf("write to %q allowed", escape)
+		}
+		if err := s.WriteFile(escape, []byte("y")); err == nil {
+			t.Fatalf("local write to %q allowed", escape)
+		}
+		if _, err := s.ReadFile(escape); err == nil || errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("local read of %q: err = %v, want the escape refused", escape, err)
+		}
+	}
+	if got, _ := os.ReadFile(outside); string(got) != "x" {
+		t.Fatalf("file outside the root now reads %q", got)
+	}
+	// Dots inside a segment are a legal name, not an escape.
+	for _, legal := range []string{"out..log", "jobs/gj1/std..out", "..hidden", "a/b../c"} {
+		u := URL{Addr: s.Addr(), Path: legal}
+		if err := c.WriteFile(u, []byte(legal)); err != nil {
+			t.Fatalf("write to legal name %q: %v", legal, err)
+		}
+		if got, err := c.ReadAll(u); err != nil || string(got) != legal {
+			t.Fatalf("read of legal name %q = %q, %v", legal, got, err)
+		}
 	}
 }
 
-func TestUploadDownload(t *testing.T) {
+// TestLocalDoor: the owner of a Server reads and writes the served tree
+// without a round trip, and sees exactly what its network clients see.
+func TestLocalDoor(t *testing.T) {
 	s, c := newPair(t)
-	dir := t.TempDir()
-	src := filepath.Join(dir, "exe")
-	os.WriteFile(src, []byte("#!/bin/true"), 0o700)
-	u := s.URLFor("staged/exe")
-	if err := c.Upload(src, u); err != nil {
+	payload := bytes.Repeat([]byte("local-door "), 20000) // several chunks
+	if err := s.WriteFile("jobs/gj1/executable", payload); err != nil {
 		t.Fatal(err)
 	}
-	dst := filepath.Join(dir, "back", "exe")
-	if err := c.Download(u, dst); err != nil {
+	if got, err := c.ReadAll(s.URLFor("jobs/gj1/executable")); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("client read of a local write: %d bytes, %v", len(got), err)
+	}
+	// Replacing truncates, as Client.WriteFile does.
+	if err := s.WriteFile("jobs/gj1/executable", []byte("short")); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(dst)
-	if string(data) != "#!/bin/true" {
-		t.Fatalf("downloaded %q", data)
+	if _, err := c.Append(s.URLFor("jobs/gj1/stdout"), []byte("streamed")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadFile("jobs/gj1/executable"); err != nil || string(got) != "short" {
+		t.Fatalf("local read after replace = %q, %v", got, err)
+	}
+	if got, err := s.ReadFile("jobs/gj1/stdout"); err != nil || string(got) != "streamed" {
+		t.Fatalf("local read of a client append = %q, %v", got, err)
+	}
+	if _, err := s.ReadFile("jobs/gj1/stderr"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("local read of an unwritten file: %v, want os.ErrNotExist", err)
 	}
 }
 

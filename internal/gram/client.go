@@ -365,7 +365,7 @@ func (c *Client) PingGatekeeper(addr string) error {
 func (c *Client) StageCheck(gkAddr, hash string) (present bool, offset int64, err error) {
 	var resp stageCheckResp
 	err = c.guard(gkAddr, "stage-check", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.stage-check", stageCheckReq{Hash: hash}, &resp)
+		return c.gatekeeper(gkAddr).Call("gram.stage-check", stageReq{Hash: hash}, &resp)
 	})
 	return resp.Present, resp.Offset, err
 }
@@ -376,7 +376,8 @@ func (c *Client) StageCheck(gkAddr, hash string) (present bool, offset int64, er
 func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (acked int64, err error) {
 	var resp stageChunkResp
 	err = c.guard(gkAddr, "stage-chunk", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.stage-chunk", stageChunkReq{Hash: hash, Offset: offset, Data: data}, &resp)
+		_, err := c.gatekeeper(gkAddr).CallBlob("gram.stage-chunk", stageReq{Hash: hash, Offset: offset}, data, &resp)
+		return err
 	})
 	return resp.Acked, err
 }
@@ -385,7 +386,7 @@ func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (ack
 // and promote them into its executable cache. Idempotent.
 func (c *Client) StageCommit(gkAddr, hash string, total int64) error {
 	return c.guard(gkAddr, "stage-commit", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.stage-commit", stageCommitReq{Hash: hash, Total: total}, nil)
+		return c.gatekeeper(gkAddr).Call("gram.stage-commit", stageReq{Hash: hash, Total: total}, nil)
 	})
 }
 

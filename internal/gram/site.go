@@ -324,7 +324,7 @@ func (s *Site) startGatekeeper(addr string) error {
 	gk.Handle("gram.commit", s.handleCommit)
 	gk.Handle("gram.jm-restart", s.handleJMRestart)
 	gk.Handle("gram.stage-check", s.handleStageCheck)
-	gk.Handle("gram.stage-chunk", s.handleStageChunk)
+	gk.HandleBlob("gram.stage-chunk", s.handleStageChunk)
 	gk.Handle("gram.stage-commit", s.handleStageCommit)
 	gk.Handle("gram.batch-submit", s.handleBatchSubmit)
 	gk.Handle("gram.batch-commit", s.handleBatchCommit)
@@ -993,5 +993,6 @@ func (s *Site) Close() {
 		}
 	}
 	s.cfg.Cluster.Close()
+	s.stage.close()
 	s.store.Close()
 }

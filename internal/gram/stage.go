@@ -7,8 +7,10 @@ package gram
 // Cache layout under StateDir/stage-cache:
 //
 //	objects/<sha256>       completed files, verified before rename
-//	partial/<sha256>.part  in-flight upload, chunks written at any offset
+//	partial/<sha256>.part  in-flight upload, chunks written at any offset;
+//	                       commit renames it into objects/
 //	partial/<sha256>.off   persisted contiguous acked offset
+//	partial/<sha256>.*.tmp a pulled executable on its way into objects/
 //
 // Resume contract: stage-chunk is idempotent and accepts chunks at any
 // offset; the server acknowledges the longest contiguous prefix written
@@ -23,6 +25,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,33 +57,27 @@ func validHash(h string) bool {
 	return true
 }
 
-// stagePart tracks one in-flight partial upload: the written byte ranges
-// (merged intervals) and the contiguous acked prefix.
+// stagePart is one in-flight upload: its two files, held open from the
+// first chunk to commit or discard, the written byte ranges (merged
+// intervals) and the contiguous acked prefix. mu serializes the writers of
+// one hash; uploads of different hashes never wait for each other.
 type stagePart struct {
-	acked  int64
-	ranges [][2]int64 // sorted, disjoint written ranges beyond acked
+	mu       sync.Mutex
+	part     *os.File // partial/<hash>.part
+	off      *os.File // partial/<hash>.off
+	acked    int64
+	ranges   [][2]int64 // written ranges the ack has not reached, by start
+	finished bool       // committed or discarded: look the hash up again
 }
 
 // advance folds a newly written [off, end) range in and returns the new
-// contiguous ack.
+// contiguous ack: every range the ack reaches is swallowed, the rest wait
+// for their gap to fill.
 func (p *stagePart) advance(off, end int64) int64 {
 	p.ranges = append(p.ranges, [2]int64{off, end})
 	sort.Slice(p.ranges, func(i, j int) bool { return p.ranges[i][0] < p.ranges[j][0] })
-	merged := p.ranges[:0]
-	for _, r := range p.ranges {
-		if n := len(merged); n > 0 && r[0] <= merged[n-1][1] {
-			if r[1] > merged[n-1][1] {
-				merged[n-1][1] = r[1]
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	p.ranges = merged
 	for len(p.ranges) > 0 && p.ranges[0][0] <= p.acked {
-		if p.ranges[0][1] > p.acked {
-			p.acked = p.ranges[0][1]
-		}
+		p.acked = max(p.acked, p.ranges[0][1])
 		p.ranges = p.ranges[1:]
 	}
 	return p.acked
@@ -90,7 +87,7 @@ func (p *stagePart) advance(off, end int64) int64 {
 type stageCache struct {
 	root string
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards the parts map only, never held across I/O
 	parts map[string]*stagePart
 
 	bytesReceived atomic.Int64 // chunk payload bytes accepted over the wire
@@ -119,6 +116,11 @@ func (c *stageCache) offPath(hash string) string {
 	return filepath.Join(c.root, "partial", hash+".off")
 }
 
+func (c *stageCache) present(hash string) bool {
+	_, err := os.Stat(c.objectPath(hash))
+	return err == nil
+}
+
 // get returns the cached bytes for hash, if complete.
 func (c *stageCache) get(hash string) ([]byte, bool) {
 	if !validHash(hash) {
@@ -131,71 +133,134 @@ func (c *stageCache) get(hash string) ([]byte, bool) {
 	return data, true
 }
 
-// put stores verified bytes under their hash (atomic via temp + rename).
+// put stores verified bytes under their hash. The temp file is this call's
+// own, so concurrent puts (and a push commit) of one hash each rename a
+// complete file into place and a get never sees a short one.
 func (c *stageCache) put(hash string, data []byte) error {
 	if !validHash(hash) {
 		return fmt.Errorf("gram: bad stage hash %q", hash)
 	}
-	dst := c.objectPath(hash)
-	if _, err := os.Stat(dst); err == nil {
-		return nil // already cached
+	if c.present(hash) {
+		return nil
 	}
-	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o700); err != nil {
+	tmp, err := os.CreateTemp(filepath.Join(c.root, "partial"), hash+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, dst)
+	tmp.Close()
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	if err := os.WriteFile(tmp.Name(), data, 0o700); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), c.objectPath(hash))
 }
 
-// part returns (loading persisted state if needed) the in-flight partial
-// for hash. Caller holds c.mu.
-func (c *stageCache) partLocked(hash string) *stagePart {
-	if p, ok := c.parts[hash]; ok {
-		return p
+// persistedAck reads the resume point a previous incarnation left for
+// hash: the .off sidecar, trusted only as far as the .part file reaches.
+// The bytes beyond it in the .part file are untrusted and re-sent.
+func (c *stageCache) persistedAck(hash string) int64 {
+	raw, err := os.ReadFile(c.offPath(hash))
+	if err != nil {
+		return 0
 	}
-	p := &stagePart{}
-	// A .off sidecar from a previous incarnation resumes the ack; the
-	// bytes beyond it in the .part file are untrusted and re-sent.
-	if raw, err := os.ReadFile(c.offPath(hash)); err == nil {
-		if off, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64); err == nil && off > 0 {
-			if fi, err := os.Stat(c.partPath(hash)); err == nil && off <= fi.Size() {
-				p.acked = off
+	off, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
+	if err != nil || off <= 0 {
+		return 0
+	}
+	if fi, err := os.Stat(c.partPath(hash)); err != nil || off > fi.Size() {
+		return 0
+	}
+	return off
+}
+
+// acquire returns hash's upload, locked and with its files open (a fresh
+// entry resumes from the persisted ack), or nil when the object is already
+// complete: another client, or a pull, got there. The caller unlocks p.mu.
+func (c *stageCache) acquire(hash string) (*stagePart, error) {
+	for {
+		c.mu.Lock()
+		p := c.parts[hash]
+		if p == nil {
+			p = &stagePart{}
+			c.parts[hash] = p
+		}
+		c.mu.Unlock()
+		p.mu.Lock()
+		if p.finished {
+			p.mu.Unlock()
+			continue
+		}
+		if p.part != nil {
+			return p, nil
+		}
+		var err error
+		if !c.present(hash) {
+			p.acked = c.persistedAck(hash)
+			if p.off, err = os.OpenFile(c.offPath(hash), os.O_CREATE|os.O_WRONLY, 0o600); err == nil {
+				p.part, err = os.OpenFile(c.partPath(hash), os.O_CREATE|os.O_RDWR, 0o700)
+			}
+			if err == nil {
+				return p, nil
 			}
 		}
+		c.retire(hash, p, false)
+		p.mu.Unlock()
+		return nil, err
 	}
-	c.parts[hash] = p
-	return p
+}
+
+// retire ends an upload: its files are closed (removed, when discard is
+// set) and the hash starts from a fresh entry next time. Caller holds p.mu.
+func (c *stageCache) retire(hash string, p *stagePart, discard bool) {
+	if p.part != nil {
+		p.part.Close()
+	}
+	if p.off != nil {
+		p.off.Close()
+	}
+	if discard {
+		os.Remove(c.partPath(hash))
+		os.Remove(c.offPath(hash))
+	}
+	p.finished = true
+	c.mu.Lock()
+	delete(c.parts, hash)
+	c.mu.Unlock()
 }
 
 // check reports whether hash is complete, and otherwise where to resume.
 func (c *stageCache) check(hash string) (present bool, offset int64) {
-	if _, err := os.Stat(c.objectPath(hash)); err == nil {
-		return true, 0
+	for !c.present(hash) {
+		c.mu.Lock()
+		p := c.parts[hash]
+		c.mu.Unlock()
+		if p == nil {
+			return false, c.persistedAck(hash)
+		}
+		p.mu.Lock()
+		acked, finished := p.acked, p.finished
+		p.mu.Unlock()
+		if !finished {
+			return false, acked
+		} // else it was committed or discarded under us: look again
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return false, c.partLocked(hash).acked
+	return true, 0
 }
 
-// write lands one chunk at off and returns the new contiguous ack.
+// write lands one chunk at off — one pwrite on the open part file, plus a
+// fixed-width one on the sidecar when the ack moves — and returns the new
+// contiguous ack.
 func (c *stageCache) write(hash string, off int64, data []byte) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := os.Stat(c.objectPath(hash)); err == nil {
-		// Already complete (a second client raced the same binary in):
-		// acknowledge everything so the sender stops.
-		return off + int64(len(data)), nil
-	}
-	p := c.partLocked(hash)
-	f, err := os.OpenFile(c.partPath(hash), os.O_CREATE|os.O_WRONLY, 0o600)
+	p, err := c.acquire(hash)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.WriteAt(data, off); err != nil {
-		f.Close()
-		return 0, err
+	if p == nil {
+		// Already complete: acknowledge everything so the sender stops.
+		return off + int64(len(data)), nil
 	}
-	if err := f.Close(); err != nil {
+	defer p.mu.Unlock()
+	if _, err := p.part.WriteAt(data, off); err != nil {
 		return 0, err
 	}
 	c.bytesReceived.Add(int64(len(data)))
@@ -203,55 +268,61 @@ func (c *stageCache) write(hash string, off int64, data []byte) (int64, error) {
 	acked := p.advance(off, off+int64(len(data)))
 	if acked != prev {
 		// Persist the ack so a site restart resumes instead of restarting.
-		_ = os.WriteFile(c.offPath(hash), []byte(strconv.FormatInt(acked, 10)), 0o600)
+		_, _ = p.off.WriteAt([]byte(fmt.Sprintf("%019d", acked)), 0)
 	}
 	return acked, nil
 }
 
-// commit verifies the assembled partial (size + sha256) and promotes it to
-// objects/. Idempotent; a failed verification discards the partial so the
-// next attempt restarts clean.
+// commit verifies the assembled partial (size + sha256, hashed as a
+// stream) and promotes it to objects/ by renaming the part file itself.
+// Idempotent; a failed verification discards the partial so the next
+// attempt restarts clean.
 func (c *stageCache) commit(hash string, total int64) error {
-	if _, err := os.Stat(c.objectPath(hash)); err == nil {
-		return nil
+	p, err := c.acquire(hash)
+	if p == nil {
+		return err // nil: the object is already complete
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	part := c.partPath(hash)
-	data, err := os.ReadFile(part)
+	defer p.mu.Unlock()
+	defer c.retire(hash, p, true) // promoted or discarded, the partial is over
+	h := sha256.New()
+	n, err := io.Copy(h, io.NewSectionReader(p.part, 0, total))
 	if err != nil {
 		return fmt.Errorf("gram: stage commit %s: %w", hash[:12], err)
 	}
-	if int64(len(data)) > total {
-		data = data[:total]
+	if n != total {
+		return fmt.Errorf("gram: stage commit %s: assembled %d bytes, expected %d", hash[:12], n, total)
 	}
-	discard := func() {
-		os.Remove(part)
-		os.Remove(c.offPath(hash))
-		delete(c.parts, hash)
-	}
-	if int64(len(data)) != total {
-		discard()
-		return fmt.Errorf("gram: stage commit %s: assembled %d bytes, expected %d", hash[:12], len(data), total)
-	}
-	if got := HashExecutable(data); got != hash {
-		discard()
+	if got := hex.EncodeToString(h.Sum(nil)); got != hash {
 		return fmt.Errorf("gram: stage commit: content hash %s does not match claimed %s", got[:12], hash[:12])
 	}
-	if err := os.WriteFile(c.objectPath(hash)+".tmp", data, 0o700); err != nil {
+	if err := p.part.Truncate(total); err != nil {
 		return err
 	}
-	if err := os.Rename(c.objectPath(hash)+".tmp", c.objectPath(hash)); err != nil {
-		return err
+	return os.Rename(c.partPath(hash), c.objectPath(hash))
+}
+
+// close releases the files of every upload still in flight; their .part and
+// .off stay on disk for the next incarnation to resume.
+func (c *stageCache) close() {
+	c.mu.Lock()
+	parts := c.parts
+	c.parts = make(map[string]*stagePart)
+	c.mu.Unlock()
+	for hash, p := range parts {
+		p.mu.Lock()
+		c.retire(hash, p, false)
+		p.mu.Unlock()
 	}
-	discard()
-	return nil
 }
 
 // --- gatekeeper wire ops ---
 
-type stageCheckReq struct {
-	Hash string `json:"hash"`
+// stageReq is the body of all three stage verbs: check names the hash,
+// chunk adds the offset its blob lands at, commit the assembled size.
+type stageReq struct {
+	Hash   string `json:"hash"`
+	Offset int64  `json:"offset,omitempty"`
+	Total  int64  `json:"total,omitempty"`
 }
 
 type stageCheckResp struct {
@@ -259,70 +330,46 @@ type stageCheckResp struct {
 	Offset  int64 `json:"offset"` // resume point when not present
 }
 
-type stageChunkReq struct {
-	Hash   string `json:"hash"`
-	Offset int64  `json:"offset"`
-	Data   []byte `json:"data"`
-}
-
 type stageChunkResp struct {
 	Acked int64 `json:"acked"` // contiguous prefix now on stable storage
 }
 
-type stageCommitReq struct {
-	Hash  string `json:"hash"`
-	Total int64  `json:"total"`
-}
-
-func (s *Site) stageAuthorize(peer, hash string) error {
-	if _, err := s.authorize(peer); err != nil {
-		return err
+// stageRequest decodes a stage verb's body and admits it: a mapped peer,
+// and a hash that is exactly a sha256 (nothing else reaches the filesystem).
+func (s *Site) stageRequest(peer string, body json.RawMessage) (req stageReq, err error) {
+	if err = json.Unmarshal(body, &req); err != nil {
+		return req, err
 	}
-	if !validHash(hash) {
-		return fmt.Errorf("gram: bad stage hash %q", hash)
+	if _, err = s.authorize(peer); err == nil && !validHash(req.Hash) {
+		err = fmt.Errorf("gram: bad stage hash %q", req.Hash)
 	}
-	return nil
+	return req, err
 }
 
 func (s *Site) handleStageCheck(peer string, body json.RawMessage) (any, error) {
-	var req stageCheckReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := s.stageAuthorize(peer, req.Hash); err != nil {
+	req, err := s.stageRequest(peer, body)
+	if err != nil {
 		return nil, err
 	}
 	present, off := s.stage.check(req.Hash)
 	return stageCheckResp{Present: present, Offset: off}, nil
 }
 
-func (s *Site) handleStageChunk(peer string, body json.RawMessage) (any, error) {
-	var req stageChunkReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := s.stageAuthorize(peer, req.Hash); err != nil {
-		return nil, err
-	}
-	acked, err := s.stage.write(req.Hash, req.Offset, req.Data)
+func (s *Site) handleStageChunk(peer string, body json.RawMessage, data []byte) (any, []byte, error) {
+	req, err := s.stageRequest(peer, body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return stageChunkResp{Acked: acked}, nil
+	acked, err := s.stage.write(req.Hash, req.Offset, data)
+	return stageChunkResp{Acked: acked}, nil, err
 }
 
 func (s *Site) handleStageCommit(peer string, body json.RawMessage) (any, error) {
-	var req stageCommitReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := s.stageRequest(peer, body)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.stageAuthorize(peer, req.Hash); err != nil {
-		return nil, err
-	}
-	if err := s.stage.commit(req.Hash, req.Total); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
+	return struct{}{}, s.stage.commit(req.Hash, req.Total)
 }
 
 // StageBytesReceived reports the chunk payload bytes this site has accepted

@@ -1,9 +1,12 @@
 package gram
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,6 +110,101 @@ func TestStageCommitVerifyDiscard(t *testing.T) {
 	}
 	if err := c.commit(hash, int64(len(data))); err == nil {
 		t.Fatal("commit of short partial succeeded")
+	}
+}
+
+// TestStageCachePutConcurrent: pulls of one executable racing each other
+// (and a push commit of the same hash) each rename their own complete temp
+// file into place, so a get that hits always returns the full bytes.
+func TestStageCachePutConcurrent(t *testing.T) {
+	c, err := newStageCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each round is a fresh hash: the race is between the first writers of
+	// an object, so it has to be run more than once to be seen.
+	for round := 0; round < 20 && !t.Failed(); round++ {
+		data := bytes.Repeat([]byte(fmt.Sprintf("concurrent-put-%02d ", round)), 16<<10) // 288 KiB: a torn write shows
+		hash := HashExecutable(data)
+		var readers, writers sync.WaitGroup
+		stop := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if got, ok := c.get(hash); ok && !bytes.Equal(got, data) {
+						t.Errorf("round %d: get returned %d of %d bytes", round, len(got), len(data))
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 6; i++ {
+			writers.Add(1)
+			go func(i int) {
+				defer writers.Done()
+				if i == 0 {
+					// One of the racers arrives by the push path.
+					if _, err := c.write(hash, 0, data); err != nil {
+						t.Error(err)
+					}
+					if err := c.commit(hash, int64(len(data))); err != nil {
+						t.Error(err)
+					}
+					return
+				}
+				if err := c.put(hash, data); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+		if got, ok := c.get(hash); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("round %d: object missing or short after every writer returned", round)
+		}
+	}
+	left, _ := filepath.Glob(filepath.Join(c.root, "partial", "*"))
+	if len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
+// TestStageUploadsDoNotSerialize: the cache lock is per hash — a writer
+// parked inside one upload does not hold up a chunk of another.
+func TestStageUploadsDoNotSerialize(t *testing.T) {
+	c, err := newStageCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := HashExecutable([]byte("a")), HashExecutable([]byte("b"))
+	held, err := c.acquire(a)
+	if err != nil || held == nil {
+		t.Fatalf("acquire = %v, %v", held, err)
+	}
+	defer held.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.write(b, 0, []byte("b"))
+		if err == nil {
+			err = c.commit(b, 1)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an upload of another hash waited for this one's lock")
 	}
 }
 

@@ -31,6 +31,7 @@ const (
 	TimedOut
 )
 
+// String names the state as the schedulers' logs do.
 func (s State) String() string {
 	switch s {
 	case Queued:
@@ -87,8 +88,10 @@ type Policy interface {
 // everything behind it.
 type FIFO struct{}
 
+// Name returns "fifo".
 func (FIFO) Name() string { return "fifo" }
 
+// Select takes jobs from the head of the queue until one does not fit.
 func (FIFO) Select(queue []*QueuedJob, free int, _ []string) []*QueuedJob {
 	var out []*QueuedJob
 	for _, j := range queue {
@@ -107,19 +110,16 @@ func (FIFO) Select(queue []*QueuedJob, free int, _ []string) []*QueuedJob {
 // any later job that fits in the remaining CPUs may run ahead.
 type Backfill struct{}
 
+// Name returns "backfill".
 func (Backfill) Name() string { return "backfill" }
 
+// Select takes every queued job that fits, in queue order.
 func (Backfill) Select(queue []*QueuedJob, free int, _ []string) []*QueuedJob {
 	var out []*QueuedJob
-	blockedHead := false
 	for _, j := range queue {
 		if j.Cpus <= free {
 			out = append(out, j)
 			free -= j.Cpus
-			continue
-		}
-		if !blockedHead {
-			blockedHead = true // head keeps its reservation; keep scanning
 		}
 	}
 	return out
@@ -131,8 +131,10 @@ func (Backfill) Select(queue []*QueuedJob, free int, _ []string) []*QueuedJob {
 // queue.
 type FairShare struct{}
 
+// Name returns "fairshare".
 func (FairShare) Name() string { return "fairshare" }
 
+// Select takes fitting jobs one at a time from the least-loaded owner.
 func (FairShare) Select(queue []*QueuedJob, free int, runningOwners []string) []*QueuedJob {
 	counts := make(map[string]int)
 	for _, o := range runningOwners {
@@ -478,6 +480,9 @@ func (c *Cluster) finish(rec *jobRec, ctx context.Context, err error) {
 		c.transition(rec, Completed)
 	}
 	c.free += rec.job.Cpus
+	// The record outlives the job (status queries); its payload must not:
+	// the closure holds whatever the submitter staged for the run.
+	rec.job.Run = nil
 	status := rec.status
 	c.mu.Unlock()
 	c.emit(status)

@@ -418,3 +418,70 @@ func TestWaitChange(t *testing.T) {
 		t.Fatalf("WaitChange after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestLRMReleasesPayload: the cluster keeps a finished job's record (status
+// queries need it) but lets go of its Run closure and whatever that
+// captured — at a grid site, the staged executable. Every way of finishing
+// releases it, and Cancel, WaitChange and Close on the record still behave.
+func TestLRMReleasesPayload(t *testing.T) {
+	c, err := NewCluster(Config{Name: "pbs", Cpus: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	submit := func(run func(ctx context.Context, exe []byte) error) string {
+		exe := make([]byte, 1<<20) // what stageAndSubmit's closure captures
+		runtime.SetFinalizer(&exe[0], func(*byte) { freed.Add(1) })
+		id, err := c.Submit(Job{Owner: "u", Run: func(ctx context.Context) error { return run(ctx, exe) }}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	completed := submit(func(context.Context, []byte) error { return nil })
+	failed := submit(func(context.Context, []byte) error { return errors.New("boom") })
+	running := make(chan struct{})
+	cancelled := submit(func(ctx context.Context, _ []byte) error { close(running); <-ctx.Done(); return nil })
+	waitState(t, c, completed, Completed)
+	waitState(t, c, failed, Failed)
+	<-running
+	if err := c.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.WaitChange(cancelled, Running); err != nil || st.State != Cancelled {
+		t.Fatalf("WaitChange across the cancel = %+v, %v", st, err)
+	}
+
+	c.mu.Lock()
+	for _, id := range []string{completed, failed, cancelled} {
+		if c.jobs[id].job.Run != nil {
+			t.Errorf("finished job %s still references its Run", id)
+		}
+	}
+	c.mu.Unlock()
+	for i := 0; i < 50 && freed.Load() < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if freed.Load() != 3 {
+		t.Fatalf("%d of 3 finished payloads were collected", freed.Load())
+	}
+
+	// The payload-less records keep answering.
+	if st, err := c.Status(failed); err != nil || st.State != Failed || st.Error != "boom" {
+		t.Fatalf("Status(failed) = %+v, %v", st, err)
+	}
+	if err := c.Cancel(completed); err != nil {
+		t.Fatalf("Cancel of a finished job: %v", err)
+	}
+	if st, err := c.WaitChange(completed, Running); err != nil || st.State != Completed {
+		t.Fatalf("WaitChange(completed, Running) = %+v, %v", st, err)
+	}
+	if c.FreeCpus() != 4 {
+		t.Fatalf("free CPUs = %d with nothing running, want 4", c.FreeCpus())
+	}
+	c.Close()
+	if _, err := c.WaitChange(completed, Completed); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitChange after Close = %v, want ErrClosed", err)
+	}
+}

@@ -69,3 +69,55 @@ func BenchmarkRPCConcurrent(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBulk64K moves one 64 KiB staging chunk per call, the two ways
+// the bulk verbs have carried it: as a []byte field of the JSON body
+// (base64, scanned on both ends) and as the frame's raw blob.
+func BenchmarkBulk64K(b *testing.B) {
+	type fieldReq struct {
+		Offset int64  `json:"offset"`
+		Data   []byte `json:"data"`
+	}
+	type blobReq struct {
+		Offset int64 `json:"offset"`
+	}
+	type ack struct {
+		N int `json:"n"`
+	}
+	s := benchServer(b, nil)
+	s.Handle("field", func(_ string, body json.RawMessage) (any, error) {
+		var req fieldReq
+		err := json.Unmarshal(body, &req)
+		return ack{N: len(req.Data)}, err
+	})
+	s.HandleBlob("blob", func(_ string, body json.RawMessage, blob []byte) (any, []byte, error) {
+		var req blobReq
+		err := json.Unmarshal(body, &req)
+		return ack{N: len(blob)}, nil, err
+	})
+	chunk := make([]byte, 64<<10)
+	for i := range chunk {
+		chunk[i] = byte(i)
+	}
+	for _, mode := range []string{"json-field", "blob"} {
+		b.Run(mode, func(b *testing.B) {
+			c := Dial(s.Addr(), ClientConfig{ServerName: "bench", Timeout: 5 * time.Second, Codec: CodecBinary})
+			defer c.Close()
+			b.SetBytes(int64(len(chunk)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var resp ack
+				var err error
+				if mode == "blob" {
+					_, err = c.CallBlob("blob", blobReq{Offset: int64(i)}, chunk, &resp)
+				} else {
+					err = c.Call("field", fieldReq{Offset: int64(i), Data: chunk}, &resp)
+				}
+				if err != nil || resp.N != len(chunk) {
+					b.Fatalf("n=%d err=%v", resp.N, err)
+				}
+			}
+		})
+	}
+}

@@ -41,7 +41,8 @@ type ClientConfig struct {
 	// retries against a recovering server spread out.
 	RetryBackoffMax time.Duration
 	// Codec requests a frame encoding: CodecJSON (the default) or
-	// CodecBinary. Binary is negotiated by the wire.hello handshake.
+	// CodecBinary. Binary is negotiated by the wire.hello handshake; a
+	// frame that carries a blob is binary either way.
 	Codec string
 	// DisableSession keeps per-message auth tokens even when a
 	// credential is set (no session handshake) — the protocol v1
@@ -125,9 +126,6 @@ func Dial(addr string, cfg ClientConfig) *Client {
 	}
 }
 
-// ClientID returns the identifier that keys this client's sequence space.
-func (c *Client) ClientID() string { return c.clientID }
-
 // SetCredential replaces the signing credential (used after proxy
 // refresh) and drops the current connection, forcing the next attempt to
 // re-handshake — a session minted under the old credential must not
@@ -156,39 +154,51 @@ func (c *Client) Call(method string, req, resp any) error {
 // CallSeq performs an RPC with a caller-chosen sequence number, retrying on
 // timeout with the same number.
 func (c *Client) CallSeq(seq uint64, method string, req, resp any) error {
+	_, err := c.call(seq, method, req, nil, resp)
+	return err
+}
+
+// CallBlob is Call for a method that moves bulk bytes: blob rides the
+// request frame as a raw attachment, and the response's attachment is
+// returned (it aliases the received frame; nil when there is none).
+func (c *Client) CallBlob(method string, req any, blob []byte, resp any) ([]byte, error) {
+	return c.call(c.NextSeq(), method, req, blob, resp)
+}
+
+func (c *Client) call(seq uint64, method string, req any, blob []byte, resp any) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("wire: marshal request: %w", err)
+		return nil, fmt.Errorf("wire: marshal request: %w", err)
 	}
 	var lastErr error = ErrTimeout
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoff(attempt))
 		}
-		msg, err := c.attempt(seq, method, body)
+		msg, err := c.attempt(seq, method, body, blob)
 		if err != nil {
 			if IsRemote(err) {
 				// A handshake rejection (e.g. AuthExpired) is the
 				// server's verdict, not a transport loss: surface it
 				// with its class instead of retrying into it.
-				return err
+				return nil, err
 			}
 			lastErr = err
 			continue
 		}
 		if msg.Error != "" {
-			return &RemoteError{Msg: msg.Error, Class: faultclass.Parse(msg.Fault)}
+			return nil, &RemoteError{Msg: msg.Error, Class: faultclass.Parse(msg.Fault)}
 		}
 		if resp != nil && len(msg.Body) > 0 {
 			if err := json.Unmarshal(msg.Body, resp); err != nil {
-				return fmt.Errorf("wire: unmarshal response: %w", err)
+				return nil, fmt.Errorf("wire: unmarshal response: %w", err)
 			}
 		}
-		return nil
+		return msg.Blob, nil
 	}
 	// Transport failures are transient by definition: the verdict on
 	// the job (if any) lives at the site, unreached.
-	return faultclass.New(faultclass.Transient,
+	return nil, faultclass.New(faultclass.Transient,
 		fmt.Errorf("%w: %s (%v)", ErrTimeout, method, lastErr))
 }
 
@@ -206,7 +216,7 @@ func (c *Client) backoff(n int) time.Duration {
 	return d + time.Duration(mrand.Int63n(int64(d)/2+1))
 }
 
-func (c *Client) attempt(seq uint64, method string, body json.RawMessage) (*Message, error) {
+func (c *Client) attempt(seq uint64, method string, body json.RawMessage, blob []byte) (*Message, error) {
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
@@ -217,6 +227,7 @@ func (c *Client) attempt(seq uint64, method string, body json.RawMessage) (*Mess
 		Kind:     "req",
 		Method:   method,
 		Body:     body,
+		Blob:     blob,
 	}
 	if cc.session != "" {
 		msg.Session = cc.session
@@ -232,7 +243,13 @@ func (c *Client) attempt(seq uint64, method string, body json.RawMessage) (*Mess
 			msg.Token = tok
 		}
 	}
+	return c.exchange(cc, msg)
+}
 
+// exchange sends msg on cc and waits one Timeout for the response that
+// carries its sequence number.
+func (c *Client) exchange(cc *clientConn, msg *Message) (*Message, error) {
+	seq := msg.Seq
 	ch := make(chan *Message, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -341,10 +358,9 @@ func (c *Client) handshake(cc *clientConn, cred *gsi.Credential, wantSession boo
 	if err != nil {
 		return err
 	}
-	seq := c.NextSeq()
 	msg := &Message{
 		ClientID: c.clientID,
-		Seq:      seq,
+		Seq:      c.NextSeq(),
 		Kind:     "req",
 		Method:   HelloMethod,
 		Body:     body,
@@ -356,48 +372,26 @@ func (c *Client) handshake(cc *clientConn, cred *gsi.Credential, wantSession boo
 		}
 		msg.Token = tok
 	}
-	ch := make(chan *Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.pending[seq] = pendingCall{ch: ch, cc: cc}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		if p, ok := c.pending[seq]; ok && p.ch == ch {
-			delete(c.pending, seq)
-		}
-		c.mu.Unlock()
-	}()
-	if err := cc.write(msg); err != nil {
+	m, err := c.exchange(cc, msg)
+	if err != nil {
 		return err
 	}
-	select {
-	case m := <-ch:
-		if m == nil {
-			return fmt.Errorf("wire: connection lost during handshake")
-		}
-		if m.Error != "" {
-			return &RemoteError{Msg: m.Error, Class: faultclass.Parse(m.Fault)}
-		}
-		var resp helloResp
-		if err := json.Unmarshal(m.Body, &resp); err != nil {
-			return fmt.Errorf("wire: bad hello response: %w", err)
-		}
-		if wantSession {
-			cc.session = resp.Session
-		}
-		if resp.Codec == CodecBinary && c.cfg.Codec == CodecBinary {
-			cc.wmu.Lock()
-			cc.codec = CodecBinary
-			cc.wmu.Unlock()
-		}
-		return nil
-	case <-time.After(c.cfg.Timeout):
-		return ErrTimeout
+	if m.Error != "" {
+		return &RemoteError{Msg: m.Error, Class: faultclass.Parse(m.Fault)}
 	}
+	var resp helloResp
+	if err := json.Unmarshal(m.Body, &resp); err != nil {
+		return fmt.Errorf("wire: bad hello response: %w", err)
+	}
+	if wantSession {
+		cc.session = resp.Session
+	}
+	if resp.Codec == CodecBinary && c.cfg.Codec == CodecBinary {
+		cc.wmu.Lock()
+		cc.codec = CodecBinary
+		cc.wmu.Unlock()
+	}
+	return nil
 }
 
 func (c *Client) readLoop(cc *clientConn) {
@@ -453,7 +447,7 @@ func (c *Client) drop(cc *clientConn) {
 // (no retries — a probe wants a fast verdict, and mutating the shared retry
 // budget would race concurrent Calls).
 func (c *Client) Ping(method string) error {
-	msg, err := c.attempt(c.NextSeq(), method, []byte("{}"))
+	msg, err := c.attempt(c.NextSeq(), method, []byte("{}"), nil)
 	if err != nil {
 		if IsRemote(err) {
 			return err

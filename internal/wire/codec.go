@@ -6,14 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"condorg/internal/gsi"
 )
 
 // Codec names accepted by ClientConfig.Codec and offered in the wire.hello
-// handshake. JSON is the v1 framing every peer understands; the binary
-// codec skips per-frame JSON marshal of chunk-sized bodies and is used
-// only after both ends agree to it at handshake.
+// handshake. JSON is the debug framing every peer understands; the binary
+// codec skips the per-frame JSON marshal of the envelope and is what a
+// connection writes once both ends agree to it at handshake. A frame that
+// carries a Blob is written binary whatever was negotiated: JSON has no
+// field for raw bytes, and every reader decodes both framings.
 const (
 	CodecJSON   = "json"
 	CodecBinary = "binary"
@@ -35,15 +38,6 @@ const (
 
 var errTruncated = errors.New("wire: truncated binary frame")
 
-// encodeMessage marshals m in the given codec ("" and "json" both mean
-// the v1 JSON encoding).
-func encodeMessage(m *Message, codec string) ([]byte, error) {
-	if codec != CodecBinary {
-		return json.Marshal(m)
-	}
-	return encodeBinary(m)
-}
-
 // decodeMessage unmarshals a frame payload in whichever codec it was
 // written in, keyed off the leading byte.
 func decodeMessage(data []byte) (*Message, error) {
@@ -57,6 +51,10 @@ func decodeMessage(data []byte) (*Message, error) {
 	return &m, nil
 }
 
+// encodeBinary returns m in the binary framing, up to and including the
+// blob's length prefix, behind four zero bytes (room for the frame's length
+// header). The blob's bytes follow on the wire; the caller sends them from
+// where they are.
 func encodeBinary(m *Message) ([]byte, error) {
 	var tok []byte
 	if m.Token != nil {
@@ -75,7 +73,7 @@ func encodeBinary(m *Message) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: cannot encode kind %q", m.Kind)
 	}
-	buf := make([]byte, 0, 64+len(m.Body)+len(tok))
+	buf := make([]byte, 4, 4+64+len(m.ClientID)+len(m.Method)+len(m.Session)+len(m.Error)+len(tok)+len(m.Body))
 	buf = append(buf, binaryMagic, binaryVersion, kind)
 	buf = binary.AppendUvarint(buf, m.Seq)
 	buf = appendField(buf, []byte(m.ClientID))
@@ -85,7 +83,7 @@ func encodeBinary(m *Message) ([]byte, error) {
 	buf = appendField(buf, []byte(m.Fault))
 	buf = appendField(buf, tok)
 	buf = appendField(buf, m.Body)
-	return buf, nil
+	return binary.AppendUvarint(buf, uint64(len(m.Blob))), nil
 }
 
 func appendField(buf, b []byte) []byte {
@@ -153,6 +151,7 @@ func decodeBinary(data []byte) (*Message, error) {
 	m.Fault = string(r.field())
 	tok := r.field()
 	body := r.field()
+	blob := r.field()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -168,23 +167,44 @@ func decodeBinary(data []byte) (*Message, error) {
 	if len(body) > 0 {
 		m.Body = json.RawMessage(body)
 	}
+	if len(blob) > 0 {
+		m.Blob = blob // a sub-slice of the frame buffer, never a copy
+	}
 	return m, nil
 }
 
-// writeFrameCodec writes one framed message in the given codec.
+// encodeFrame returns m's 4-byte length header and its payload in one
+// buffer — all of the frame but the blob, which goes out after it unchanged.
+func encodeFrame(m *Message, codec string) ([]byte, error) {
+	var head []byte
+	var err error
+	if codec == CodecBinary || len(m.Blob) > 0 {
+		head, err = encodeBinary(m)
+	} else if head, err = json.Marshal(m); err == nil {
+		head = append(make([]byte, 4, 4+len(head)), head...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	size := len(head) - 4 + len(m.Blob)
+	if size > MaxFrame {
+		return nil, fmt.Errorf("wire: frame too large: %d", size)
+	}
+	binary.BigEndian.PutUint32(head, uint32(size))
+	return head, nil
+}
+
+// writeFrameCodec writes one framed message in the given codec: one write,
+// or one gathered write of envelope and blob.
 func writeFrameCodec(w io.Writer, m *Message, codec string) error {
-	data, err := encodeMessage(m, codec)
+	head, err := encodeFrame(m, codec)
 	if err != nil {
 		return err
 	}
-	if len(data) > MaxFrame {
-		return fmt.Errorf("wire: frame too large: %d", len(data))
+	if len(m.Blob) == 0 {
+		_, err = w.Write(head)
+	} else {
+		_, err = (&net.Buffers{head, m.Blob}).WriteTo(w)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
 	return err
 }

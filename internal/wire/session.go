@@ -6,7 +6,9 @@
 // the hello context, the server verifies it once and mints a session ID,
 // and every subsequent request on that connection carries only the ID.
 // The same handshake negotiates the frame codec for the server->client
-// and client->server write directions.
+// and client->server write directions. Blob frames stand outside it: they
+// are binary on any connection, hello or not, because every reader tells
+// the framings apart by the first payload byte.
 //
 // A client that never sends hello (ClientConfig.DisableSession with the
 // JSON codec) keeps per-message tokens, which the server goes on verifying.
@@ -85,21 +87,18 @@ func (s *Server) handleHello(sc *srvConn, msg *Message) {
 		return
 	}
 	resp := &Message{ClientID: msg.ClientID, Seq: msg.Seq, Kind: "resp"}
-	peer := ""
-	if s.cfg.Anchor != nil {
-		subject, err := msg.Token.Verify(s.cfg.Anchor, authContext(s.cfg.Name, HelloMethod), s.cfg.Clock())
-		if err != nil {
-			resp.Error = "auth: " + err.Error()
-			resp.Fault = faultclass.AuthExpired.String()
-			if s.cfg.Faults.dropResponse(HelloMethod) {
-				return
-			}
-			if sc.write(resp) != nil {
-				sc.conn.Close()
-			}
+	msg.Session = "" // a hello authenticates by its token, whatever else it names
+	peer, err := s.authenticate(msg, sc)
+	if err != nil {
+		resp.Error = "auth: " + err.Error()
+		resp.Fault = faultclass.AuthExpired.String()
+		if s.cfg.Faults.dropResponse(HelloMethod) {
 			return
 		}
-		peer = subject
+		if sc.write(resp) != nil {
+			sc.conn.Close()
+		}
+		return
 	}
 	var req helloReq
 	if len(msg.Body) > 0 {

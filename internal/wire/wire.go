@@ -1,7 +1,8 @@
 // Package wire is the transport substrate for every Grid protocol in this
 // repository (GRAM, GASS, MDS, GridFTP, MyProxy, and the Condor daemons).
-// It provides length-prefixed JSON frames over TCP, request/response RPC
-// with client-chosen sequence numbers, per-request GSI authentication, a
+// It provides length-prefixed frames over TCP (a JSON or binary envelope,
+// plus an opaque byte attachment for bulk data), request/response RPC with
+// client-chosen sequence numbers, per-request GSI authentication, a
 // server-side reply cache that makes retries idempotent (the mechanism
 // behind the paper's two-phase commit: "the repeated sequence number allows
 // the resource to distinguish between a lost request and a lost response",
@@ -41,11 +42,11 @@ type Message struct {
 	// Fault carries the faultclass name for Error, so clients can
 	// branch on a typed class instead of the error prose.
 	Fault string `json:"fault,omitempty"`
-}
-
-// WriteFrame writes one framed message to w in the v1 JSON codec.
-func WriteFrame(w io.Writer, m *Message) error {
-	return writeFrameCodec(w, m, CodecJSON)
+	// Blob is an opaque byte attachment: bulk data rides here instead of
+	// base64 inside Body. Only the binary framing carries it, so a frame
+	// with a blob is always written binary; on decode it aliases the frame
+	// buffer.
+	Blob []byte `json:"-"`
 }
 
 // ReadFrame reads one framed message from r. The payload codec is
@@ -71,6 +72,11 @@ func ReadFrame(r io.Reader) (*Message, error) {
 // ("" when the server runs unauthenticated). The returned value is
 // marshalled into the response body.
 type Handler func(peer string, body json.RawMessage) (any, error)
+
+// BlobHandler is a Handler for a method that moves bulk bytes: blob is the
+// request's attachment (valid only until the handler returns — it aliases
+// the frame buffer) and respBlob is attached to the response.
+type BlobHandler func(peer string, body json.RawMessage, blob []byte) (result any, respBlob []byte, err error)
 
 // Faults lets tests and experiments inject the failure modes of §3.2/§4.2.
 // Each hook is consulted per request (or per connection for the
@@ -214,7 +220,7 @@ type Server struct {
 	cfg      ServerConfig
 	lis      net.Listener
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]BlobHandler
 	conns    map[net.Conn]struct{}
 	cache    *replyCache
 	paused   bool
@@ -242,7 +248,7 @@ func NewServerAddr(addr string, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		lis:      lis,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]BlobHandler),
 		conns:    make(map[net.Conn]struct{}),
 		cache:    newReplyCache(4096),
 	}
@@ -257,6 +263,14 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 // Handle registers a handler for method. It panics on duplicates: a
 // misrouted protocol is a programming error.
 func (s *Server) Handle(method string, h Handler) {
+	s.HandleBlob(method, func(peer string, body json.RawMessage, _ []byte) (any, []byte, error) {
+		result, err := h(peer, body)
+		return result, nil, err
+	})
+}
+
+// HandleBlob registers a handler that receives and returns blobs.
+func (s *Server) HandleBlob(method string, h BlobHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.handlers[method]; dup {
@@ -399,16 +413,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // sequence number still gets exactly-once semantics.
 func writeTornFrame(sc *srvConn, m *Message) {
 	sc.wmu.Lock()
-	data, err := encodeMessage(m, sc.codec)
-	if err != nil {
-		sc.wmu.Unlock()
-		sc.conn.Close()
-		return
+	if head, err := encodeFrame(m, sc.codec); err == nil {
+		sc.conn.Write(head[:4+(len(head)-4)/2])
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	sc.conn.Write(hdr[:])
-	sc.conn.Write(data[:len(data)/2])
 	sc.wmu.Unlock()
 	sc.conn.Close()
 }
@@ -430,39 +437,16 @@ func (s *Server) dispatch(msg *Message, sc *srvConn) *Message {
 		return cached
 	}
 	resp := &Message{ClientID: msg.ClientID, Seq: msg.Seq, Kind: "resp"}
-	peer := ""
-	if s.cfg.Anchor != nil {
-		if msg.Session != "" {
-			// Session auth (protocol v2): the token was verified once at
-			// handshake; the request only needs to name the session that
-			// this very connection established. A stale or foreign ID
-			// gets the same AuthExpired classification as a bad token,
-			// which sends the client back through the handshake.
-			subject, ok := sc.sessionPeer(msg.Session)
-			if !ok {
-				resp.Error = "auth: unknown or expired session"
-				resp.Fault = faultclass.AuthExpired.String()
-				// Not cached, same as token failures below.
-				if s.cfg.Faults.dropResponse(msg.Method) {
-					return nil
-				}
-				return resp
-			}
-			peer = subject
-		} else {
-			subject, err := msg.Token.Verify(s.cfg.Anchor, authContext(s.cfg.Name, msg.Method), s.cfg.Clock())
-			if err != nil {
-				resp.Error = "auth: " + err.Error()
-				resp.Fault = faultclass.AuthExpired.String()
-				// Auth failures are not cached: a refreshed credential
-				// retrying the same sequence number must be re-evaluated.
-				if s.cfg.Faults.dropResponse(msg.Method) {
-					return nil
-				}
-				return resp
-			}
-			peer = subject
+	peer, err := s.authenticate(msg, sc)
+	if err != nil {
+		resp.Error = "auth: " + err.Error()
+		resp.Fault = faultclass.AuthExpired.String()
+		// Auth failures are not cached: a refreshed credential (or a fresh
+		// handshake) retrying the same sequence number must be re-evaluated.
+		if s.cfg.Faults.dropResponse(msg.Method) {
+			return nil
 		}
+		return resp
 	}
 	s.mu.Lock()
 	h, ok := s.handlers[msg.Method]
@@ -470,19 +454,21 @@ func (s *Server) dispatch(msg *Message, sc *srvConn) *Message {
 	if !ok {
 		resp.Error = "wire: no such method " + msg.Method
 	} else {
-		result, err := h(peer, msg.Body)
+		// The response (its blob included) goes into the reply cache; the
+		// request's blob is the handler's only until it returns.
+		result, blob, err := h(peer, msg.Body, msg.Blob)
+		if err == nil && result != nil {
+			if resp.Body, err = json.Marshal(result); err != nil {
+				err = fmt.Errorf("wire: marshal response: %w", err)
+			}
+		}
 		if err != nil {
 			resp.Error = err.Error()
 			if cls := faultclass.ClassOf(err); cls != faultclass.Unknown {
 				resp.Fault = cls.String()
 			}
-		} else if result != nil {
-			body, err := json.Marshal(result)
-			if err != nil {
-				resp.Error = "wire: marshal response: " + err.Error()
-			} else {
-				resp.Body = body
-			}
+		} else {
+			resp.Blob = blob
 		}
 	}
 	s.cache.put(key, resp)
@@ -490,6 +476,24 @@ func (s *Server) dispatch(msg *Message, sc *srvConn) *Message {
 		return nil // the work happened; the reply is lost
 	}
 	return resp
+}
+
+// authenticate returns the grid subject behind msg ("" on an unanchored
+// server). A request that names a session (protocol v2) needs only that this
+// very connection established it — the token was verified at handshake; a
+// stale or foreign ID fails like a bad token, which sends the client back
+// through the handshake. Any other request carries its own token.
+func (s *Server) authenticate(msg *Message, sc *srvConn) (string, error) {
+	if s.cfg.Anchor == nil {
+		return "", nil
+	}
+	if msg.Session == "" {
+		return msg.Token.Verify(s.cfg.Anchor, authContext(s.cfg.Name, msg.Method), s.cfg.Clock())
+	}
+	if subject, ok := sc.sessionPeer(msg.Session); ok {
+		return subject, nil
+	}
+	return "", errors.New("unknown or expired session")
 }
 
 func authContext(server, method string) string { return server + ":" + method }

@@ -50,7 +50,7 @@ func newEchoServer(t *testing.T, cfg ServerConfig) (*Server, *atomic.Int64) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{ClientID: "c", Seq: 7, Kind: "req", Method: "m", Body: json.RawMessage(`{"a":1}`)}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := writeFrameCodec(&buf, in, CodecJSON); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadFrame(&buf)

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Static hygiene gate: formatting, vet, and the journal corruption fuzz
-# corpus, run from the repo root. Used by the verify recipe and safe to
+# Static hygiene gate: formatting, vet, and the journal-corruption and
+# frame-decoder fuzz corpora, run from the repo root. Used by the verify recipe and safe to
 # run standalone; exits non-zero (with the offending files on stdout) on
 # any violation.
 #
@@ -32,15 +32,25 @@ go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridMa
 go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 go test -race -count=1 -run 'TestShutdownLetsRepliesOut' ./internal/wire/
 
+# The staging data plane: bulk bytes as the frame's blob (codec edges, no
+# negotiation, reply cache), the site cache's per-hash uploads and unique
+# temp names, the LRM letting go of finished payloads, and the agent using
+# its own spool without dialing it.
+go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
+go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize' ./internal/gram/
+go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
+go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC' ./internal/condorg/
+
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
 # control-plane types, the glidein autoscaler, the credential manager,
-# and the GSI layer must carry a doc comment. (A grep-level check, so it
+# the GSI layer, GASS and the LRM must carry a doc comment. (A grep-level check, so it
 # stays dependency-free; grouped decl blocks are out of scope.)
 doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/control.go internal/condorg/controlv1.go \
     internal/condorg/tenancy.go internal/glidein/*.go \
-    internal/credmgr/*.go internal/gsi/*.go | grep -v _test.go)
+    internal/credmgr/*.go internal/gsi/*.go internal/gass/*.go \
+    internal/lrm/*.go | grep -v _test.go)
 undocumented=$(awk '
     (/^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/) && prev !~ /^\/\// {
         printf "%s:%d: exported declaration without doc comment: %s\n", FILENAME, FNR, $0
@@ -57,8 +67,13 @@ fi
 # journal must either verify+open or be refused+quarantined — never a
 # silent partial replay.
 go test -run FuzzStoreReplay -count=1 ./internal/journal/
+# And the FuzzDecodeMessage one: arbitrary bytes — truncated and overrun
+# blob frames among the seeds — decode to a message or an error, never a
+# panic.
+go test -run FuzzDecodeMessage -count=1 ./internal/wire/
 if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime "$CHECK_FUZZ_TIME" ./internal/journal/
+    go test -run FuzzDecodeMessage -fuzz FuzzDecodeMessage -fuzztime "$CHECK_FUZZ_TIME" ./internal/wire/
 fi
 
-echo "check.sh: gofmt + go vet + bench module + ladder tests + fuzz corpus clean"
+echo "check.sh: gofmt + go vet + bench module + ladder and staging-plane tests + fuzz corpora clean"
