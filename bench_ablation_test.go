@@ -49,7 +49,7 @@ func BenchmarkA1_TwoPhaseVsRetry(b *testing.B) {
 		// Drop every other submit response: the client always retries.
 		var k int64
 		faults.Set(nil, func(method string) bool {
-			return method == "gram.submit" && atomic.AddInt64(&k, 1)%2 == 1
+			return method == "gram.batch-submit" && atomic.AddInt64(&k, 1)%2 == 1
 		})
 		for i := 0; i < n; i++ {
 			if naive {

@@ -1,182 +1,19 @@
 package benchmarks
 
-// Wire-layer ablation benchmarks: how much of the agent's end-to-end
-// submit throughput and probe cost comes from each wire protocol v2
-// feature — batched verbs, session auth, and the binary codec. Each
-// sub-benchmark runs the full authenticated stack (GSI handshakes, GRAM
-// two-phase commit, real TCP) and differs only in the wire configuration.
-// See EXPERIMENTS.md for recorded numbers.
+// Wire-layer benchmark: what the batched probe verb saves over one
+// jm.status per JobManager. See EXPERIMENTS.md for recorded numbers.
 
 import (
-	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"condorg/internal/condorg"
 	"condorg/internal/gass"
 	"condorg/internal/gram"
-	"condorg/internal/gsi"
-	"condorg/internal/lrm"
-	"condorg/internal/wire"
 )
 
-// benchSecureSite is benchSite plus GSI: tokens (or sessions) are
-// verified on every gatekeeper and JobManager endpoint.
-func benchSecureSite(b *testing.B, name string, runs *atomic.Int64, anchor *gsi.Certificate) *gram.Site {
-	b.Helper()
-	cluster, err := lrm.NewCluster(lrm.Config{Name: name, Cpus: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	site, err := gram.NewSite(gram.SiteConfig{
-		Name:     name,
-		Anchor:   anchor,
-		Gridmap:  gsi.NewGridmap(map[string]string{"/O=Grid/CN=bench": "bench"}),
-		Cluster:  cluster,
-		Runtime:  benchRuntime(runs),
-		StateDir: mustTempDir(b, "site-"+name),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(site.Close)
-	return site
-}
-
-func benchCA(b *testing.B) (*gsi.Certificate, *gsi.Credential) {
-	b.Helper()
-	now := time.Now()
-	ca, err := gsi.NewCA("/O=Grid/CN=BenchCA", now, 24*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	user, err := ca.IssueUser("/O=Grid/CN=bench", now, 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proxy, err := gsi.NewProxy(user, now, 6*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ca.Certificate(), proxy
-}
-
-// wireAblation is one rung of the ladder.
-type wireAblation struct {
-	name  string
-	batch condorg.BatchOptions
-	wcfg  condorg.WireOptions
-}
-
-func wireAblationLadder() []wireAblation {
-	return []wireAblation{
-		// Protocol v1: per-job verbs, a signed token verified on every
-		// frame, JSON codec.
-		{"v1-baseline", condorg.BatchOptions{MaxJobs: 1},
-			condorg.WireOptions{Codec: wire.CodecJSON, NoSession: true}},
-		// Session auth alone: per-job verbs, token verified once per
-		// connection instead of per frame.
-		{"session", condorg.BatchOptions{MaxJobs: 1},
-			condorg.WireOptions{Codec: wire.CodecJSON}},
-		// Binary codec alone: per-job verbs, per-message tokens.
-		{"binary", condorg.BatchOptions{MaxJobs: 1},
-			condorg.WireOptions{Codec: wire.CodecBinary, NoSession: true}},
-		// + batched verbs only.
-		{"batch", condorg.BatchOptions{MaxJobs: 32, MaxDelay: 2 * time.Millisecond},
-			condorg.WireOptions{Codec: wire.CodecJSON, NoSession: true}},
-		// + session auth (token verified once per connection).
-		{"batch+session", condorg.BatchOptions{MaxJobs: 32, MaxDelay: 2 * time.Millisecond},
-			condorg.WireOptions{Codec: wire.CodecJSON}},
-		// + binary codec: the full v2 wire.
-		{"batch+session+binary", condorg.BatchOptions{MaxJobs: 32, MaxDelay: 2 * time.Millisecond},
-			condorg.WireOptions{Codec: wire.CodecBinary}},
-	}
-}
-
-// BenchmarkSubmitBurstWire is the headline wire-v2 ablation: authenticated
-// submit-burst throughput at each rung of the ladder. The timed region runs
-// from the first Submit until every job holds a committed site contact —
-// the submission traffic the wire carries (GRAM two-phase frames plus the
-// probe and callback storm for jobs in flight). The drain to completion
-// happens outside the timer: it measures the LRM, not the wire. jobs/s is
-// the number to read.
-func BenchmarkSubmitBurstWire(b *testing.B) {
-	for _, abl := range wireAblationLadder() {
-		b.Run(abl.name, func(b *testing.B) {
-			anchor, proxy := benchCA(b)
-			var runs atomic.Int64
-			site := benchSecureSite(b, "burst", &runs, anchor)
-			agent, err := condorg.NewAgent(condorg.AgentConfig{
-				StateDir:   mustTempDir(b, "agent"),
-				Credential: proxy,
-				Selector:   condorg.StaticSelector(site.GatekeeperAddr()),
-				Probe:      condorg.ProbeOptions{Interval: 30 * time.Millisecond},
-				Batch:      abl.batch,
-				Wire:       abl.wcfg,
-				Stage:      condorg.StageOptions{Disabled: true},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(agent.Close)
-
-			b.ResetTimer()
-			const workers = 8
-			var wg sync.WaitGroup
-			jobs := make(chan int)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for range jobs {
-						if _, err := agent.Submit(condorg.SubmitRequest{
-							Owner: "bench", Executable: gram.Program("noop"),
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			for i := 0; i < b.N; i++ {
-				jobs <- i
-			}
-			close(jobs)
-			wg.Wait()
-			// The burst is over when every job has crossed the wire: a
-			// committed site contact, or already terminal (a fast job can
-			// finish before we look).
-			for {
-				pending := 0
-				for _, info := range agent.Jobs() {
-					if info.Contact.JobID == "" && !info.State.Terminal() {
-						pending++
-					}
-				}
-				if pending == 0 {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
-			defer cancel()
-			if err := agent.WaitAll(ctx); err != nil {
-				b.Fatal(err)
-			}
-			if got := runs.Load(); got != int64(b.N) {
-				b.Fatalf("%d executions for %d jobs", got, b.N)
-			}
-		})
-	}
-}
-
 // BenchmarkProbeSweep measures the §4.2 failure-detector sweep over a
-// site holding 1000 jobs: the v1 protocol pays one jm.status RPC per
-// JobManager, the batched verb pays ceil(1000/32) gatekeeper RPCs.
+// site holding 1000 jobs: one jm.status RPC per JobManager pays 1000, the
+// batched verb pays ceil(1000/32) gatekeeper RPCs.
 // rpcs/sweep makes the fan-in explicit; ns/op is the sweep latency.
 func BenchmarkProbeSweep(b *testing.B) {
 	const nJobs = 1000

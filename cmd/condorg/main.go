@@ -278,9 +278,6 @@ func serve(args []string) {
 	stageStreams := fs.Int("stage-streams", 0, "parallel chunk streams per site during staging (0 = default 4)")
 	noStage := fs.Bool("no-stage", false, "disable executable pre-staging; sites pull executables over GASS")
 	noMetrics := fs.Bool("no-metrics", false, "disable the metric registry (tracing stays on)")
-	batchMaxJobs := fs.Int("batch-max-jobs", 0, "max jobs coalesced into one batch wire frame; 1 disables batching (0 = default 32)")
-	batchMaxDelay := fs.Duration("batch-max-delay", 0, "linger after the first drained submit so trailing jobs join the batch (0 = send immediately)")
-	wireCodec := fs.String("wire-codec", "", "wire frame codec offered at handshake: binary or json (default binary)")
 	ha := fs.Bool("ha", false, "hot-standby support: replicate job payloads through the journal and wait for the follower's ack on submits")
 	standby := fs.String("standby", "", "run as a hot standby tailing the primary at this control address; take over when its lease expires")
 	leaseTTL := fs.Duration("lease-ttl", 0, "standby: declare the primary dead after this long without contact (0 = default 3s)")
@@ -356,9 +353,6 @@ func serve(args []string) {
 	cfg.Stage.Streams = *stageStreams
 	cfg.Stage.Disabled = *noStage
 	cfg.Obs.Disabled = *noMetrics
-	cfg.Batch.MaxJobs = *batchMaxJobs
-	cfg.Batch.MaxDelay = *batchMaxDelay
-	cfg.Wire.Codec = *wireCodec
 	cfg.HA.Enabled = *ha
 	cfg.DeferBinding = *glideinOn
 	cfg.Tenancy.Partitions = *journalPartitions

@@ -58,9 +58,10 @@ func TestOperationsDocMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestWireFlagsDocumented guards the reverse direction for the wire-v2
-// serve flags: each must be registered by the CLI *and* documented in the
-// operator guide (the generic test above only catches doc→CLI drift).
+// TestWireFlagsDocumented guards the retired wire-v2 serve flags: one job
+// is a batch of one on the one wire, so nothing is left for them to select.
+// None may be registered by the CLI (serve -h lists exactly what main.go
+// registers) or documented in the operator guide.
 func TestWireFlagsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
@@ -71,11 +72,11 @@ func TestWireFlagsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"batch-max-jobs", "batch-max-delay", "wire-codec"} {
-		if !strings.Contains(string(src), fmt.Sprintf("(%q,", name)) {
-			t.Errorf("cmd/condorg/main.go does not register -%s", name)
+		if strings.Contains(string(src), fmt.Sprintf("%q", name)) {
+			t.Errorf("cmd/condorg/main.go still registers the retired -%s", name)
 		}
-		if !strings.Contains(string(doc), "`-"+name+"`") {
-			t.Errorf("docs/OPERATIONS.md does not document -%s", name)
+		if strings.Contains(string(doc), "-"+name) {
+			t.Errorf("docs/OPERATIONS.md still documents the retired -%s", name)
 		}
 	}
 	// And the design doc must keep describing the protocol they configure.

@@ -106,33 +106,6 @@ type StageOptions struct {
 	Disabled bool
 }
 
-// BatchOptions tunes wire-layer verb coalescing. When MaxJobs > 1, the
-// per-site pipeline workers drain queued submits bound for the same
-// gatekeeper into single gram.batch-submit frames, and the probe/cancel
-// dispatchers chunk same-site jobs into jm.batch-status / jm.batch-cancel
-// frames — one RPC per chunk instead of one per job.
-type BatchOptions struct {
-	// MaxJobs caps the entries carried in one batch frame (default 32).
-	// 1 disables batching entirely.
-	MaxJobs int
-	// MaxDelay, when positive, lets a submit batch linger briefly after
-	// the first job is picked up so trailing enqueues can join the same
-	// frame. Zero (the default) sends whatever the queue held at drain
-	// time — no added latency.
-	MaxDelay time.Duration
-}
-
-// WireOptions selects wire-protocol v2 features for the agent's GRAM
-// clients. Both default on.
-type WireOptions struct {
-	// Codec names the frame encoding offered at the wire handshake:
-	// wire.CodecBinary (the default) or wire.CodecJSON.
-	Codec string
-	// NoSession disables session authentication, sending a signed token
-	// with every frame as wire v1 did.
-	NoSession bool
-}
-
 // ObsOptions configures the observability layer.
 type ObsOptions struct {
 	// Disabled turns the metrics registry off: every instrument becomes
@@ -175,10 +148,6 @@ type AgentConfig struct {
 	Pipeline PipelineOptions
 	// Stage tunes chunked executable pre-staging.
 	Stage StageOptions
-	// Batch tunes wire-layer verb coalescing.
-	Batch BatchOptions
-	// Wire selects wire-protocol v2 features (session auth, frame codec).
-	Wire WireOptions
 	// Breaker tunes the per-site circuit breakers inside each
 	// GridManager's GRAM client (zero value = faultclass defaults).
 	Breaker faultclass.BreakerConfig
@@ -223,12 +192,6 @@ func DefaultAgentConfig() AgentConfig {
 		Stage: StageOptions{
 			ChunkSize: 64 << 10,
 			Streams:   4,
-		},
-		Batch: BatchOptions{
-			MaxJobs: 32,
-		},
-		Wire: WireOptions{
-			Codec: wire.CodecBinary,
 		},
 	}
 }
@@ -361,12 +324,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	if cfg.Stage.Streams <= 0 {
 		cfg.Stage.Streams = 4
-	}
-	if cfg.Batch.MaxJobs <= 0 {
-		cfg.Batch.MaxJobs = 32
-	}
-	if cfg.Wire.Codec == "" {
-		cfg.Wire.Codec = wire.CodecBinary
 	}
 	a := &Agent{
 		cfg:        cfg,
@@ -634,7 +591,7 @@ func (a *Agent) recover() error {
 // addCancelTombstone records that the remote copy at contact must be
 // cancelled before this job's story is over. Persisted, so the
 // obligation survives agent restarts; the owner's GridManager retries
-// until cancelAcknowledged.
+// until the site acknowledges (cancelBatch).
 func (a *Agent) addCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 	if contact.JobID == "" {
 		return

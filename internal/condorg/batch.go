@@ -8,18 +8,19 @@ import (
 	"condorg/internal/obs"
 )
 
-// Batched task bodies. The per-site pipelines coalesce submits, probes,
-// and cancel tombstones bound for the same gatekeeper into single wire
-// frames (gram batch verbs); each body here fans per-entry results back
-// through exactly the same paths the per-job bodies use — applyRemoteStatus,
-// maybeResubmit, holdJob, submitFailed — so batching changes how many
-// frames cross the wire, never what happens to a job.
+// Batch task bodies: the GridManager's only route for submits, probes and
+// cancel tombstones. The per-site pipelines coalesce the ones bound for the
+// same gatekeeper into single wire frames (gram batch verbs), a lone job
+// being a batch of one; each body here fans per-entry results back to the
+// per-job paths — applyRemoteStatus, maybeResubmit, holdJob, submitFailed,
+// commitRetry — so how many jobs share a frame never changes what happens
+// to a job.
 
-// submitBatch runs the two-phase commit for several jobs bound to the
-// same gatekeeper as two frames: one gram.batch-submit for phase one,
-// then — after journaling every issued contact — one gram.batch-commit.
-// Per-entry failures flow through submitFailed individually; a commit
-// failure sends that entry to recovery, same as the per-job path.
+// submitBatch runs the two-phase commit for jobs bound to the same
+// gatekeeper as two frames: one gram.batch-submit for phase one, then —
+// after journaling every issued contact — one gram.batch-commit. Per-entry
+// failures flow through submitFailed individually; a commit failure sends
+// that entry to recovery.
 func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	type member struct {
 		rec   *jobRecord
@@ -45,10 +46,6 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		rec.mu.Unlock()
 	}
 	if len(ms) == 0 {
-		return
-	}
-	if len(ms) == 1 {
-		gm.submit(ms[0].rec)
 		return
 	}
 	start := time.Now()
@@ -97,8 +94,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	cerrs, err := gm.gram.BatchCommit(site, ids)
 	if err != nil {
 		// The whole commit frame was lost: every journaled contact goes
-		// to recovery, where the idempotent per-job Commit settles it —
-		// same as the single-job COMMIT_RETRY path.
+		// to recovery, where the idempotent per-job Commit settles it.
 		for _, cm := range coms {
 			gm.commitRetry(cm.rec, err)
 		}
@@ -136,12 +132,12 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 	gm.mu.Unlock()
 }
 
-// probeBatch is the coalesced §4.2 failure detector (a taskBatchProbe
-// body): one jm.batch-status frame to the gatekeeper covers every member,
-// and per-entry results fan back through applyRemoteStatus exactly as a
-// per-job probe would. A member whose JobManager died (JMAlive=false)
-// skips the ping ladder — the same frame already proved the gatekeeper
-// alive — and goes straight to the restart flow.
+// probeBatch is the §4.2 failure detector (a taskProbe body): "The
+// GridManager detects remote failures by periodically probing the
+// JobManagers of all the jobs it manages." One jm.batch-status frame to the
+// gatekeeper covers every member. A member whose JobManager died
+// (JMAlive=false) goes straight to the restart flow — the same frame
+// already proved the gatekeeper alive.
 func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	type member struct {
 		rec     *jobRecord
@@ -168,18 +164,12 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	results, err := gm.gram.BatchStatus(gkAddr, ids)
 	if err != nil {
 		// Transport failure: one gatekeeper ping decides for the whole
-		// batch — the members share the machine, so N individual probe
-		// ladders would reach the same verdict N times slower.
+		// batch — the members share the machine. A gatekeeper that
+		// answers leaves the members for the next tick.
 		if gkErr := gm.gram.PingGatekeeper(gkAddr); gkErr != nil {
 			for _, m := range ms {
 				gm.markDisconnected(m.rec, gkAddr)
 			}
-			return
-		}
-		// Gatekeeper answers but the batch frame failed; per-job probes
-		// sort out which members are affected.
-		for _, m := range ms {
-			gm.probeJob(m.rec)
 		}
 		return
 	}
@@ -191,7 +181,7 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 			case faultclass.SiteLost:
 				// The site is alive but has no record of the job — it
 				// can never finish there. Same verdict as a failed
-				// jm-restart on the per-job ladder.
+				// jm-restart.
 				gm.agent.log(m.rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", r.Err)
 				gm.maybeResubmit(m.rec, gram.StatusInfo{
 					State: gram.StateFailed,
@@ -213,10 +203,17 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	}
 }
 
-// cancelBatch retries several cancel tombstones at one site in a single
-// jm.batch-cancel frame (a taskBatchCancel body). Any remote per-entry
-// answer other than AuthExpired acknowledges that tombstone, with the
-// same reasoning as cancelAcknowledged.
+// cancelBatch tries once to get a site to acknowledge the cancel of old
+// incarnations (a taskCancel body): one jm.batch-cancel frame to the
+// gatekeeper, which kills through the site's LRM, so a dead JobManager
+// needs no restart first. Any per-entry answer — success or an
+// application-level error such as "no such job" — acknowledges that
+// tombstone: the site is alive and either cancelled the job or never knew
+// it. The exceptions keep the tombstone for the dispatcher to retry at
+// probe pace: a transport failure (the site never heard us) and
+// AuthExpired (a refreshed credential might let the old copy proceed, so
+// the cancel must land for real). Only an acknowledged cancel clears the
+// tombstone and (if nothing else is outstanding) lets the manager retire.
 func (gm *GridManager) cancelBatch(pairs []cancelPair) {
 	gkAddr := pairs[0].contact.GatekeeperAddr
 	ids := make([]string, len(pairs))
@@ -225,14 +222,12 @@ func (gm *GridManager) cancelBatch(pairs []cancelPair) {
 	}
 	results, err := gm.gram.BatchCancel(gkAddr, ids)
 	if err != nil {
-		// Transport failure: the tombstones stay; the dispatcher retries
-		// them next tick.
 		return
 	}
 	for i, r := range results {
 		p := pairs[i]
 		if r != nil && faultclass.ClassOf(r) == faultclass.AuthExpired {
-			continue // the cancel must land for real; keep the tombstone
+			continue
 		}
 		gm.agent.trace(p.rec, obs.PhaseCancelAck, "", "old copy "+p.contact.JobID+" confirmed cancelled")
 		gm.agent.ackCancelTombstone(p.rec, p.contact)

@@ -1,133 +1,92 @@
 package condorg
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"condorg/internal/faultclass"
 	"condorg/internal/gram"
-	"condorg/internal/wire"
 )
 
-// methodCounter counts dispatched RPCs per method through the wire fault
-// Delay hook (zero delay, so it observes without perturbing).
-type methodCounter struct {
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func newMethodCounter(faults *wire.Faults) *methodCounter {
-	mc := &methodCounter{counts: map[string]int{}}
-	faults.SetDelay(func(method string) time.Duration {
-		mc.mu.Lock()
-		mc.counts[method]++
-		mc.mu.Unlock()
-		return 0
-	})
-	return mc
-}
-
-func (mc *methodCounter) get(method string) int {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.counts[method]
-}
-
-func (mc *methodCounter) reset() {
-	mc.mu.Lock()
-	mc.counts = map[string]int{}
-	mc.mu.Unlock()
-}
-
-// The acceptance criterion for batched probing: N jobs at one site cost
-// at most ceil(N/Batch.MaxJobs) status RPCs per probe tick, all addressed
-// to the gatekeeper, with ZERO per-JobManager jm.status traffic.
+// The acceptance criterion for probing: N jobs at one site cost at most
+// ceil(N/maxBatch) status RPCs per probe tick, all addressed to the
+// gatekeeper, with ZERO per-JobManager jm.status traffic — a lone job is a
+// batch of one, and a failed frame never falls back to per-job probes.
 func TestBatchedProbeSweepCoalescesRPCs(t *testing.T) {
-	runs := &atomic.Int64{}
-	faults := &wire.Faults{}
-	site := newFaultySite(t, "wisc", runs, faults) // gk + jm share the hook set
-	mc := newMethodCounter(faults)
+	for _, n := range []int{1, 12, 33} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			runs := &atomic.Int64{}
+			vc := &verbCounts{}
+			site := newFaultySite(t, "wisc", runs, vc.faults()) // gk + jm share the hook set
 
-	const interval = 30 * time.Millisecond
-	agent, err := NewAgent(AgentConfig{
-		StateDir: t.TempDir(),
-		Selector: StaticSelector(site.GatekeeperAddr()),
-		Probe:    ProbeOptions{Interval: interval},
-		Batch:    BatchOptions{MaxJobs: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(agent.Close)
-
-	const n = 12
-	ids := make([]string, n)
-	for i := range ids {
-		id, err := agent.Submit(SubmitRequest{
-			Owner: "u", Executable: gram.Program("task"), Args: []string{"10s"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	// Wait until every job holds a site contact, so each is probe-eligible.
-	deadline := time.Now().Add(8 * time.Second)
-	for {
-		have := 0
-		for _, id := range ids {
-			info, err := agent.Status(id)
+			const interval = 30 * time.Millisecond
+			agent, err := NewAgent(AgentConfig{
+				StateDir: t.TempDir(),
+				Selector: StaticSelector(site.GatekeeperAddr()),
+				Probe:    ProbeOptions{Interval: interval},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Contact.JobID != "" {
-				have++
+			t.Cleanup(agent.Close)
+
+			ids := make([]string, n)
+			for i := range ids {
+				id, err := agent.Submit(SubmitRequest{
+					Owner: "u", Executable: gram.Program("task"), Args: []string{"10s"},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
 			}
-		}
-		if have == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d jobs obtained contacts", have, n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+			// Wait until every job holds a site contact, so each is probe-eligible.
+			waitFor(t, "every job to obtain a contact", 8*time.Second, func() bool {
+				for _, id := range ids {
+					if info, err := agent.Status(id); err != nil || info.Contact.JobID == "" {
+						return false
+					}
+				}
+				return true
+			})
 
-	mc.reset()
-	const window = 12 * interval
-	time.Sleep(window)
+			vc.reset()
+			const window = 12 * interval
+			time.Sleep(window)
 
-	perJob := mc.get("jm.status")
-	batched := mc.get("jm.batch-status")
-	if perJob != 0 {
-		t.Fatalf("probe sweep issued %d per-JobManager jm.status RPCs; want 0 (all batched)", perJob)
-	}
-	if batched == 0 {
-		t.Fatal("no jm.batch-status traffic during the probe window")
-	}
-	// ceil(12/4) = 3 frames per tick; allow two ticks of scheduling slack.
-	maxTicks := int(window/interval) + 2
-	if limit := maxTicks * 3; batched > limit {
-		t.Fatalf("probe window issued %d batch-status RPCs, want <= %d (%d ticks x 3 chunks)",
-			batched, limit, maxTicks)
+			if perJob := vc.get("jm.status"); perJob != 0 {
+				t.Fatalf("probe sweep issued %d per-JobManager jm.status RPCs; want 0", perJob)
+			}
+			batched := vc.get("jm.batch-status")
+			if batched == 0 {
+				t.Fatal("no jm.batch-status traffic during the probe window")
+			}
+			// ceil(n/maxBatch) frames per tick; allow two ticks of scheduling slack.
+			perTick := (n + maxBatch - 1) / maxBatch
+			maxTicks := int(window/interval) + 2
+			if limit := maxTicks * perTick; batched > limit {
+				t.Fatalf("probe window issued %d batch-status RPCs, want <= %d (%d ticks x %d chunks)",
+					batched, limit, maxTicks, perTick)
+			}
+		})
 	}
 }
 
 // A burst of same-site submissions must coalesce into batch frames: the
-// submit phase crosses the wire in strictly fewer frames than jobs.
+// submit phase crosses the wire in strictly fewer frames than jobs. The
+// gatekeeper holds each batch-submit a while, so the burst queues behind
+// the frames in flight.
 func TestSubmitBurstCoalesces(t *testing.T) {
 	runs := &atomic.Int64{}
-	faults := &wire.Faults{}
-	site := newFaultySite(t, "wisc", runs, faults)
-	mc := newMethodCounter(faults)
+	vc := &verbCounts{delay: map[string]time.Duration{"gram.batch-submit": 50 * time.Millisecond}}
+	site := newFaultySite(t, "wisc", runs, vc.faults())
 
 	agent, err := NewAgent(AgentConfig{
 		StateDir: t.TempDir(),
 		Selector: StaticSelector(site.GatekeeperAddr()),
 		Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
-		Batch:    BatchOptions{MaxJobs: 8, MaxDelay: 25 * time.Millisecond},
 		Stage:    StageOptions{Disabled: true},
 	})
 	if err != nil {
@@ -152,14 +111,8 @@ func TestSubmitBurstCoalesces(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("%d executions for %d jobs", runs.Load(), n)
 	}
-	singles := mc.get("gram.submit")
-	batches := mc.get("gram.batch-submit")
-	if batches == 0 {
-		t.Fatalf("burst of %d jobs produced no batch-submit frames (%d singles)", n, singles)
-	}
-	if frames := singles + batches; frames >= n {
-		t.Fatalf("submit phase used %d frames for %d jobs (%d single + %d batch) — no coalescing",
-			frames, n, singles, batches)
+	if frames := vc.get("gram.batch-submit"); frames >= n {
+		t.Fatalf("submit phase used %d frames for %d jobs — no coalescing", frames, n)
 	}
 }
 
@@ -169,7 +122,8 @@ func TestSubmitBurstCoalesces(t *testing.T) {
 // instead of running anything twice.
 func TestMidBatchResetSettlesExactlyOnce(t *testing.T) {
 	runs := &atomic.Int64{}
-	faults := &wire.Faults{}
+	vc := &verbCounts{delay: map[string]time.Duration{"gram.batch-submit": 50 * time.Millisecond}}
+	faults := vc.faults()
 	site := newFaultySite(t, "wisc", runs, faults)
 	var torn atomic.Bool
 	faults.SetConn(nil, nil, func(method string) bool {
@@ -181,7 +135,6 @@ func TestMidBatchResetSettlesExactlyOnce(t *testing.T) {
 		StateDir: t.TempDir(),
 		Selector: StaticSelector(site.GatekeeperAddr()),
 		Probe:    ProbeOptions{Interval: 25 * time.Millisecond},
-		Batch:    BatchOptions{MaxJobs: 8, MaxDelay: 25 * time.Millisecond},
 		Stage:    StageOptions{Disabled: true},
 		Breaker: faultclass.BreakerConfig{
 			Threshold: 1000,
@@ -213,44 +166,5 @@ func TestMidBatchResetSettlesExactlyOnce(t *testing.T) {
 	}
 	if runs.Load() != n {
 		t.Fatalf("%d executions for %d jobs after a mid-batch reset — exactly-once violated", runs.Load(), n)
-	}
-}
-
-// MaxJobs=1 must disable batching outright: the wire sees only the v1
-// per-job verbs.
-func TestBatchDisabledUsesPerJobVerbs(t *testing.T) {
-	runs := &atomic.Int64{}
-	faults := &wire.Faults{}
-	site := newFaultySite(t, "wisc", runs, faults)
-	mc := newMethodCounter(faults)
-
-	agent, err := NewAgent(AgentConfig{
-		StateDir: t.TempDir(),
-		Selector: StaticSelector(site.GatekeeperAddr()),
-		Probe:    ProbeOptions{Interval: 25 * time.Millisecond},
-		Batch:    BatchOptions{MaxJobs: 1},
-		Stage:    StageOptions{Disabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(agent.Close)
-
-	for i := 0; i < 4; i++ {
-		id, err := agent.Submit(SubmitRequest{
-			Owner: "u", Executable: gram.Program("task"), Args: []string{"60ms"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitAgentState(t, agent, id, Completed)
-	}
-	for _, m := range []string{"gram.batch-submit", "gram.batch-commit", "jm.batch-status", "jm.batch-cancel"} {
-		if c := mc.get(m); c != 0 {
-			t.Fatalf("MaxJobs=1 still issued %d %s frames", c, m)
-		}
-	}
-	if mc.get("gram.submit") != 4 {
-		t.Fatalf("expected 4 per-job submits, got %d", mc.get("gram.submit"))
 	}
 }

@@ -170,106 +170,167 @@ func TestRecoveryReconnectsAcrossPartition(t *testing.T) {
 	}
 }
 
-// TestMigrationCancelRetriedUntilAcked: when the cancel of the old queued
-// copy is lost (the old JobManager silently drops jm.cancel), the agent
-// must keep a tombstone and retry from the probe loop until the site
-// acknowledges — otherwise the old copy could run later and the job would
-// execute twice.
-func TestMigrationCancelRetriedUntilAcked(t *testing.T) {
-	runs := &atomic.Int64{}
-	dropCancels := &atomic.Bool{}
-	dropCancels.Store(true)
-	jmFaults := &wire.Faults{}
-	jmFaults.DropRequest = func(method string) bool {
-		return method == "jm.cancel" && dropCancels.Load()
-	}
+// migrationWorld is a busy site whose only CPU is held by a hog the test
+// releases at will — so a copy left queued there would run — a free site,
+// and an agent that binds the first job to the busy site and migrates it
+// after 120 ms.
+type migrationWorld struct {
+	busy    *gram.Site
+	release chan struct{}
+	runs    *atomic.Int64
+	agent   *Agent
+}
 
-	// Busy site: one CPU held by a hog we can release later, so the old
-	// copy stays queued — and would run if its cancel never landed.
-	release := make(chan struct{})
+func newMigrationWorld(t *testing.T, busyFaults *wire.Faults) *migrationWorld {
+	t.Helper()
+	w := &migrationWorld{release: make(chan struct{}), runs: &atomic.Int64{}}
 	cluster, err := lrm.NewCluster(lrm.Config{Name: "busy", Cpus: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cluster.Submit(lrm.Job{ID: "hog", Owner: "other", Run: func(ctx context.Context) error {
 		select {
-		case <-release:
+		case <-w.release:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}}, 0)
-	busy, err := gram.NewSite(gram.SiteConfig{
+	w.busy, err = gram.NewSite(gram.SiteConfig{
 		Name:             "busy",
 		Cluster:          cluster,
-		Runtime:          buildRuntime(runs),
+		Runtime:          buildRuntime(w.runs),
 		StateDir:         t.TempDir(),
-		JobManagerFaults: jmFaults,
+		GatekeeperFaults: busyFaults,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer busy.Close()
-	free := newSite(t, "free", runs, t.TempDir(), "")
-	defer free.Close()
+	t.Cleanup(w.busy.Close)
+	free := newSite(t, "free", w.runs, t.TempDir(), "")
+	t.Cleanup(free.Close)
 
-	sel := &switchSelector{busy: busy.GatekeeperAddr(), free: free.GatekeeperAddr()}
-	agent, err := NewAgent(AgentConfig{
+	w.agent, err = NewAgent(AgentConfig{
 		StateDir: t.TempDir(),
-		Selector: sel,
+		Selector: &switchSelector{busy: w.busy.GatekeeperAddr(), free: free.GatekeeperAddr()},
 		Probe:    ProbeOptions{Interval: 30 * time.Millisecond},
 		Retry:    RetryOptions{MigrateAfter: 120 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agent.Close()
+	t.Cleanup(w.agent.Close)
+	return w
+}
 
-	id, err := agent.Submit(SubmitRequest{
+// migrateOnce submits one job and waits until it has completed at the free
+// site, leaving its busy-site copy behind a cancel tombstone.
+func (w *migrationWorld) migrateOnce(t *testing.T) JobInfo {
+	t.Helper()
+	id, err := w.agent.Submit(SubmitRequest{
 		Owner: "u", Executable: gram.Program("task"), Args: []string{"20ms"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The job migrates and completes at the free site, but the cancel of
-	// the old copy keeps being dropped: a tombstone must be pending.
-	info := waitAgentState(t, agent, id, Completed)
+	info := waitAgentState(t, w.agent, id, Completed)
 	if info.Migrations < 1 {
 		t.Fatalf("migrations = %d, want >= 1", info.Migrations)
 	}
 	if len(info.CancelPending) == 0 {
 		t.Fatalf("no cancel tombstone recorded while cancels are dropped: %+v", info)
 	}
+	return info
+}
+
+// waitCancelAcked waits for the job's tombstones to clear, then frees the
+// busy site's CPU: a surviving old copy would now run. It must not — the
+// acknowledged cancel removed it from the queue.
+func (w *migrationWorld) waitCancelAcked(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(8 * time.Second)
+	for {
+		info, _ := w.agent.Status(id)
+		if len(info.CancelPending) == 0 && strings.Contains(fmt2str(info.Log), "CANCEL_ACKED") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cancel tombstone never acknowledged: %+v\nlog:\n%s", info.CancelPending, fmt2str(info.Log))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	close(w.release)
+	time.Sleep(300 * time.Millisecond)
+	if got := w.runs.Load(); got != 1 {
+		t.Fatalf("job ran %d times, want exactly once (old copy executed after migration)", got)
+	}
+}
+
+// TestMigrationCancelRetriedUntilAcked: when the cancel of the old queued
+// copy is lost (the old gatekeeper silently drops jm.batch-cancel), the
+// agent must keep a tombstone and retry from the probe loop until the site
+// acknowledges — otherwise the old copy could run later and the job would
+// execute twice.
+func TestMigrationCancelRetriedUntilAcked(t *testing.T) {
+	dropCancels := &atomic.Bool{}
+	dropCancels.Store(true)
+	gkFaults := &wire.Faults{}
+	gkFaults.DropRequest = func(method string) bool {
+		return method == "jm.batch-cancel" && dropCancels.Load()
+	}
+	w := newMigrationWorld(t, gkFaults)
+
+	// The job migrates and completes at the free site, but the cancel of
+	// the old copy keeps being dropped: a tombstone must be pending.
+	info := w.migrateOnce(t)
 	// The manager must not retire with an unacknowledged cancel.
 	time.Sleep(100 * time.Millisecond)
-	if n := agent.ActiveGridManagers(); n != 1 {
+	if n := w.agent.ActiveGridManagers(); n != 1 {
 		t.Fatalf("manager retired (%d active) with a cancel still pending", n)
 	}
 
 	// Let cancels through: the probe loop retries and clears the tombstone.
 	dropCancels.Store(false)
-	deadline := time.Now().Add(8 * time.Second)
-	for {
-		info, _ = agent.Status(id)
-		if len(info.CancelPending) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cancel tombstone never cleared: %+v\nlog:\n%s", info.CancelPending, fmt2str(info.Log))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !strings.Contains(fmt2str(info.Log), "CANCEL_ACKED") {
-		t.Fatalf("no CANCEL_ACKED event in log:\n%s", fmt2str(info.Log))
-	}
+	w.waitCancelAcked(t, info.ID)
+}
 
-	// Free the busy site's CPU: a surviving old copy would now run. It
-	// must not — the acknowledged cancel removed it from the queue.
-	close(release)
-	time.Sleep(300 * time.Millisecond)
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("job ran %d times, want exactly once (old copy executed after migration)", got)
+// TestMigrationCancelNeedsNoJobManager: the tombstone of a migrated job
+// whose old JobManager has crashed is acknowledged by one jm.batch-cancel at
+// the old gatekeeper, which kills the copy through its LRM — no JobManager
+// is restarted just to be told to cancel.
+func TestMigrationCancelNeedsNoJobManager(t *testing.T) {
+	holdCancels := &atomic.Bool{}
+	holdCancels.Store(true)
+	var cancels, restarts atomic.Int64
+	gkFaults := &wire.Faults{}
+	gkFaults.DropRequest = func(method string) bool {
+		switch method {
+		case "jm.batch-cancel":
+			if holdCancels.Load() {
+				return true
+			}
+			cancels.Add(1)
+		case "gram.jm-restart":
+			restarts.Add(1)
+		}
+		return false
+	}
+	w := newMigrationWorld(t, gkFaults)
+
+	info := w.migrateOnce(t)
+	if err := w.busy.CrashJobManager(info.CancelPending[0].JobID); err != nil {
+		t.Fatal(err)
+	}
+	holdCancels.Store(false)
+	w.waitCancelAcked(t, info.ID)
+	if n := cancels.Load(); n != 1 {
+		t.Errorf("%d jm.batch-cancel requests acknowledged the tombstone, want 1", n)
+	}
+	if n := restarts.Load(); n != 0 {
+		t.Errorf("%d gram.jm-restart requests at the old site, want 0", n)
+	}
+	if n := w.busy.LiveJobManagers(); n != 0 {
+		t.Errorf("%d live JobManagers at the old site, want 0", n)
 	}
 }
 

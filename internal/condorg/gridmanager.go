@@ -23,8 +23,7 @@ type GridManager struct {
 	agent   *Agent
 	owner   string
 	gram    *gram.Client
-	perSite int          // per-gatekeeper in-flight cap (AgentConfig.Pipeline)
-	batch   BatchOptions // wire-layer verb coalescing (AgentConfig.Batch)
+	perSite int // per-gatekeeper in-flight cap (AgentConfig.Pipeline)
 
 	mu          sync.Mutex
 	pending     []*jobRecord // awaiting first submission (or resubmission)
@@ -52,7 +51,6 @@ func newGridManager(a *Agent, owner string, cred *gsi.Credential) *GridManager {
 		owner:       owner,
 		gram:        gram.NewClient(cred, a.cfg.Clock),
 		perSite:     a.cfg.Pipeline.PerSiteInFlight,
-		batch:       a.cfg.Batch,
 		workers:     make(map[string]*siteWorker),
 		cancelBusy:  make(map[string]bool),
 		credBusy:    make(map[string]bool),
@@ -62,7 +60,6 @@ func newGridManager(a *Agent, owner string, cred *gsi.Credential) *GridManager {
 		stopCh:      make(chan struct{}),
 		wake:        make(chan struct{}, 1),
 	}
-	gm.gram.SetWire(a.cfg.Wire.Codec, a.cfg.Wire.NoSession)
 	gm.gram.SetTimeouts(300*time.Millisecond, 2)
 	gm.gram.SetBreakerConfig(a.cfg.Breaker)
 	gm.gram.SetObs(a.obs)
@@ -233,48 +230,6 @@ func (gm *GridManager) retire() bool {
 	return true
 }
 
-// submit runs the two-phase commit for one job (a taskSubmit body).
-func (gm *GridManager) submit(rec *jobRecord) {
-	rec.mu.Lock()
-	if rec.State.Terminal() || rec.State == Held {
-		rec.mu.Unlock()
-		return
-	}
-	site := rec.Site
-	spec := rec.Spec
-	subID := rec.SubmissionID
-	rec.mu.Unlock()
-
-	start := time.Now()
-	contact, err := gm.gram.Submit(site, spec, gram.SubmitOptions{
-		SubmissionID: subID,
-		Callback:     gm.agent.cbSrv.Addr(),
-		Delegate:     gm.agent.cfg.Delegate,
-	})
-	if err != nil {
-		gm.submitFailed(rec, site, err)
-		return
-	}
-	rec.mu.Lock()
-	rec.Contact = contact
-	gm.agent.traceLocked(rec, obs.PhaseGridSubmit, "", "site issued "+contact.JobID)
-	rec.mu.Unlock()
-	gm.agent.mu.Lock()
-	gm.agent.bySiteJob[contact.JobID] = rec.ID
-	gm.agent.mu.Unlock()
-	// Journal the contact BEFORE committing: recovery after a crash here
-	// reconnects rather than resubmits.
-	gm.agent.persist(rec)
-	if err := gm.gram.Commit(contact); err != nil {
-		gm.commitRetry(rec, err)
-		return
-	}
-	gm.agent.obs.Histogram("gm_two_phase_seconds").Observe(time.Since(start).Seconds())
-	gm.agent.obs.Counter(obs.Key("gm_site_submits_total", "site", site)).Inc()
-	gm.agent.trace(rec, obs.PhaseCommit, "", "two-phase commit complete")
-	gm.agent.log(rec, "GRID_SUBMIT", "job submitted to %s as %s", site, contact.JobID)
-}
-
 // pendingLater re-queues a job for the next loop pass. Caller holds gm.mu.
 func (gm *GridManager) pendingLater(rec *jobRecord) {
 	gm.pending = append(gm.pending, rec)
@@ -365,42 +320,6 @@ func (gm *GridManager) recoverJob(rec *jobRecord) {
 	}
 }
 
-// probeJob is the per-job §4.2 failure detector (a taskProbe body): "The
-// GridManager detects remote failures by periodically probing the
-// JobManagers of all the jobs it manages."
-func (gm *GridManager) probeJob(rec *jobRecord) {
-	rec.mu.Lock()
-	contact := rec.Contact
-	rec.mu.Unlock()
-
-	st, err := gm.gram.Status(contact)
-	if err == nil {
-		gm.agent.applyRemoteStatus(rec, st)
-		gm.maybeResubmit(rec, st)
-		gm.maybeMigrate(rec, st)
-		return
-	}
-	// A JobManager exits once the agent has acknowledged Done; a probe that
-	// was already in flight then finds nobody home, and nothing is wrong.
-	rec.mu.Lock()
-	settled := rec.State.Terminal() || rec.State == Held || rec.Contact != contact
-	rec.mu.Unlock()
-	if settled {
-		// The failed call re-created what finishJob had dropped.
-		gm.gram.ForgetJobManager(contact.JobManagerAddr)
-		return
-	}
-	// "If a JobManager fails to respond, the GridManager then probes the
-	// GateKeeper for that machine."
-	if gkErr := gm.gram.PingGatekeeper(contact.GatekeeperAddr); gkErr != nil {
-		gm.markDisconnected(rec, contact.GatekeeperAddr)
-		return
-	}
-	// Gatekeeper lives: the JobManager alone crashed (or exited after the
-	// job completed during a partition).
-	gm.restartJobManagerFor(rec, contact)
-}
-
 // markDisconnected records that a job's site is unreachable. "Either the
 // whole resource management machine crashed or there is a network failure
 // (the GridManager cannot distinguish these two cases) ... the
@@ -423,9 +342,18 @@ func (gm *GridManager) markDisconnected(rec *jobRecord, gkAddr string) {
 // restartJobManagerFor runs the tail of the §4.2 ladder for a job whose
 // JobManager is dead but whose Gatekeeper answers: "The GridManager
 // starts a new JobManager, which will resume watching the job or tell the
-// GridManager that the job has completed." Shared by the per-job probe
-// and the batched probe (whose JMAlive=false entries land here).
+// GridManager that the job has completed." The probe's JMAlive=false
+// entries land here.
 func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobContact) {
+	// The same probe may have migrated or resubmitted the job (and a user
+	// may release it from hold meanwhile): a replacement would serve an
+	// incarnation the record has left behind.
+	rec.mu.Lock()
+	moved := rec.Contact != contact
+	rec.mu.Unlock()
+	if moved {
+		return
+	}
 	newContact, err := gm.gram.RestartJobManager(contact)
 	if err != nil {
 		if wire.IsRemote(err) && faultclass.ClassOf(err) == faultclass.SiteLost {
@@ -443,6 +371,10 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 		return
 	}
 	rec.mu.Lock()
+	if rec.Contact != contact {
+		rec.mu.Unlock()
+		return
+	}
 	rec.Contact = newContact
 	wasDisconnected := rec.Disconnected
 	rec.Disconnected = false
@@ -599,49 +531,6 @@ func (gm *GridManager) healthView() HealthView {
 	}
 }
 
-// cancelOldCopy tries once to get the site to acknowledge the cancel of an
-// old incarnation (a taskCancel body), clearing the tombstone on success.
-// Retries are dispatched at probe pace on the old site's pipeline, so a
-// cancel lost to a partition keeps being retried until the site confirms
-// the old copy cannot run — only then is the tombstone cleared and (if
-// nothing else is outstanding) the manager allowed to retire.
-func (gm *GridManager) cancelOldCopy(rec *jobRecord, contact gram.JobContact) {
-	if gm.cancelAcknowledged(contact) {
-		gm.agent.trace(rec, obs.PhaseCancelAck, "", "old copy "+contact.JobID+" confirmed cancelled")
-		gm.agent.ackCancelTombstone(rec, contact)
-		gm.agent.log(rec, "CANCEL_ACKED", "old copy %s confirmed cancelled", contact.JobID)
-	}
-}
-
-// cancelAcknowledged reports whether the site has confirmed that the old
-// incarnation can no longer run. Any remote answer — success or an
-// application-level error such as "no such job" — counts: the site is
-// alive and either cancelled the job or never knew it. The exceptions are
-// transport failures (the site never heard us; retry later) and
-// AuthExpired (a refreshed credential might let the old copy proceed, so
-// the cancel must land for real).
-func (gm *GridManager) cancelAcknowledged(contact gram.JobContact) bool {
-	acked := func(err error) bool {
-		return err == nil ||
-			(wire.IsRemote(err) && faultclass.ClassOf(err) != faultclass.AuthExpired)
-	}
-	err := gm.gram.Cancel(contact)
-	if err == nil || wire.IsRemote(err) {
-		return acked(err)
-	}
-	// The old JobManager is unreachable; ask its Gatekeeper to restart it
-	// so the cancel has a live endpoint to land on.
-	newContact, rerr := gm.gram.RestartJobManager(contact)
-	if rerr != nil {
-		if wire.IsRemote(rerr) {
-			// Site answered "cannot restart" — the job is gone there.
-			return acked(rerr)
-		}
-		return false // site unreachable: keep the tombstone
-	}
-	return acked(gm.gram.Cancel(newContact))
-}
-
 // maxCredRefreshTries bounds in-band re-delegation attempts that reached
 // the network and failed; exhaustion falls back to hold-and-notify.
 // Breaker fast-fails never burn the budget — the dispatcher parks the
@@ -686,7 +575,7 @@ func (gm *GridManager) dispatchCredRefresh() {
 		}
 		gm.credBusy[rec.ID] = true
 		gm.mu.Unlock()
-		gm.enqueueTask(addr, gmTask{kind: taskRefreshCred, rec: rec})
+		gm.enqueueTask(addr, gmTask{kind: taskRefreshCred, recs: []*jobRecord{rec}})
 	}
 }
 

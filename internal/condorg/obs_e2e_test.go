@@ -324,8 +324,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"agent_submit_seconds",
 		"agent_wait_seconds",
 		"journal_appends_total",
-		obs.Key("gram_rtt_seconds", "verb", "submit"),
-		obs.Key("gram_rtt_seconds", "verb", "commit"),
+		obs.Key("gram_rtt_seconds", "verb", "batch-submit"),
+		obs.Key("gram_rtt_seconds", "verb", "batch-commit"),
 	} {
 		m, ok := byName[name]
 		if !ok {

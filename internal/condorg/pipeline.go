@@ -1,8 +1,6 @@
 package condorg
 
 import (
-	"time"
-
 	"condorg/internal/faultclass"
 	"condorg/internal/gram"
 	"condorg/internal/obs"
@@ -27,18 +25,22 @@ import (
 //     callbacks by contact identity.
 //   - Retirement waits for the task ledger to drain (gm.outstanding), so
 //     tryRetire cannot close the GRAM client under a live worker.
+//
+// Submits, probes and cancels are batch tasks: each carries up to maxBatch
+// same-site jobs in one gram batch frame, a lone job being a batch of one.
+
+// maxBatch caps the jobs carried in one batch frame.
+const maxBatch = 32
 
 // taskKind enumerates the work a site worker executes.
 type taskKind int
 
 const (
-	taskSubmit      taskKind = iota // two-phase commit of a new/resubmitted job
+	taskSubmit      taskKind = iota // two-phase commit of new/resubmitted jobs
 	taskRecover                     // re-verify a job recovered with a contact
-	taskProbe                       // §4.2 liveness probe of one job
-	taskCancel                      // retry one cancel tombstone
+	taskProbe                       // §4.2 liveness probe of jobs at one site
+	taskCancel                      // retry cancel tombstones at one site
 	taskStage                       // chunked executable pre-stage to the site
-	taskBatchProbe                  // coalesced §4.2 probe of several jobs at one site
-	taskBatchCancel                 // coalesced cancel of several tombstones at one site
 	taskRefreshCred                 // in-band credential re-delegation to one job manager
 )
 
@@ -54,10 +56,6 @@ func (k taskKind) String() string {
 		return "cancel"
 	case taskStage:
 		return "stage"
-	case taskBatchProbe:
-		return "batch-probe"
-	case taskBatchCancel:
-		return "batch-cancel"
 	case taskRefreshCred:
 		return "refresh-cred"
 	}
@@ -65,21 +63,30 @@ func (k taskKind) String() string {
 }
 
 // cancelPair is one tombstone: the record plus the OLD incarnation's
-// contact the cancel must reach.
+// contact the cancel must reach (the record's own contact may have moved
+// on).
 type cancelPair struct {
 	rec     *jobRecord
 	contact gram.JobContact
 }
 
-// gmTask is one unit of per-site work. contact is set only for cancels
-// (the OLD incarnation's contact; the record's own contact may have moved
-// on); recs/pairs carry the members of a batched task.
+// gmTask is one unit of per-site work: recs holds its jobs (exactly one
+// for recover, stage and refresh-cred), pairs a cancel task's tombstones.
 type gmTask struct {
-	kind    taskKind
-	rec     *jobRecord
-	contact gram.JobContact
-	recs    []*jobRecord // taskBatchProbe members
-	pairs   []cancelPair // taskBatchCancel members
+	kind  taskKind
+	recs  []*jobRecord
+	pairs []cancelPair
+}
+
+// chunks splits s into frames of at most maxBatch entries.
+func chunks[T any](s []T) [][]T {
+	var out [][]T
+	for len(s) > 0 {
+		n := min(maxBatch, len(s))
+		out = append(out, s[:n])
+		s = s[n:]
+	}
+	return out
 }
 
 // siteWorker is the per-gatekeeper pipeline: a FIFO of tasks drained by
@@ -135,49 +142,21 @@ func (gm *GridManager) workerLoop(w *siteWorker) {
 		}
 		t := w.queue[0]
 		w.queue = w.queue[1:]
-		// Opportunistic batch drain: a submit at the head of the queue
-		// pulls the other queued submits with it (up to Batch.MaxJobs)
-		// so a burst aimed at one gatekeeper goes out as one frame
-		// instead of one two-phase commit per worker pass.
-		var batch []gmTask
-		if t.kind == taskSubmit && gm.batch.MaxJobs > 1 {
-			batch = gm.drainSubmitsLocked(w, []gmTask{t})
-		}
+		// Each queued submit task carries one job; n counts the ledger
+		// entries this pass closes.
 		n := 1
-		if batch != nil {
-			n = len(batch)
+		if t.kind == taskSubmit {
+			gm.drainSubmitsLocked(w, &t)
+			n = len(t.recs)
 		}
 		w.inflight += n
 		gm.mu.Unlock()
 
-		if batch != nil {
-			if gm.batch.MaxDelay > 0 && len(batch) < gm.batch.MaxJobs {
-				// Hold the frame open briefly so the rest of a burst
-				// still in dispatch can join it.
-				sleepOrStop(gm.stopCh, gm.batch.MaxDelay)
-				gm.mu.Lock()
-				batch = gm.drainSubmitsLocked(w, batch)
-				w.inflight += len(batch) - n
-				n = len(batch)
-				gm.mu.Unlock()
-			}
-			gm.runBatchSubmit(batch)
-			gm.mu.Lock()
-			w.inflight -= n
-			gm.outstanding -= n
-			gm.mu.Unlock()
-			for _, bt := range batch {
-				gm.endTask(bt)
-			}
-			gm.poke()
-			continue
-		}
-
 		gm.runTask(t)
 
 		gm.mu.Lock()
-		w.inflight--
-		gm.outstanding--
+		w.inflight -= n
+		gm.outstanding -= n
 		gm.mu.Unlock()
 		gm.endTask(t)
 		// The task may have requeued its job (pending/recovery) or freed
@@ -186,46 +165,25 @@ func (gm *GridManager) workerLoop(w *siteWorker) {
 	}
 }
 
-// drainSubmitsLocked moves queued submit tasks into batch, preserving the
-// queue order of everything else, until batch reaches Batch.MaxJobs.
-// gm.mu held.
-func (gm *GridManager) drainSubmitsLocked(w *siteWorker, batch []gmTask) []gmTask {
-	if len(batch) >= gm.batch.MaxJobs {
-		return batch
-	}
+// drainSubmitsLocked pulls the site's other queued submits into t, up to
+// maxBatch jobs, preserving the queue order of everything else: a burst
+// aimed at one gatekeeper goes out as one frame instead of one two-phase
+// commit per worker pass. gm.mu held.
+func (gm *GridManager) drainSubmitsLocked(w *siteWorker, t *gmTask) {
 	rest := w.queue[:0]
 	for _, qt := range w.queue {
-		if qt.kind == taskSubmit && len(batch) < gm.batch.MaxJobs {
-			batch = append(batch, qt)
+		if qt.kind == taskSubmit && len(t.recs) < maxBatch {
+			t.recs = append(t.recs, qt.recs...)
 		} else {
 			rest = append(rest, qt)
 		}
 	}
 	w.queue = rest
-	return batch
 }
 
-// runBatchSubmit executes a coalesced submit batch. The batch holds one
-// slot of the agent-wide cap (it is one RPC stream), while the per-task
-// ledger entries (outstanding, opBusy) stay per job.
-func (gm *GridManager) runBatchSubmit(batch []gmTask) {
-	sem := gm.agent.pipeSem
-	if !sem.tryAcquire() {
-		gm.agent.obs.Counter("gm_worker_stalls_total").Inc()
-		if !sem.acquire(gm.owner, gm.stopCh) {
-			return
-		}
-	}
-	defer sem.release()
-	gm.agent.obs.Counter(obs.Key("gm_tasks_total", "kind", "batch-submit")).Inc()
-	recs := make([]*jobRecord, len(batch))
-	for i, t := range batch {
-		recs[i] = t.rec
-	}
-	gm.submitBatch(recs)
-}
-
-// runTask executes one task body under the agent-wide in-flight cap.
+// runTask executes one task body under the agent-wide in-flight cap. A
+// batch task holds one slot (it is one RPC stream), while its ledger
+// entries (outstanding, opBusy) stay per job.
 func (gm *GridManager) runTask(t gmTask) {
 	sem := gm.agent.pipeSem
 	if !sem.tryAcquire() {
@@ -240,31 +198,17 @@ func (gm *GridManager) runTask(t gmTask) {
 	gm.agent.obs.Counter(obs.Key("gm_tasks_total", "kind", t.kind.String())).Inc()
 	switch t.kind {
 	case taskSubmit:
-		gm.submit(t.rec)
+		gm.submitBatch(t.recs)
 	case taskRecover:
-		gm.recoverJob(t.rec)
+		gm.recoverJob(t.recs[0])
 	case taskProbe:
-		gm.probeJob(t.rec)
-	case taskCancel:
-		gm.cancelOldCopy(t.rec, t.contact)
-	case taskStage:
-		gm.stageJob(t.rec)
-	case taskBatchProbe:
 		gm.probeBatch(t.recs)
-	case taskBatchCancel:
+	case taskCancel:
 		gm.cancelBatch(t.pairs)
+	case taskStage:
+		gm.stageJob(t.recs[0])
 	case taskRefreshCred:
-		gm.refreshJobCred(t.rec)
-	}
-}
-
-// sleepOrStop waits for d unless stop closes first.
-func sleepOrStop(stop <-chan struct{}, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
+		gm.refreshJobCred(t.recs[0])
 	}
 }
 
@@ -274,30 +218,22 @@ func (gm *GridManager) endTask(t gmTask) {
 	switch t.kind {
 	case taskCancel:
 		gm.mu.Lock()
-		delete(gm.cancelBusy, cancelTaskKey(t.rec, t.contact))
-		gm.mu.Unlock()
-	case taskBatchCancel:
-		gm.mu.Lock()
 		for _, p := range t.pairs {
 			delete(gm.cancelBusy, cancelTaskKey(p.rec, p.contact))
 		}
 		gm.mu.Unlock()
-	case taskBatchProbe:
+	case taskRefreshCred:
+		// Re-delegations are keyed by job in credBusy, not opBusy: the
+		// refresh may run alongside a probe — they touch disjoint verbs.
+		gm.mu.Lock()
+		delete(gm.credBusy, t.recs[0].ID)
+		gm.mu.Unlock()
+	default:
 		for _, rec := range t.recs {
 			rec.mu.Lock()
 			rec.opBusy = false
 			rec.mu.Unlock()
 		}
-	case taskRefreshCred:
-		// Re-delegations are keyed by job in credBusy, not opBusy: the
-		// refresh may run alongside a probe — they touch disjoint verbs.
-		gm.mu.Lock()
-		delete(gm.credBusy, t.rec.ID)
-		gm.mu.Unlock()
-	default:
-		t.rec.mu.Lock()
-		t.rec.opBusy = false
-		t.rec.mu.Unlock()
 	}
 }
 
@@ -399,7 +335,7 @@ func (gm *GridManager) dispatchPending() {
 		if knownHash != "" {
 			gm.noteStageHit(site, knownHash)
 		}
-		gm.enqueueTask(site, gmTask{kind: kind, rec: rec})
+		gm.enqueueTask(site, gmTask{kind: kind, recs: []*jobRecord{rec}})
 	}
 	if len(parked) > 0 {
 		gm.mu.Lock()
@@ -430,7 +366,7 @@ func (gm *GridManager) dispatchRecovery() {
 		rec.opBusy = true
 		addr := rec.Contact.GatekeeperAddr
 		rec.mu.Unlock()
-		gm.enqueueTask(addr, gmTask{kind: taskRecover, rec: rec})
+		gm.enqueueTask(addr, gmTask{kind: taskRecover, recs: []*jobRecord{rec}})
 	}
 	if len(parked) > 0 {
 		gm.mu.Lock()
@@ -439,10 +375,11 @@ func (gm *GridManager) dispatchRecovery() {
 	}
 }
 
-// dispatchProbes queues one liveness probe per active job with a remote
-// contact. Probes to a breaker-open site fast-fail inside the worker (the
-// guard refuses them before any I/O), which is what keeps the job's
-// Disconnected flag honest at probe pace.
+// dispatchProbes queues the §4.2 liveness probe of every active job with a
+// remote contact: ceil(N/maxBatch) jm.batch-status frames per site,
+// addressed to the gatekeeper. Probes to a breaker-open site fast-fail
+// inside the worker (the guard refuses them before any I/O), which is what
+// keeps the job's Disconnected flag honest at probe pace.
 func (gm *GridManager) dispatchProbes() {
 	groups := make(map[string][]*jobRecord)
 	for _, rec := range gm.agent.activeJobs(gm.owner) {
@@ -454,41 +391,31 @@ func (gm *GridManager) dispatchProbes() {
 		}
 		addr := rec.Contact.GatekeeperAddr
 		rec.mu.Unlock()
-		if skip {
-			continue
+		if !skip {
+			groups[addr] = append(groups[addr], rec)
 		}
-		if gm.batch.MaxJobs <= 1 {
-			gm.enqueueTask(addr, gmTask{kind: taskProbe, rec: rec})
-			continue
-		}
-		groups[addr] = append(groups[addr], rec)
 	}
-	// Coalesce each site's probes into ceil(N/MaxJobs) batch-status
-	// frames addressed to the gatekeeper, instead of N jm.status RPCs.
 	for addr, recs := range groups {
-		for len(recs) > 0 {
-			n := gm.batch.MaxJobs
-			if n > len(recs) {
-				n = len(recs)
-			}
-			chunk := recs[:n]
-			recs = recs[n:]
-			if len(chunk) == 1 {
-				gm.enqueueTask(addr, gmTask{kind: taskProbe, rec: chunk[0]})
-				continue
-			}
-			gm.enqueueTask(addr, gmTask{kind: taskBatchProbe, recs: chunk})
+		for _, chunk := range chunks(recs) {
+			gm.enqueueTask(addr, gmTask{kind: taskProbe, recs: chunk})
 		}
 	}
 }
 
 // dispatchCancels queues a retry for every unacknowledged cancel
-// tombstone of the owner. Each tombstone is keyed to the OLD contact's
-// gatekeeper, so a dead old site delays only its own worker — never the
-// probe tick.
+// tombstone of the owner.
 func (gm *GridManager) dispatchCancels() {
+	gm.dispatchCancelsFor(gm.agent.pendingCancels(gm.owner)...)
+}
+
+// dispatchCancelsFor queues the unacknowledged tombstones of recs as
+// jm.batch-cancel tasks, one per maxBatch tombstones at each site, skipping
+// tombstones whose retry is already queued or running. Each tombstone is
+// keyed to the OLD contact's gatekeeper, so a dead old site delays only its
+// own worker — never the probe tick.
+func (gm *GridManager) dispatchCancelsFor(recs ...*jobRecord) {
 	groups := make(map[string][]cancelPair)
-	for _, rec := range gm.agent.pendingCancels(gm.owner) {
+	for _, rec := range recs {
 		rec.mu.Lock()
 		contacts := append([]gram.JobContact(nil), rec.CancelPending...)
 		rec.mu.Unlock()
@@ -502,46 +429,13 @@ func (gm *GridManager) dispatchCancels() {
 			gm.cancelBusy[key] = true
 			gm.mu.Unlock()
 			addr := contact.GatekeeperAddr
-			if gm.batch.MaxJobs <= 1 {
-				gm.enqueueTask(addr, gmTask{kind: taskCancel, rec: rec, contact: contact})
-				continue
-			}
 			groups[addr] = append(groups[addr], cancelPair{rec: rec, contact: contact})
 		}
 	}
 	for addr, pairs := range groups {
-		for len(pairs) > 0 {
-			n := gm.batch.MaxJobs
-			if n > len(pairs) {
-				n = len(pairs)
-			}
-			chunk := pairs[:n]
-			pairs = pairs[n:]
-			if len(chunk) == 1 {
-				gm.enqueueTask(addr, gmTask{kind: taskCancel, rec: chunk[0].rec, contact: chunk[0].contact})
-				continue
-			}
-			gm.enqueueTask(addr, gmTask{kind: taskBatchCancel, pairs: chunk})
+		for _, chunk := range chunks(pairs) {
+			gm.enqueueTask(addr, gmTask{kind: taskCancel, pairs: chunk})
 		}
-	}
-}
-
-// dispatchCancelsFor queues one cancel task per unacknowledged tombstone
-// of rec, skipping tombstones whose retry is already queued or running.
-func (gm *GridManager) dispatchCancelsFor(rec *jobRecord) {
-	rec.mu.Lock()
-	contacts := append([]gram.JobContact(nil), rec.CancelPending...)
-	rec.mu.Unlock()
-	for _, contact := range contacts {
-		key := cancelTaskKey(rec, contact)
-		gm.mu.Lock()
-		if gm.finished || gm.cancelBusy[key] {
-			gm.mu.Unlock()
-			continue
-		}
-		gm.cancelBusy[key] = true
-		gm.mu.Unlock()
-		gm.enqueueTask(contact.GatekeeperAddr, gmTask{kind: taskCancel, rec: rec, contact: contact})
 	}
 }
 

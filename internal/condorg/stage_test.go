@@ -388,10 +388,11 @@ func TestAgentIssuesNoSelfRPC(t *testing.T) {
 		t.Fatalf("Stdout before the job ran = %q, %v; want empty", out, err)
 	}
 	waitAgentState(t, agent, id, Completed)
-	out, err := agent.Stdout(id)
-	if err != nil || !strings.HasPrefix(string(out), "task ok") {
-		t.Fatalf("Stdout = %q, %v", out, err)
-	}
+	// Stdout can trail Completed by one in-flight gass.append.
+	waitFor(t, "the job's stdout", 5*time.Second, func() bool {
+		out, err := agent.Stdout(id)
+		return err == nil && strings.HasPrefix(string(out), "task ok")
+	})
 	if errOut, err := agent.Stderr(id); err != nil || len(errOut) != 0 {
 		t.Fatalf("Stderr = %q, %v", errOut, err)
 	}

@@ -1,6 +1,7 @@
-// Batched GRAM verbs (wire protocol v2). A GridManager managing many jobs
-// at one site pays one frame, one syscall pair, and one auth check per
-// *verb*, not per *job*: gram.batch-submit and gram.batch-commit carry N
+// Batched GRAM verbs: the only way a client submits, commits, probes and
+// cancels, with a single job sent as a batch of one. A GridManager managing
+// many jobs at one site pays one frame, one syscall pair, and one auth check
+// per *verb*, not per *job*: gram.batch-submit and gram.batch-commit carry N
 // submissions through the two-phase commit, and jm.batch-status /
 // jm.batch-cancel address a site's JobManagers collectively through the
 // Gatekeeper — the interface machine all of a site's JobManagers live on
@@ -55,8 +56,7 @@ type batchOpResp struct {
 type batchStatusResult struct {
 	Status StatusInfo `json:"status"`
 	// JMAlive reports whether the job's JobManager daemon is currently
-	// running. A batched probe that finds it dead skips the per-job ping
-	// ladder and goes straight to gram.jm-restart.
+	// running. A probe that finds it dead goes straight to gram.jm-restart.
 	JMAlive bool             `json:"jm_alive"`
 	Error   string           `json:"error,omitempty"`
 	Fault   faultclass.Class `json:"fault,omitempty"`
@@ -173,7 +173,7 @@ func (s *Site) handleBatchCancel(peer string, body json.RawMessage) (any, error)
 // cancelJob kills one job: not yet in the LRM means a direct Failed
 // verdict (a cancellation is the user's own verdict — never retried),
 // otherwise the LRM does it and the status flows back through watchLRM.
-// Shared core of jm.cancel and each entry of jm.batch-cancel.
+// The body of each jm.batch-cancel entry.
 func (s *Site) cancelJob(job *siteJob) error {
 	job.mu.Lock()
 	lrmID := job.lrmID

@@ -36,7 +36,8 @@ type Client struct {
 	noSession bool
 }
 
-// NewClient creates a GRAM client authenticating as cred.
+// NewClient creates a GRAM client authenticating as cred. Its connections
+// speak the binary codec with session auth; SetWire overrides that.
 func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
 	if clock == nil {
 		clock = gsi.WallClock
@@ -49,6 +50,7 @@ func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
 		jmConn:  make(map[string]*wire.Client),
 		timeout: 2 * time.Second,
 		retries: 3,
+		codec:   wire.CodecBinary,
 	}
 }
 
@@ -287,44 +289,26 @@ func (c *Client) delegateFor(gkAddr string, lifetime time.Duration) ([]byte, err
 	return gsi.EncodeCredential(proxy)
 }
 
-// Submit runs phase one of the two-phase commit: the request travels with
-// the submission ID, and a lost response is recovered by retrying the same
-// wire sequence number. On success the job exists at the site in
-// StateUnsubmitted, awaiting Commit.
+// Submit runs phase one of the two-phase commit for one job, as a
+// gram.batch-submit of one: the request travels with the submission ID, and
+// a lost response is recovered by retrying the same wire sequence number. On
+// success the job exists at the site in StateUnsubmitted, awaiting Commit.
 func (c *Client) Submit(gkAddr string, spec JobSpec, opts SubmitOptions) (JobContact, error) {
-	req := submitReq{SubmissionID: opts.SubmissionID, Spec: spec, Callback: opts.Callback}
-	if opts.Capability != nil {
-		data, err := gsi.EncodeCapability(opts.Capability)
-		if err != nil {
-			return JobContact{}, err
-		}
-		req.Capability = data
-	}
-	if opts.Delegate > 0 {
-		data, err := c.delegateFor(gkAddr, opts.Delegate)
-		if err != nil {
-			return JobContact{}, err
-		}
-		req.Delegated = data
-	}
-	var resp submitResp
-	if err := c.guard(gkAddr, "submit", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.submit", req, &resp)
-	}); err != nil {
+	res, err := c.BatchSubmit(gkAddr, []BatchSubmitEntry{{Spec: spec, Opts: opts}})
+	if err != nil {
 		return JobContact{}, err
 	}
-	return JobContact{
-		JobManagerAddr: resp.JobManagerAddr,
-		GatekeeperAddr: gkAddr,
-		JobID:          resp.JobID,
-	}, nil
+	return res[0].Contact, res[0].Err
 }
 
-// Commit runs phase two: "job execution can commence". Idempotent.
+// Commit runs phase two for one job, as a gram.batch-commit of one: "job
+// execution can commence". Idempotent.
 func (c *Client) Commit(contact JobContact) error {
-	return c.guard(contact.GatekeeperAddr, "commit", func() error {
-		return c.gatekeeper(contact.GatekeeperAddr).Call("gram.commit", commitReq{JobID: contact.JobID}, nil)
-	})
+	errs, err := c.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID})
+	if err != nil {
+		return err
+	}
+	return errs[0]
 }
 
 // Status queries the JobManager for the job's current state.
@@ -336,19 +320,14 @@ func (c *Client) Status(contact JobContact) (StatusInfo, error) {
 	return st, err
 }
 
-// Cancel asks the JobManager to kill the job.
+// Cancel kills one job, as a jm.batch-cancel of one: the gatekeeper kills it
+// through the site's LRM, so no JobManager needs to be alive.
 func (c *Client) Cancel(contact JobContact) error {
-	return c.guard(contact.JobManagerAddr, "cancel", func() error {
-		return c.jobmanager(contact.JobManagerAddr).Call("jm.cancel", struct{}{}, nil)
-	})
-}
-
-// PingJobManager probes the per-job daemon (single attempt, no retries):
-// the GridManager's liveness check.
-func (c *Client) PingJobManager(contact JobContact) error {
-	return c.guard(contact.JobManagerAddr, "ping-jm", func() error {
-		return c.jobmanager(contact.JobManagerAddr).Ping("jm.ping")
-	})
+	errs, err := c.BatchCancel(contact.GatekeeperAddr, []string{contact.JobID})
+	if err != nil {
+		return err
+	}
+	return errs[0]
 }
 
 // PingGatekeeper probes the site's interface machine.

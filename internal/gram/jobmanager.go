@@ -12,18 +12,17 @@ import (
 )
 
 // JobManager is the per-job daemon of Figure 1. It owns the job's wire
-// endpoint (ping/status/cancel/credential-refresh), pushes stdout/stderr to
-// the client's GASS server, and relays status callbacks. Killing a
+// endpoint (status/credential-refresh/url-file update), pushes stdout/stderr
+// to the client's GASS server, and relays status callbacks. Killing a
 // JobManager does not kill the underlying LRM job — that separation is the
 // essence of GRAM's resource-side fault tolerance.
 //
 // It lives as long as the job needs it and no longer: once the job is
 // terminal, the client has been told so, and both output streams are fully
 // acknowledged by the client's GASS server, the daemon exits on its own
-// (run). A client that missed the news finds the endpoint gone and takes the
-// §4.2 ladder — gatekeeper ping, gram.jm-restart — to a replacement that
-// reports the same terminal state, so an early exit costs one restart and
-// never a second execution.
+// (run). A client that missed the news still learns the terminal state from
+// the gatekeeper's jm.batch-status, which answers for the job whether or not
+// its daemon runs, so an early exit never costs a second execution.
 type JobManager struct {
 	site *Site
 	job  *siteJob
@@ -52,9 +51,7 @@ func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
 		return nil, err
 	}
 	jm := &JobManager{site: s, job: job, srv: srv, stop: make(chan struct{})}
-	srv.Handle("jm.ping", func(string, json.RawMessage) (any, error) { return struct{}{}, nil })
 	srv.Handle("jm.status", jm.handleStatus)
-	srv.Handle("jm.cancel", jm.handleCancel)
 	srv.Handle("jm.refresh-credential", jm.handleRefreshCredential)
 	srv.Handle("jm.update-urlfile", jm.handleUpdateURLFile)
 	job.mu.Lock()
@@ -128,16 +125,6 @@ func (jm *JobManager) handleStatus(peer string, _ json.RawMessage) (any, error) 
 		jm.markDelivered()
 	}
 	return st, nil
-}
-
-func (jm *JobManager) handleCancel(peer string, _ json.RawMessage) (any, error) {
-	if err := jm.authorized(peer); err != nil {
-		return nil, err
-	}
-	if err := jm.site.cancelJob(jm.job); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
 }
 
 type refreshCredReq struct {

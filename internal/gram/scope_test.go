@@ -91,12 +91,15 @@ func TestWrongSiteScopedProxyRejectedOnSubmit(t *testing.T) {
 		Retries:    1,
 	})
 	defer wc.Close()
-	var resp submitResp
-	err = wc.Call("gram.submit", submitReq{
+	var resp batchSubmitResp
+	if err := wc.Call("gram.batch-submit", batchSubmitReq{Entries: []submitReq{{
 		SubmissionID: NewSubmissionID(),
 		Spec:         JobSpec{Executable: string(Program("echo"))},
 		Delegated:    data,
-	}, &resp)
+	}}}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	err = entryErr(resp.Results[0].Error, resp.Results[0].Fault)
 	if err == nil {
 		t.Fatal("site B accepted a proxy delegated to site A")
 	}

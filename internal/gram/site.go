@@ -76,7 +76,7 @@ type Site struct {
 	gk      *wire.Server
 	gkAddr  string // stable across restarts
 	jobs    map[string]*siteJob
-	bySubID map[string]*siteJob // jobs by SubmissionID: gram.submit's dedup lookup
+	bySubID map[string]*siteJob // jobs by SubmissionID: the submit dedup lookup
 	serial  int
 	crashed bool
 	closing bool // Close in progress: LRM kills are site-lost, not failures
@@ -320,8 +320,6 @@ func (s *Site) startGatekeeper(addr string) error {
 		return err
 	}
 	gk.Handle("gram.ping", func(string, json.RawMessage) (any, error) { return struct{}{}, nil })
-	gk.Handle("gram.submit", s.handleSubmit)
-	gk.Handle("gram.commit", s.handleCommit)
 	gk.Handle("gram.jm-restart", s.handleJMRestart)
 	gk.Handle("gram.stage-check", s.handleStageCheck)
 	gk.HandleBlob("gram.stage-chunk", s.handleStageChunk)
@@ -413,17 +411,8 @@ type submitResp struct {
 	JobManagerAddr string `json:"jobmanager_addr"`
 }
 
-func (s *Site) handleSubmit(peer string, body json.RawMessage) (any, error) {
-	var req submitReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	return s.submitOne(peer, req)
-}
-
 // submitOne runs a single submission through authorization, SubmissionID
-// dedup, and JobManager startup. It is the shared core of gram.submit and
-// each entry of gram.batch-submit.
+// dedup, and JobManager startup: the body of each gram.batch-submit entry.
 func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 	localUser, err := s.authorize(peer)
 	if err != nil {
@@ -557,23 +546,8 @@ func (s *Site) expireUncommitted(id string) {
 	s.persist(job)
 }
 
-type commitReq struct {
-	JobID string `json:"job_id"`
-}
-
-func (s *Site) handleCommit(peer string, body json.RawMessage) (any, error) {
-	var req commitReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := s.commitOne(peer, req.JobID); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
-}
-
-// commitOne completes phase two for one job. Shared core of gram.commit
-// and each entry of gram.batch-commit.
+// commitOne completes phase two for one job: the body of each
+// gram.batch-commit entry.
 func (s *Site) commitOne(peer, jobID string) error {
 	s.mu.Lock()
 	job, ok := s.jobs[jobID]

@@ -32,6 +32,12 @@ go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridMa
 go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 go test -race -count=1 -run 'TestShutdownLetsRepliesOut' ./internal/wire/
 
+# The one submit/probe/cancel route: batch frames (a lone job is a batch
+# of one) coalesce, settle exactly-once when torn, and cancel through the
+# gatekeeper without a JobManager.
+go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager' ./internal/condorg/
+go test -race -count=1 -run 'TestBatch' ./internal/gram/
+
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
 # temp names, the LRM letting go of finished payloads, and the agent using
@@ -76,4 +82,4 @@ if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzDecodeMessage -fuzz FuzzDecodeMessage -fuzztime "$CHECK_FUZZ_TIME" ./internal/wire/
 fi
 
-echo "check.sh: gofmt + go vet + bench module + ladder and staging-plane tests + fuzz corpora clean"
+echo "check.sh: gofmt + go vet + bench module + ladder, batch-route and staging-plane tests + fuzz corpora clean"
