@@ -62,7 +62,6 @@ func runStageIn(b *testing.B, mode string) {
 		// Wide pipeline so both modes ramp the full batch; the comparison
 		// is transfer strategy, not pipeline shape.
 		Pipeline: condorg.PipelineOptions{PerSiteInFlight: 16, MaxInFlight: 64},
-		Stage:    condorg.StageOptions{Streams: 16},
 		Faults:   condorg.FaultOptions{GASS: gassFaults},
 		Breaker: faultclass.BreakerConfig{
 			Threshold: 1000,
@@ -119,7 +118,7 @@ func BenchmarkStageIn(b *testing.B) {
 	}
 	once("ST", func() {
 		fmt.Println("\n=== StageIn: chunked push + per-site executable cache vs pull-on-demand ===")
-		fmt.Println("1MiB executables, 5ms simulated WAN latency per request; 'cached' shares")
-		fmt.Println("one binary across the batch and should beat 'serial' by >=2x")
+		fmt.Println("1MiB executables, 5ms simulated WAN latency per request, 4 chunk streams")
+		fmt.Println("per site; 'cached' shares one binary across the batch (EXPERIMENTS.md)")
 	})
 }

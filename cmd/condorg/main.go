@@ -11,9 +11,9 @@
 // bucket (-submit-rate, -submit-burst), and `condorg gateway` fronts the
 // control endpoint with an HTTP API that maps bearer tokens to owners.
 //
-// The agent watches every owner's proxy: `-myproxy` (with `-myproxy-user`
-// and `-myproxy-pass`) or a per-owner `-myproxy-users` file enables
-// proactive renewal — expiring proxies are re-fetched ahead of expiry
+// The agent watches every owner's proxy: a `-myproxy-users` bindings file
+// (per-owner lines plus an optional `*` default) enables proactive
+// renewal — expiring proxies are re-fetched ahead of expiry
 // (-cred-renew-lead, spread per owner by -cred-renew-jitter) and
 // re-delegated in-band to the running jobs' managers, with no hold/release
 // cycle.
@@ -32,7 +32,7 @@
 //
 // Usage:
 //
-//	condorg serve -listen 127.0.0.1:7100 -sites host:p1,host:p2 [-mds addr] [-state dir] [-sync] [-ha] [-standby addr] [-lease-ttl d] [-standby-poll d] [-max-submit-retries n] [-per-site-inflight n] [-max-inflight n] [-stage-chunk-size n] [-stage-streams n] [-no-stage] [-no-metrics] [-journal-partitions n] [-max-queued-per-owner n] [-max-active-per-owner n] [-submit-rate r] [-submit-burst n] [-myproxy addr] [-myproxy-user u] [-myproxy-pass p] [-myproxy-users file] [-cred-renew-lead d] [-cred-renew-jitter d] [-cred-renew-interval d] [-cred-renew-lifetime d]
+//	condorg serve -listen 127.0.0.1:7100 -sites host:p1,host:p2 [-mds addr] [-state dir] [-sync] [-ha] [-standby addr] [-lease-ttl d] [-max-submit-retries n] [-per-site-inflight n] [-max-inflight n] [-no-stage] [-journal-partitions n] [-max-queued-per-owner n] [-max-active-per-owner n] [-submit-rate r] [-submit-burst n] [-max-payload-bytes n] [-glidein ...] [-myproxy-users file] [-cred-renew-lead d] [-cred-renew-jitter d] [-cred-renew-interval d] [-cred-renew-lifetime d]
 //	condorg gateway -listen 127.0.0.1:8080 -agent 127.0.0.1:7100 -users file
 //	condorg submit -agent 127.0.0.1:7100 [-owner u] [-site addr] program [args...]
 //	condorg q      -agent 127.0.0.1:7100 [-owner u] [-state idle,running] [-limit n] [-after cursor]
@@ -51,6 +51,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -70,7 +71,6 @@ import (
 	"condorg/internal/gateway"
 	"condorg/internal/glidein"
 	"condorg/internal/gridftp"
-	"condorg/internal/gsi"
 	"condorg/internal/journal"
 	"condorg/internal/mds"
 	"condorg/internal/obs"
@@ -122,14 +122,12 @@ func audit(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: condorg audit verify -state dir [-json]")
 		os.Exit(2)
 	}
-	fs := flag.NewFlagSet("audit verify", flag.ExitOnError)
-	state := fs.String("state", "", "agent state directory (or its queue directory)")
-	asJSON := fs.Bool("json", false, "emit the full report as JSON")
-	fs.Parse(args[1:])
-	if *state == "" {
+	var dir string
+	var asJSON bool
+	auditFlags(&dir, &asJSON).Parse(args[1:])
+	if dir == "" {
 		log.Fatal("condorg audit verify: need -state")
 	}
-	dir := *state
 	// Accept either the agent StateDir or its queue directory directly.
 	if st, err := os.Stat(filepath.Join(dir, "queue")); err == nil && st.IsDir() {
 		dir = filepath.Join(dir, "queue")
@@ -144,7 +142,7 @@ func audit(args []string) {
 	}
 	for _, d := range dirs {
 		rep, verr := journal.VerifyDir(d)
-		if *asJSON {
+		if asJSON {
 			out, _ := json.MarshalIndent(rep, "", "  ")
 			fmt.Println(string(out))
 		} else {
@@ -176,21 +174,26 @@ func audit(args []string) {
 	fmt.Println("history verified: every record extends the hash chain")
 }
 
+// auditFlags registers `condorg audit verify`'s flags.
+func auditFlags(state *string, asJSON *bool) *flag.FlagSet {
+	fs := flag.NewFlagSet("audit verify", flag.ExitOnError)
+	fs.StringVar(state, "state", "", "agent state directory (or its queue directory)")
+	fs.BoolVar(asJSON, "json", false, "emit the full report as JSON")
+	return fs
+}
+
 // gatewayCmd runs the HTTP gateway: bearer-token users multiplexed onto
 // one agent's control endpoint. The users file holds one "token owner"
 // pair per line (blank lines and #-comments ignored). This mode fronts
 // an open (trusted) control endpoint; embedding gateway.New with
 // per-user GSI credentials gives the fully authenticated posture.
 func gatewayCmd(args []string) {
-	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:0", "HTTP listen address")
-	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
-	usersFile := fs.String("users", "", "path to the token→owner users file")
-	fs.Parse(args)
-	if *usersFile == "" {
+	var listen, agent, usersFile string
+	gatewayFlags(&listen, &agent, &usersFile).Parse(args)
+	if usersFile == "" {
 		log.Fatal("condorg gateway: need -users")
 	}
-	raw, err := os.ReadFile(*usersFile)
+	raw, err := os.ReadFile(usersFile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -202,17 +205,17 @@ func gatewayCmd(args []string) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			log.Fatalf("condorg gateway: %s:%d: want \"token owner\", got %q", *usersFile, i+1, line)
+			log.Fatalf("condorg gateway: %s:%d: want \"token owner\", got %q", usersFile, i+1, line)
 		}
 		users[fields[0]] = gateway.User{Owner: fields[1]}
 	}
-	gw, err := gateway.New(*listen, gateway.Config{Agent: *agent, Users: users})
+	gw, err := gateway.New(listen, gateway.Config{Agent: agent, Users: users})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("condorg gateway: %d users, HTTP %s -> agent %s\n", len(users), gw.Addr(), *agent)
+	fmt.Printf("condorg gateway: %d users, HTTP %s -> agent %s\n", len(users), gw.Addr(), agent)
 	go func() {
 		<-sig
 		fmt.Println("condorg gateway: shutting down")
@@ -221,6 +224,15 @@ func gatewayCmd(args []string) {
 	if err := gw.Serve(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
+}
+
+// gatewayFlags registers `condorg gateway`'s flags.
+func gatewayFlags(listen, agent, usersFile *string) *flag.FlagSet {
+	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
+	fs.StringVar(listen, "listen", "127.0.0.1:0", "HTTP listen address")
+	fs.StringVar(agent, "agent", "127.0.0.1:7100", "agent control address")
+	fs.StringVar(usersFile, "users", "", "path to the token→owner users file")
+	return fs
 }
 
 // die reports a job-op failure and exits with a class-aware code: 75
@@ -264,134 +276,142 @@ func listSites(args []string) {
 	}
 }
 
+// serveConfig is what `condorg serve` parsed from its command line: the
+// agent's config plus the settings of what serve runs beside the agent.
+type serveConfig struct {
+	agent    condorg.AgentConfig
+	listen   string
+	sites    []string
+	mds      string
+	standby  string
+	leaseTTL time.Duration
+	glidein  bool
+	pool     glidein.ProvisionerConfig // the -glidein-* settings
+	cred     credmgr.MonitorConfig     // the -cred-renew-* settings
+	users    string                    // -myproxy-users; set starts the credential monitor
+}
+
+// serveFlags registers serve's flags on a fresh FlagSet, bound to c. The
+// agent flags are bound to c.agent, which starts as DefaultAgentConfig, so
+// -h prints the defaults NewAgent would otherwise fill in.
+func serveFlags(c *serveConfig) *flag.FlagSet {
+	c.agent = condorg.DefaultAgentConfig()
+	a := &c.agent
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.Func("sites", "comma-separated gatekeeper addresses (round-robin)", func(v string) error {
+		c.sites = strings.FieldsFunc(v, func(r rune) bool { return r == ',' })
+		return nil
+	})
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "control endpoint address")
+	fs.StringVar(&c.mds, "mds", "", "MDS directory for brokered site selection")
+	fs.StringVar(&a.StateDir, "state", "", "agent state directory (default: temp)")
+	fs.BoolVar(&a.Journal.Sync, "sync", false, "fsync the job queue journal before acknowledging submits (group commit)")
+	fs.IntVar(&a.Retry.MaxSubmitRetries, "max-submit-retries", a.Retry.MaxSubmitRetries, "hold a job after this many failed submission attempts")
+	fs.IntVar(&a.Pipeline.PerSiteInFlight, "per-site-inflight", a.Pipeline.PerSiteInFlight, "concurrent remote ops per gatekeeper pipeline")
+	fs.IntVar(&a.Pipeline.MaxInFlight, "max-inflight", a.Pipeline.MaxInFlight, "concurrent remote ops agent-wide across all sites")
+	fs.BoolVar(&a.Stage.Disabled, "no-stage", false, "disable executable pre-staging; sites pull executables over GASS")
+	fs.BoolVar(&a.HA.Enabled, "ha", false, "hot-standby support: replicate job payloads through the journal and wait for the follower's ack on submits")
+	fs.StringVar(&c.standby, "standby", "", "run as a hot standby tailing the primary at this control address; take over when its lease expires")
+	fs.DurationVar(&c.leaseTTL, "lease-ttl", 0, "standby: declare the primary dead after this long without contact; polls at a third of it (0 = default 3s)")
+	fs.IntVar(&a.Tenancy.Partitions, "journal-partitions", journal.DefaultPartitions, "owner hash buckets the job journal is sharded across (pinned at first start)")
+	fs.IntVar(&a.Tenancy.MaxQueuedPerOwner, "max-queued-per-owner", 0, "reject a submit once the owner has this many non-terminal jobs (0 = unlimited)")
+	fs.IntVar(&a.Tenancy.MaxActivePerOwner, "max-active-per-owner", 0, "reject a submit once the owner has this many non-held active jobs (0 = unlimited)")
+	fs.Float64Var(&a.Tenancy.SubmitRate, "submit-rate", 0, "per-owner submit token-bucket refill rate in submits/second (0 = unlimited)")
+	fs.IntVar(&a.Tenancy.SubmitBurst, "submit-burst", 0, "per-owner submit token-bucket depth (min 1 when -submit-rate is set)")
+	fs.IntVar(&a.Tenancy.MaxPayloadBytes, "max-payload-bytes", 0, "reject a submit whose executable+stdin exceed this many bytes; oversized control envelopes are refused before decode (0 = unlimited)")
+	fs.BoolVar(&c.glidein, "glidein", false, "run the elastic GlideIn autoscaler: pilots submitted to the -sites hosts form the schedulable pool and jobs bind to pilots as they come up (delayed binding)")
+	fs.IntVar(&c.pool.MinPilots, "glidein-min", 0, "minimum pilots the autoscaler keeps alive")
+	fs.IntVar(&c.pool.MaxPilots, "glidein-max", 0, "maximum pilots (0 = twice the host-site count)")
+	fs.DurationVar(&c.pool.Lease, "glidein-lease", 0, "pilot lease: hard lifetime before self-retirement (0 = default 1h)")
+	fs.DurationVar(&c.pool.IdleTimeout, "glidein-idle", 0, "pilot idle window before self-retirement (0 = default 1m)")
+	fs.DurationVar(&c.pool.Interval, "glidein-interval", 0, "autoscaler reconciliation interval (0 = default 1s)")
+	fs.IntVar(&c.pool.PilotCpus, "glidein-cpus", 0, "CPUs each pilot's private gatekeeper schedules, and so the backlog one pilot absorbs (0 = default 4)")
+	fs.StringVar(&c.users, "myproxy-users", "", "MyProxy bindings file: one \"owner user pass [addr]\" line per owner; owner * is the default binding")
+	fs.DurationVar(&c.cred.RenewLead, "cred-renew-lead", 0, "renew an owner's proxy once less than this lifetime remains (0 = warn threshold)")
+	fs.DurationVar(&c.cred.RenewJitter, "cred-renew-jitter", 0, "deterministic per-owner spread added to the renewal lead so a fleet of renewals staggers (0 = none)")
+	fs.DurationVar(&c.cred.Interval, "cred-renew-interval", 0, "credential monitor scan period (0 = default 1m)")
+	fs.DurationVar(&c.cred.RenewLifetime, "cred-renew-lifetime", 0, "lifetime requested for auto-renewed proxies (0 = default 12h)")
+	return fs
+}
+
+// parseServe turns serve's command line into its configs, reading the
+// -myproxy-users file and rejecting combinations serve cannot run.
+func parseServe(args []string) (serveConfig, error) {
+	var c serveConfig
+	if err := serveFlags(&c).Parse(args); err != nil {
+		return c, err
+	}
+	c.agent.DeferBinding = c.glidein
+	switch {
+	case c.agent.Tenancy.Partitions <= 0:
+		return c, fmt.Errorf("-journal-partitions %d: the count must be positive", c.agent.Tenancy.Partitions)
+	case c.glidein && c.sites == nil:
+		return c, errors.New("-glidein needs -sites (the hosts pilots are submitted to)")
+	case c.glidein && c.standby != "":
+		return c, errors.New("-glidein is a primary-agent feature and cannot be combined with -standby")
+	case c.sites == nil && c.mds == "":
+		return c, errors.New("need -sites or -mds")
+	}
+	if c.users != "" {
+		var err error
+		c.agent.Tenancy.MyProxy, c.agent.Tenancy.MyProxyDefault, err = parseMyProxyUsers(c.users)
+		if err != nil {
+			return c, err
+		}
+	}
+	return c, nil
+}
+
 func serve(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:0", "control endpoint address")
-	sites := fs.String("sites", "", "comma-separated gatekeeper addresses (round-robin)")
-	mdsAddr := fs.String("mds", "", "MDS directory for brokered site selection")
-	state := fs.String("state", "", "agent state directory (default: temp)")
-	sync := fs.Bool("sync", false, "fsync the job queue journal before acknowledging submits (group commit)")
-	maxSubmitRetries := fs.Int("max-submit-retries", 0, "hold a job after this many failed submission attempts (0 = default)")
-	perSiteInFlight := fs.Int("per-site-inflight", 0, "concurrent remote ops per gatekeeper pipeline (0 = default 4)")
-	maxInFlight := fs.Int("max-inflight", 0, "concurrent remote ops agent-wide across all sites (0 = default 64)")
-	stageChunkSize := fs.Int("stage-chunk-size", 0, "staging transfer chunk size in bytes (0 = default 65536)")
-	stageStreams := fs.Int("stage-streams", 0, "parallel chunk streams per site during staging (0 = default 4)")
-	noStage := fs.Bool("no-stage", false, "disable executable pre-staging; sites pull executables over GASS")
-	noMetrics := fs.Bool("no-metrics", false, "disable the metric registry (tracing stays on)")
-	ha := fs.Bool("ha", false, "hot-standby support: replicate job payloads through the journal and wait for the follower's ack on submits")
-	standby := fs.String("standby", "", "run as a hot standby tailing the primary at this control address; take over when its lease expires")
-	leaseTTL := fs.Duration("lease-ttl", 0, "standby: declare the primary dead after this long without contact (0 = default 3s)")
-	standbyPoll := fs.Duration("standby-poll", 0, "standby: journal stream long-poll bound (0 = default 1s)")
-	journalPartitions := fs.Int("journal-partitions", 0, "owner hash buckets the job journal is sharded across (0 = default 16; pinned at first start)")
-	maxQueuedPerOwner := fs.Int("max-queued-per-owner", 0, "reject a submit once the owner has this many non-terminal jobs (0 = unlimited)")
-	maxActivePerOwner := fs.Int("max-active-per-owner", 0, "reject a submit once the owner has this many non-held active jobs (0 = unlimited)")
-	submitRate := fs.Float64("submit-rate", 0, "per-owner submit token-bucket refill rate in submits/second (0 = unlimited)")
-	submitBurst := fs.Int("submit-burst", 0, "per-owner submit token-bucket depth (min 1 when -submit-rate is set)")
-	maxPayloadBytes := fs.Int("max-payload-bytes", 0, "reject a submit whose executable+stdin exceed this many bytes; oversized control envelopes are refused before decode (0 = unlimited)")
-	glideinOn := fs.Bool("glidein", false, "run the elastic GlideIn autoscaler: pilots submitted to the -sites hosts form the schedulable pool and jobs bind to pilots as they come up (delayed binding)")
-	glideinMin := fs.Int("glidein-min", 0, "minimum pilots the autoscaler keeps alive")
-	glideinMax := fs.Int("glidein-max", 0, "maximum pilots (0 = twice the host-site count)")
-	glideinJobsPerPilot := fs.Int("glidein-jobs-per-pilot", 0, "queue depth one pilot is expected to absorb (0 = default 4)")
-	glideinLease := fs.Duration("glidein-lease", 0, "pilot lease: hard lifetime before self-retirement (0 = default 1h)")
-	glideinIdle := fs.Duration("glidein-idle", 0, "pilot idle window before self-retirement (0 = default 1m)")
-	glideinInterval := fs.Duration("glidein-interval", 0, "autoscaler reconciliation interval (0 = default 1s)")
-	glideinCpus := fs.Int("glidein-cpus", 0, "CPUs each pilot's private gatekeeper schedules (0 = default 4)")
-	myproxyAddr := fs.String("myproxy", "", "default MyProxy server for proactive credential renewal")
-	myproxyUser := fs.String("myproxy-user", "", "MyProxy account used for owners without a per-owner binding")
-	myproxyPass := fs.String("myproxy-pass", "", "password paired with -myproxy-user")
-	myproxyUsers := fs.String("myproxy-users", "", "per-owner MyProxy bindings file: one \"owner user pass [addr]\" line per owner")
-	credRenewLead := fs.Duration("cred-renew-lead", 0, "renew an owner's proxy once less than this lifetime remains (0 = warn threshold)")
-	credRenewJitter := fs.Duration("cred-renew-jitter", 0, "deterministic per-owner spread added to the renewal lead so a fleet of renewals staggers (0 = none)")
-	credRenewInterval := fs.Duration("cred-renew-interval", 0, "credential monitor scan period (0 = default 1m)")
-	credRenewLifetime := fs.Duration("cred-renew-lifetime", 0, "lifetime requested for auto-renewed proxies (0 = default 12h)")
-	fs.Parse(args)
-	if *journalPartitions < 0 {
-		log.Fatalf("condorg serve: -journal-partitions %d: the count must be positive (0 = default 16)", *journalPartitions)
+	c, err := parseServe(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		log.Fatal("condorg serve: ", err)
 	}
 
 	var adaptive *broker.Adaptive
-	var selector condorg.Selector
 	switch {
-	case *glideinOn:
-		if *sites == "" {
-			log.Fatal("condorg serve: -glidein needs -sites (the hosts pilots are submitted to)")
-		}
+	case c.glidein:
 		// The schedulable pool is the set of pilot gatekeepers; it starts
 		// empty and the provisioner registers pilots as they come up, so
 		// binding is deferred until capacity exists.
 		adaptive = broker.NewAdaptive(nil)
-		selector = adaptive
-	case *mdsAddr != "":
-		b, err := broker.NewMDSBroker(*mdsAddr, "", "")
+		c.agent.Selector = adaptive
+	case c.mds != "":
+		b, err := broker.NewMDSBroker(c.mds, "", "")
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer b.Close()
-		selector = b
-	case *sites != "":
-		selector = &condorg.RoundRobinSelector{Sites: strings.Split(*sites, ",")}
+		c.agent.Selector = b
 	default:
-		log.Fatal("condorg serve: need -sites or -mds")
+		c.agent.Selector = &condorg.RoundRobinSelector{Sites: c.sites}
 	}
 
-	stateDir := *state
+	stateDir := c.agent.StateDir
 	if stateDir == "" {
-		var err error
-		stateDir, err = os.MkdirTemp("", "condorg-agent-*")
-		if err != nil {
+		if stateDir, err = os.MkdirTemp("", "condorg-agent-*"); err != nil {
 			log.Fatal(err)
 		}
-	}
-	cfg := condorg.DefaultAgentConfig()
-	cfg.StateDir = stateDir
-	cfg.Selector = selector
-	cfg.Journal.Sync = *sync
-	cfg.Retry.MaxSubmitRetries = *maxSubmitRetries
-	cfg.Pipeline.PerSiteInFlight = *perSiteInFlight
-	cfg.Pipeline.MaxInFlight = *maxInFlight
-	cfg.Stage.ChunkSize = *stageChunkSize
-	cfg.Stage.Streams = *stageStreams
-	cfg.Stage.Disabled = *noStage
-	cfg.Obs.Disabled = *noMetrics
-	cfg.HA.Enabled = *ha
-	cfg.DeferBinding = *glideinOn
-	cfg.Tenancy.Partitions = *journalPartitions
-	cfg.Tenancy.MaxQueuedPerOwner = *maxQueuedPerOwner
-	cfg.Tenancy.MaxActivePerOwner = *maxActivePerOwner
-	cfg.Tenancy.SubmitRate = *submitRate
-	cfg.Tenancy.SubmitBurst = *submitBurst
-	cfg.Tenancy.MaxPayloadBytes = *maxPayloadBytes
-	if *myproxyUsers != "" {
-		bindings, err := parseMyProxyUsers(*myproxyUsers)
-		if err != nil {
-			log.Fatal("condorg serve: ", err)
-		}
-		cfg.Tenancy.MyProxy = bindings
-	}
-	cf := credFlags{
-		addr: *myproxyAddr, user: *myproxyUser, pass: *myproxyPass,
-		usersFile: *myproxyUsers, lead: *credRenewLead, jitter: *credRenewJitter,
-		interval: *credRenewInterval, lifetime: *credRenewLifetime,
+		c.agent.StateDir = stateDir
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	if *standby != "" {
-		if *glideinOn {
-			log.Fatal("condorg serve: -glidein is a primary-agent feature and cannot be combined with -standby")
-		}
+	if c.standby != "" {
 		sb, err := condorg.NewStandby(condorg.StandbyConfig{
-			Primary:  *standby,
+			Primary:  c.standby,
 			StateDir: stateDir,
-			LeaseTTL: *leaseTTL,
-			Poll:     *standbyPoll,
-			Journal:  cfg.Journal,
+			LeaseTTL: c.leaseTTL,
+			Journal:  c.agent.Journal,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("condorg standby: tailing %s (state %s)\n", *standby, stateDir)
+		fmt.Printf("condorg standby: tailing %s (state %s)\n", c.standby, stateDir)
 		select {
 		case <-sig:
 			fmt.Println("condorg standby: shutting down")
@@ -400,51 +420,40 @@ func serve(args []string) {
 		case <-sb.TakeoverCh():
 			fmt.Println("condorg standby: replication from the primary has ended; taking over")
 		}
-		agent, err := sb.Takeover(cfg)
+		agent, err := sb.Takeover(c.agent)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer agent.Close()
-		ctl, err := condorg.NewControlServerAddr(agent, *listen)
+		ctl, err := condorg.NewControlServerAddr(agent, c.listen)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer ctl.Close()
-		defer startCredMonitor(agent, cf)()
+		defer startCredMonitor(agent, c)()
 		fmt.Printf("condorg agent (promoted): control endpoint %s (state %s)\n", ctl.Addr(), stateDir)
 		<-sig
 		fmt.Println("condorg agent: shutting down")
 		return
 	}
 
-	agent, err := condorg.NewAgent(cfg)
+	agent, err := condorg.NewAgent(c.agent)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer agent.Close()
-	defer startCredMonitor(agent, cf)()
+	defer startCredMonitor(agent, c)()
 
 	ctlCfg := condorg.ControlConfig{}
-	if *glideinOn {
-		prov, stop, err := startGlidein(agent, glideinFlags{
-			hostSites:    strings.Split(*sites, ","),
-			stateDir:     stateDir,
-			registry:     adaptive,
-			min:          *glideinMin,
-			max:          *glideinMax,
-			jobsPerPilot: *glideinJobsPerPilot,
-			lease:        *glideinLease,
-			idle:         *glideinIdle,
-			interval:     *glideinInterval,
-			cpus:         *glideinCpus,
-		})
+	if c.glidein {
+		prov, stop, err := startGlidein(agent, c.pool, c.sites, adaptive, stateDir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer stop()
 		ctlCfg.Pool = func() condorg.CtlPoolResp { return poolResp(prov.Status()) }
 	}
-	ctl, err := condorg.NewControlServerConfig(agent, *listen, ctlCfg)
+	ctl, err := condorg.NewControlServerConfig(agent, c.listen, ctlCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -454,61 +463,35 @@ func serve(args []string) {
 	fmt.Println("condorg agent: shutting down")
 }
 
-// credFlags carries the serve credential-lifecycle flag values.
-type credFlags struct {
-	addr      string
-	user      string
-	pass      string
-	usersFile string
-	lead      time.Duration
-	jitter    time.Duration
-	interval  time.Duration
-	lifetime  time.Duration
-}
-
 // startCredMonitor runs the multi-tenant credential monitor over the agent
-// when any MyProxy source is configured, and returns its stop function (a
-// no-op when no source is given — the monitor's warn/hold ladder is
-// pointless on an agent that holds no credentials at all).
-func startCredMonitor(agent *condorg.Agent, cf credFlags) func() {
-	if cf.addr == "" && cf.usersFile == "" {
+// when a -myproxy-users file is configured, and returns its stop function
+// (a no-op otherwise — the monitor's warn/hold ladder is pointless on an
+// agent that holds no credentials at all).
+func startCredMonitor(agent *condorg.Agent, c serveConfig) func() {
+	if c.users == "" {
 		return func() {}
 	}
-	mcfg := credmgr.MonitorConfig{
-		Agent:         agent,
-		RenewLead:     cf.lead,
-		RenewJitter:   cf.jitter,
-		Interval:      cf.interval,
-		RenewLifetime: cf.lifetime,
-		MyProxyUser:   cf.user,
-		MyProxyPass:   cf.pass,
-	}
-	var mc *credmgr.MyProxyClient
-	if cf.addr != "" {
-		mc = credmgr.NewMyProxyClient(cf.addr, nil, gsi.WallClock)
-		mcfg.MyProxy = mc
-	}
+	mcfg := c.cred
+	mcfg.Agent = agent
 	mon := credmgr.NewMonitor(mcfg)
 	mon.Start()
 	fmt.Println("condorg agent: credential monitor watching all owners")
-	return func() {
-		mon.Stop()
-		if mc != nil {
-			mc.Close()
-		}
-	}
+	return mon.Stop
 }
 
-// parseMyProxyUsers reads the per-owner MyProxy bindings file: one
-// "owner user pass [addr]" line per owner (blank lines and #-comments
-// ignored). Owners listed here renew from their own MyProxy account; an
-// omitted addr falls back to the -myproxy server.
-func parseMyProxyUsers(path string) (map[string]condorg.MyProxyBinding, error) {
+// parseMyProxyUsers reads the MyProxy bindings file: one "owner user pass
+// [addr]" line per owner (blank lines and #-comments ignored). Owner * is
+// the default binding for owners not listed and must name its server; a
+// listed owner without an addr renews from the default binding's server,
+// so such a line needs a * line somewhere in the file.
+func parseMyProxyUsers(path string) (map[string]condorg.MyProxyBinding, *condorg.MyProxyBinding, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bindings := make(map[string]condorg.MyProxyBinding)
+	var def *condorg.MyProxyBinding
+	noAddr := "" // file:line of the first owner line that names no server
 	for i, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -516,42 +499,48 @@ func parseMyProxyUsers(path string) (map[string]condorg.MyProxyBinding, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 3 && len(fields) != 4 {
-			return nil, fmt.Errorf("%s:%d: want \"owner user pass [addr]\", got %q", path, i+1, line)
+			return nil, nil, fmt.Errorf("%s:%d: want \"owner user pass [addr]\", got %q", path, i+1, line)
 		}
 		b := condorg.MyProxyBinding{User: fields[1], Pass: fields[2]}
 		if len(fields) == 4 {
 			b.Addr = fields[3]
 		}
+		if fields[0] == "*" {
+			if b.Addr == "" {
+				return nil, nil, fmt.Errorf("%s:%d: the default (*) binding must name its MyProxy server addr", path, i+1)
+			}
+			def = &b
+			continue
+		}
+		if b.Addr == "" && noAddr == "" {
+			noAddr = fmt.Sprintf("%s:%d", path, i+1)
+		}
 		bindings[fields[0]] = b
 	}
-	return bindings, nil
-}
-
-// glideinFlags carries the serve -glidein-* flag values.
-type glideinFlags struct {
-	hostSites    []string
-	stateDir     string
-	registry     *broker.Adaptive
-	min, max     int
-	jobsPerPilot int
-	lease        time.Duration
-	idle         time.Duration
-	interval     time.Duration
-	cpus         int
+	if noAddr != "" && def == nil {
+		return nil, nil, fmt.Errorf("%s: no MyProxy server addr, and no default (*) line supplies one; this owner would never be renewed", noAddr)
+	}
+	for owner, b := range bindings {
+		if b.Addr == "" {
+			b.Addr = def.Addr
+			bindings[owner] = b
+		}
+	}
+	return bindings, def, nil
 }
 
 // startGlidein brings up the elastic-pool substrate inside the agent
 // process — the personal-pool Collector pilots advertise to and the
 // GridFTP repository they fetch the daemon payload from — and starts the
-// autoscaler over the host sites. The returned stop function drains the
-// pool (every pilot also self-retires via lease/idle if the agent dies
-// without calling it).
-func startGlidein(agent *condorg.Agent, gf glideinFlags) (*glidein.Provisioner, func(), error) {
+// autoscaler over the host sites with the -glidein-* settings in pool. The
+// returned stop function drains the pool (every pilot also self-retires via
+// lease/idle if the agent dies without calling it).
+func startGlidein(agent *condorg.Agent, pool glidein.ProvisionerConfig, hostSites []string, registry *broker.Adaptive, stateDir string) (*glidein.Provisioner, func(), error) {
 	coll, err := condor.NewCollector(condor.CollectorOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("condorg serve: glidein collector: %w", err)
 	}
-	repoDir := filepath.Join(gf.stateDir, "glidein-repo")
+	repoDir := filepath.Join(stateDir, "glidein-repo")
 	if err := os.MkdirAll(repoDir, 0o700); err != nil {
 		coll.Close()
 		return nil, nil, err
@@ -570,43 +559,34 @@ func startGlidein(agent *condorg.Agent, gf glideinFlags) (*glidein.Provisioner, 
 		return nil, nil, fmt.Errorf("condorg serve: seed glidein repo: %w", err)
 	}
 
-	hosts := make(map[string]string, len(gf.hostSites))
-	for _, addr := range gf.hostSites {
-		hosts[addr] = addr
+	pool.HostSites = make(map[string]string, len(hostSites))
+	for _, addr := range hostSites {
+		pool.HostSites[addr] = addr
 	}
-	prov, err := glidein.NewProvisioner(glidein.ProvisionerConfig{
-		HostSites:     hosts,
-		CollectorAddr: coll.Addr(),
-		RepoAddr:      repo.Addr(),
-		Demand:        agent.Backlog,
-		HostHealthy: func(gk string) bool {
-			for _, row := range agent.PipelineHealth() {
-				if row.Site == gk && row.Breaker == "open" {
-					return false
-				}
+	pool.CollectorAddr = coll.Addr()
+	pool.RepoAddr = repo.Addr()
+	pool.Demand = agent.Backlog
+	pool.HostHealthy = func(gk string) bool {
+		for _, row := range agent.PipelineHealth() {
+			if row.Site == gk && row.Breaker == "open" {
+				return false
 			}
-			return true
-		},
-		Stage: func(addr string) (hits, misses int64) {
-			for _, row := range agent.PipelineHealth() {
-				if row.Site == addr {
-					hits += int64(row.StageHits)
-					misses += int64(row.StageMisses)
-				}
+		}
+		return true
+	}
+	pool.Stage = func(addr string) (hits, misses int64) {
+		for _, row := range agent.PipelineHealth() {
+			if row.Site == addr {
+				hits += int64(row.StageHits)
+				misses += int64(row.StageMisses)
 			}
-			return hits, misses
-		},
-		Registry:     gf.registry,
-		SiteRetired:  agent.SiteRetired,
-		MinPilots:    gf.min,
-		MaxPilots:    gf.max,
-		JobsPerPilot: gf.jobsPerPilot,
-		Interval:     gf.interval,
-		Lease:        gf.lease,
-		IdleTimeout:  gf.idle,
-		PilotCpus:    gf.cpus,
-		Obs:          agent.Obs(),
-	})
+		}
+		return hits, misses
+	}
+	pool.Registry = registry
+	pool.SiteRetired = agent.SiteRetired
+	pool.Obs = agent.Obs()
+	prov, err := glidein.NewProvisioner(pool)
 	if err != nil {
 		coll.Close()
 		repo.Close()
@@ -614,7 +594,7 @@ func startGlidein(agent *condorg.Agent, gf glideinFlags) (*glidein.Provisioner, 
 	}
 	prov.Start()
 	fmt.Printf("condorg agent: glidein autoscaler over %d host sites (collector %s, repo %s)\n",
-		len(hosts), coll.Addr(), repo.Addr())
+		len(hostSites), coll.Addr(), repo.Addr())
 	return prov, func() {
 		prov.Drain()
 		prov.Close()
@@ -643,32 +623,28 @@ func poolResp(st glidein.PoolStatus) condorg.CtlPoolResp {
 	return resp
 }
 
-func client(fs *flag.FlagSet, args []string) (*condorg.ControlClient, []string) {
+// dial adds -agent to fs, parses args, and returns a client for the agent
+// plus the remaining arguments.
+func dial(fs *flag.FlagSet, args []string) (*condorg.ControlClient, []string) {
 	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
-	owner := fs.String("owner", "user", "submitting user")
-	site := fs.String("site", "", "pin to one gatekeeper address")
 	fs.Parse(args)
-	cli := condorg.NewControlClient(*agent)
-	rest := fs.Args()
-	// Stash flag values for submit through package-level vars.
-	submitOwner, submitSite = *owner, *site
-	return cli, rest
+	return condorg.NewControlClient(*agent), fs.Args()
 }
-
-var submitOwner, submitSite string
 
 func submit(args []string) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	cli, rest := client(fs, args)
+	owner := fs.String("owner", "user", "submitting user")
+	site := fs.String("site", "", "pin to one gatekeeper address")
+	cli, rest := dial(fs, args)
 	defer cli.Close()
 	if len(rest) < 1 {
 		log.Fatal("condorg submit: need a program name")
 	}
 	id, err := cli.Submit(condorg.CtlSubmit{
-		Owner:   submitOwner,
+		Owner:   *owner,
 		Program: rest[0],
 		Args:    rest[1:],
-		Site:    submitSite,
+		Site:    *site,
 	})
 	if err != nil {
 		die(err)
@@ -679,12 +655,12 @@ func submit(args []string) {
 // queue lists jobs with the v1 filter: by owner, by state, paginated.
 func queue(args []string) {
 	fs := flag.NewFlagSet("q", flag.ExitOnError)
-	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
 	owner := fs.String("owner", "", "only this owner's jobs")
 	stateNames := fs.String("state", "", "comma-separated states (idle,running,completed,failed,held,removed)")
 	limit := fs.Int("limit", 0, "page size (0 = everything)")
 	after := fs.String("after", "", "resume after this cursor (from the \"more:\" line of the previous page)")
-	fs.Parse(args)
+	cli, _ := dial(fs, args)
+	defer cli.Close()
 
 	var states []condorg.JobState
 	if *stateNames != "" {
@@ -696,8 +672,6 @@ func queue(args []string) {
 			states = append(states, st)
 		}
 	}
-	cli := condorg.NewControlClient(*agent)
-	defer cli.Close()
 	jobs, next, err := cli.QueueFiltered(condorg.CtlQueueReq{
 		Owner:  *owner,
 		States: states,
@@ -723,10 +697,8 @@ func queue(args []string) {
 // metrics dumps the agent's metric registry.
 func metrics(args []string) {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	fs.Parse(args)
-	cli := condorg.NewControlClient(*agent)
+	cli, _ := dial(fs, args)
 	defer cli.Close()
 	ms, err := cli.Metrics()
 	if err != nil {
@@ -741,10 +713,7 @@ func metrics(args []string) {
 
 // health prints the agent's per-owner, per-site breaker and pipeline view.
 func health(args []string) {
-	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
-	fs.Parse(args)
-	cli := condorg.NewControlClient(*agent)
+	cli, _ := dial(flag.NewFlagSet("health", flag.ExitOnError), args)
 	defer cli.Close()
 	resp, err := cli.HealthFull()
 	if err != nil {
@@ -768,10 +737,7 @@ func health(args []string) {
 // pool prints the elastic glidein autoscaler's view: target vs. actual
 // pool size and every tracked pilot.
 func pool(args []string) {
-	fs := flag.NewFlagSet("pool", flag.ExitOnError)
-	agent := fs.String("agent", "127.0.0.1:7100", "agent control address")
-	fs.Parse(args)
-	cli := condorg.NewControlClient(*agent)
+	cli, _ := dial(flag.NewFlagSet("pool", flag.ExitOnError), args)
 	defer cli.Close()
 	resp, err := cli.Pool()
 	if err != nil {
@@ -790,8 +756,7 @@ func pool(args []string) {
 }
 
 func jobOp(cmd string, args []string) {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	cli, rest := client(fs, args)
+	cli, rest := dial(flag.NewFlagSet(cmd, flag.ExitOnError), args)
 	defer cli.Close()
 	if len(rest) < 1 {
 		log.Fatalf("condorg %s: need a job id", cmd)

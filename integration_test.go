@@ -92,19 +92,9 @@ func TestSecureGridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	agent, err := condorg.NewAgent(condorg.AgentConfig{
-		StateDir:   tempDir(t),
-		Credential: proxy,
-		Selector:   b,
-		Probe:      condorg.ProbeOptions{Interval: 40 * time.Millisecond},
-		Delegate:   6 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
 
-	// MyProxy-backed credential monitor running alongside.
+	// The user's long-lived credential waits in MyProxy; the agent's default
+	// renewal binding names it.
 	longProxy, _ := gsi.NewProxy(user, now, 7*24*time.Hour)
 	mpSrv, _ := credmgr.NewMyProxyServer(credmgr.MyProxyOptions{})
 	defer mpSrv.Close()
@@ -113,10 +103,25 @@ func TestSecureGridEndToEnd(t *testing.T) {
 	if err := mpCli.Store("jfrey", "pw", longProxy); err != nil {
 		t.Fatal(err)
 	}
+	agent, err := condorg.NewAgent(condorg.AgentConfig{
+		StateDir:   tempDir(t),
+		Credential: proxy,
+		Selector:   b,
+		Probe:      condorg.ProbeOptions{Interval: 40 * time.Millisecond},
+		Delegate:   6 * time.Hour,
+		Tenancy: condorg.TenancyOptions{
+			MyProxyDefault: &condorg.MyProxyBinding{Addr: mpSrv.Addr(), User: "jfrey", Pass: "pw"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	// MyProxy-backed credential monitor running alongside.
 	mon := credmgr.NewMonitor(credmgr.MonitorConfig{
 		Agent: agent, Owner: "jfrey",
 		WarnThreshold: time.Hour, Interval: 50 * time.Millisecond,
-		MyProxy: mpCli, MyProxyUser: "jfrey", MyProxyPass: "pw",
 	})
 	mon.Start()
 	defer mon.Stop()

@@ -39,9 +39,6 @@ var (
 type ProbeOptions struct {
 	// Interval is the JobManager liveness probe period (default 500ms).
 	Interval time.Duration
-	// Reconnect paces reconnection attempts during partitions
-	// (default: Interval).
-	Reconnect time.Duration
 }
 
 // RetryOptions bounds the agent's automatic retry machinery.
@@ -87,20 +84,13 @@ type FaultOptions struct {
 	GASS *wire.Faults
 }
 
-// StageOptions tunes the chunked executable pre-staging data plane. When
-// enabled (the default), the GridManager pushes each job's executable to
-// its site through the gatekeeper's content-addressed cache before the
-// GRAM submit: shared binaries transfer once per site, and interrupted
-// transfers resume from the last site-acked offset journaled in the job
-// record.
+// StageOptions selects the executable pre-staging data plane. When enabled
+// (the default), the GridManager pushes each job's executable to its site
+// through the gatekeeper's content-addressed cache before the GRAM submit,
+// in 64 KiB chunks over at most four streams per site (stage.go): shared
+// binaries transfer once per site, and interrupted transfers resume from
+// the last site-acked offset journaled in the job record.
 type StageOptions struct {
-	// ChunkSize is the transfer unit in bytes (default 64 KiB).
-	ChunkSize int
-	// Streams caps concurrent chunk RPCs per site, across all of the
-	// owner's staging jobs. It composes with Pipeline.PerSiteInFlight: a
-	// staging task occupies one pipeline slot while its chunk streams
-	// share this cap (default 4).
-	Streams int
 	// Disabled turns pre-staging off: sites pull the whole executable
 	// through GASS at commit time, serially, as before.
 	Disabled bool
@@ -116,8 +106,8 @@ type ObsOptions struct {
 	TraceCap int
 }
 
-// AgentConfig configures the agent. The zero value (plus StateDir) works;
-// DefaultAgentConfig spells out the defaults for flag wiring.
+// AgentConfig configures the agent. The zero value (plus StateDir) works:
+// NewAgent fills every zero tunable from DefaultAgentConfig.
 type AgentConfig struct {
 	// StateDir holds the persistent queue, the GASS spool, and user logs.
 	// Reopening an agent on the same StateDir recovers every job.
@@ -171,14 +161,14 @@ type AgentConfig struct {
 }
 
 // DefaultAgentConfig returns a config with every tunable at its default,
-// ready for flag wiring to override. StateDir, Selector, and Credential
-// must still be supplied by the caller.
+// ready for flag wiring to override; it is the one place those defaults are
+// written. StateDir, Selector, and Credential must still be supplied by the
+// caller.
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
 		Clock: gsi.WallClock,
 		Probe: ProbeOptions{
-			Interval:  500 * time.Millisecond,
-			Reconnect: 500 * time.Millisecond,
+			Interval: 500 * time.Millisecond,
 		},
 		Retry: RetryOptions{
 			MaxResubmits:     3,
@@ -188,10 +178,6 @@ func DefaultAgentConfig() AgentConfig {
 		Pipeline: PipelineOptions{
 			PerSiteInFlight: 4,
 			MaxInFlight:     64,
-		},
-		Stage: StageOptions{
-			ChunkSize: 64 << 10,
-			Streams:   4,
 		},
 	}
 }
@@ -295,35 +281,27 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("condorg: StateDir required")
 	}
+	def := DefaultAgentConfig()
 	if cfg.Clock == nil {
-		cfg.Clock = gsi.WallClock
+		cfg.Clock = def.Clock
 	}
 	if cfg.Probe.Interval == 0 {
-		cfg.Probe.Interval = 500 * time.Millisecond
-	}
-	if cfg.Probe.Reconnect == 0 {
-		cfg.Probe.Reconnect = cfg.Probe.Interval
+		cfg.Probe.Interval = def.Probe.Interval
 	}
 	if cfg.Retry.MaxResubmits == 0 {
-		cfg.Retry.MaxResubmits = 3
+		cfg.Retry.MaxResubmits = def.Retry.MaxResubmits
 	}
 	if cfg.Retry.MaxMigrations == 0 {
-		cfg.Retry.MaxMigrations = 5
+		cfg.Retry.MaxMigrations = def.Retry.MaxMigrations
 	}
 	if cfg.Retry.MaxSubmitRetries == 0 {
-		cfg.Retry.MaxSubmitRetries = 50
+		cfg.Retry.MaxSubmitRetries = def.Retry.MaxSubmitRetries
 	}
 	if cfg.Pipeline.PerSiteInFlight <= 0 {
-		cfg.Pipeline.PerSiteInFlight = 4
+		cfg.Pipeline.PerSiteInFlight = def.Pipeline.PerSiteInFlight
 	}
 	if cfg.Pipeline.MaxInFlight <= 0 {
-		cfg.Pipeline.MaxInFlight = 64
-	}
-	if cfg.Stage.ChunkSize <= 0 {
-		cfg.Stage.ChunkSize = 64 << 10
-	}
-	if cfg.Stage.Streams <= 0 {
-		cfg.Stage.Streams = 4
+		cfg.Pipeline.MaxInFlight = def.Pipeline.MaxInFlight
 	}
 	a := &Agent{
 		cfg:        cfg,

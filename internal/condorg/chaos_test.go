@@ -130,9 +130,6 @@ func runChaosSeed(t *testing.T, seed int64) {
 			// Non-default pipeline shape so the soak exercises the per-site
 			// workers with real concurrency rather than the serial fallback.
 			Pipeline: PipelineOptions{PerSiteInFlight: 3, MaxInFlight: 8},
-			// Small chunks so every staging transfer spans several
-			// stage-chunk RPCs and meets the mid-frame resets above.
-			Stage: StageOptions{ChunkSize: 4 << 10, Streams: 2},
 			Breaker: faultclass.BreakerConfig{
 				Threshold: 3,
 				BaseDelay: 30 * time.Millisecond,
@@ -154,10 +151,11 @@ func runChaosSeed(t *testing.T, seed int64) {
 		d := time.Duration(20+rng.Intn(120)) * time.Millisecond
 		id, err := agent.Submit(SubmitRequest{
 			Owner: "u",
-			// Each job carries a unique multi-chunk executable, so the
+			// Each job carries a unique six-chunk executable, so the
 			// staging plane (check/chunk/commit, resume, per-site cache)
-			// rides through every event in the schedule.
-			Executable: paddedProgram("chaos", 24<<10, byte('a'+i)),
+			// rides through every event in the schedule and every transfer
+			// spans several stage-chunk RPCs that meet the resets above.
+			Executable: paddedProgram("chaos", 6*stageChunkSize, byte('a'+i)),
 			Args:       []string{fmt.Sprintf("j%d", i), d.String()},
 		})
 		if err != nil {

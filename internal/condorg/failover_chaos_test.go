@@ -56,7 +56,6 @@ func runFailoverSeed(t *testing.T, seed int64) {
 	sb, err := NewStandby(StandbyConfig{
 		Primary:  ctl.Addr(),
 		StateDir: t.TempDir(),
-		Poll:     50 * time.Millisecond,
 		LeaseTTL: 400 * time.Millisecond,
 	})
 	if err != nil {

@@ -33,7 +33,7 @@ type GridManager struct {
 	credBusy    map[string]bool // in-band credential refreshes queued or running, by job ID
 	outstanding int             // tasks queued + executing across all sites
 	// stageSem caps concurrent stage-chunk streams per site across all of
-	// this owner's staging tasks (AgentConfig.Stage.Streams); stageHits and
+	// this owner's staging tasks (stageStreams); stageHits and
 	// stageMisses count executable-cache outcomes per site for health.
 	stageSem    map[string]chan struct{}
 	stageHits   map[string]int

@@ -195,11 +195,13 @@ func TestOnDiskUserLog(t *testing.T) {
 	w := newWorld(t, 1)
 	id, _ := w.agent.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task")})
 	waitAgentState(t, w.agent, id, Completed)
-	data, err := os.ReadFile(w.agent.UserLogPath(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
+	// The state flips before the event line reaches the file.
+	var text string
+	waitFor(t, "TERMINATED in the on-disk log", 5*time.Second, func() bool {
+		data, err := os.ReadFile(w.agent.UserLogPath(id))
+		text = string(data)
+		return err == nil && strings.Contains(text, "TERMINATED")
+	})
 	for _, code := range []string{"SUBMIT", "GRID_SUBMIT", "TERMINATED"} {
 		if !strings.Contains(text, code) {
 			t.Fatalf("on-disk log missing %s:\n%s", code, text)

@@ -6,9 +6,9 @@ package condorg
 // the bytes in parallel chunk streams, journaling each site-acked offset in
 // the job record so an agent crash or connection reset resumes from the
 // last acked chunk instead of byte zero. The per-site stream cap
-// (AgentConfig.Stage.Streams) is shared across all of the owner's staging
-// jobs and composes with Pipeline.PerSiteInFlight: a staging task occupies
-// one pipeline slot while its chunk RPCs share the stream semaphore.
+// (stageStreams) is shared across all of the owner's staging jobs and
+// composes with Pipeline.PerSiteInFlight: a staging task occupies one
+// pipeline slot while its chunk RPCs share the stream semaphore.
 
 import (
 	"errors"
@@ -18,6 +18,13 @@ import (
 	"condorg/internal/faultclass"
 	"condorg/internal/gass"
 	"condorg/internal/obs"
+)
+
+// stageChunkSize is the push transfer unit in bytes; stageStreams caps
+// concurrent chunk RPCs per site across all of one owner's staging jobs.
+const (
+	stageChunkSize = 64 << 10
+	stageStreams   = 4
 )
 
 // maxStageKnown bounds the agent's stage-known set. At the bound an arbitrary
@@ -98,7 +105,7 @@ func (gm *GridManager) stageStream(site string) chan struct{} {
 	defer gm.mu.Unlock()
 	sem := gm.stageSem[site]
 	if sem == nil {
-		sem = make(chan struct{}, gm.agent.cfg.Stage.Streams)
+		sem = make(chan struct{}, stageStreams)
 		gm.stageSem[site] = sem
 	}
 	return sem
@@ -210,8 +217,6 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	}
 
 	attempts := 0
-	chunkSize := gm.agent.cfg.Stage.ChunkSize
-	streams := gm.agent.cfg.Stage.Streams
 	sem := gm.stageStream(site)
 	chunks := 0
 	for off < int64(len(data)) {
@@ -222,7 +227,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 			return
 		default:
 		}
-		acked, err := gm.pushWindow(site, hash, data, off, chunkSize, streams, sem, &chunks)
+		acked, err := gm.pushWindow(site, hash, data, off, sem, &chunks)
 		if acked > off {
 			gm.agent.obs.Counter("stage_bytes_total").Add(acked - off)
 			off = acked
@@ -269,19 +274,19 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	finish(false, fmt.Sprintf("staged %d bytes in %d chunks to %s", len(data), chunks, site))
 }
 
-// pushWindow sends up to streams consecutive chunks starting at off in
+// pushWindow sends up to stageStreams consecutive chunks starting at off in
 // parallel, each RPC holding one slot of the per-site stream semaphore.
 // It returns the highest contiguous site ack observed and the first error.
-func (gm *GridManager) pushWindow(site, hash string, data []byte, off int64, chunkSize, streams int, sem chan struct{}, chunks *int) (int64, error) {
+func (gm *GridManager) pushWindow(site, hash string, data []byte, off int64, sem chan struct{}, chunks *int) (int64, error) {
 	type result struct {
 		acked int64
 		err   error
 	}
 	var wg sync.WaitGroup
-	results := make([]result, 0, streams)
+	results := make([]result, 0, stageStreams)
 	var mu sync.Mutex
-	for i := 0; i < streams && off < int64(len(data)); i++ {
-		end := off + int64(chunkSize)
+	for i := 0; i < stageStreams && off < int64(len(data)); i++ {
+		end := off + stageChunkSize
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}

@@ -27,7 +27,7 @@ func paddedProgram(name string, n int, fill byte) []byte {
 }
 
 // stageWorld is one site with injectable gatekeeper faults plus an agent
-// with a small staging chunk size (so payloads span many chunks).
+// staging to it.
 type stageWorld struct {
 	site   *gram.Site
 	faults *wire.Faults
@@ -37,7 +37,7 @@ type stageWorld struct {
 	agent  *Agent
 }
 
-func newStageWorld(t *testing.T, chunkSize, streams int) *stageWorld {
+func newStageWorld(t *testing.T) *stageWorld {
 	t.Helper()
 	w := &stageWorld{faults: &wire.Faults{}, runs: &atomic.Int64{}, dir: t.TempDir()}
 	cluster, err := lrm.NewCluster(lrm.Config{Name: "site", Cpus: 4})
@@ -60,7 +60,6 @@ func newStageWorld(t *testing.T, chunkSize, streams int) *stageWorld {
 		StateDir: w.dir,
 		Selector: StaticSelector(w.site.GatekeeperAddr()),
 		Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
-		Stage:    StageOptions{ChunkSize: chunkSize, Streams: streams},
 		// Keep the breaker out of the way: staging fault handling is
 		// under test, not breaker parking.
 		Breaker: faultclass.BreakerConfig{Threshold: 1000},
@@ -87,16 +86,17 @@ func stageStatsSum(a *Agent) (hits, misses int) {
 // acked offset and re-sends only the tail. The site's received-byte meter
 // is the proof: well under two file sizes despite repeated teardowns.
 func TestStagePushResumesAfterReset(t *testing.T) {
-	w := newStageWorld(t, 4<<10, 2)
-	exec := paddedProgram("task", 64<<10, 'p')
+	w := newStageWorld(t)
+	exec := paddedProgram("task", 10*stageChunkSize, 'p')
 
-	// Tear the response of the first several stage-chunk attempts. The
-	// handler has already run when the reset fires, so the site makes
-	// progress the client cannot see — exactly the torn-ack case the
-	// resume protocol exists for.
+	// Tear the response of every stage-chunk attempt of the first push
+	// window: four streams, each a call the GridManager's client tries
+	// three times. The handler has already run when the reset fires, so
+	// the site makes progress the client cannot see — exactly the torn-ack
+	// case the resume protocol exists for.
 	var chunkAttempts atomic.Int64
 	w.faults.SetConn(nil, nil, func(m string) bool {
-		return m == "gram.stage-chunk" && chunkAttempts.Add(1) <= 8
+		return m == "gram.stage-chunk" && chunkAttempts.Add(1) <= 3*stageStreams
 	})
 
 	id, err := w.agent.Submit(SubmitRequest{Owner: "u", Executable: exec})
@@ -138,13 +138,14 @@ func TestStagePushResumesAfterReset(t *testing.T) {
 // the acked offset in the job record; the reopened agent continues the
 // push from there instead of byte zero, and the job runs exactly once.
 func TestStageResumesAfterAgentCrash(t *testing.T) {
-	w := newStageWorld(t, 2<<10, 1)
-	exec := paddedProgram("task", 64<<10, 'q')
+	w := newStageWorld(t)
+	exec := paddedProgram("task", 8*stageStreams*stageChunkSize, 'q')
 
-	// Slow each chunk down so the kill lands mid-transfer.
+	// Slow each chunk down so the kill lands mid-transfer: eight push
+	// windows, each one delay long.
 	w.faults.SetDelay(func(m string) time.Duration {
 		if m == "gram.stage-chunk" {
-			return 10 * time.Millisecond
+			return 20 * time.Millisecond
 		}
 		return 0
 	})
@@ -205,7 +206,7 @@ func TestStageResumesAfterAgentCrash(t *testing.T) {
 // transfer it once — one cache miss, fifteen hits, and the site receives
 // exactly one file's worth of chunk payload.
 func TestStageCacheSharedAcrossJobs(t *testing.T) {
-	w := newStageWorld(t, 8<<10, 4)
+	w := newStageWorld(t)
 	exec := paddedProgram("task", 32<<10, 's')
 
 	// The first job populates the site cache. It runs long so the owner's
@@ -246,7 +247,7 @@ func TestStageCacheSharedAcrossJobs(t *testing.T) {
 // name must not collide in the cache — each job's bytes are stored and
 // served under their own content hash.
 func TestStageCacheKeyedByContent(t *testing.T) {
-	w := newStageWorld(t, 8<<10, 2)
+	w := newStageWorld(t)
 	execA := paddedProgram("task", 16<<10, 'a')
 	execB := paddedProgram("task", 16<<10, 'b')
 	hashA, hashB := gram.HashExecutable(execA), gram.HashExecutable(execB)
@@ -359,7 +360,7 @@ func TestStageUnreachableSiteFallsBack(t *testing.T) {
 // → run → Stdout/Stderr, the only requests its GASS server sees are the
 // site's: the stdout stream coming home, and nothing else.
 func TestAgentIssuesNoSelfRPC(t *testing.T) {
-	w := newStageWorld(t, 8<<10, 2)
+	w := newStageWorld(t)
 	w.agent.Close()
 	var mu sync.Mutex
 	seen := map[string]int{}
@@ -379,7 +380,7 @@ func TestAgentIssuesNoSelfRPC(t *testing.T) {
 	}
 	defer agent.Close()
 
-	exec := paddedProgram("task", 40<<10, 'z') // five staging chunks
+	exec := paddedProgram("task", 5*stageChunkSize, 'z') // five staging chunks
 	id, err := agent.Submit(SubmitRequest{Owner: "u", Executable: exec, Args: []string{"1ms"}, Stdin: []byte("input")})
 	if err != nil {
 		t.Fatal(err)

@@ -19,10 +19,11 @@ type StandbyConfig struct {
 	// lands in StateDir/queue/parts, and a takeover starts the agent here.
 	StateDir string
 	// LeaseTTL is how long the primary may be unreachable before the
-	// standby declares it dead and signals TakeoverCh (default 3s).
+	// standby declares it dead and signals TakeoverCh (default 3s). One
+	// long-poll stream round trip is bounded by LeaseTTL/3, so a live but
+	// idle primary answers well inside the lease even after a missed
+	// round.
 	LeaseTTL time.Duration
-	// Poll bounds one long-poll stream round trip (default 1s).
-	Poll time.Duration
 	// Journal configures the replicated store's own durability.
 	Journal journal.StoreOptions
 }
@@ -40,6 +41,7 @@ type StandbyConfig struct {
 // exactly-once across the switch.
 type Standby struct {
 	cfg   StandbyConfig
+	poll  time.Duration // long-poll bound: LeaseTTL/3
 	parts *journal.PartitionSet
 	cc    *ControlClient
 
@@ -69,16 +71,15 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * time.Second
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = time.Second
-	}
+	poll := cfg.LeaseTTL / 3
 	s := &Standby{
-		cfg: cfg,
+		cfg:  cfg,
+		poll: poll,
 		// Retries are the client's job here, not the wire layer's: the
 		// lease clock must see every failure promptly.
 		cc: &ControlClient{wc: wire.Dial(cfg.Primary, wire.ClientConfig{
 			ServerName: ControlService,
-			Timeout:    cfg.Poll + 2*time.Second,
+			Timeout:    poll + 2*time.Second,
 			Retries:    -1,
 		})},
 		stop:        make(chan struct{}),
@@ -187,7 +188,7 @@ func (s *Standby) tail(part int, st *journal.Store) {
 		select {
 		case <-s.stop:
 			return
-		case <-time.After(s.cfg.Poll / 10):
+		case <-time.After(s.poll / 10):
 		}
 	}
 }
@@ -202,7 +203,7 @@ func (s *Standby) tailOnce(part int, st *journal.Store) error {
 		Part:   part,
 		After:  after,
 		Max:    256,
-		WaitMS: int(s.cfg.Poll / time.Millisecond),
+		WaitMS: int(s.poll / time.Millisecond),
 		Ack:    &after,
 	})
 	if err != nil {

@@ -101,7 +101,6 @@ func TestStandbyFailover(t *testing.T) {
 	sbCfg := StandbyConfig{
 		Primary:  ctl.Addr(),
 		StateDir: t.TempDir(),
-		Poll:     100 * time.Millisecond,
 		LeaseTTL: 600 * time.Millisecond,
 	}
 	sb, err := NewStandby(sbCfg)
@@ -197,7 +196,8 @@ func TestStandbyFailover(t *testing.T) {
 }
 
 // TestStandbyTracksLivePrimary: without a failure the standby just mirrors —
-// including deletes of replicated payloads as jobs finish.
+// including deletes of replicated payloads as jobs finish — and never takes
+// over a primary that is alive but idle.
 func TestStandbyTracksLivePrimary(t *testing.T) {
 	runs := &atomic.Int64{}
 	site := newSite(t, "track-site", runs, t.TempDir(), "")
@@ -217,11 +217,11 @@ func TestStandbyTracksLivePrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
+	const leaseTTL = 900 * time.Millisecond
 	sb, err := NewStandby(StandbyConfig{
 		Primary:  ctl.Addr(),
 		StateDir: t.TempDir(),
-		Poll:     100 * time.Millisecond,
-		LeaseTTL: 5 * time.Second,
+		LeaseTTL: leaseTTL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,6 +255,14 @@ func TestStandbyTracksLivePrimary(t *testing.T) {
 	}
 	if sb.LastErr() != nil {
 		t.Fatalf("replication errored: %v", sb.LastErr())
+	}
+
+	// Nothing left to stream: every long-poll now runs to its LeaseTTL/3
+	// bound, and each answer still renews the lease.
+	select {
+	case <-sb.TakeoverCh():
+		t.Fatalf("standby took over a live, idle primary (lastErr=%v)", sb.LastErr())
+	case <-time.After(3 * leaseTTL):
 	}
 }
 
@@ -295,7 +303,7 @@ func TestStandbyRejectsPartitionMismatch(t *testing.T) {
 	// The pinned directory opens without asking the primary; the first
 	// reply ends replication for good — long before the lease could — and
 	// Takeover reports why instead of promoting.
-	sb, err := NewStandby(StandbyConfig{Primary: ctl.Addr(), StateDir: dir, Poll: 50 * time.Millisecond, LeaseTTL: time.Minute})
+	sb, err := NewStandby(StandbyConfig{Primary: ctl.Addr(), StateDir: dir, LeaseTTL: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

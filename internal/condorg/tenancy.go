@@ -67,8 +67,8 @@ type TenancyOptions struct {
 // are renewed from. The binding lives in agent configuration (not credmgr)
 // so serve-flag wiring and the monitor share one source of truth.
 type MyProxyBinding struct {
-	// Addr is the MyProxy server address; empty means the monitor's
-	// default server.
+	// Addr is the MyProxy server address; a binding without one renews
+	// nothing.
 	Addr string
 	// User and Pass authenticate the renewal fetch.
 	User string

@@ -36,6 +36,7 @@ const (
 	Removed
 )
 
+// String returns the state's lower-case name, the one ParseJobState reads.
 func (s JobState) String() string {
 	switch s {
 	case Idle:

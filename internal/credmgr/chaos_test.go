@@ -128,7 +128,7 @@ func runCredChaosSeed(t *testing.T, seed int64) {
 		if err := mc.Store(o, "pw-"+o, long); err != nil {
 			t.Fatal(err)
 		}
-		bindings[o] = condorg.MyProxyBinding{User: o, Pass: "pw-" + o}
+		bindings[o] = condorg.MyProxyBinding{Addr: srv.Addr(), User: o, Pass: "pw-" + o}
 	}
 
 	agent, err := condorg.NewAgent(condorg.AgentConfig{
@@ -136,9 +136,6 @@ func runCredChaosSeed(t *testing.T, seed int64) {
 		Clock:    clk.Now,
 		Selector: &condorg.RoundRobinSelector{Sites: gks},
 		Probe:    condorg.ProbeOptions{Interval: 30 * time.Millisecond},
-		// Small chunks so the padded executables stage across many RPCs —
-		// the clock lurches land mid-stage-in, not only mid-run.
-		Stage: condorg.StageOptions{ChunkSize: 4 << 10, Streams: 2},
 		// Per-owner bindings: the monitor renews each owner from their own
 		// MyProxy account.
 		Tenancy: condorg.TenancyOptions{MyProxy: bindings},
@@ -164,15 +161,16 @@ func runCredChaosSeed(t *testing.T, seed int64) {
 		RenewLead:     50 * time.Minute,
 		RenewJitter:   10 * time.Minute,
 		RenewLifetime: 2 * time.Hour,
-		MyProxy:       mc,
 	})
 	defer mon.Stop()
 
 	submitJob := func(i int, owner string) string {
 		d := time.Duration(30+rng.Intn(90)) * time.Millisecond
 		id, err := agent.Submit(condorg.SubmitRequest{
-			Owner:      owner,
-			Executable: paddedProgram("chaos", 24<<10, byte('a'+i)),
+			Owner: owner,
+			// Five 64 KiB chunks, two push windows: the clock lurches land
+			// mid-stage-in, not only mid-run.
+			Executable: paddedProgram("chaos", 5*64<<10, byte('a'+i)),
 			Args:       []string{fmt.Sprintf("j%d", i), d.String()},
 		})
 		if err != nil {

@@ -55,16 +55,6 @@ type MonitorConfig struct {
 	// renewals across the window instead of firing them all on the same
 	// scan. Zero disables the jitter.
 	RenewJitter time.Duration
-	// MyProxy, when set, is the default MyProxy client: used for owners
-	// whose binding names no server of its own, and — together with
-	// MyProxyUser/MyProxyPass — for owners with no binding at all (the
-	// single-tenant configuration).
-	MyProxy *MyProxyClient
-	// MyProxyUser and MyProxyPass authenticate renewal fetches for owners
-	// without a per-owner binding.
-	MyProxyUser string
-	// MyProxyPass is the password paired with MyProxyUser.
-	MyProxyPass string
 	// RenewLifetime is the lifetime requested for auto-renewed proxies.
 	RenewLifetime time.Duration
 }
@@ -289,27 +279,18 @@ func (m *Monitor) scanOwner(owner string) OwnerScan {
 	return os
 }
 
-// bindingFor resolves owner's renewal source: the agent's per-owner
-// MyProxy binding first (dialing its server on demand), then the
-// monitor-wide default account.
+// bindingFor resolves owner's renewal source — the agent's MyProxy binding
+// for the owner, or its tenancy-wide default — dialing the binding's server
+// on demand. A binding without a server address renews nothing.
 func (m *Monitor) bindingFor(owner string) (client *MyProxyClient, user, pass string, ok bool) {
-	if b, bound := m.cfg.Agent.MyProxyBinding(owner); bound {
-		c := m.cfg.MyProxy
-		if b.Addr != "" {
-			c = m.clientFor(b.Addr)
-		}
-		if c == nil {
-			return nil, "", "", false
-		}
-		return c, b.User, b.Pass, true
+	b, bound := m.cfg.Agent.MyProxyBinding(owner)
+	if !bound || b.Addr == "" {
+		return nil, "", "", false
 	}
-	if m.cfg.MyProxy != nil {
-		return m.cfg.MyProxy, m.cfg.MyProxyUser, m.cfg.MyProxyPass, true
-	}
-	return nil, "", "", false
+	return m.clientFor(b.Addr), b.User, b.Pass, true
 }
 
-// clientFor returns (dialing once) the client for a binding's own server.
+// clientFor returns (dialing once) the client for a binding's server.
 func (m *Monitor) clientFor(addr string) *MyProxyClient {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -35,14 +35,18 @@ func (f *fakeClock) Advance(d time.Duration) {
 
 // world sets up a CA, a user credential, a site, and an agent.
 type world struct {
-	ca    *gsi.CA
-	user  *gsi.Credential
-	clk   *fakeClock
-	agent *condorg.Agent
-	site  *gram.Site
+	ca      *gsi.CA
+	user    *gsi.Credential
+	clk     *fakeClock
+	agent   *condorg.Agent
+	site    *gram.Site
+	myproxy *MyProxyClient // nil unless the world was built with a password
 }
 
-func newWorld(t *testing.T) *world {
+// newWorld builds the world. A non-empty pass also starts a MyProxy server
+// and makes account "jfrey" on it, with that password, the agent's default
+// renewal binding (TenancyOptions.MyProxyDefault).
+func newWorld(t *testing.T, pass string) *world {
 	t.Helper()
 	clk := &fakeClock{now: time.Date(2001, 8, 6, 9, 0, 0, 0, time.UTC)}
 	ca, err := gsi.NewCA("/O=Grid/CN=CA", clk.Now(), 365*24*time.Hour)
@@ -78,22 +82,35 @@ func newWorld(t *testing.T) *world {
 	}
 	t.Cleanup(site.Close)
 
+	w := &world{ca: ca, user: user, clk: clk, site: site}
+	var tenancy condorg.TenancyOptions
+	if pass != "" {
+		srv, err := NewMyProxyServer(MyProxyOptions{Clock: clk.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		w.myproxy = NewMyProxyClient(srv.Addr(), nil, clk.Now)
+		t.Cleanup(func() { w.myproxy.Close() })
+		tenancy.MyProxyDefault = &condorg.MyProxyBinding{Addr: srv.Addr(), User: "jfrey", Pass: pass}
+	}
 	proxy, err := gsi.NewProxy(user, clk.Now(), 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := condorg.NewAgent(condorg.AgentConfig{
+	w.agent, err = condorg.NewAgent(condorg.AgentConfig{
 		StateDir:   t.TempDir(),
 		Credential: proxy,
 		Clock:      clk.Now,
 		Selector:   condorg.StaticSelector(site.GatekeeperAddr()),
 		Probe:      condorg.ProbeOptions{Interval: 40 * time.Millisecond},
+		Tenancy:    tenancy,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(agent.Close)
-	return &world{ca: ca, user: user, clk: clk, agent: agent, site: site}
+	t.Cleanup(w.agent.Close)
+	return w
 }
 
 func (w *world) submitLong(t *testing.T) string {
@@ -108,7 +125,7 @@ func (w *world) submitLong(t *testing.T) string {
 }
 
 func TestWarnBeforeExpiry(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	id := w.submitLong(t)
 	defer w.agent.Remove(id)
 	mon := NewMonitor(MonitorConfig{
@@ -134,7 +151,7 @@ func TestWarnBeforeExpiry(t *testing.T) {
 }
 
 func TestExpiredCredentialHoldsJobs(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	id := w.submitLong(t)
 	mon := NewMonitor(MonitorConfig{
 		Agent: w.agent, Owner: "jfrey", Clock: w.clk.Now, WarnThreshold: time.Hour,
@@ -165,7 +182,7 @@ func TestExpiredCredentialHoldsJobs(t *testing.T) {
 }
 
 func TestRefreshReleasesAndCompletes(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	id, err := w.agent.Submit(condorg.SubmitRequest{
 		Owner: "jfrey", Executable: gram.Program("task"), Args: []string{"50ms"},
 	})
@@ -197,7 +214,7 @@ func TestRefreshReleasesAndCompletes(t *testing.T) {
 }
 
 func TestMonitorIgnoresIdleUsers(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	mon := NewMonitor(MonitorConfig{
 		Agent: w.agent, Owner: "jfrey", Clock: w.clk.Now, WarnThreshold: time.Hour,
 	})
@@ -281,26 +298,22 @@ func TestMyProxyRefusesExpiredStored(t *testing.T) {
 }
 
 func TestAutoRenewalFromMyProxy(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "s3cret")
 	id := w.submitLong(t)
 	defer w.agent.Remove(id)
 
 	// Deposit a week-long proxy in MyProxy.
 	longProxy, _ := gsi.NewProxy(w.user, w.clk.Now(), 7*24*time.Hour)
-	srv, _ := NewMyProxyServer(MyProxyOptions{Clock: w.clk.Now})
-	defer srv.Close()
-	mc := NewMyProxyClient(srv.Addr(), nil, w.clk.Now)
-	defer mc.Close()
-	if err := mc.Store("jfrey", "s3cret", longProxy); err != nil {
+	if err := w.myproxy.Store("jfrey", "s3cret", longProxy); err != nil {
 		t.Fatal(err)
 	}
 
 	mon := NewMonitor(MonitorConfig{
 		Agent: w.agent, Owner: "jfrey", Clock: w.clk.Now,
 		WarnThreshold: time.Hour,
-		MyProxy:       mc, MyProxyUser: "jfrey", MyProxyPass: "s3cret",
 		RenewLifetime: 12 * time.Hour,
 	})
+	defer mon.Stop()
 	// Let the agent proxy run down to 30 minutes: auto-renew, no hold.
 	w.clk.Advance(90 * time.Minute)
 	res := mon.Scan()
@@ -323,7 +336,7 @@ func TestAutoRenewalFromMyProxy(t *testing.T) {
 }
 
 func TestMonitorStartStop(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	mon := NewMonitor(MonitorConfig{
 		Agent: w.agent, Owner: "jfrey", Clock: w.clk.Now,
 		Interval: 10 * time.Millisecond,
@@ -352,7 +365,7 @@ func TestMonitorStartStop(t *testing.T) {
 // from their own MyProxy binding — the refreshed proxies carry the right
 // identities.
 func TestMultiOwnerRenewalPerBinding(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "")
 	alice, err := w.ca.IssueUser("/O=Grid/CN=alice", w.clk.Now(), 30*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -429,17 +442,13 @@ func TestMultiOwnerRenewalPerBinding(t *testing.T) {
 // A failed renewal is not swallowed: Stats carries a typed *ScanError, the
 // owner is notified, and the warn/hold ladder still runs on the old proxy.
 func TestScanErrorSurfaced(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, "nope")
 	id := w.submitLong(t)
-	srv, _ := NewMyProxyServer(MyProxyOptions{Clock: w.clk.Now})
-	defer srv.Close()
-	mc := NewMyProxyClient(srv.Addr(), nil, w.clk.Now)
-	defer mc.Close()
 	// Nothing stored under "jfrey": every renewal attempt fails.
 	mon := NewMonitor(MonitorConfig{
 		Agent: w.agent, Owner: "jfrey", Clock: w.clk.Now, WarnThreshold: time.Hour,
-		MyProxy: mc, MyProxyUser: "jfrey", MyProxyPass: "nope",
 	})
+	defer mon.Stop()
 	w.clk.Advance(90 * time.Minute)
 	res := mon.Scan()
 	if len(res.Owners) != 1 || res.Owners[0].Err == nil {

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -97,7 +96,7 @@ func InstallBootstrap(siteRuntime *gram.FuncRuntime, jobRuntime *condor.Runtime,
 		shutdown := make(chan string, 1)
 		sd, err := condor.NewStartd(condor.StartdConfig{
 			Name:              cfg.slotName,
-			MemoryMB:          cfg.memoryMB,
+			MemoryMB:          pilotMemoryMB,
 			CollectorAddr:     cfg.collectorAddr,
 			Runtime:           jobRuntime,
 			Credential:        cred,
@@ -131,13 +130,15 @@ func InstallBootstrap(siteRuntime *gram.FuncRuntime, jobRuntime *condor.Runtime,
 	})
 }
 
+// pilotMemoryMB is the memory every glided-in slot advertises.
+const pilotMemoryMB = 512
+
 // pilotConfig is the decoded argument vector of a pilot job.
 type pilotConfig struct {
 	collectorAddr string
 	repoAddr      string
 	slotName      string
 	siteLabel     string
-	memoryMB      int64
 	lease         time.Duration
 	idle          time.Duration
 	advertise     time.Duration
@@ -146,37 +147,31 @@ type pilotConfig struct {
 func pilotArgs(cfg pilotConfig) []string {
 	return []string{
 		cfg.collectorAddr, cfg.repoAddr, cfg.slotName, cfg.siteLabel,
-		strconv.FormatInt(cfg.memoryMB, 10),
 		cfg.lease.String(), cfg.idle.String(), cfg.advertise.String(),
 	}
 }
 
 func parsePilotArgs(args []string) (pilotConfig, error) {
-	if len(args) != 8 {
-		return pilotConfig{}, fmt.Errorf("pilot wants 8 args, got %d", len(args))
+	if len(args) != 7 {
+		return pilotConfig{}, fmt.Errorf("pilot wants 7 args, got %d", len(args))
 	}
-	mem, err := strconv.ParseInt(args[4], 10, 64)
+	lease, err := time.ParseDuration(args[4])
 	if err != nil {
-		return pilotConfig{}, fmt.Errorf("bad memory %q", args[4])
+		return pilotConfig{}, fmt.Errorf("bad lease %q", args[4])
 	}
-	lease, err := time.ParseDuration(args[5])
+	idle, err := time.ParseDuration(args[5])
 	if err != nil {
-		return pilotConfig{}, fmt.Errorf("bad lease %q", args[5])
+		return pilotConfig{}, fmt.Errorf("bad idle %q", args[5])
 	}
-	idle, err := time.ParseDuration(args[6])
+	adv, err := time.ParseDuration(args[6])
 	if err != nil {
-		return pilotConfig{}, fmt.Errorf("bad idle %q", args[6])
-	}
-	adv, err := time.ParseDuration(args[7])
-	if err != nil {
-		return pilotConfig{}, fmt.Errorf("bad advertise %q", args[7])
+		return pilotConfig{}, fmt.Errorf("bad advertise %q", args[6])
 	}
 	return pilotConfig{
 		collectorAddr: args[0],
 		repoAddr:      args[1],
 		slotName:      args[2],
 		siteLabel:     args[3],
-		memoryMB:      mem,
 		lease:         lease,
 		idle:          idle,
 		advertise:     adv,
@@ -198,8 +193,6 @@ type FactoryConfig struct {
 	// AdvertiseInterval for glided-in slots (default 100ms; tests and
 	// benches shorten further).
 	AdvertiseInterval time.Duration
-	// MemoryMB advertised by each glided-in slot.
-	MemoryMB int64
 	// Delegate, when positive, forwards a proxy of this lifetime with
 	// each pilot.
 	Delegate time.Duration
@@ -226,9 +219,6 @@ func NewFactory(cfg FactoryConfig) *Factory {
 	if cfg.AdvertiseInterval == 0 {
 		cfg.AdvertiseInterval = 100 * time.Millisecond
 	}
-	if cfg.MemoryMB == 0 {
-		cfg.MemoryMB = 512
-	}
 	if cfg.Lease == 0 {
 		cfg.Lease = time.Hour
 	}
@@ -254,7 +244,6 @@ func (f *Factory) SubmitPilot(gkAddr, siteLabel string) (Pilot, error) {
 			repoAddr:      f.cfg.RepoAddr,
 			slotName:      slot,
 			siteLabel:     siteLabel,
-			memoryMB:      f.cfg.MemoryMB,
 			lease:         f.cfg.Lease,
 			idle:          f.cfg.IdleTimeout,
 			advertise:     f.cfg.AdvertiseInterval,

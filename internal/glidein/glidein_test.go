@@ -235,7 +235,7 @@ func TestFloodCreatesPersonalPool(t *testing.T) {
 func TestPilotArgsRoundTrip(t *testing.T) {
 	cfg := pilotConfig{
 		collectorAddr: "1.2.3.4:9618", repoAddr: "5.6.7.8:2811",
-		slotName: "g1", siteLabel: "anl", memoryMB: 256,
+		slotName: "g1", siteLabel: "anl",
 		lease: time.Hour, idle: 10 * time.Minute, advertise: time.Second,
 	}
 	got, err := parsePilotArgs(pilotArgs(cfg))
@@ -249,7 +249,7 @@ func TestPilotArgsRoundTrip(t *testing.T) {
 		t.Fatal("short args accepted")
 	}
 	bad := pilotArgs(cfg)
-	bad[5] = "not-a-duration"
+	bad[4] = "not-a-duration"
 	if _, err := parsePilotArgs(bad); err == nil {
 		t.Fatal("bad lease accepted")
 	}

@@ -52,7 +52,6 @@ type gkPilotConfig struct {
 	slotName      string
 	siteLabel     string
 	cpus          int
-	memoryMB      int64
 	lease         time.Duration
 	idle          time.Duration
 	advertise     time.Duration
@@ -61,34 +60,30 @@ type gkPilotConfig struct {
 func gkPilotArgs(cfg gkPilotConfig) []string {
 	return []string{
 		cfg.collectorAddr, cfg.repoAddr, cfg.slotName, cfg.siteLabel,
-		strconv.Itoa(cfg.cpus), strconv.FormatInt(cfg.memoryMB, 10),
+		strconv.Itoa(cfg.cpus),
 		cfg.lease.String(), cfg.idle.String(), cfg.advertise.String(),
 	}
 }
 
 func parseGkPilotArgs(args []string) (gkPilotConfig, error) {
-	if len(args) != 9 {
-		return gkPilotConfig{}, fmt.Errorf("gatekeeper pilot wants 9 args, got %d", len(args))
+	if len(args) != 8 {
+		return gkPilotConfig{}, fmt.Errorf("gatekeeper pilot wants 8 args, got %d", len(args))
 	}
 	cpus, err := strconv.Atoi(args[4])
 	if err != nil || cpus <= 0 {
 		return gkPilotConfig{}, fmt.Errorf("bad cpus %q", args[4])
 	}
-	mem, err := strconv.ParseInt(args[5], 10, 64)
+	lease, err := time.ParseDuration(args[5])
 	if err != nil {
-		return gkPilotConfig{}, fmt.Errorf("bad memory %q", args[5])
+		return gkPilotConfig{}, fmt.Errorf("bad lease %q", args[5])
 	}
-	lease, err := time.ParseDuration(args[6])
+	idle, err := time.ParseDuration(args[6])
 	if err != nil {
-		return gkPilotConfig{}, fmt.Errorf("bad lease %q", args[6])
+		return gkPilotConfig{}, fmt.Errorf("bad idle %q", args[6])
 	}
-	idle, err := time.ParseDuration(args[7])
+	adv, err := time.ParseDuration(args[7])
 	if err != nil {
-		return gkPilotConfig{}, fmt.Errorf("bad idle %q", args[7])
-	}
-	adv, err := time.ParseDuration(args[8])
-	if err != nil {
-		return gkPilotConfig{}, fmt.Errorf("bad advertise %q", args[8])
+		return gkPilotConfig{}, fmt.Errorf("bad advertise %q", args[7])
 	}
 	return gkPilotConfig{
 		collectorAddr: args[0],
@@ -96,7 +91,6 @@ func parseGkPilotArgs(args []string) (gkPilotConfig, error) {
 		slotName:      args[2],
 		siteLabel:     args[3],
 		cpus:          cpus,
-		memoryMB:      mem,
 		lease:         lease,
 		idle:          idle,
 		advertise:     adv,
@@ -164,7 +158,7 @@ func InstallGatekeeperPilot(siteRuntime *gram.FuncRuntime, jobRuntime gram.Runti
 		cc := condor.NewCollectorClient(cfg.collectorAddr, cred, clock)
 		defer cc.Close()
 		advertise := func() {
-			ad := condor.MachineAd(cfg.slotName, "x86_64", cfg.memoryMB, site.GatekeeperAddr())
+			ad := condor.MachineAd(cfg.slotName, "x86_64", pilotMemoryMB, site.GatekeeperAddr())
 			ad.SetString(AdAttrGlideIn, "true")
 			ad.SetString(AdAttrSite, cfg.siteLabel)
 			ad.SetString(AdAttrGatekeeper, site.GatekeeperAddr())

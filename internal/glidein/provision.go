@@ -54,20 +54,19 @@ type ProvisionerConfig struct {
 	// resubmit elsewhere instead of waiting out a reconnect that can
 	// never happen.
 	SiteRetired func(addr string)
-	// MinPilots/MaxPilots clamp the pool size. JobsPerPilot is how much
-	// backlog one pilot is expected to absorb (default 4).
-	MinPilots    int
-	MaxPilots    int
-	JobsPerPilot int
+	// MinPilots/MaxPilots clamp the pool size.
+	MinPilots int
+	MaxPilots int
 	// Interval paces reconciliation ticks (default 1s).
 	Interval time.Duration
-	// Lease, IdleTimeout, AdvertiseInterval, PilotCpus, MemoryMB and
-	// Delegate parameterize the pilots themselves.
+	// Lease, IdleTimeout, AdvertiseInterval, PilotCpus and Delegate
+	// parameterize the pilots themselves. PilotCpus (default 4) is also
+	// the backlog one pilot absorbs: the pool targets backlog ÷ PilotCpus
+	// pilots, since a pilot runs that many jobs at once.
 	Lease             time.Duration
 	IdleTimeout       time.Duration
 	AdvertiseInterval time.Duration
 	PilotCpus         int
-	MemoryMB          int64
 	Delegate          time.Duration
 	// Obs receives pool metrics (nil-safe).
 	Obs *obs.Registry
@@ -137,9 +136,6 @@ func NewProvisioner(cfg ProvisionerConfig) (*Provisioner, error) {
 	if cfg.Demand == nil {
 		return nil, fmt.Errorf("glidein: provisioner needs a Demand source")
 	}
-	if cfg.JobsPerPilot <= 0 {
-		cfg.JobsPerPilot = 4
-	}
 	if cfg.MaxPilots <= 0 {
 		cfg.MaxPilots = 2 * len(cfg.HostSites)
 	}
@@ -151,9 +147,6 @@ func NewProvisioner(cfg ProvisionerConfig) (*Provisioner, error) {
 	}
 	if cfg.PilotCpus <= 0 {
 		cfg.PilotCpus = 4
-	}
-	if cfg.MemoryMB <= 0 {
-		cfg.MemoryMB = 512
 	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = time.Hour
@@ -306,7 +299,7 @@ func (p *Provisioner) tick() {
 	}
 
 	demand := p.cfg.Demand()
-	target := (demand + p.cfg.JobsPerPilot - 1) / p.cfg.JobsPerPilot
+	target := (demand + p.cfg.PilotCpus - 1) / p.cfg.PilotCpus
 	if target < p.cfg.MinPilots {
 		target = p.cfg.MinPilots
 	}
@@ -354,7 +347,6 @@ func (p *Provisioner) scaleUp(n int) []*pilotState {
 				slotName:      slot,
 				siteLabel:     label,
 				cpus:          p.cfg.PilotCpus,
-				memoryMB:      p.cfg.MemoryMB,
 				lease:         p.cfg.Lease,
 				idle:          p.cfg.IdleTimeout,
 				advertise:     p.cfg.AdvertiseInterval,

@@ -123,7 +123,6 @@ func newElasticWorld(t *testing.T, numHosts int, seed int64) *elasticWorld {
 		DeferBinding: true,
 		Probe:        condorg.ProbeOptions{Interval: 30 * time.Millisecond},
 		Retry:        condorg.RetryOptions{MaxResubmits: 20},
-		Stage:        condorg.StageOptions{ChunkSize: 1 << 10},
 		Breaker: faultclass.BreakerConfig{
 			Threshold: 1,
 			BaseDelay: 25 * time.Millisecond,
@@ -157,12 +156,11 @@ func (w *elasticWorld) newProvisioner(t *testing.T, mod func(*ProvisionerConfig)
 			}
 			return 0, 0
 		},
-		JobsPerPilot:      3,
 		Interval:          40 * time.Millisecond,
 		Lease:             30 * time.Second,
 		IdleTimeout:       500 * time.Millisecond,
 		AdvertiseInterval: 40 * time.Millisecond,
-		PilotCpus:         4,
+		PilotCpus:         3,
 		Obs:               w.agent.Obs(),
 	}
 	if mod != nil {
@@ -225,7 +223,7 @@ func runElasticSoak(t *testing.T, seed int64) {
 	// executable, so every pilot's gatekeeper cache is exercised: one
 	// transfer per pilot, hits after.
 	const high = 30
-	exe := paddedWork(16 << 10)
+	exe := paddedWork(2 * 64 << 10)
 	ids := map[string]string{}
 	for i := 0; i < high; i++ {
 		key := fmt.Sprintf("hi%d", i)
@@ -340,7 +338,7 @@ func TestAutoscalerRetiresPilotMidStageIn(t *testing.T) {
 	stall.Store(true)
 	testPilotGatekeeperFaults = &wire.Faults{Delay: func(m string) time.Duration {
 		if m == "gram.stage-chunk" && stall.Load() {
-			return 25 * time.Millisecond
+			return 100 * time.Millisecond
 		}
 		return 0
 	}}
@@ -366,10 +364,11 @@ func TestAutoscalerRetiresPilotMidStageIn(t *testing.T) {
 	})
 	prov.Start()
 
-	// 64 KiB over 1 KiB chunks at 25 ms each ≈ 1.6 s of staging.
+	// 32 chunks of 64 KiB, four streams at 100 ms per chunk ≈ 0.8 s of
+	// staging.
 	id, err := w.agent.Submit(condorg.SubmitRequest{
 		Owner:      "u",
-		Executable: paddedWork(64 << 10),
+		Executable: paddedWork(32 * 64 << 10),
 		Args:       []string{"solo"},
 	})
 	if err != nil {
@@ -446,7 +445,6 @@ func TestGkPilotArgsRoundTrip(t *testing.T) {
 		slotName:      "glidein-gk-wisc-3",
 		siteLabel:     "wisc",
 		cpus:          4,
-		memoryMB:      512,
 		lease:         2 * time.Hour,
 		idle:          20 * time.Minute,
 		advertise:     5 * time.Second,
@@ -460,10 +458,10 @@ func TestGkPilotArgsRoundTrip(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		nil,
-		{"c", "r", "slot", "site", "4", "512", "1h", "1m"},          // short
-		{"c", "r", "slot", "site", "zero", "512", "1h", "1m", "5s"}, // bad cpus
-		{"c", "r", "slot", "site", "4", "512", "soon", "1m", "5s"},  // bad lease
-		{"c", "r", "slot", "site", "4", "512", "1h", "1m", "often"}, // bad advertise
+		{"c", "r", "slot", "site", "4", "1h", "1m"},          // short
+		{"c", "r", "slot", "site", "zero", "1h", "1m", "5s"}, // bad cpus
+		{"c", "r", "slot", "site", "4", "soon", "1m", "5s"},  // bad lease
+		{"c", "r", "slot", "site", "4", "1h", "1m", "often"}, // bad advertise
 	} {
 		if _, err := parseGkPilotArgs(bad); err == nil {
 			t.Fatalf("parseGkPilotArgs(%v) accepted a bad vector", bad)

@@ -27,7 +27,6 @@ func TestSiteReclaimsAllocation(t *testing.T) {
 			repoAddr:      w.repo.Addr(),
 			slotName:      "reclaimed-slot",
 			siteLabel:     "wisc",
-			memoryMB:      512,
 			lease:         time.Hour,
 			idle:          time.Hour,
 			advertise:     15 * time.Millisecond,

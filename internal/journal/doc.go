@@ -31,10 +31,9 @@
 //     under the journal lock; the first caller to need durability becomes
 //     the commit leader and writes (and, in Sync mode, fsyncs) every
 //     record enqueued so far in a single batch, while later callers wait
-//     for the leader to cover their sequence number. Options.GroupWindow
-//     optionally makes the leader linger to admit more followers; the
-//     natural batching window (the previous batch's write+fsync time) is
-//     usually enough. Options.NoGroupCommit restores the historical
+//     for the leader to cover their sequence number. There is no linger:
+//     the batching window is the previous batch's write+fsync time.
+//     Options.NoGroupCommit restores the historical
 //     one-write-one-fsync-per-append behavior for comparison.
 //
 // In every mode, a record is either replayed intact or — when the crash
@@ -65,8 +64,8 @@
 //     including on every subsequent attempt until the operator removes
 //     the quarantined file. There is no silent partial replay.
 //
-// The Store bounds segment size (StoreOptions.SegmentMaxRecords /
-// SegmentMaxBytes), rotating the live journal and folding sealed
+// The Store bounds segment size (1,000 records or 8 MiB, constants),
+// rotating the live journal and folding sealed
 // segments into the snapshot in the background; the chain threads
 // unbroken through rotation, and the snapshot records the chain head it
 // is valid at. VerifyDir proves a store directory's entire history

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestGroupCommitConcurrentAppends drives many concurrent appenders through
@@ -240,35 +239,5 @@ func TestStoreRecoversLeftoverSegments(t *testing.T) {
 	var p payload
 	if found, _ := s.Get("d", &p); !found || p.N != 4 {
 		t.Fatalf("post-recovery put lost: found=%v p=%+v", found, p)
-	}
-}
-
-// TestGroupWindowStillDurable exercises the optional leader linger: with a
-// window configured, appends still return durable and replayable.
-func TestGroupWindowStillDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.log")
-	j, err := Open(path, Options{Sync: true, GroupWindow: 200 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if err := j.Append("p", payload{N: w*5 + i}); err != nil {
-					t.Errorf("append: %v", err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := Replay(path, func(Record) error { return nil })
-	if err != nil || n != 20 {
-		t.Fatalf("replay n=%d err=%v, want 20", n, err)
 	}
 }

@@ -55,7 +55,6 @@ type Journal struct {
 	f    *os.File
 
 	sync    bool
-	window  time.Duration
 	noGroup bool
 
 	buf     []byte // framed records enqueued but not yet written
@@ -79,11 +78,6 @@ type Options struct {
 	// that simulate crashes at arbitrary points leave this off for speed;
 	// the agent turns it on for its persistent queue.
 	Sync bool
-	// GroupWindow, when positive, makes the commit leader linger that long
-	// before flushing so more concurrent appenders join the batch. Zero
-	// relies on natural batching (appenders that arrive while the previous
-	// batch is being written share the next one), which is usually best.
-	GroupWindow time.Duration
 	// NoGroupCommit restores the historical behavior of one write (and,
 	// with Sync, one fsync) per append, performed under the journal lock.
 	// It exists so benchmarks can compare against the ungrouped path.
@@ -108,7 +102,6 @@ func Open(path string, opts Options) (*Journal, error) {
 		path:     path,
 		f:        f,
 		sync:     opts.Sync,
-		window:   opts.GroupWindow,
 		noGroup:  opts.NoGroupCommit,
 		hFlush:   opts.Obs.Histogram("journal_flush_seconds"),
 		hBatch:   opts.Obs.Histogram("journal_batch_records"),
@@ -184,26 +177,19 @@ func (j *Journal) Append(recType string, v any) error {
 // framing it directly without a second marshal. data must be a valid JSON
 // document (empty is treated as null).
 func (j *Journal) AppendRaw(recType string, data json.RawMessage) error {
-	seq, err := j.Enqueue(recType, data)
+	seq, _, err := j.EnqueueChained(recType, data)
 	if err != nil {
 		return err
 	}
 	return j.Commit(seq)
 }
 
-// Enqueue stages one record (payload must be valid JSON) and returns its
-// sequence number without waiting for it to reach disk. Callers that need
-// to order the enqueue against their own state under an external lock use
-// Enqueue there and call Commit after releasing it, so the durability wait
-// does not serialize them.
-func (j *Journal) Enqueue(recType string, data json.RawMessage) (uint64, error) {
-	seq, _, err := j.EnqueueChained(recType, data)
-	return seq, err
-}
-
-// EnqueueChained is Enqueue plus the appended record's chain Link, so a
-// caller mirroring records to a follower can ship seq/prev/hash without
-// re-deriving them.
+// EnqueueChained stages one record (payload must be valid JSON) and returns
+// its sequence number and chain Link without waiting for it to reach disk.
+// Callers that need to order the enqueue against their own state under an
+// external lock enqueue there and call Commit after releasing it, so the
+// durability wait does not serialize them; the Link lets a caller mirroring
+// records to a follower ship seq/prev/hash without re-deriving them.
 func (j *Journal) EnqueueChained(recType string, data json.RawMessage) (uint64, Link, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -282,11 +268,6 @@ func (j *Journal) Commit(seq uint64) error {
 			continue
 		}
 		j.leading = true
-		if j.window > 0 {
-			j.mu.Unlock()
-			time.Sleep(j.window)
-			j.mu.Lock()
-		}
 		buf := j.buf
 		upTo := j.pendSeq
 		batch := upTo - j.durSeq
@@ -406,29 +387,6 @@ func Replay(path string, fn func(rec Record) error) (int, error) {
 	}
 }
 
-// Truncate empties the journal (used after a successful Compact). Any
-// batched-but-unwritten records are dropped along with the rest of the log.
-func (j *Journal) Truncate() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for j.leading {
-		j.cond.Wait()
-	}
-	if j.f == nil {
-		return errors.New("journal: closed")
-	}
-	j.buf = nil
-	j.durSeq = j.pendSeq
-	if err := j.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	j.cond.Broadcast()
-	return nil
-}
-
 // WriteFileAtomic writes data to path via a temp file + rename so readers
 // never observe a partial file. The rename is atomic on POSIX filesystems.
 func WriteFileAtomic(path string, data []byte) error {
@@ -474,22 +432,4 @@ func syncDir(dir string) error {
 		return err
 	}
 	return nil
-}
-
-// SaveJSONAtomic marshals v and writes it atomically to path.
-func SaveJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data)
-}
-
-// LoadJSON reads path into v; a missing file returns os.ErrNotExist.
-func LoadJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }

@@ -90,27 +90,6 @@ func TestReplayCorruptCRC(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.log")
-	j, _ := Open(path, Options{})
-	j.Append("p", payload{N: 1})
-	if err := j.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	j.Append("p", payload{N: 2})
-	j.Close()
-	var ns []int
-	Replay(path, func(rec Record) error {
-		var p payload
-		json.Unmarshal(rec.Data, &p)
-		ns = append(ns, p.N)
-		return nil
-	})
-	if len(ns) != 1 || ns[0] != 2 {
-		t.Fatalf("after truncate replay = %v, want [2]", ns)
-	}
-}
-
 func TestClosedJournalAppendFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.log")
 	j, _ := Open(path, Options{})

@@ -34,15 +34,13 @@ const (
 // compaction rotates the delta journal aside and folds it into the
 // snapshot in the background instead of stalling the queue.
 type Store struct {
-	mu       sync.Mutex
-	cond     *sync.Cond // compaction state changes
-	dir      string
-	opts     StoreOptions
-	jn       *Journal
-	data     map[string]json.RawMessage
-	deltas   int
-	maxDelta int   // rotate + compact automatically after this many deltas
-	maxBytes int64 // ... or once the live segment reaches this many bytes
+	mu     sync.Mutex
+	cond   *sync.Cond // compaction state changes
+	dir    string
+	opts   StoreOptions
+	jn     *Journal
+	data   map[string]json.RawMessage
+	deltas int
 
 	olds       []int // rotated journal segments awaiting the compactor
 	oldSeq     int   // next rotation segment number
@@ -73,25 +71,26 @@ type Store struct {
 type StoreOptions struct {
 	// Sync makes Put/Delete durable (fsynced) before they return.
 	Sync bool
-	// GroupWindow is the optional commit-leader linger; see Options.
-	GroupWindow time.Duration
 	// NoGroupCommit restores one write+fsync per delta; see Options.
 	NoGroupCommit bool
 	// Obs, when non-nil, instruments the delta journal; see Options.Obs.
 	Obs *obs.Registry
-	// SegmentMaxRecords bounds the live journal segment by delta count
-	// before it is rotated aside and folded into the snapshot in the
-	// background (default 1000).
-	SegmentMaxRecords int
-	// SegmentMaxBytes additionally bounds the live segment by size
-	// (default 8 MiB), so replay cost after a crash stays bounded even
-	// when individual records are large.
-	SegmentMaxBytes int64
-	// StreamRing bounds the in-memory replication ring a follower tails
-	// (default 4096 records). A follower that falls further behind is
-	// told to re-bootstrap from a snapshot.
-	StreamRing int
 }
+
+const (
+	// segmentMaxRecords bounds the live journal segment by delta count
+	// before it is rotated aside and folded into the snapshot in the
+	// background.
+	segmentMaxRecords = 1000
+	// segmentMaxBytes additionally bounds the live segment by size, so
+	// replay cost after a crash stays bounded even when individual records
+	// are large.
+	segmentMaxBytes = 8 << 20
+	// streamRing bounds the in-memory replication ring a follower tails. A
+	// follower that falls further behind is told to re-bootstrap from a
+	// snapshot.
+	streamRing = 4096
+)
 
 type storeDelta struct {
 	Key   string          `json:"key"`
@@ -121,21 +120,10 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		data:     make(map[string]json.RawMessage),
-		maxDelta: 1000,
-		maxBytes: 8 << 20,
-		ringCap:  4096,
-	}
-	if opts.SegmentMaxRecords > 0 {
-		s.maxDelta = opts.SegmentMaxRecords
-	}
-	if opts.SegmentMaxBytes > 0 {
-		s.maxBytes = opts.SegmentMaxBytes
-	}
-	if opts.StreamRing > 0 {
-		s.ringCap = opts.StreamRing
+		dir:     dir,
+		opts:    opts,
+		data:    make(map[string]json.RawMessage),
+		ringCap: streamRing,
 	}
 	s.cDisarms = opts.Obs.Counter("journal_sync_repl_disarms_total")
 	s.cRotations = opts.Obs.Counter("journal_segments_rotated_total")
@@ -264,7 +252,6 @@ func (s *Store) oldPath(n int) string {
 func (s *Store) journalOpts() Options {
 	return Options{
 		Sync:          s.opts.Sync,
-		GroupWindow:   s.opts.GroupWindow,
 		NoGroupCommit: s.opts.NoGroupCommit,
 		Obs:           s.opts.Obs,
 	}
@@ -525,7 +512,7 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) maybeRotateLocked() {
-	if s.deltas < s.maxDelta && s.jn.Size() < s.maxBytes {
+	if s.deltas < segmentMaxRecords && s.jn.Size() < segmentMaxBytes {
 		return
 	}
 	_ = s.rotateLocked() // a failed rotation latches compactErr; writers keep going

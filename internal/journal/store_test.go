@@ -92,21 +92,21 @@ func TestStoreRecoveryAfterCompact(t *testing.T) {
 func TestStoreAutoCompact(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenStore(dir)
-	s.maxDelta = 10
-	for i := 0; i < 25; i++ {
+	const n = 2*segmentMaxRecords + 5
+	for i := 0; i < n; i++ {
 		if err := s.Put("k", i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.deltas >= 10 {
+	if s.deltas >= segmentMaxRecords {
 		t.Fatalf("auto-compact did not trigger: deltas=%d", s.deltas)
 	}
 	s.Close()
 	s2, _ := OpenStore(dir)
 	defer s2.Close()
 	var v int
-	if found, _ := s2.Get("k", &v); !found || v != 24 {
-		t.Fatalf("after auto-compact: found=%v v=%d, want 24", found, v)
+	if found, _ := s2.Get("k", &v); !found || v != n-1 {
+		t.Fatalf("after auto-compact: found=%v v=%d, want %d", found, v, n-1)
 	}
 }
 

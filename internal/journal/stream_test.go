@@ -115,11 +115,12 @@ func TestStreamReplication(t *testing.T) {
 // TestStreamSinceReset: a follower that has fallen behind the bounded ring
 // must be told to re-bootstrap, never silently fed a gapped stream.
 func TestStreamSinceReset(t *testing.T) {
-	s, err := OpenStoreOptions(t.TempDir(), StoreOptions{StreamRing: 4})
+	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.ringCap = 4
 	for i := 0; i < 12; i++ {
 		if err := s.Put(fmt.Sprintf("k%d", i), payload{N: i}); err != nil {
 			t.Fatal(err)

@@ -33,6 +33,7 @@ type CorruptionError struct {
 	Reason string
 }
 
+// Error names the segment, chain sequence and byte offset of the damage.
 func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("journal: corrupt segment %s at seq %d (offset %d): %s",
 		e.Path, e.Seq, e.Offset, e.Reason)

@@ -320,7 +320,7 @@ func TestUnchainedRecordRefused(t *testing.T) {
 func TestUnanchoredSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	spath := filepath.Join(dir, storeSnapshotFile)
-	if err := SaveJSONAtomic(spath, map[string]json.RawMessage{"old": json.RawMessage(`{"n":1}`)}); err != nil {
+	if err := WriteFileAtomic(spath, []byte(`{"old":{"n":1}}`)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := VerifyDir(dir)

@@ -49,12 +49,16 @@ go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC' ./internal/condorg/
 
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
-# control-plane types, the glidein autoscaler, the credential manager,
-# the GSI layer, GASS and the LRM must carry a doc comment. (A grep-level check, so it
-# stays dependency-free; grouped decl blocks are out of scope.)
+# control-plane types, the agent's and standby's config surface (agent.go,
+# standby.go, types.go), the journal, the glidein autoscaler, the
+# credential manager, the GSI layer, GASS and the LRM must carry a doc
+# comment. (A grep-level check, so it stays dependency-free; grouped decl
+# blocks are out of scope.)
 doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/control.go internal/condorg/controlv1.go \
-    internal/condorg/tenancy.go internal/glidein/*.go \
+    internal/condorg/tenancy.go internal/condorg/agent.go \
+    internal/condorg/standby.go internal/condorg/types.go \
+    internal/journal/*.go internal/glidein/*.go \
     internal/credmgr/*.go internal/gsi/*.go internal/gass/*.go \
     internal/lrm/*.go | grep -v _test.go)
 undocumented=$(awk '
