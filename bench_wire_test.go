@@ -1,7 +1,7 @@
 package benchmarks
 
-// Wire-layer benchmark: what the batched probe verb saves over one
-// jm.status per JobManager. See EXPERIMENTS.md for recorded numbers.
+// Wire-layer benchmark: what the batched probe verb saves over one status
+// RPC per job. See EXPERIMENTS.md for recorded numbers.
 
 import (
 	"sync/atomic"
@@ -12,8 +12,9 @@ import (
 )
 
 // BenchmarkProbeSweep measures the §4.2 failure-detector sweep over a
-// site holding 1000 jobs: one jm.status RPC per JobManager pays 1000, the
-// batched verb pays ceil(1000/32) gatekeeper RPCs.
+// site holding 1000 jobs: one status RPC per job (Client.Status, a
+// jm.batch-status of one) pays 1000, the batched verb pays ceil(1000/32)
+// gatekeeper RPCs.
 // rpcs/sweep makes the fan-in explicit; ns/op is the sweep latency.
 func BenchmarkProbeSweep(b *testing.B) {
 	const nJobs = 1000
@@ -59,7 +60,7 @@ func BenchmarkProbeSweep(b *testing.B) {
 				ids[i] = r.Contact.JobID
 				contacts = append(contacts, r.Contact)
 			}
-			if _, err := client.BatchCommit(gk, ids); err != nil {
+			if _, err := client.BatchCommit(gk, ids, "", ""); err != nil {
 				b.Fatal(err)
 			}
 		}

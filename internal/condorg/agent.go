@@ -543,6 +543,7 @@ func (a *Agent) recover() error {
 			return fmt.Errorf("condorg: re-stage %s: %w", rel, err)
 		}
 	}
+	byOwner := make(map[string][]*jobRecord)
 	for _, rec := range recovered {
 		// The GASS server restarted on a new port: rewrite the job's
 		// staging and output URLs before the GridManager touches it. Held
@@ -555,8 +556,11 @@ func (a *Agent) recover() error {
 		rec.mu.Unlock()
 		a.persist(rec)
 		if !held {
-			a.managerFor(rec.Owner).enqueueRecovery(rec)
+			byOwner[rec.Owner] = append(byOwner[rec.Owner], rec)
 		}
+	}
+	for owner, recs := range byOwner {
+		a.managerFor(owner).enqueueRecovery(recs)
 	}
 	// Owners whose only remaining business is unacknowledged cancels
 	// (terminal or held jobs with tombstones) still need a manager.
@@ -765,24 +769,27 @@ func (a *Agent) log(rec *jobRecord, code, format string, args ...any) {
 	ev := LogEvent{Time: time.Now(), Code: code, Text: fmt.Sprintf(format, args...)}
 	rec.mu.Lock()
 	rec.Log = append(rec.Log, ev)
-	id := rec.ID
-	over := rec.State.Terminal()
 	rec.mu.Unlock()
 	a.persist(rec)
 	// Mirror to the on-disk user log (§4.1: "obtain access to detailed
 	// logs, providing a complete history of their jobs' execution") so
 	// the history is greppable without the agent API.
-	a.appendUserLog(id, ev, !over)
+	a.appendUserLog(rec, ev)
 }
 
 // appendUserLog writes one event line through a persistent per-job handle,
-// avoiding an open/close syscall pair per event. keep=false is for a job
-// that is already over (a submit's own log line can trail the Done callback
-// of a very short job): finishJob has released, or is about to release, the
-// handle, so a new one is not kept.
-func (a *Agent) appendUserLog(id string, ev LogEvent, keep bool) {
+// avoiding an open/close syscall pair per event. A job that is already over
+// (a submit's own log line can trail the Done callback of a very short job)
+// gets no kept handle: finishJob has released, or is about to release, it.
+// The job's state is read under logMu, which closeUserLog takes only after
+// the job turned terminal, so a line racing the job's end cannot re-open a
+// handle nobody will close.
+func (a *Agent) appendUserLog(rec *jobRecord, ev LogEvent) {
 	a.logMu.Lock()
 	defer a.logMu.Unlock()
+	rec.mu.Lock()
+	id, keep := rec.ID, !rec.State.Terminal()
+	rec.mu.Unlock()
 	f := a.logFiles[id]
 	if f == nil {
 		var err error
@@ -1629,11 +1636,7 @@ func (a *Agent) SiteRetired(addr string) {
 		if !match {
 			continue
 		}
-		a.managerFor(owner).maybeResubmit(rec, gram.StatusInfo{
-			State: gram.StateFailed,
-			Error: "glidein pilot at " + addr + " retired",
-			Fault: faultclass.SiteLost,
-		})
+		a.managerFor(owner).siteLost(rec, "glidein pilot at "+addr+" retired")
 	}
 }
 
@@ -1658,8 +1661,14 @@ func (a *Agent) Close() {
 		managers = append(managers, gm)
 	}
 	a.mu.Unlock()
+	// Halt every manager before joining any: one still dispatching while
+	// another drains a slow task would start remote work (a resubmission,
+	// say) that a standby taking over from the journal might never see.
 	for _, gm := range managers {
-		gm.stop()
+		gm.halt()
+	}
+	for _, gm := range managers {
+		gm.join()
 	}
 	a.cbSrv.Close()
 	a.gassS.Close()

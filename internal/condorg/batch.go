@@ -8,13 +8,36 @@ import (
 	"condorg/internal/obs"
 )
 
-// Batch task bodies: the GridManager's only route for submits, probes and
-// cancel tombstones. The per-site pipelines coalesce the ones bound for the
-// same gatekeeper into single wire frames (gram batch verbs), a lone job
-// being a batch of one; each body here fans per-entry results back to the
-// per-job paths — applyRemoteStatus, maybeResubmit, holdJob, submitFailed,
-// commitRetry — so how many jobs share a frame never changes what happens
-// to a job.
+// Batch task bodies: the GridManager's only route for submits, recovery
+// re-verifications, probes and cancel tombstones. The per-site pipelines
+// coalesce the ones bound for the same gatekeeper into single wire frames
+// (gram batch verbs), a lone job being a batch of one; each body here fans
+// per-entry results back to the per-job paths — applyRemoteStatus,
+// maybeResubmit, holdJob, submitFailed, commitRetry — so how many jobs share
+// a frame never changes what happens to a job.
+
+// liveIncarnations snapshots the current incarnation of every rec still
+// worth a frame: not finished, not held, and holding a remote job.
+func liveIncarnations(recs []*jobRecord) []incarnation {
+	var out []incarnation
+	for _, rec := range recs {
+		rec.mu.Lock()
+		if !rec.State.Terminal() && rec.State != Held && rec.Contact.JobID != "" {
+			out = append(out, incarnation{rec: rec, contact: rec.Contact})
+		}
+		rec.mu.Unlock()
+	}
+	return out
+}
+
+// jobIDs lists the site job IDs of a frame's entries.
+func jobIDs(xs []incarnation) []string {
+	ids := make([]string, len(xs))
+	for i, x := range xs {
+		ids[i] = x.contact.JobID
+	}
+	return ids
+}
 
 // submitBatch runs the two-phase commit for jobs bound to the same
 // gatekeeper as two frames: one gram.batch-submit for phase one, then —
@@ -60,11 +83,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		}
 		return
 	}
-	type committed struct {
-		rec     *jobRecord
-		contact gram.JobContact
-	}
-	var coms []committed
+	var coms []incarnation
 	for i, r := range results {
 		m := ms[i]
 		if r.Err != nil {
@@ -82,19 +101,15 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		// Journal the contact BEFORE committing: recovery after a crash
 		// here reconnects rather than resubmits.
 		gm.agent.persist(m.rec)
-		coms = append(coms, committed{rec: m.rec, contact: contact})
+		coms = append(coms, incarnation{rec: m.rec, contact: contact})
 	}
 	if len(coms) == 0 {
 		return
 	}
-	ids := make([]string, len(coms))
-	for i, cm := range coms {
-		ids[i] = cm.contact.JobID
-	}
-	cerrs, err := gm.gram.BatchCommit(site, ids)
+	cerrs, err := gm.gram.BatchCommit(site, jobIDs(coms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr())
 	if err != nil {
 		// The whole commit frame was lost: every journaled contact goes
-		// to recovery, where the idempotent per-job Commit settles it.
+		// to recovery, whose commit frame is idempotent.
 		for _, cm := range coms {
 			gm.commitRetry(cm.rec, err)
 		}
@@ -114,7 +129,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 }
 
 // commitRetry records a failed phase two and parks the job in recovery,
-// where the idempotent Commit is replayed. A job that is already terminal
+// whose batch re-commits it (recoverBatch). A job that is already terminal
 // needs no re-verification — the commit evidently reached the site and
 // only the response was lost (the callback outran the retry ladder), so
 // parking it would just append lifecycle noise after completion.
@@ -132,6 +147,27 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 	gm.mu.Unlock()
 }
 
+// recoverBatch re-verifies jobs at one site that were recovered from the
+// queue with a contact, or whose commit reply was lost (a taskRecover body):
+// one gram.batch-commit frame — a replay for jobs already committed — that
+// names this agent's current GASS server and callback endpoint, so the site
+// re-points jobs reporting to a pre-restart address (§4.2), then the probe
+// of the same members. The commit goes first: a terminal status reply lets
+// a JobManager exit, and it must know where to drain its output before
+// that. A commit frame lost in transit leaves its members to the probe
+// tick; per-entry refusals are the probe's to interpret.
+func (gm *GridManager) recoverBatch(recs []*jobRecord) {
+	ms := liveIncarnations(recs)
+	if len(ms) == 0 {
+		return
+	}
+	gkAddr := ms[0].contact.GatekeeperAddr
+	if _, err := gm.gram.BatchCommit(gkAddr, jobIDs(ms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr()); err != nil {
+		return
+	}
+	gm.probeBatch(recs)
+}
+
 // probeBatch is the §4.2 failure detector (a taskProbe body): "The
 // GridManager detects remote failures by periodically probing the
 // JobManagers of all the jobs it manages." One jm.batch-status frame to the
@@ -139,29 +175,12 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 // (JMAlive=false) goes straight to the restart flow — the same frame
 // already proved the gatekeeper alive.
 func (gm *GridManager) probeBatch(recs []*jobRecord) {
-	type member struct {
-		rec     *jobRecord
-		contact gram.JobContact
-	}
-	var ms []member
-	for _, rec := range recs {
-		rec.mu.Lock()
-		ok := !rec.State.Terminal() && rec.State != Held && rec.Contact.JobID != ""
-		contact := rec.Contact
-		rec.mu.Unlock()
-		if ok {
-			ms = append(ms, member{rec: rec, contact: contact})
-		}
-	}
+	ms := liveIncarnations(recs)
 	if len(ms) == 0 {
 		return
 	}
 	gkAddr := ms[0].contact.GatekeeperAddr
-	ids := make([]string, len(ms))
-	for i, m := range ms {
-		ids[i] = m.contact.JobID
-	}
-	results, err := gm.gram.BatchStatus(gkAddr, ids)
+	results, err := gm.gram.BatchStatus(gkAddr, jobIDs(ms))
 	if err != nil {
 		// Transport failure: one gatekeeper ping decides for the whole
 		// batch — the members share the machine. A gatekeeper that
@@ -183,11 +202,7 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 				// can never finish there. Same verdict as a failed
 				// jm-restart.
 				gm.agent.log(m.rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", r.Err)
-				gm.maybeResubmit(m.rec, gram.StatusInfo{
-					State: gram.StateFailed,
-					Error: r.Err.Error(),
-					Fault: faultclass.SiteLost,
-				})
+				gm.siteLost(m.rec, r.Err.Error())
 			case faultclass.AuthExpired:
 				gm.holdJob(m.rec, "credential rejected by site: "+r.Err.Error())
 			}
@@ -214,13 +229,8 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 // AuthExpired (a refreshed credential might let the old copy proceed, so
 // the cancel must land for real). Only an acknowledged cancel clears the
 // tombstone and (if nothing else is outstanding) lets the manager retire.
-func (gm *GridManager) cancelBatch(pairs []cancelPair) {
-	gkAddr := pairs[0].contact.GatekeeperAddr
-	ids := make([]string, len(pairs))
-	for i, p := range pairs {
-		ids[i] = p.contact.JobID
-	}
-	results, err := gm.gram.BatchCancel(gkAddr, ids)
+func (gm *GridManager) cancelBatch(pairs []incarnation) {
+	results, err := gm.gram.BatchCancel(pairs[0].contact.GatekeeperAddr, jobIDs(pairs))
 	if err != nil {
 		return
 	}

@@ -12,14 +12,14 @@ import (
 
 // The acceptance criterion for probing: N jobs at one site cost at most
 // ceil(N/maxBatch) status RPCs per probe tick, all addressed to the
-// gatekeeper, with ZERO per-JobManager jm.status traffic — a lone job is a
+// gatekeeper, with ZERO RPCs to any JobManager endpoint — a lone job is a
 // batch of one, and a failed frame never falls back to per-job probes.
 func TestBatchedProbeSweepCoalescesRPCs(t *testing.T) {
 	for _, n := range []int{1, 12, 33} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
 			runs := &atomic.Int64{}
-			vc := &verbCounts{}
-			site := newFaultySite(t, "wisc", runs, vc.faults()) // gk + jm share the hook set
+			vc, jm := &verbCounts{}, &verbCounts{}
+			site := newHookedSite(t, "wisc", runs, 4, vc.faults(), jm.faults())
 
 			const interval = 30 * time.Millisecond
 			agent, err := NewAgent(AgentConfig{
@@ -53,11 +53,12 @@ func TestBatchedProbeSweepCoalescesRPCs(t *testing.T) {
 			})
 
 			vc.reset()
+			jm.reset()
 			const window = 12 * interval
 			time.Sleep(window)
 
-			if perJob := vc.get("jm.status"); perJob != 0 {
-				t.Fatalf("probe sweep issued %d per-JobManager jm.status RPCs; want 0", perJob)
+			if perJob := jm.total(); perJob != 0 {
+				t.Fatalf("probe sweep issued %d RPCs to JobManager endpoints; want 0", perJob)
 			}
 			batched := vc.get("jm.batch-status")
 			if batched == 0 {

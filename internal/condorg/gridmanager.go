@@ -74,15 +74,20 @@ func (gm *GridManager) done() bool {
 	return gm.finished
 }
 
-func (gm *GridManager) stop() {
+// halt ends the manager's dispatching, if retirement has not already; each
+// worker still finishes the task in hand (join waits for them).
+func (gm *GridManager) halt() {
 	gm.mu.Lock()
-	if gm.finished {
-		gm.mu.Unlock()
-		return
+	defer gm.mu.Unlock()
+	if !gm.finished {
+		gm.finished = true
+		close(gm.stopCh)
 	}
-	gm.finished = true
-	close(gm.stopCh)
-	gm.mu.Unlock()
+}
+
+// join waits out a halted or retired manager's loop and workers and drops
+// its GRAM connections.
+func (gm *GridManager) join() {
 	gm.wg.Wait()
 	gm.workerWG.Wait()
 	gm.gram.Close()
@@ -111,20 +116,23 @@ func (gm *GridManager) enqueueSubmit(rec *jobRecord) bool {
 	return true
 }
 
-// enqueueRecovery hands a job recovered from the persistent queue: it may
-// or may not have a remote contact yet. (Recovery runs before the agent
-// accepts work, so the fresh manager cannot have retired.)
-func (gm *GridManager) enqueueRecovery(rec *jobRecord) {
-	rec.mu.Lock()
-	hasContact := rec.Contact.JobID != ""
-	rec.mu.Unlock()
+// enqueueRecovery hands over the owner's jobs recovered from the persistent
+// queue, all at once so one dispatch pass batches them: those with a remote
+// contact are re-verified, the others resubmitted. (Recovery runs before
+// the agent accepts work, so the fresh manager cannot have retired.)
+func (gm *GridManager) enqueueRecovery(recs []*jobRecord) {
 	gm.mu.Lock()
-	if hasContact {
-		gm.recovery = append(gm.recovery, rec)
-	} else {
-		// Crashed between journaling and submission: resubmit with the
-		// SAME SubmissionID; the site deduplicates.
-		gm.pending = append(gm.pending, rec)
+	for _, rec := range recs {
+		rec.mu.Lock()
+		hasContact := rec.Contact.JobID != ""
+		rec.mu.Unlock()
+		if hasContact {
+			gm.recovery = append(gm.recovery, rec)
+		} else {
+			// Crashed between journaling and submission: resubmit with
+			// the SAME SubmissionID; the site deduplicates.
+			gm.pending = append(gm.pending, rec)
+		}
 	}
 	gm.mu.Unlock()
 	gm.poke()
@@ -177,6 +185,9 @@ func (gm *GridManager) run() {
 			}
 			lastTick = now
 			gm.dispatchCancels()
+			// Recovery claims its jobs before a probe could see one end
+			// ahead of the commit that re-points its output (recoverBatch).
+			gm.dispatchRecovery()
 			gm.dispatchProbes()
 		case <-gm.wake:
 		}
@@ -293,33 +304,6 @@ func (gm *GridManager) holdJob(rec *jobRecord, reason string) {
 		fmt.Sprintf("Your job %s was held: %s", id, reason))
 }
 
-// recoverJob re-verifies one job recovered with a contact (a taskRecover
-// body): re-commit (idempotent) and refresh status; dead JobManagers go
-// through the probe path.
-func (gm *GridManager) recoverJob(rec *jobRecord) {
-	rec.mu.Lock()
-	contact := rec.Contact
-	terminal := rec.State.Terminal()
-	rec.mu.Unlock()
-	if terminal {
-		// The job finished while this task waited its turn (e.g. a commit
-		// whose response was torn but whose job ran to completion); there
-		// is nothing left to re-verify.
-		return
-	}
-	if err := gm.gram.Commit(contact); err != nil {
-		// Gatekeeper down or job unknown; the probe path will sort it out.
-		return
-	}
-	// Tell the JobManager where our GASS server lives now — before asking
-	// for status: a reply that carries a terminal state lets the JobManager
-	// exit, and it can only drain its output first if it knows where to.
-	gm.gram.UpdateURLFile(contact, gm.agent.gassS.Addr())
-	if st, err := gm.gram.Status(contact); err == nil {
-		gm.agent.applyRemoteStatus(rec, st)
-	}
-}
-
 // markDisconnected records that a job's site is unreachable. "Either the
 // whole resource management machine crashed or there is a network failure
 // (the GridManager cannot distinguish these two cases) ... the
@@ -343,7 +327,7 @@ func (gm *GridManager) markDisconnected(rec *jobRecord, gkAddr string) {
 // JobManager is dead but whose Gatekeeper answers: "The GridManager
 // starts a new JobManager, which will resume watching the job or tell the
 // GridManager that the job has completed." The probe's JMAlive=false
-// entries land here.
+// entries land here, after the same frame's status has been applied.
 func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobContact) {
 	// The same probe may have migrated or resubmitted the job (and a user
 	// may release it from hold meanwhile): a replacement would serve an
@@ -360,11 +344,7 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 			// The site is alive but has no record of the job — it can
 			// never finish there. Resubmit instead of probing forever.
 			gm.agent.log(rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", err)
-			gm.maybeResubmit(rec, gram.StatusInfo{
-				State: gram.StateFailed,
-				Error: err.Error(),
-				Fault: faultclass.SiteLost,
-			})
+			gm.siteLost(rec, err.Error())
 			return
 		}
 		gm.agent.log(rec, "JM_RESTART_FAILED", "jobmanager restart failed: %v", err)
@@ -392,10 +372,6 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 		gm.agent.log(rec, "RECONNECTED", "reestablished contact with %s", contact.GatekeeperAddr)
 	} else {
 		gm.agent.log(rec, "JM_RESTARTED", "started replacement jobmanager at %s", newContact.JobManagerAddr)
-	}
-	if st, err := gm.gram.Status(newContact); err == nil {
-		gm.agent.applyRemoteStatus(rec, st)
-		gm.maybeResubmit(rec, st)
 	}
 }
 
@@ -451,6 +427,12 @@ func (gm *GridManager) maybeMigrate(rec *jobRecord, st gram.StatusInfo) {
 	gm.mu.Lock()
 	gm.pendingLater(rec)
 	gm.mu.Unlock()
+}
+
+// siteLost hands maybeResubmit a job that can never finish at its site: the
+// site, though alive, has no record of it, or is gone for good.
+func (gm *GridManager) siteLost(rec *jobRecord, reason string) {
+	gm.maybeResubmit(rec, gram.StatusInfo{State: gram.StateFailed, Error: reason, Fault: faultclass.SiteLost})
 }
 
 // maybeResubmit handles jobs the site reported as failed. Failures caused

@@ -50,6 +50,17 @@ func (c *verbCounts) get(method string) int {
 	return c.n[method]
 }
 
+// total counts every request the hook saw.
+func (c *verbCounts) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, v := range c.n {
+		n += v
+	}
+	return n
+}
+
 func (c *verbCounts) reset() {
 	c.mu.Lock()
 	c.n = nil

@@ -26,8 +26,9 @@ import (
 //   - Retirement waits for the task ledger to drain (gm.outstanding), so
 //     tryRetire cannot close the GRAM client under a live worker.
 //
-// Submits, probes and cancels are batch tasks: each carries up to maxBatch
-// same-site jobs in one gram batch frame, a lone job being a batch of one.
+// Submits, recoveries, probes and cancels are batch tasks: each carries up
+// to maxBatch same-site jobs in one gram batch frame, a lone job being a
+// batch of one.
 
 // maxBatch caps the jobs carried in one batch frame.
 const maxBatch = 32
@@ -37,7 +38,7 @@ type taskKind int
 
 const (
 	taskSubmit      taskKind = iota // two-phase commit of new/resubmitted jobs
-	taskRecover                     // re-verify a job recovered with a contact
+	taskRecover                     // re-verify jobs recovered with a contact at one site
 	taskProbe                       // §4.2 liveness probe of jobs at one site
 	taskCancel                      // retry cancel tombstones at one site
 	taskStage                       // chunked executable pre-stage to the site
@@ -62,20 +63,20 @@ func (k taskKind) String() string {
 	return "unknown"
 }
 
-// cancelPair is one tombstone: the record plus the OLD incarnation's
-// contact the cancel must reach (the record's own contact may have moved
-// on).
-type cancelPair struct {
+// incarnation is one remote copy of a job: the record plus the contact a
+// frame addresses, which for a cancel tombstone is the OLD incarnation's
+// (the record's own contact may have moved on).
+type incarnation struct {
 	rec     *jobRecord
 	contact gram.JobContact
 }
 
 // gmTask is one unit of per-site work: recs holds its jobs (exactly one
-// for recover, stage and refresh-cred), pairs a cancel task's tombstones.
+// for stage and refresh-cred), pairs a cancel task's tombstones.
 type gmTask struct {
 	kind  taskKind
 	recs  []*jobRecord
-	pairs []cancelPair
+	pairs []incarnation
 }
 
 // chunks splits s into frames of at most maxBatch entries.
@@ -200,7 +201,7 @@ func (gm *GridManager) runTask(t gmTask) {
 	case taskSubmit:
 		gm.submitBatch(t.recs)
 	case taskRecover:
-		gm.recoverJob(t.recs[0])
+		gm.recoverBatch(t.recs)
 	case taskProbe:
 		gm.probeBatch(t.recs)
 	case taskCancel:
@@ -344,13 +345,14 @@ func (gm *GridManager) dispatchPending() {
 	}
 }
 
-// dispatchRecovery feeds recovered-with-contact jobs to their site's
-// worker for re-verification.
+// dispatchRecovery queues the re-verification of recovered-with-contact
+// jobs as ceil(N/maxBatch) recovery tasks per site, like dispatchProbes.
 func (gm *GridManager) dispatchRecovery() {
 	gm.mu.Lock()
 	batch := gm.recovery
 	gm.recovery = nil
 	gm.mu.Unlock()
+	groups := make(map[string][]*jobRecord)
 	var parked []*jobRecord
 	for _, rec := range batch {
 		rec.mu.Lock()
@@ -366,8 +368,9 @@ func (gm *GridManager) dispatchRecovery() {
 		rec.opBusy = true
 		addr := rec.Contact.GatekeeperAddr
 		rec.mu.Unlock()
-		gm.enqueueTask(addr, gmTask{kind: taskRecover, recs: []*jobRecord{rec}})
+		groups[addr] = append(groups[addr], rec)
 	}
+	gm.enqueueBatches(taskRecover, groups)
 	if len(parked) > 0 {
 		gm.mu.Lock()
 		gm.recovery = append(gm.recovery, parked...)
@@ -395,9 +398,14 @@ func (gm *GridManager) dispatchProbes() {
 			groups[addr] = append(groups[addr], rec)
 		}
 	}
+	gm.enqueueBatches(taskProbe, groups)
+}
+
+// enqueueBatches queues each site's jobs as kind tasks of at most maxBatch.
+func (gm *GridManager) enqueueBatches(kind taskKind, groups map[string][]*jobRecord) {
 	for addr, recs := range groups {
 		for _, chunk := range chunks(recs) {
-			gm.enqueueTask(addr, gmTask{kind: taskProbe, recs: chunk})
+			gm.enqueueTask(addr, gmTask{kind: kind, recs: chunk})
 		}
 	}
 }
@@ -414,7 +422,7 @@ func (gm *GridManager) dispatchCancels() {
 // keyed to the OLD contact's gatekeeper, so a dead old site delays only its
 // own worker — never the probe tick.
 func (gm *GridManager) dispatchCancelsFor(recs ...*jobRecord) {
-	groups := make(map[string][]cancelPair)
+	groups := make(map[string][]incarnation)
 	for _, rec := range recs {
 		rec.mu.Lock()
 		contacts := append([]gram.JobContact(nil), rec.CancelPending...)
@@ -429,7 +437,7 @@ func (gm *GridManager) dispatchCancelsFor(recs ...*jobRecord) {
 			gm.cancelBusy[key] = true
 			gm.mu.Unlock()
 			addr := contact.GatekeeperAddr
-			groups[addr] = append(groups[addr], cancelPair{rec: rec, contact: contact})
+			groups[addr] = append(groups[addr], incarnation{rec: rec, contact: contact})
 		}
 	}
 	for addr, pairs := range groups {

@@ -17,7 +17,14 @@ import (
 // (one-way partition: sends succeed, replies never come) after it is up.
 func newFaultySite(t *testing.T, name string, runs *atomic.Int64, faults *wire.Faults) *gram.Site {
 	t.Helper()
-	cluster, err := lrm.NewCluster(lrm.Config{Name: name, Cpus: 4})
+	return newHookedSite(t, name, runs, 4, faults, faults)
+}
+
+// newHookedSite builds a site with cpus slots whose gatekeeper and
+// jobmanager listeners run the given hook sets.
+func newHookedSite(t *testing.T, name string, runs *atomic.Int64, cpus int, gk, jm *wire.Faults) *gram.Site {
+	t.Helper()
+	cluster, err := lrm.NewCluster(lrm.Config{Name: name, Cpus: cpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +34,8 @@ func newFaultySite(t *testing.T, name string, runs *atomic.Int64, faults *wire.F
 		Runtime:          buildRuntime(runs),
 		StateDir:         t.TempDir(),
 		CommitTimeout:    2 * time.Second,
-		GatekeeperFaults: faults,
-		JobManagerFaults: faults,
+		GatekeeperFaults: gk,
+		JobManagerFaults: jm,
 	})
 	if err != nil {
 		t.Fatal(err)

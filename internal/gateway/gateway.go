@@ -66,7 +66,7 @@ func New(addr string, cfg Config) (*Gateway, error) {
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/jobs", g.wrap(g.handleSubmit))
 	g.mux.HandleFunc("GET /v1/jobs", g.wrap(g.handleQueue))
-	g.mux.HandleFunc("GET /v1/jobs/{id}", g.wrap(g.handleStatus))
+	g.mux.HandleFunc("GET /v1/jobs/{id}", g.wrap(g.handleJob))
 	g.mux.HandleFunc("DELETE /v1/jobs/{id}", g.wrap(g.handleRemove))
 	g.mux.HandleFunc("POST /v1/jobs/{id}/hold", g.wrap(g.handleHold))
 	g.mux.HandleFunc("POST /v1/jobs/{id}/release", g.wrap(g.handleRelease))
@@ -358,7 +358,7 @@ func (g *Gateway) authorize(u User, id string) error {
 	return nil
 }
 
-func (g *Gateway) handleStatus(u User, _ http.ResponseWriter, r *http.Request) (any, error) {
+func (g *Gateway) handleJob(u User, _ http.ResponseWriter, r *http.Request) (any, error) {
 	id := r.PathValue("id")
 	info, err := g.client(u).Status(id)
 	if err != nil {

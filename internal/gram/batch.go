@@ -42,6 +42,15 @@ type batchIDsReq struct {
 	JobIDs []string `json:"job_ids"`
 }
 
+// batchCommitReq is gram.batch-commit's body: the jobs to commit, and where
+// the caller now listens — its GASS server and its callback endpoint. Empty
+// addresses leave the jobs' as they are (see Site.repoint).
+type batchCommitReq struct {
+	JobIDs   []string `json:"job_ids"`
+	GASS     string   `json:"gass,omitempty"`
+	Callback string   `json:"callback,omitempty"`
+}
+
 // batchOpResult is the per-entry outcome of an op with no payload
 // (commit, cancel).
 type batchOpResult struct {
@@ -88,13 +97,13 @@ func (s *Site) handleBatchSubmit(peer string, body json.RawMessage) (any, error)
 }
 
 func (s *Site) handleBatchCommit(peer string, body json.RawMessage) (any, error) {
-	var req batchIDsReq
+	var req batchCommitReq
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
 	resp := batchOpResp{Results: make([]batchOpResult, len(req.JobIDs))}
 	for i, id := range req.JobIDs {
-		if err := s.commitOne(peer, id); err != nil {
+		if err := s.commitOne(peer, id, req.GASS, req.Callback); err != nil {
 			resp.Results[i] = opErr(err)
 		}
 	}
@@ -108,22 +117,9 @@ func (s *Site) handleBatchStatus(peer string, body json.RawMessage) (any, error)
 	}
 	resp := batchStatusResp{Results: make([]batchStatusResult, len(req.JobIDs))}
 	for i, id := range req.JobIDs {
-		s.mu.Lock()
-		job, ok := s.jobs[id]
-		s.mu.Unlock()
-		if !ok {
-			// Same verdict a jm-restart for the job would reach: this
-			// site has no record of it, so it is definitively lost here.
-			resp.Results[i] = batchStatusResult{
-				Error: fmt.Sprintf("gram: no record of job %q", id),
-				Fault: faultclass.SiteLost,
-			}
-			continue
-		}
-		if s.cfg.Anchor != nil && job.owner != peer {
-			resp.Results[i] = batchStatusResult{
-				Error: fmt.Sprintf("gram: job %s belongs to %s", id, job.owner),
-			}
+		job, err := s.ownedJob(peer, id)
+		if err != nil {
+			resp.Results[i] = batchStatusResult{Error: err.Error(), Fault: faultclass.ClassOf(err)}
 			continue
 		}
 		job.mu.Lock()
@@ -149,21 +145,13 @@ func (s *Site) handleBatchCancel(peer string, body json.RawMessage) (any, error)
 	}
 	resp := batchOpResp{Results: make([]batchOpResult, len(req.JobIDs))}
 	for i, id := range req.JobIDs {
-		s.mu.Lock()
-		job, ok := s.jobs[id]
-		s.mu.Unlock()
-		if !ok {
-			// An unknown job cannot be running: report it lost so the
-			// canceller can retire the tombstone.
-			resp.Results[i] = opErr(faultclass.New(faultclass.SiteLost,
-				fmt.Errorf("gram: no record of job %q", id)))
-			continue
+		// An unknown job cannot be running: SiteLost lets the canceller
+		// retire the tombstone.
+		job, err := s.ownedJob(peer, id)
+		if err == nil {
+			err = s.cancelJob(job)
 		}
-		if s.cfg.Anchor != nil && job.owner != peer {
-			resp.Results[i] = opErr(fmt.Errorf("gram: job %s belongs to %s", id, job.owner))
-			continue
-		}
-		if err := s.cancelJob(job); err != nil {
+		if err != nil {
 			resp.Results[i] = opErr(err)
 		}
 	}
@@ -281,21 +269,32 @@ func (c *Client) BatchSubmit(gkAddr string, entries []BatchSubmitEntry) ([]Batch
 	return out, nil
 }
 
-// BatchCommit runs phase two for several jobs in one frame. The returned
-// slice has one entry per job ID: nil, or that entry's error.
-func (c *Client) BatchCommit(gkAddr string, jobIDs []string) ([]error, error) {
+// BatchCommit runs phase two for several jobs in one frame, telling the
+// site where the caller's GASS server (gassAddr) and callback endpoint
+// (callback) listen now; the site re-points any job whose addresses moved,
+// which is how a restarted submit machine reconnects its jobs (§4.2). Empty
+// addresses re-point nothing. The returned slice has one entry per job ID:
+// nil, or that entry's error.
+func (c *Client) BatchCommit(gkAddr string, jobIDs []string, gassAddr, callback string) ([]error, error) {
+	req := batchCommitReq{JobIDs: jobIDs, GASS: gassAddr, Callback: callback}
+	return c.batchOp(gkAddr, "commit", "gram.batch-commit", req, len(jobIDs))
+}
+
+// batchOp sends one frame of an op whose entries carry no payload (commit,
+// cancel) to the gatekeeper and returns one error slot per entry.
+func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, error) {
 	var resp batchOpResp
-	if err := c.guard(gkAddr, "batch-commit", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.batch-commit", batchIDsReq{JobIDs: jobIDs}, &resp)
+	if err := c.guard(gkAddr, "batch-"+verb, func() error {
+		return c.gatekeeper(gkAddr).Call(method, req, &resp)
 	}); err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(jobIDs) {
-		return nil, fmt.Errorf("gram: batch-commit returned %d results for %d jobs",
-			len(resp.Results), len(jobIDs))
+	if len(resp.Results) != n {
+		return nil, fmt.Errorf("gram: batch-%s returned %d results for %d jobs",
+			verb, len(resp.Results), n)
 	}
-	c.observeBatch("commit", len(jobIDs))
-	out := make([]error, len(jobIDs))
+	c.observeBatch(verb, n)
+	out := make([]error, n)
 	for i, r := range resp.Results {
 		out[i] = entryErr(r.Error, r.Fault)
 	}
@@ -331,20 +330,5 @@ func (c *Client) BatchStatus(gkAddr string, jobIDs []string) ([]BatchStatusResul
 // BatchCancel kills several jobs at one site in one frame. One error slot
 // per job ID (nil = cancelled or already terminal).
 func (c *Client) BatchCancel(gkAddr string, jobIDs []string) ([]error, error) {
-	var resp batchOpResp
-	if err := c.guard(gkAddr, "batch-cancel", func() error {
-		return c.gatekeeper(gkAddr).Call("jm.batch-cancel", batchIDsReq{JobIDs: jobIDs}, &resp)
-	}); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(jobIDs) {
-		return nil, fmt.Errorf("gram: batch-cancel returned %d results for %d jobs",
-			len(resp.Results), len(jobIDs))
-	}
-	c.observeBatch("cancel", len(jobIDs))
-	out := make([]error, len(jobIDs))
-	for i, r := range resp.Results {
-		out[i] = entryErr(r.Error, r.Fault)
-	}
-	return out, nil
+	return c.batchOp(gkAddr, "cancel", "jm.batch-cancel", batchIDsReq{JobIDs: jobIDs}, len(jobIDs))
 }

@@ -35,7 +35,7 @@ func TestBatchSubmitCommitRoundTrip(t *testing.T) {
 		}
 		ids[i] = r.Contact.JobID
 	}
-	cerrs, err := g.client.BatchCommit(gk, ids)
+	cerrs, err := g.client.BatchCommit(gk, ids, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

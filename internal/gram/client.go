@@ -62,14 +62,7 @@ func (c *Client) SetWire(codec string, disableSession bool) {
 	defer c.mu.Unlock()
 	c.codec = codec
 	c.noSession = disableSession
-	for _, wc := range c.gkConn {
-		wc.Close()
-	}
-	for _, wc := range c.jmConn {
-		wc.Close()
-	}
-	c.gkConn = make(map[string]*wire.Client)
-	c.jmConn = make(map[string]*wire.Client)
+	c.dropConnsLocked()
 }
 
 // SetBreakerConfig replaces the per-endpoint circuit breakers (dropping
@@ -171,14 +164,7 @@ func (c *Client) SetTimeouts(timeout time.Duration, retries int) {
 	defer c.mu.Unlock()
 	c.timeout = timeout
 	c.retries = retries
-	for _, wc := range c.gkConn {
-		wc.Close()
-	}
-	for _, wc := range c.jmConn {
-		wc.Close()
-	}
-	c.gkConn = make(map[string]*wire.Client)
-	c.jmConn = make(map[string]*wire.Client)
+	c.dropConnsLocked()
 }
 
 // SetCredential swaps in a refreshed proxy.
@@ -231,14 +217,15 @@ func (c *Client) gatekeeper(addr string) *wire.Client {
 	return c.conn(false, addr, GatekeeperService)
 }
 
-func (c *Client) jobmanager(addr string) *wire.Client {
-	return c.conn(true, addr, JobManagerService)
-}
-
 // Close releases all connections.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropConnsLocked()
+}
+
+// dropConnsLocked closes and forgets every cached connection. c.mu held.
+func (c *Client) dropConnsLocked() {
 	for _, wc := range c.gkConn {
 		wc.Close()
 	}
@@ -301,23 +288,25 @@ func (c *Client) Submit(gkAddr string, spec JobSpec, opts SubmitOptions) (JobCon
 	return res[0].Contact, res[0].Err
 }
 
-// Commit runs phase two for one job, as a gram.batch-commit of one: "job
-// execution can commence". Idempotent.
+// Commit runs phase two for one job, as a gram.batch-commit of one that
+// re-points nothing: "job execution can commence". Idempotent.
 func (c *Client) Commit(contact JobContact) error {
-	errs, err := c.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID})
+	errs, err := c.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, "", "")
 	if err != nil {
 		return err
 	}
 	return errs[0]
 }
 
-// Status queries the JobManager for the job's current state.
+// Status reports one job's current state, as a jm.batch-status of one
+// addressed to the gatekeeper, which answers whether or not the job's
+// JobManager is running.
 func (c *Client) Status(contact JobContact) (StatusInfo, error) {
-	var st StatusInfo
-	err := c.guard(contact.JobManagerAddr, "status", func() error {
-		return c.jobmanager(contact.JobManagerAddr).Call("jm.status", struct{}{}, &st)
-	})
-	return st, err
+	res, err := c.BatchStatus(contact.GatekeeperAddr, []string{contact.JobID})
+	if err != nil {
+		return StatusInfo{}, err
+	}
+	return res[0].Status, res[0].Err
 }
 
 // Cancel kills one job, as a jm.batch-cancel of one: the gatekeeper kills it
@@ -410,13 +399,6 @@ func (c *Client) RefreshCredential(contact JobContact, lifetime time.Duration) e
 		return err
 	}
 	return c.guard(contact.JobManagerAddr, "refresh-credential", func() error {
-		return c.jobmanager(contact.JobManagerAddr).Call("jm.refresh-credential", refreshCredReq{Delegated: data}, nil)
-	})
-}
-
-// UpdateURLFile tells the JobManager the client's GASS server moved.
-func (c *Client) UpdateURLFile(contact JobContact, newAddr string) error {
-	return c.guard(contact.JobManagerAddr, "update-urlfile", func() error {
-		return c.jobmanager(contact.JobManagerAddr).Call("jm.update-urlfile", updateURLFileReq{Addr: newAddr}, nil)
+		return c.conn(true, contact.JobManagerAddr, JobManagerService).Call("jm.refresh-credential", refreshCredReq{Delegated: data}, nil)
 	})
 }

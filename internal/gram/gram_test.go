@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -500,6 +501,54 @@ func TestGSIAuthorizationPath(t *testing.T) {
 	if err := otherClient.Cancel(contact); err == nil {
 		t.Fatal("foreign subject cancelled job")
 	}
+
+	// Nor can it re-commit a running job of jfrey's to re-point the job's
+	// output and URL file at a GASS server of its own.
+	urlFile := filepath.Join(t.TempDir(), "gass.url")
+	stdout := g.gassS.URLFor("jobs/own/stdout")
+	running, err := authed.Submit(g.site.GatekeeperAddr(), JobSpec{
+		Executable:  string(Program("sleep")),
+		Args:        []string{"200ms"},
+		StdoutURL:   stdout.String(),
+		GassURLFile: urlFile,
+	}, SubmitOptions{SubmissionID: NewSubmissionID(), Delegate: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := authed.Commit(running); err != nil {
+		t.Fatal(err)
+	}
+	waitGramState(t, authed, running, StateActive)
+	theirs, err := gass.NewServer(t.TempDir(), gass.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer theirs.Close()
+	errs, err := otherClient.BatchCommit(running.GatekeeperAddr, []string{running.JobID}, theirs.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] == nil {
+		t.Fatal("foreign subject re-committed job")
+	}
+	if _, err := os.Stat(urlFile); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("foreign re-commit touched the URL file (stat err=%v)", err)
+	}
+	waitGramState(t, authed, running, StateDone)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		data, _ := g.gassC.ReadAll(stdout)
+		if strings.Contains(string(data), "slept") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner's stdout after foreign re-commit = %q", data)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if data, _ := g.gassC.ReadAll(gass.URL{Addr: theirs.Addr(), Path: stdout.Path}); len(data) != 0 {
+		t.Fatalf("output reached the foreign subject's server: %q", data)
+	}
 }
 
 func TestCredentialRefreshReForward(t *testing.T) {
@@ -560,8 +609,14 @@ func TestURLFileUpdateAfterSubmitMachineRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gs2.Close()
-	if err := g.client.UpdateURLFile(contact, gs2.Addr()); err != nil {
+	// The restarted submit machine re-commits the job, naming its new GASS
+	// server: the commit is a replay, the re-point is not.
+	errs, err := g.client.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, gs2.Addr(), "")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if errs[0] != nil {
+		t.Fatalf("re-commit: %v", errs[0])
 	}
 	got, err := gass.ReadURLFile(urlFile)
 	if err != nil || got != gs2.Addr() {

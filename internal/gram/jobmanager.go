@@ -12,8 +12,10 @@ import (
 )
 
 // JobManager is the per-job daemon of Figure 1. It owns the job's wire
-// endpoint (status/credential-refresh/url-file update), pushes stdout/stderr
-// to the client's GASS server, and relays status callbacks. Killing a
+// endpoint, which serves only in-band credential refresh, pushes
+// stdout/stderr to the client's GASS server, and relays status callbacks.
+// Status, commit and cancel reach the job through the gatekeeper's batch
+// verbs instead, which answer whether or not the daemon runs. Killing a
 // JobManager does not kill the underlying LRM job — that separation is the
 // essence of GRAM's resource-side fault tolerance.
 //
@@ -51,23 +53,46 @@ func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
 		return nil, err
 	}
 	jm := &JobManager{site: s, job: job, srv: srv, stop: make(chan struct{})}
-	srv.Handle("jm.status", jm.handleStatus)
 	srv.Handle("jm.refresh-credential", jm.handleRefreshCredential)
-	srv.Handle("jm.update-urlfile", jm.handleUpdateURLFile)
+	// Dialled under the job lock that publishes the daemon, so a concurrent
+	// re-point (Site.repoint) either sees this daemon or hands it the new
+	// address.
 	job.mu.Lock()
+	jm.cbClient = dialCallback(job.callback)
 	job.jm = jm
-	cb := job.callback
 	job.mu.Unlock()
-	if cb != "" {
-		jm.cbClient = wire.Dial(cb, wire.ClientConfig{
-			ServerName: CallbackService,
-			Credential: nil, // callbacks ride on the client's own channel trust
-			Timeout:    time.Second,
-			Retries:    1,
-		})
-	}
 	go jm.run()
 	return jm, nil
+}
+
+// dialCallback returns a client for the caller's callback endpoint, or nil
+// when it gave none. Callbacks ride on the client's own channel trust.
+func dialCallback(addr string) *wire.Client {
+	if addr == "" {
+		return nil
+	}
+	return wire.Dial(addr, wire.ClientConfig{
+		ServerName: CallbackService,
+		Timeout:    time.Second,
+		Retries:    1,
+	})
+}
+
+// setCallback redirects the daemon's status callbacks to addr: the caller's
+// callback endpoint moved (Site.repoint).
+func (jm *JobManager) setCallback(addr string) {
+	cb := dialCallback(addr)
+	jm.mu.Lock()
+	old := jm.cbClient
+	if jm.closed {
+		old = cb
+	} else {
+		jm.cbClient = cb
+	}
+	jm.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 }
 
 // markDelivered records that the client holds the job's terminal state — a
@@ -99,40 +124,12 @@ func (jm *JobManager) Close() {
 	}
 }
 
-func (jm *JobManager) authorized(peer string) error {
-	if jm.site.cfg.Anchor == nil {
-		return nil
-	}
-	jm.job.mu.Lock()
-	owner := jm.job.owner
-	jm.job.mu.Unlock()
-	if peer != owner {
-		return fmt.Errorf("gram: job belongs to %s", owner)
-	}
-	return nil
-}
-
-func (jm *JobManager) handleStatus(peer string, _ json.RawMessage) (any, error) {
-	if err := jm.authorized(peer); err != nil {
-		return nil, err
-	}
-	jm.job.mu.Lock()
-	st := jm.job.status
-	jm.job.mu.Unlock()
-	st.StdoutSent = jm.job.stdout.sentBytes()
-	st.StderrSent = jm.job.stderr.sentBytes()
-	if st.State.Terminal() {
-		jm.markDelivered()
-	}
-	return st, nil
-}
-
 type refreshCredReq struct {
 	Delegated []byte `json:"delegated"`
 }
 
 func (jm *JobManager) handleRefreshCredential(peer string, body json.RawMessage) (any, error) {
-	if err := jm.authorized(peer); err != nil {
+	if _, err := jm.site.ownedJob(peer, jm.job.id); err != nil {
 		return nil, err
 	}
 	var req refreshCredReq
@@ -158,49 +155,6 @@ func (jm *JobManager) handleRefreshCredential(peer string, body json.RawMessage)
 	jm.job.mu.Lock()
 	jm.job.cred = cred
 	jm.job.mu.Unlock()
-	return struct{}{}, nil
-}
-
-type updateURLFileReq struct {
-	Addr string `json:"addr"`
-}
-
-// handleUpdateURLFile rewrites the job's GASS URL file after the submission
-// machine restarts with a new address (§4.2) and redirects the output push
-// streams to the new server.
-func (jm *JobManager) handleUpdateURLFile(peer string, body json.RawMessage) (any, error) {
-	if err := jm.authorized(peer); err != nil {
-		return nil, err
-	}
-	var req updateURLFileReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	jm.job.mu.Lock()
-	spec := &jm.job.spec
-	rewrite := func(urlStr string) string {
-		u, err := gass.ParseURL(urlStr)
-		if err != nil {
-			return urlStr
-		}
-		u.Addr = req.Addr
-		return u.String()
-	}
-	if spec.StdoutURL != "" {
-		spec.StdoutURL = rewrite(spec.StdoutURL)
-	}
-	if spec.StderrURL != "" {
-		spec.StderrURL = rewrite(spec.StderrURL)
-	}
-	urlFile := spec.GassURLFile
-	jm.job.mu.Unlock()
-	jm.site.persist(jm.job)
-	if urlFile != "" {
-		if err := gass.WriteURLFile(urlFile, req.Addr); err != nil {
-			return nil, err
-		}
-	}
-	jm.job.wake() // unsent output now has somewhere to go
 	return struct{}{}, nil
 }
 
@@ -271,10 +225,9 @@ func (jm *JobManager) pushStream(gc *gass.Client, buf *outBuffer, urlStr string)
 }
 
 // exit ends the daemon once the client holds the terminal state (the caller
-// has checked that the job is terminal and its output drained). Requests
-// being served finish first, so the jm.status reply that delivered the
-// terminal state is not torn by the exit it triggered. It reports false when
-// the client has not been told yet, or when the daemon was already closed.
+// has checked that the job is terminal and its output drained). A credential
+// refresh being served finishes first. It reports false when the client has
+// not been told yet, or when the daemon was already closed.
 func (jm *JobManager) exit() bool {
 	jm.mu.Lock()
 	if jm.closed || !jm.delivered {

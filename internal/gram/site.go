@@ -145,6 +145,8 @@ type outBuffer struct {
 	wake func() // called after every Write; set before the job can run
 }
 
+// Write appends p to the stream (the payload's stdout or stderr) and wakes
+// the JobManager that pushes it.
 func (b *outBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	b.data = append(b.data, p...)
@@ -546,21 +548,33 @@ func (s *Site) expireUncommitted(id string) {
 	s.persist(job)
 }
 
-// commitOne completes phase two for one job: the body of each
-// gram.batch-commit entry.
-func (s *Site) commitOne(peer, jobID string) error {
+// ownedJob looks up the job a request names on behalf of peer. A job the
+// site has no record of is SiteLost — it never ran here and never will, so
+// the client may resubmit — and another subject's job is refused.
+func (s *Site) ownedJob(peer, id string) (*siteJob, error) {
 	s.mu.Lock()
-	job, ok := s.jobs[jobID]
+	job, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		// The site has no record of the job (e.g. it died before the
-		// submission was persisted): it can never run here.
-		return faultclass.New(faultclass.SiteLost,
-			fmt.Errorf("gram: commit for unknown job %q", jobID))
+		return nil, faultclass.New(faultclass.SiteLost, fmt.Errorf("gram: no record of job %q", id))
 	}
 	if s.cfg.Anchor != nil && job.owner != peer {
-		return fmt.Errorf("gram: job %s belongs to %s", jobID, job.owner)
+		return nil, fmt.Errorf("gram: job %s belongs to %s", id, job.owner)
 	}
+	return job, nil
+}
+
+// commitOne completes phase two for one job: the body of each
+// gram.batch-commit entry. It first re-points the job at the caller's
+// current GASS and callback addresses, whether the commit is new, a replay,
+// or refused because the job already failed — a failed job's output must
+// still drain.
+func (s *Site) commitOne(peer, jobID, gassAddr, callback string) error {
+	job, err := s.ownedJob(peer, jobID)
+	if err != nil {
+		return err
+	}
+	s.repoint(job, gassAddr, callback)
 	job.mu.Lock()
 	if job.committed {
 		job.mu.Unlock()
@@ -582,6 +596,49 @@ func (s *Site) commitOne(peer, jobID string) error {
 	return nil
 }
 
+// repoint moves a job to where its submit machine listens now — a
+// restarted one comes back on new ports (§4.2): the output URLs' address,
+// the GASS URL file, and the callback endpoint of the job and of its live
+// JobManager. Only addresses that differ from the job's are touched, so the
+// commit of a caller that never moved costs no site write and no wake. An
+// empty address leaves that part alone.
+func (s *Site) repoint(job *siteJob, gassAddr, callback string) {
+	job.mu.Lock()
+	moved := false
+	if gassAddr != "" {
+		for _, urlStr := range []*string{&job.spec.StdoutURL, &job.spec.StderrURL} {
+			if u, err := gass.ParseURL(*urlStr); err == nil && u.Addr != gassAddr {
+				u.Addr = gassAddr
+				*urlStr = u.String()
+				moved = true
+			}
+		}
+	}
+	var jm *JobManager
+	if callback != "" && callback != job.callback {
+		job.callback = callback
+		jm = job.jm
+		moved = true
+	}
+	urlFile := job.spec.GassURLFile
+	job.mu.Unlock()
+	if gassAddr != "" && urlFile != "" {
+		// Best effort, like persist: a job that reads a stale file is no
+		// worse off than before the re-point.
+		if cur, _ := gass.ReadURLFile(urlFile); cur != gassAddr {
+			_ = gass.WriteURLFile(urlFile, gassAddr)
+		}
+	}
+	if !moved {
+		return
+	}
+	if jm != nil {
+		jm.setCallback(callback)
+	}
+	s.persist(job)
+	job.wake() // unsent output now has somewhere to go
+}
+
 type jmRestartReq struct {
 	JobID string `json:"job_id"`
 }
@@ -595,17 +652,9 @@ func (s *Site) handleJMRestart(peer string, body json.RawMessage) (any, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	job, ok := s.jobs[req.JobID]
-	s.mu.Unlock()
-	if !ok {
-		// No record of the job survived on this site; tell the client it
-		// is definitively lost here so it can resubmit.
-		return nil, faultclass.New(faultclass.SiteLost,
-			fmt.Errorf("gram: restart for unknown job %q", req.JobID))
-	}
-	if s.cfg.Anchor != nil && job.owner != peer {
-		return nil, fmt.Errorf("gram: job %s belongs to %s", req.JobID, job.owner)
+	job, err := s.ownedJob(peer, req.JobID)
+	if err != nil {
+		return nil, err
 	}
 	job.mu.Lock()
 	if job.jm != nil {

@@ -39,6 +39,7 @@ const (
 	StateFailed
 )
 
+// String names the state as logs and status output print it.
 func (s JobState) String() string {
 	switch s {
 	case StateUnsubmitted:

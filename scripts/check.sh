@@ -32,10 +32,11 @@ go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridMa
 go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 go test -race -count=1 -run 'TestShutdownLetsRepliesOut' ./internal/wire/
 
-# The one submit/probe/cancel route: batch frames (a lone job is a batch
-# of one) coalesce, settle exactly-once when torn, and cancel through the
-# gatekeeper without a JobManager.
-go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager' ./internal/condorg/
+# The one submit/recover/probe/cancel route: batch frames (a lone job is a
+# batch of one) coalesce, settle exactly-once when torn, cancel through the
+# gatekeeper without a JobManager, and re-verify recovered jobs — pointing
+# their JobManagers at the restarted agent — without one either.
+go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched' ./internal/condorg/
 go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
@@ -51,8 +52,8 @@ go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC' ./internal/condorg/
 # top-level identifier in the gateway, the wire substrate, the
 # control-plane types, the agent's and standby's config surface (agent.go,
 # standby.go, types.go), the journal, the glidein autoscaler, the
-# credential manager, the GSI layer, GASS and the LRM must carry a doc
-# comment. (A grep-level check, so it stays dependency-free; grouped decl
+# credential manager, the GSI layer, GASS, the LRM and GRAM must carry a
+# doc comment. (A grep-level check, so it stays dependency-free; grouped decl
 # blocks are out of scope.)
 doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/control.go internal/condorg/controlv1.go \
@@ -60,7 +61,7 @@ doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/standby.go internal/condorg/types.go \
     internal/journal/*.go internal/glidein/*.go \
     internal/credmgr/*.go internal/gsi/*.go internal/gass/*.go \
-    internal/lrm/*.go | grep -v _test.go)
+    internal/lrm/*.go internal/gram/*.go | grep -v _test.go)
 undocumented=$(awk '
     (/^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/) && prev !~ /^\/\// {
         printf "%s:%d: exported declaration without doc comment: %s\n", FILENAME, FNR, $0
