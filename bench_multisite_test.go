@@ -44,7 +44,6 @@ func benchDelaySite(b *testing.B, name string, runs *atomic.Int64, extra *wire.F
 		Runtime:          benchRuntime(runs),
 		StateDir:         mustTempDir(b, "ms-"+name),
 		GatekeeperFaults: faults,
-		JobManagerFaults: faults,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -646,17 +646,6 @@ func (a *Agent) finishJob(rec *jobRecord) {
 	delete(sh.active, rec.ID)
 	sh.mu.Unlock()
 	a.closeUserLog(rec.ID)
-	// A busy owner's manager never retires: it must not keep a connection
-	// per JobManager it ever probed.
-	rec.mu.Lock()
-	jmAddr := rec.Contact.JobManagerAddr
-	rec.mu.Unlock()
-	a.mu.Lock()
-	gm := a.managers[rec.Owner]
-	a.mu.Unlock()
-	if gm != nil && jmAddr != "" {
-		gm.gram.ForgetJobManager(jmAddr)
-	}
 	if a.cfg.HA.Enabled {
 		// The replicated payload has served its purpose; drop it so the
 		// journal stream and snapshots don't carry finished jobs' bytes.
@@ -902,7 +891,7 @@ func (a *Agent) PipelineHealth() []CtlSiteHealth {
 			delete(queued, addr)
 		}
 		// Sites with queued work the client has never successfully
-		// dialed (e.g. parked behind an open JM breaker) still show up.
+		// dialed (e.g. parked behind an open breaker) still show up.
 		for addr, n := range queued {
 			out = append(out, CtlSiteHealth{
 				Owner: m.owner, Site: addr,
@@ -1386,7 +1375,7 @@ func (a *Agent) applyRemoteStatus(rec *jobRecord, st gram.StatusInfo) {
 		rec.mu.Unlock()
 		return // a previous incarnation's status
 	}
-	if st.JobManagerAddr != "" && st.JobManagerAddr != rec.Contact.JobManagerAddr {
+	if st.GatekeeperAddr != "" && st.GatekeeperAddr != rec.Contact.GatekeeperAddr {
 		// Job IDs are only site-unique: a late callback from a cancelled
 		// incarnation at another site can collide with the live job ID.
 		rec.mu.Unlock()
@@ -1481,12 +1470,14 @@ func (a *Agent) ownerCredLocked(owner string) *gsi.Credential {
 }
 
 // SetOwnerCredential installs a refreshed proxy for one owner (§4.3): the
-// owner's GridManager switches its GRAM client to it, and an in-band
-// re-delegation task is queued for every live JobManager holding one of
-// the owner's jobs — no hold/release cycle, so running jobs keep running
-// while their remote proxies are replaced. Delivery is asynchronous on the
-// per-site pipelines; sites that are down retry at probe pace, and only an
-// exhausted retry budget falls back to hold-and-notify.
+// owner's GridManager switches its GRAM client to it and flags every live
+// remote job of the owner for in-band re-delegation — one
+// gram.batch-refresh-credential frame per gatekeeper and ≤ maxBatch jobs, no
+// hold/release cycle, so running jobs keep running while their remote
+// proxies are replaced. Delivery is asynchronous on the per-site pipelines;
+// a site that never hears the frame is retried at its breaker's pace, and
+// only the site's own refusals can exhaust the retry budget and fall back to
+// hold-and-notify.
 func (a *Agent) SetOwnerCredential(owner string, cred *gsi.Credential) {
 	a.mu.Lock()
 	a.creds[owner] = cred
@@ -1500,7 +1491,7 @@ func (a *Agent) SetOwnerCredential(owner string, cred *gsi.Credential) {
 
 // SetCredential installs a refreshed default proxy: every owner WITHOUT an
 // owner-specific credential (see SetOwnerCredential) switches to it and has
-// the refreshed proxy re-delegated in-band to its live JobManagers. Owners
+// the refreshed proxy re-delegated in-band to its live remote jobs. Owners
 // renewed individually keep their own, newer proxies.
 func (a *Agent) SetCredential(cred *gsi.Credential) {
 	a.mu.Lock()

@@ -2,6 +2,7 @@ package condorg
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -287,6 +288,42 @@ func TestAgentRestartsCrashedJobManager(t *testing.T) {
 	}
 	if w.runs.Load() != 1 {
 		t.Fatalf("program ran %d times across JM crash, want exactly once", w.runs.Load())
+	}
+}
+
+// TestCallbackFromAnotherGatekeeperIgnored: job IDs are only unique per
+// site, so a callback carrying the live job's ID but stamped by another
+// gatekeeper — a late report from an incarnation elsewhere — must not move
+// the job. The same report from the job's own gatekeeper does.
+func TestCallbackFromAnotherGatekeeperIgnored(t *testing.T) {
+	w := newWorld(t, 1)
+	id, err := w.agent.Submit(SubmitRequest{
+		Owner: "u", Executable: gram.Program("task"), Args: []string{"10s"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitAgentState(t, w.agent, id, Running)
+	callback := func(gk string) {
+		t.Helper()
+		body, err := json.Marshal(gram.StatusInfo{
+			JobID: info.Contact.JobID, GatekeeperAddr: gk, State: gram.StateDone, ExitOK: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.agent.handleCallback("", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	callback("127.0.0.1:1")
+	if got, _ := w.agent.Status(id); got.State != Running {
+		t.Fatalf("a callback from another gatekeeper moved the job to %v", got.State)
+	}
+	callback(info.Contact.GatekeeperAddr)
+	if got, _ := w.agent.Status(id); got.State != Completed {
+		t.Fatalf("a callback from the job's own gatekeeper left it %v", got.State)
 	}
 }
 

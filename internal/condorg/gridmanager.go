@@ -338,8 +338,7 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 	if moved {
 		return
 	}
-	newContact, err := gm.gram.RestartJobManager(contact)
-	if err != nil {
+	if err := gm.gram.RestartJobManager(contact); err != nil {
 		if wire.IsRemote(err) && faultclass.ClassOf(err) == faultclass.SiteLost {
 			// The site is alive but has no record of the job — it can
 			// never finish there. Resubmit instead of probing forever.
@@ -355,7 +354,6 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 		rec.mu.Unlock()
 		return
 	}
-	rec.Contact = newContact
 	wasDisconnected := rec.Disconnected
 	rec.Disconnected = false
 	if wasDisconnected {
@@ -364,14 +362,14 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 		rec.bumpLocked()
 	} else {
 		gm.agent.traceLocked(rec, obs.PhaseJMRestart, "",
-			"replacement jobmanager at "+newContact.JobManagerAddr)
+			"replacement jobmanager started by "+contact.GatekeeperAddr)
 	}
 	rec.mu.Unlock()
 	gm.agent.persist(rec)
 	if wasDisconnected {
 		gm.agent.log(rec, "RECONNECTED", "reestablished contact with %s", contact.GatekeeperAddr)
 	} else {
-		gm.agent.log(rec, "JM_RESTARTED", "started replacement jobmanager at %s", newContact.JobManagerAddr)
+		gm.agent.log(rec, "JM_RESTARTED", "started replacement jobmanager through %s", contact.GatekeeperAddr)
 	}
 }
 
@@ -513,10 +511,10 @@ func (gm *GridManager) healthView() HealthView {
 	}
 }
 
-// maxCredRefreshTries bounds in-band re-delegation attempts that reached
-// the network and failed; exhaustion falls back to hold-and-notify.
-// Breaker fast-fails never burn the budget — the dispatcher parks the
-// obligation until the site is worth talking to again.
+// maxCredRefreshTries bounds how often a site may refuse one job's in-band
+// re-delegation before it falls back to hold-and-notify. Only the site's
+// answers count: a frame it never heard (transport failure, breaker
+// fast-fail) leaves the obligation for a later pass.
 const maxCredRefreshTries = 3
 
 // requestCredRefresh flags every live remote incarnation of the owner's
@@ -536,11 +534,12 @@ func (gm *GridManager) requestCredRefresh() {
 	gm.poke()
 }
 
-// dispatchCredRefresh queues one re-delegation task per flagged job whose
-// site is currently worth talking to. Breaker-open sites park the
-// obligation (re-examined every pass) rather than burning the retry
-// budget on attempts that cannot reach the network.
+// dispatchCredRefresh queues the flagged jobs' re-delegations as
+// ceil(N/maxBatch) refresh tasks per site, like dispatchProbes. A site whose
+// breaker is open parks the obligation (re-examined every pass) instead of
+// sending frames that cannot reach it.
 func (gm *GridManager) dispatchCredRefresh() {
+	groups := make(map[string][]*jobRecord)
 	for _, rec := range gm.agent.activeJobs(gm.owner) {
 		rec.mu.Lock()
 		skip := rec.State.Terminal() || rec.State == Held ||
@@ -557,49 +556,82 @@ func (gm *GridManager) dispatchCredRefresh() {
 		}
 		gm.credBusy[rec.ID] = true
 		gm.mu.Unlock()
-		gm.enqueueTask(addr, gmTask{kind: taskRefreshCred, recs: []*jobRecord{rec}})
+		groups[addr] = append(groups[addr], rec)
 	}
+	gm.enqueueBatches(taskRefreshCred, groups)
 }
 
-// refreshJobCred pushes the owner's refreshed proxy to one job's live
-// JobManager (a taskRefreshCred body) via jm.refresh-credential — the
-// in-band path that replaces the remote proxy without disturbing the
-// running job. Failure policy: breaker fast-fails and transient errors
-// retry (the latter up to maxCredRefreshTries); an exhausted budget or a
-// permanent rejection falls back to hold-and-notify, the §4.3 response
-// when re-delegation needs a human.
-func (gm *GridManager) refreshJobCred(rec *jobRecord) {
-	rec.mu.Lock()
-	if rec.State.Terminal() || rec.State == Held || !rec.credRefresh || rec.Contact.JobID == "" {
+// refreshBatch re-forwards the owner's refreshed proxy to flagged jobs at one
+// site (a taskRefreshCred body): one gram.batch-refresh-credential frame to
+// the gatekeeper, which installs the proxy for every member whether or not
+// its JobManager runs, without disturbing the running jobs. A frame the site
+// never heard — a transport failure or a breaker fast-fail — leaves every
+// member flagged for a later pass, paced by the gatekeeper's breaker, as
+// cancelBatch keeps its tombstones. The site's refusals, of the whole frame
+// or of one entry, count toward the member's budget (credRefreshRefused); a
+// proxy the client cannot mint is refused before it leaves, Permanently.
+func (gm *GridManager) refreshBatch(recs []*jobRecord) {
+	var ms []incarnation
+	for _, rec := range recs {
+		rec.mu.Lock()
+		c := rec.Contact
+		owed := !rec.State.Terminal() && rec.State != Held && rec.credRefresh && c.JobID != ""
 		rec.mu.Unlock()
+		// A member resubmitted elsewhere since dispatch stays flagged for
+		// the next pass: the proxy is scoped to this frame's gatekeeper.
+		if owed && (len(ms) == 0 || c.GatekeeperAddr == ms[0].contact.GatekeeperAddr) {
+			ms = append(ms, incarnation{rec: rec, contact: c})
+		}
+	}
+	if len(ms) == 0 {
 		return
 	}
-	contact := rec.Contact
-	rec.mu.Unlock()
+	gkAddr := ms[0].contact.GatekeeperAddr
 	delegate := gm.agent.cfg.Delegate
 	if delegate == 0 {
 		delegate = 12 * time.Hour
 	}
-	err := gm.gram.RefreshCredential(contact, delegate)
-	if err == nil {
-		rec.mu.Lock()
-		rec.credRefresh = false
-		rec.credRefreshTries = 0
-		gm.agent.traceLocked(rec, obs.PhaseCredRefresh, "",
-			"refreshed credential delivered in-band to "+contact.JobManagerAddr)
-		rec.mu.Unlock()
+	errs, err := gm.gram.BatchRefreshCredential(gkAddr, jobIDs(ms), delegate)
+	if err != nil && !wire.IsRemote(err) && faultclass.ClassOf(err) != faultclass.Permanent {
+		return // the site never heard the frame: every member stays flagged
+	}
+	for i, m := range ms {
+		entryErr := err
+		if entryErr == nil {
+			entryErr = errs[i]
+		}
+		if entryErr != nil {
+			gm.credRefreshRefused(m.rec, gkAddr, entryErr)
+			continue
+		}
+		m.rec.mu.Lock()
+		m.rec.credRefresh = false
+		m.rec.credRefreshTries = 0
+		gm.agent.traceLocked(m.rec, obs.PhaseCredRefresh, "",
+			"refreshed credential delivered in-band to "+gkAddr)
+		m.rec.mu.Unlock()
 		gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "ok")).Inc()
-		gm.agent.log(rec, "CRED_REFRESH", "refreshed credential delivered to %s", contact.JobManagerAddr)
-		return
+		gm.agent.log(m.rec, "CRED_REFRESH", "refreshed credential delivered to %s", gkAddr)
 	}
-	if errors.Is(err, faultclass.ErrBreakerOpen) {
-		return // parked; the dispatcher re-queues once the site recovers
-	}
+}
+
+// credRefreshRefused applies the site's refusal of one job's re-delegation.
+// A site with no record of the job owes it nothing: the probe resubmits the
+// job, and the resubmission delegates the fresh proxy itself. Any other
+// refusal counts toward maxCredRefreshTries; an exhausted budget, or a
+// Permanent or AuthExpired refusal, falls back to hold-and-notify — the §4.3
+// response when re-delegation needs a human.
+func (gm *GridManager) credRefreshRefused(rec *jobRecord, gkAddr string, err error) {
 	class := faultclass.ClassOf(err)
 	rec.mu.Lock()
+	if class == faultclass.SiteLost {
+		rec.credRefresh = false
+		rec.mu.Unlock()
+		return
+	}
 	rec.credRefreshTries++
 	n := rec.credRefreshTries
-	gm.agent.traceLocked(rec, obs.PhaseCredRefresh, class.String(), "re-delegation failed: "+err.Error())
+	gm.agent.traceLocked(rec, obs.PhaseCredRefresh, class.String(), "re-delegation refused: "+err.Error())
 	exhausted := n >= maxCredRefreshTries ||
 		class == faultclass.Permanent || class == faultclass.AuthExpired
 	if exhausted {
@@ -611,5 +643,5 @@ func (gm *GridManager) refreshJobCred(rec *jobRecord) {
 		return // still flagged; the next dispatch pass retries
 	}
 	gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "fallback")).Inc()
-	gm.holdJob(rec, fmt.Sprintf("credential re-delegation to %s failed (%v)", contact.JobManagerAddr, err))
+	gm.holdJob(rec, fmt.Sprintf("credential re-delegation to %s failed (%v)", gkAddr, err))
 }

@@ -278,8 +278,8 @@ func fdTargets() string {
 	return sb.String()
 }
 
-// TestJobManagerExits: a JobManager's listener, callback and GASS
-// connections and loop go away once its job is over and the agent knows it.
+// TestJobManagerExits: a JobManager's callback and GASS connections and
+// its loop go away once its job is over and the agent knows it.
 func TestJobManagerExits(t *testing.T) {
 	t.Run("flat after many jobs", func(t *testing.T) {
 		w := newLadderWorld(t, 2*time.Second)

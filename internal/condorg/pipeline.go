@@ -26,9 +26,9 @@ import (
 //   - Retirement waits for the task ledger to drain (gm.outstanding), so
 //     tryRetire cannot close the GRAM client under a live worker.
 //
-// Submits, recoveries, probes and cancels are batch tasks: each carries up
-// to maxBatch same-site jobs in one gram batch frame, a lone job being a
-// batch of one.
+// Submits, recoveries, probes, cancels and credential refreshes are batch
+// tasks: each carries up to maxBatch same-site jobs in one gram batch frame,
+// a lone job being a batch of one.
 
 // maxBatch caps the jobs carried in one batch frame.
 const maxBatch = 32
@@ -42,7 +42,7 @@ const (
 	taskProbe                       // §4.2 liveness probe of jobs at one site
 	taskCancel                      // retry cancel tombstones at one site
 	taskStage                       // chunked executable pre-stage to the site
-	taskRefreshCred                 // in-band credential re-delegation to one job manager
+	taskRefreshCred                 // in-band credential re-delegation to jobs at one site
 )
 
 func (k taskKind) String() string {
@@ -72,7 +72,7 @@ type incarnation struct {
 }
 
 // gmTask is one unit of per-site work: recs holds its jobs (exactly one
-// for stage and refresh-cred), pairs a cancel task's tombstones.
+// for stage), pairs a cancel task's tombstones.
 type gmTask struct {
 	kind  taskKind
 	recs  []*jobRecord
@@ -102,7 +102,7 @@ type siteWorker struct {
 // cancelTaskKey identifies one tombstone so the dispatcher queues at most
 // one retry of it at a time.
 func cancelTaskKey(rec *jobRecord, contact gram.JobContact) string {
-	return rec.ID + "\x00" + contact.JobManagerAddr + "\x00" + contact.JobID
+	return rec.ID + "\x00" + contact.GatekeeperAddr + "\x00" + contact.JobID
 }
 
 // enqueueTask queues t on addr's worker, spawning a goroutine when the
@@ -209,7 +209,7 @@ func (gm *GridManager) runTask(t gmTask) {
 	case taskStage:
 		gm.stageJob(t.recs[0])
 	case taskRefreshCred:
-		gm.refreshJobCred(t.recs[0])
+		gm.refreshBatch(t.recs)
 	}
 }
 
@@ -227,7 +227,9 @@ func (gm *GridManager) endTask(t gmTask) {
 		// Re-delegations are keyed by job in credBusy, not opBusy: the
 		// refresh may run alongside a probe — they touch disjoint verbs.
 		gm.mu.Lock()
-		delete(gm.credBusy, t.recs[0].ID)
+		for _, rec := range t.recs {
+			delete(gm.credBusy, rec.ID)
+		}
 		gm.mu.Unlock()
 	default:
 		for _, rec := range t.recs {

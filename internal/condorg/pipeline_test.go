@@ -12,17 +12,17 @@ import (
 	"condorg/internal/wire"
 )
 
-// newFaultySite builds a site whose gatekeeper and jobmanager listeners
-// share one wire.Faults hook set, so a test can blackhole the whole site
+// newFaultySite builds a site whose gatekeeper — its only endpoint — runs
+// the given wire.Faults hook set, so a test can blackhole the whole site
 // (one-way partition: sends succeed, replies never come) after it is up.
 func newFaultySite(t *testing.T, name string, runs *atomic.Int64, faults *wire.Faults) *gram.Site {
 	t.Helper()
-	return newHookedSite(t, name, runs, 4, faults, faults)
+	return newHookedSite(t, name, runs, 4, faults)
 }
 
-// newHookedSite builds a site with cpus slots whose gatekeeper and
-// jobmanager listeners run the given hook sets.
-func newHookedSite(t *testing.T, name string, runs *atomic.Int64, cpus int, gk, jm *wire.Faults) *gram.Site {
+// newHookedSite builds a site with cpus slots whose gatekeeper runs the
+// given hook set.
+func newHookedSite(t *testing.T, name string, runs *atomic.Int64, cpus int, gk *wire.Faults) *gram.Site {
 	t.Helper()
 	cluster, err := lrm.NewCluster(lrm.Config{Name: name, Cpus: cpus})
 	if err != nil {
@@ -35,7 +35,6 @@ func newHookedSite(t *testing.T, name string, runs *atomic.Int64, cpus int, gk, 
 		StateDir:         t.TempDir(),
 		CommitTimeout:    2 * time.Second,
 		GatekeeperFaults: gk,
-		JobManagerFaults: jm,
 	})
 	if err != nil {
 		t.Fatal(err)

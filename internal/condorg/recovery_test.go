@@ -61,15 +61,14 @@ func TestRecoveredJobCallsBack(t *testing.T) {
 
 // TestRecoveryIsBatched: re-verifying N jobs after an agent restart costs
 // ceil(N/maxBatch) gram.batch-commit frames and as many jm.batch-status
-// frames beside the probe ticks' own, all addressed to the gatekeeper. No
-// JobManager endpoint hears a word, and every job still finishes once with
-// its whole output at the new agent.
+// frames beside the probe ticks' own, all addressed to the gatekeeper, and
+// every job still finishes once with its whole output at the new agent.
 func TestRecoveryIsBatched(t *testing.T) {
 	for _, n := range []int{1, 33} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
 			runs := &atomic.Int64{}
-			gk, jm := &verbCounts{}, &verbCounts{}
-			site := newHookedSite(t, "wisc", runs, n, gk.faults(), jm.faults())
+			gk := &verbCounts{}
+			site := newHookedSite(t, "wisc", runs, n, gk.faults())
 			const interval = 30 * time.Millisecond
 			cfg := AgentConfig{
 				StateDir: t.TempDir(),
@@ -100,7 +99,6 @@ func TestRecoveryIsBatched(t *testing.T) {
 			a1.Close()
 
 			gk.reset()
-			jm.reset()
 			start := time.Now()
 			a2, err := NewAgent(cfg)
 			if err != nil {
@@ -112,9 +110,6 @@ func TestRecoveryIsBatched(t *testing.T) {
 			}
 			ticks := int(time.Since(start)/interval) + 2
 
-			if got := jm.total(); got != 0 {
-				t.Fatalf("recovery sent %d RPCs to JobManager endpoints; want 0", got)
-			}
 			frames := (n + maxBatch - 1) / maxBatch
 			if got := gk.get("gram.batch-commit"); got != frames {
 				t.Fatalf("recovery sent %d batch-commit frames for %d jobs, want %d", got, n, frames)

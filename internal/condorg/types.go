@@ -185,8 +185,9 @@ type jobRecord struct {
 	// tracked separately (they touch disjoint remote state).
 	opBusy bool
 	// credRefresh marks an in-band credential re-delegation owed to this
-	// job's live JobManager; credRefreshTries counts attempts that reached
-	// the network and failed. Guarded by mu but deliberately not persisted:
+	// job's remote incarnation; credRefreshTries counts the site's refusals
+	// (frames the site never heard do not count). Guarded by mu but
+	// deliberately not persisted:
 	// after an agent crash the credential monitor's next scan re-issues the
 	// obligation, so journaling it would only add write amplification.
 	credRefresh      bool

@@ -4,9 +4,10 @@
 // proactively renews expiring proxies from each owner's MyProxy binding
 // (with a per-owner jittered lead so a fleet of renewals never stampedes
 // the MyProxy server), installs the fresh proxy through the agent — which
-// re-delegates it in-band to every live JobManager, no hold/release cycle
-// — and places jobs on hold with an explanatory notification only when a
-// proxy actually expires. The package also provides the MyProxy server and
+// re-delegates it in-band to the sites of the owner's running jobs, one
+// gatekeeper batch frame per site, no hold/release cycle — and places jobs
+// on hold with an explanatory notification only when a proxy actually
+// expires. The package also provides the MyProxy server and
 // client: long-lived credentials stay on the password-protected server,
 // and the agent fetches short-lived proxies from it, limiting exposure of
 // the long-lived credential.
@@ -328,7 +329,7 @@ func (m *Monitor) noteError(err error, owner, op string) {
 
 // Refresh installs a user-supplied fresh proxy for owner: the owner's
 // GridManager switches to it, the proxy is re-delegated in-band to every
-// live JobManager, and jobs held for credential reasons are released. An
+// live remote job, and jobs held for credential reasons are released. An
 // empty owner refreshes the agent-wide default credential instead (owners
 // renewed individually keep their own, newer proxies) and releases every
 // owner's credential holds.

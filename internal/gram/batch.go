@@ -1,21 +1,24 @@
-// Batched GRAM verbs: the only way a client submits, commits, probes and
-// cancels, with a single job sent as a batch of one. A GridManager managing
-// many jobs at one site pays one frame, one syscall pair, and one auth check
-// per *verb*, not per *job*: gram.batch-submit and gram.batch-commit carry N
-// submissions through the two-phase commit, and jm.batch-status /
-// jm.batch-cancel address a site's JobManagers collectively through the
-// Gatekeeper — the interface machine all of a site's JobManagers live on
-// (§4.1) — instead of one RPC per JobManager connection.
+// Batched GRAM verbs: the only way a client submits, commits, probes,
+// cancels and re-delegates, with a single job sent as a batch of one. A
+// GridManager managing many jobs at one site pays one frame, one syscall
+// pair, and one auth check per *verb*, not per *job*: gram.batch-submit and
+// gram.batch-commit carry N submissions through the two-phase commit,
+// jm.batch-status / jm.batch-cancel address a site's JobManagers collectively
+// through the Gatekeeper — the interface machine all of a site's JobManagers
+// live on (§4.1) — and gram.batch-refresh-credential hands N jobs one
+// refreshed proxy there (§4.3).
 //
 // Every batch op returns exactly one result per entry, in order, and a
 // failing entry never fails the batch: per-entry errors carry their own
 // fault class so the caller can hold, resubmit, or retry each job
-// independently.
+// independently. (What the whole frame shares — a refresh frame's one proxy
+// — fails the whole frame when it is refused.)
 package gram
 
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"condorg/internal/faultclass"
 	"condorg/internal/gsi"
@@ -28,10 +31,9 @@ type batchSubmitReq struct {
 }
 
 type batchSubmitResult struct {
-	JobID          string           `json:"job_id,omitempty"`
-	JobManagerAddr string           `json:"jobmanager_addr,omitempty"`
-	Error          string           `json:"error,omitempty"`
-	Fault          faultclass.Class `json:"fault,omitempty"`
+	JobID string           `json:"job_id,omitempty"`
+	Error string           `json:"error,omitempty"`
+	Fault faultclass.Class `json:"fault,omitempty"`
 }
 
 type batchSubmitResp struct {
@@ -51,8 +53,15 @@ type batchCommitReq struct {
 	Callback string   `json:"callback,omitempty"`
 }
 
-// batchOpResult is the per-entry outcome of an op with no payload
-// (commit, cancel).
+// batchRefreshReq is gram.batch-refresh-credential's body: the jobs to hand
+// the proxy, and the one proxy — scoped to this gatekeeper — they all get.
+type batchRefreshReq struct {
+	JobIDs    []string `json:"job_ids"`
+	Delegated []byte   `json:"delegated"`
+}
+
+// batchOpResult is the per-entry outcome of an op with no per-entry
+// payload (commit, cancel, refresh-credential).
 type batchOpResult struct {
 	Error string           `json:"error,omitempty"`
 	Fault faultclass.Class `json:"fault,omitempty"`
@@ -86,12 +95,12 @@ func (s *Site) handleBatchSubmit(peer string, body json.RawMessage) (any, error)
 	}
 	resp := batchSubmitResp{Results: make([]batchSubmitResult, len(req.Entries))}
 	for i, e := range req.Entries {
-		r, err := s.submitOne(peer, e)
+		id, err := s.submitOne(peer, e)
 		if err != nil {
 			resp.Results[i] = batchSubmitResult{Error: err.Error(), Fault: faultclass.ClassOf(err)}
 			continue
 		}
-		resp.Results[i] = batchSubmitResult{JobID: r.JobID, JobManagerAddr: r.JobManagerAddr}
+		resp.Results[i] = batchSubmitResult{JobID: id}
 	}
 	return resp, nil
 }
@@ -106,6 +115,44 @@ func (s *Site) handleBatchCommit(peer string, body json.RawMessage) (any, error)
 		if err := s.commitOne(peer, id, req.GASS, req.Callback); err != nil {
 			resp.Results[i] = opErr(err)
 		}
+	}
+	return resp, nil
+}
+
+// handleBatchRefreshCredential vets the frame's proxy once — the same
+// checks as a submit-time delegation (chain and site scope, see
+// checkDelegated), plus subject == peer on an authenticated site — so a
+// renewed credential cannot launder away the original restriction. A refused
+// proxy fails the whole frame with its class (Permanent for a wrong scope).
+// Each entry the caller owns then gets the proxy, whether or not its
+// JobManager runs: a replacement started by gram.jm-restart reads it.
+func (s *Site) handleBatchRefreshCredential(peer string, body json.RawMessage) (any, error) {
+	var req batchRefreshReq
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	cred, err := gsi.DecodeCredential(req.Delegated)
+	if err != nil {
+		return nil, fmt.Errorf("gram: bad delegated credential: %w", err)
+	}
+	if err := s.checkDelegated(cred); err != nil {
+		return nil, err
+	}
+	if s.cfg.Anchor != nil {
+		if subject := cred.Subject(); subject != peer {
+			return nil, fmt.Errorf("gram: refreshed credential subject %s != peer %s", subject, peer)
+		}
+	}
+	resp := batchOpResp{Results: make([]batchOpResult, len(req.JobIDs))}
+	for i, id := range req.JobIDs {
+		job, err := s.ownedJob(peer, id)
+		if err != nil {
+			resp.Results[i] = opErr(err)
+			continue
+		}
+		job.mu.Lock()
+		job.cred = cred
+		job.mu.Unlock()
 	}
 	return resp, nil
 }
@@ -260,11 +307,7 @@ func (c *Client) BatchSubmit(gkAddr string, entries []BatchSubmitEntry) ([]Batch
 			out[i].Err = entryErr(r.Error, r.Fault)
 			continue
 		}
-		out[i].Contact = JobContact{
-			JobManagerAddr: r.JobManagerAddr,
-			GatekeeperAddr: gkAddr,
-			JobID:          r.JobID,
-		}
+		out[i].Contact = JobContact{GatekeeperAddr: gkAddr, JobID: r.JobID}
 	}
 	return out, nil
 }
@@ -280,8 +323,24 @@ func (c *Client) BatchCommit(gkAddr string, jobIDs []string, gassAddr, callback 
 	return c.batchOp(gkAddr, "commit", "gram.batch-commit", req, len(jobIDs))
 }
 
-// batchOp sends one frame of an op whose entries carry no payload (commit,
-// cancel) to the gatekeeper and returns one error slot per entry.
+// BatchRefreshCredential re-forwards the client's current proxy to several
+// jobs at one site in one frame (§4.3): one fresh delegation of lifetime,
+// scoped to gkAddr like the submit-time one, that the site installs for every
+// job without holding or interrupting it. A proxy the client cannot mint
+// fails with a Permanent error before any I/O: minting again cannot help. The
+// returned slice has one entry per job ID: nil, or that entry's error.
+func (c *Client) BatchRefreshCredential(gkAddr string, jobIDs []string, lifetime time.Duration) ([]error, error) {
+	data, err := c.delegateFor(gkAddr, lifetime)
+	if err != nil {
+		return nil, faultclass.New(faultclass.Permanent, err)
+	}
+	req := batchRefreshReq{JobIDs: jobIDs, Delegated: data}
+	return c.batchOp(gkAddr, "refresh-credential", "gram.batch-refresh-credential", req, len(jobIDs))
+}
+
+// batchOp sends one frame of an op whose entries carry no payload of their
+// own (commit, cancel, refresh-credential) to the gatekeeper and returns one
+// error slot per entry.
 func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, error) {
 	var resp batchOpResp
 	if err := c.guard(gkAddr, "batch-"+verb, func() error {
@@ -302,8 +361,7 @@ func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, 
 }
 
 // BatchStatus probes several jobs at one site in one frame, addressed to
-// the gatekeeper (the machine the site's JobManagers run on) instead of
-// each job's JobManager connection.
+// the gatekeeper (the machine the site's JobManagers run on).
 func (c *Client) BatchStatus(gkAddr string, jobIDs []string) ([]BatchStatusResult, error) {
 	var resp batchStatusResp
 	if err := c.guard(gkAddr, "batch-status", func() error {

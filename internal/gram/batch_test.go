@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"condorg/internal/faultclass"
+	"condorg/internal/gsi"
 )
 
 // One batch-submit + one batch-commit must carry N jobs through the
@@ -165,5 +166,56 @@ func TestBatchCancelKillsJobs(t *testing.T) {
 			t.Fatalf("only %d/%d jobs terminal after batch cancel", terminal, len(ids))
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// One refresh frame hands every member the same proxy, whether or not the
+// member's JobManager runs, and an unknown job is refused on its own entry
+// with SiteLost. A client with nothing to delegate fails before any I/O with
+// a Permanent error.
+func TestBatchRefreshCredentialPerEntry(t *testing.T) {
+	g := newTestGrid(t)
+	gk := g.site.GatekeeperAddr()
+	spec := JobSpec{Executable: string(Program("sleep")), Args: []string{"300ms"}}
+	a := g.submitAndCommit(t, spec)
+	b := g.submitAndCommit(t, spec)
+	waitGramState(t, g.client, b, StateActive)
+	if err := g.site.CrashJobManager(b.JobID); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := g.client.BatchRefreshCredential(gk, []string{a.JobID}, time.Hour); faultclass.ClassOf(err) != faultclass.Permanent {
+		t.Fatalf("refresh without a credential: %v, want a Permanent error", err)
+	}
+
+	now := time.Now()
+	ca, _ := gsi.NewCA("/O=Grid/CN=CA", now, 48*time.Hour)
+	user, _ := ca.IssueUser("/O=Grid/CN=u", now, 24*time.Hour)
+	proxy, _ := gsi.NewProxy(user, now, time.Hour)
+	g.client.SetCredential(proxy)
+	errs, err := g.client.BatchRefreshCredential(gk, []string{a.JobID, "wisc-job999", b.JobID}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("live entries refused: %v", errs)
+	}
+	if got := faultclass.ClassOf(errs[1]); got != faultclass.SiteLost {
+		t.Fatalf("unknown job: %v (class %v), want SiteLost", errs[1], got)
+	}
+	var creds []*gsi.Credential
+	for _, id := range []string{a.JobID, b.JobID} {
+		g.site.mu.Lock()
+		job := g.site.jobs[id]
+		g.site.mu.Unlock()
+		job.mu.Lock()
+		creds = append(creds, job.cred)
+		job.mu.Unlock()
+	}
+	if creds[0] == nil || creds[0] != creds[1] {
+		t.Fatalf("members hold different proxies after one frame: %p %p", creds[0], creds[1])
+	}
+	if creds[0].Subject() != proxy.Subject() {
+		t.Fatalf("installed proxy subject %q, want %q", creds[0].Subject(), proxy.Subject())
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // Client is the submit-side GRAM library used by the GridManager. One
-// client serves one user credential; connections to Gatekeepers and
-// JobManagers are cached per address. Every network operation passes
-// through a per-endpoint circuit breaker, so a dead site fast-fails
+// client serves one user credential; every verb goes to a site's Gatekeeper,
+// whose connection is cached per address. Every network operation passes
+// through a per-gatekeeper circuit breaker, so a dead site fast-fails
 // instead of making each caller wait out the full timeout ladder.
 type Client struct {
 	clock gsi.Clock
@@ -25,7 +25,6 @@ type Client struct {
 	cred   *gsi.Credential
 	health *faultclass.BreakerSet
 	gkConn map[string]*wire.Client
-	jmConn map[string]*wire.Client
 	obs    *obs.Registry
 	// timeouts are shortened by tests.
 	timeout time.Duration
@@ -47,7 +46,6 @@ func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
 		cred:    cred,
 		health:  faultclass.NewBreakerSet(faultclass.BreakerConfig{}),
 		gkConn:  make(map[string]*wire.Client),
-		jmConn:  make(map[string]*wire.Client),
 		timeout: 2 * time.Second,
 		retries: 3,
 		codec:   wire.CodecBinary,
@@ -73,8 +71,7 @@ func (c *Client) SetBreakerConfig(cfg faultclass.BreakerConfig) {
 	c.mu.Unlock()
 }
 
-// SiteHealth reports the circuit breaker state for an endpoint address
-// (a gatekeeper or jobmanager).
+// SiteHealth reports the circuit breaker state for a gatekeeper address.
 func (c *Client) SiteHealth(addr string) faultclass.BreakerState {
 	c.mu.Lock()
 	h := c.health
@@ -102,17 +99,14 @@ func (c *Client) SetObs(r *obs.Registry) {
 	c.mu.Unlock()
 }
 
-// HealthSnapshot reports breaker state for every endpoint this client has
-// dialed. Endpoints whose breaker never tripped (or closed again) appear
+// HealthSnapshot reports breaker state for every gatekeeper this client has
+// dialed. Gatekeepers whose breaker never tripped (or closed again) appear
 // as Closed, so the site list is complete, not just the sick ones.
 func (c *Client) HealthSnapshot() map[string]faultclass.BreakerInfo {
 	c.mu.Lock()
 	h := c.health
-	addrs := make([]string, 0, len(c.gkConn)+len(c.jmConn))
+	addrs := make([]string, 0, len(c.gkConn))
 	for addr := range c.gkConn {
-		addrs = append(addrs, addr)
-	}
-	for addr := range c.jmConn {
 		addrs = append(addrs, addr)
 	}
 	c.mu.Unlock()
@@ -175,9 +169,6 @@ func (c *Client) SetCredential(cred *gsi.Credential) {
 	for _, wc := range c.gkConn {
 		wc.SetCredential(cred)
 	}
-	for _, wc := range c.jmConn {
-		wc.SetCredential(cred)
-	}
 }
 
 // Credential returns the current proxy.
@@ -187,21 +178,17 @@ func (c *Client) Credential() *gsi.Credential {
 	return c.cred
 }
 
-// conn returns (dialing if necessary) the cached connection for addr in
-// the selected pool. The pool is chosen under the lock so Close (which
-// replaces the maps) cannot race concurrent callers.
-func (c *Client) conn(jm bool, addr, service string) *wire.Client {
+// gatekeeper returns (dialing if necessary) the cached connection to the
+// Gatekeeper at addr. The map is read under the lock so Close (which
+// replaces it) cannot race concurrent callers.
+func (c *Client) gatekeeper(addr string) *wire.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.gkConn
-	if jm {
-		m = c.jmConn
-	}
-	if wc, ok := m[addr]; ok {
+	if wc, ok := c.gkConn[addr]; ok {
 		return wc
 	}
 	wc := wire.Dial(addr, wire.ClientConfig{
-		ServerName:     service,
+		ServerName:     GatekeeperService,
 		Credential:     c.cred,
 		Clock:          c.clock,
 		Timeout:        c.timeout,
@@ -209,12 +196,8 @@ func (c *Client) conn(jm bool, addr, service string) *wire.Client {
 		Codec:          c.codec,
 		DisableSession: c.noSession,
 	})
-	m[addr] = wc
+	c.gkConn[addr] = wc
 	return wc
-}
-
-func (c *Client) gatekeeper(addr string) *wire.Client {
-	return c.conn(false, addr, GatekeeperService)
 }
 
 // Close releases all connections.
@@ -229,11 +212,7 @@ func (c *Client) dropConnsLocked() {
 	for _, wc := range c.gkConn {
 		wc.Close()
 	}
-	for _, wc := range c.jmConn {
-		wc.Close()
-	}
 	c.gkConn = make(map[string]*wire.Client)
-	c.jmConn = make(map[string]*wire.Client)
 }
 
 // NewSubmissionID mints the unique identifier the GridManager journals
@@ -359,46 +338,10 @@ func (c *Client) StageCommit(gkAddr, hash string, total int64) error {
 }
 
 // RestartJobManager asks the Gatekeeper to start a replacement JobManager
-// for a job whose daemon died. The returned contact has the new address.
-func (c *Client) RestartJobManager(contact JobContact) (JobContact, error) {
-	var resp jmRestartResp
-	err := c.guard(contact.GatekeeperAddr, "jm-restart", func() error {
-		return c.gatekeeper(contact.GatekeeperAddr).Call("gram.jm-restart", jmRestartReq{JobID: contact.JobID}, &resp)
-	})
-	if err != nil {
-		return contact, err
-	}
-	if contact.JobManagerAddr != resp.JobManagerAddr {
-		c.ForgetJobManager(contact.JobManagerAddr)
-	}
-	contact.JobManagerAddr = resp.JobManagerAddr
-	return contact, nil
-}
-
-// ForgetJobManager drops the cached connection and the breaker memory of a
-// JobManager that is dead or whose job is over. JobManagers come and go with
-// their jobs, so a client that outlives many jobs must not keep an entry per
-// job ever run.
-func (c *Client) ForgetJobManager(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wc, ok := c.jmConn[addr]; ok {
-		wc.Close()
-		delete(c.jmConn, addr)
-	}
-	c.health.Success(addr) // Success is how a BreakerSet drops an entry
-}
-
-// RefreshCredential re-forwards a fresh proxy to the job's site (§4.3).
-// The forwarded proxy is scoped to the job's gatekeeper like the original
-// submit-time delegation, and the call is in-band: the running JobManager
-// swaps credentials without the job being held or interrupted.
-func (c *Client) RefreshCredential(contact JobContact, lifetime time.Duration) error {
-	data, err := c.delegateFor(contact.GatekeeperAddr, lifetime)
-	if err != nil {
-		return err
-	}
-	return c.guard(contact.JobManagerAddr, "refresh-credential", func() error {
-		return c.conn(true, contact.JobManagerAddr, JobManagerService).Call("jm.refresh-credential", refreshCredReq{Delegated: data}, nil)
+// for a job whose daemon died. The job's contact does not change: it names
+// the Gatekeeper, not the daemon. A daemon that is still alive is left alone.
+func (c *Client) RestartJobManager(contact JobContact) error {
+	return c.guard(contact.GatekeeperAddr, "jm-restart", func() error {
+		return c.gatekeeper(contact.GatekeeperAddr).Call("gram.jm-restart", jmRestartReq{JobID: contact.JobID}, nil)
 	})
 }

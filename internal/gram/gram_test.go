@@ -365,14 +365,17 @@ func TestJobManagerCrashAndRestart(t *testing.T) {
 	if err := g.client.PingGatekeeper(contact.GatekeeperAddr); err != nil {
 		t.Fatalf("gatekeeper should be alive: %v", err)
 	}
-	newContact, err := g.client.RestartJobManager(contact)
-	if err != nil {
+	if err := g.client.RestartJobManager(contact); err != nil {
 		t.Fatal(err)
 	}
-	if newContact.JobManagerAddr == contact.JobManagerAddr {
-		t.Fatal("restart returned the dead JobManager address")
+	res, err := g.client.BatchStatus(contact.GatekeeperAddr, []string{contact.JobID})
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("status after restart: %v / %v", err, res[0].Err)
 	}
-	st := waitGramState(t, g.client, newContact, StateDone)
+	if !res[0].JMAlive {
+		t.Fatal("no live JobManager after the restart")
+	}
+	st := waitGramState(t, g.client, contact, StateDone)
 	if !st.ExitOK {
 		t.Fatal("job lost by JobManager crash")
 	}
@@ -414,11 +417,10 @@ func TestGatekeeperMachineCrashAndRestart(t *testing.T) {
 	if err := g.client.PingGatekeeper(contact.GatekeeperAddr); err != nil {
 		t.Fatalf("gatekeeper not back on old address: %v", err)
 	}
-	newContact, err := g.client.RestartJobManager(contact)
-	if err != nil {
+	if err := g.client.RestartJobManager(contact); err != nil {
 		t.Fatal(err)
 	}
-	st := waitGramState(t, g.client, newContact, StateDone)
+	st := waitGramState(t, g.client, contact, StateDone)
 	if !st.ExitOK {
 		t.Fatalf("job lost across machine crash: %+v", st)
 	}
@@ -534,6 +536,37 @@ func TestGSIAuthorizationPath(t *testing.T) {
 	if _, err := os.Stat(urlFile); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("foreign re-commit touched the URL file (stat err=%v)", err)
 	}
+
+	// Nor can it hand jfrey's jobs a proxy of its own: the frame's proxy is
+	// its own and passes vetting, but every entry is refused and no job's
+	// credential changes.
+	creds := func() []*gsi.Credential {
+		var out []*gsi.Credential
+		for _, c := range []JobContact{contact, running} {
+			g.site.mu.Lock()
+			job := g.site.jobs[c.JobID]
+			g.site.mu.Unlock()
+			job.mu.Lock()
+			out = append(out, job.cred)
+			job.mu.Unlock()
+		}
+		return out
+	}
+	before := creds()
+	errs, err = otherClient.BatchRefreshCredential(running.GatekeeperAddr, []string{contact.JobID, running.JobID}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e == nil {
+			t.Fatalf("foreign subject refreshed entry %d's credential", i)
+		}
+	}
+	for i, c := range creds() {
+		if c != before[i] {
+			t.Fatalf("foreign refresh replaced job %d's credential", i)
+		}
+	}
 	waitGramState(t, authed, running, StateDone)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -572,8 +605,9 @@ func TestCredentialRefreshReForward(t *testing.T) {
 	// Refresh locally with a longer-lived proxy and re-forward to the site.
 	fresh, _ := gsi.NewProxy(user, now, 3*time.Hour)
 	c.SetCredential(fresh)
-	if err := c.RefreshCredential(contact, 2*time.Hour); err != nil {
-		t.Fatal(err)
+	errs, err := c.BatchRefreshCredential(contact.GatekeeperAddr, []string{contact.JobID}, 2*time.Hour)
+	if err != nil || errs[0] != nil {
+		t.Fatalf("refresh: %v / %v", err, errs)
 	}
 	waitGramState(t, c, contact, StateDone)
 	// The site now holds a credential derived from the fresh proxy: its
@@ -586,6 +620,66 @@ func TestCredentialRefreshReForward(t *testing.T) {
 	job.mu.Unlock()
 	if left < 90*time.Minute {
 		t.Fatalf("site credential lifetime %v, want ~2h after re-forward", left)
+	}
+}
+
+// A refresh that lands while the job's JobManager is down still reaches the
+// job: the gatekeeper installs the proxy on the job record, and the
+// replacement JobManager pushes output with it. The submit-time delegation
+// expires before the replacement starts, and the submit side's GASS server
+// authenticates every push, so output arriving at all proves the replacement
+// holds the refreshed proxy.
+func TestRefreshReachesReplacementJobManager(t *testing.T) {
+	now := time.Now()
+	ca, _ := gsi.NewCA("/O=Grid/CN=CA", now, 48*time.Hour)
+	g := newTestGrid(t, func(cfg *SiteConfig) { cfg.Anchor = ca.Certificate() })
+	gs, err := gass.NewServer(t.TempDir(), gass.ServerOptions{Anchor: ca.Certificate()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	user, _ := ca.IssueUser("/O=Grid/CN=u", now, 24*time.Hour)
+	proxy, _ := gsi.NewProxy(user, now, time.Hour)
+	c := NewClient(proxy, nil)
+	c.SetTimeouts(300*time.Millisecond, 3)
+	defer c.Close()
+	const short = 200 * time.Millisecond
+	stdout := gs.URLFor("jobs/refresh/stdout")
+	contact, err := c.Submit(g.site.GatekeeperAddr(), JobSpec{
+		Executable: string(Program("sleep")), Args: []string{(3 * short).String()},
+		StdoutURL: stdout.String(),
+	}, SubmitOptions{SubmissionID: NewSubmissionID(), Delegate: short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(contact); err != nil {
+		t.Fatal(err)
+	}
+	waitGramState(t, c, contact, StateActive)
+	if err := g.site.CrashJobManager(contact.JobID); err != nil {
+		t.Fatal(err)
+	}
+	errs, err := c.BatchRefreshCredential(contact.GatekeeperAddr, []string{contact.JobID}, 2*time.Hour)
+	if err != nil || errs[0] != nil {
+		t.Fatalf("refresh with the JobManager down: %v / %v", err, errs)
+	}
+	waitGramState(t, c, contact, StateDone)
+	time.Sleep(time.Until(now.Add(short))) // the submit-time proxy is dead
+	if err := c.RestartJobManager(contact); err != nil {
+		t.Fatal(err)
+	}
+	reader := gass.NewClient(proxy, nil)
+	defer reader.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		data, _ := reader.ReadAll(stdout)
+		if strings.Contains(string(data), "slept") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replacement JobManager pushed no output (stdout %q)", data)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -673,7 +767,7 @@ func TestFaultClassTravelsOverWire(t *testing.T) {
 
 	ghost := contact
 	ghost.JobID = "wisc-job999"
-	if _, err := g.client.RestartJobManager(ghost); err == nil {
+	if err := g.client.RestartJobManager(ghost); err == nil {
 		t.Fatal("restart of an unknown job succeeded")
 	} else if !wire.IsRemote(err) {
 		t.Fatalf("err = %v, want a remote error", err)

@@ -1,20 +1,17 @@
 package gram
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
 	"condorg/internal/gass"
-	"condorg/internal/gsi"
 	"condorg/internal/wire"
 )
 
-// JobManager is the per-job daemon of Figure 1. It owns the job's wire
-// endpoint, which serves only in-band credential refresh, pushes
-// stdout/stderr to the client's GASS server, and relays status callbacks.
-// Status, commit and cancel reach the job through the gatekeeper's batch
+// JobManager is the per-job daemon of Figure 1: a goroutine on the
+// interface machine that pushes stdout/stderr to the client's GASS server
+// and relays status callbacks. It is not a network endpoint. Status, commit,
+// cancel and credential refresh reach the job through the gatekeeper's batch
 // verbs instead, which answer whether or not the daemon runs. Killing a
 // JobManager does not kill the underlying LRM job — that separation is the
 // essence of GRAM's resource-side fault tolerance.
@@ -28,7 +25,6 @@ import (
 type JobManager struct {
 	site *Site
 	job  *siteJob
-	srv  *wire.Server
 
 	mu        sync.Mutex
 	closed    bool
@@ -41,19 +37,9 @@ type JobManager struct {
 // GASS server unreachable). Nothing is polled while pushes succeed.
 const pushRetry = 10 * time.Millisecond
 
-// startJobManager creates and registers a JobManager for job.
-func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
-	srv, err := wire.NewServer(wire.ServerConfig{
-		Name:   JobManagerService,
-		Anchor: s.cfg.Anchor,
-		Clock:  s.cfg.Clock,
-		Faults: s.cfg.JobManagerFaults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	jm := &JobManager{site: s, job: job, srv: srv, stop: make(chan struct{})}
-	srv.Handle("jm.refresh-credential", jm.handleRefreshCredential)
+// startJobManager creates, registers and starts a JobManager for job.
+func (s *Site) startJobManager(job *siteJob) {
+	jm := &JobManager{site: s, job: job, stop: make(chan struct{})}
 	// Dialled under the job lock that publishes the daemon, so a concurrent
 	// re-point (Site.repoint) either sees this daemon or hands it the new
 	// address.
@@ -62,7 +48,6 @@ func (s *Site) startJobManager(job *siteJob) (*JobManager, error) {
 	job.jm = jm
 	job.mu.Unlock()
 	go jm.run()
-	return jm, nil
 }
 
 // dialCallback returns a client for the caller's callback endpoint, or nil
@@ -104,9 +89,6 @@ func (jm *JobManager) markDelivered() {
 	jm.job.wake()
 }
 
-// Addr returns the JobManager's contact address.
-func (jm *JobManager) Addr() string { return jm.srv.Addr() }
-
 // Close simulates the JobManager process exiting (crash or normal exit).
 func (jm *JobManager) Close() {
 	jm.mu.Lock()
@@ -118,44 +100,9 @@ func (jm *JobManager) Close() {
 	close(jm.stop)
 	cb := jm.cbClient
 	jm.mu.Unlock()
-	jm.srv.Close()
 	if cb != nil {
 		cb.Close()
 	}
-}
-
-type refreshCredReq struct {
-	Delegated []byte `json:"delegated"`
-}
-
-func (jm *JobManager) handleRefreshCredential(peer string, body json.RawMessage) (any, error) {
-	if _, err := jm.site.ownedJob(peer, jm.job.id); err != nil {
-		return nil, err
-	}
-	var req refreshCredReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	cred, err := gsi.DecodeCredential(req.Delegated)
-	if err != nil {
-		return nil, err
-	}
-	// The refreshed proxy passes the same vetting as the submit-time
-	// delegation — chain verification plus site scope — so a renewed
-	// credential cannot launder away the original restriction, and a proxy
-	// refreshed for another site is refused with a Permanent fault.
-	if err := jm.site.checkDelegated(cred); err != nil {
-		return nil, err
-	}
-	if jm.site.cfg.Anchor != nil {
-		if subject := cred.Subject(); subject != peer {
-			return nil, fmt.Errorf("gram: refreshed credential subject %s != peer %s", subject, peer)
-		}
-	}
-	jm.job.mu.Lock()
-	jm.job.cred = cred
-	jm.job.mu.Unlock()
-	return struct{}{}, nil
 }
 
 // run is the daemon's main loop, woken through the job's kick channel. Each
@@ -225,9 +172,9 @@ func (jm *JobManager) pushStream(gc *gass.Client, buf *outBuffer, urlStr string)
 }
 
 // exit ends the daemon once the client holds the terminal state (the caller
-// has checked that the job is terminal and its output drained). A credential
-// refresh being served finishes first. It reports false when the client has
-// not been told yet, or when the daemon was already closed.
+// has checked that the job is terminal and its output drained). It reports
+// false when the client has not been told yet, or when the daemon was already
+// closed.
 func (jm *JobManager) exit() bool {
 	jm.mu.Lock()
 	if jm.closed || !jm.delivered {
@@ -242,7 +189,6 @@ func (jm *JobManager) exit() bool {
 		jm.job.jm = nil
 	}
 	jm.job.mu.Unlock()
-	jm.srv.Shutdown()
 	if cb != nil {
 		cb.Close()
 	}
@@ -259,7 +205,7 @@ func (jm *JobManager) sendCallback(st StatusInfo) {
 	if cb == nil || closed {
 		return
 	}
-	st.JobManagerAddr = jm.Addr() // identify the incarnation for the receiver
+	st.GatekeeperAddr = jm.site.GatekeeperAddr() // identify the incarnation for the receiver
 	go func() {
 		// A state the job has already left is not worth a round trip: the
 		// watcher reports every LRM transition the instant it happens, and

@@ -111,8 +111,9 @@ func TestWrongSiteScopedProxyRejectedOnSubmit(t *testing.T) {
 	}
 }
 
-// The in-band refresh verb applies the same vetting: a JobManager only
-// accepts a renewed proxy that is scoped to its own site.
+// The refresh verb applies the same vetting: a gatekeeper only accepts a
+// renewed proxy that is scoped to its own site, and refuses the whole frame
+// with a Permanent fault otherwise.
 func TestWrongSiteScopedProxyRejectedOnRefresh(t *testing.T) {
 	siteA, siteB, proxy, client := newScopedPair(t)
 
@@ -126,7 +127,7 @@ func TestWrongSiteScopedProxyRejectedOnRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A refresh payload scoped to site B, pushed at site A's JobManager.
+	// A refresh payload scoped to site B, pushed at site A's gatekeeper.
 	forB, err := gsi.DelegateScoped(proxy, siteB.GatekeeperAddr(), time.Now(), 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -135,24 +136,22 @@ func TestWrongSiteScopedProxyRejectedOnRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := wire.Dial(contact.JobManagerAddr, wire.ClientConfig{
-		ServerName: JobManagerService,
-		Credential: proxy,
-		Timeout:    300 * time.Millisecond,
-		Retries:    1,
-	})
-	defer wc.Close()
-	err = wc.Call("jm.refresh-credential", refreshCredReq{Delegated: data}, nil)
+	req := batchRefreshReq{JobIDs: []string{contact.JobID}, Delegated: data}
+	err = client.gatekeeper(contact.GatekeeperAddr).Call("gram.batch-refresh-credential", req, nil)
 	if err == nil {
-		t.Fatal("JobManager accepted a refresh scoped to another site")
+		t.Fatal("gatekeeper accepted a refresh scoped to another site")
+	}
+	if !wire.IsRemote(err) {
+		t.Fatalf("wrong-site refresh: %v, want a remote error for the frame", err)
 	}
 	if got := faultclass.ClassOf(err); got != faultclass.Permanent {
 		t.Fatalf("wrong-site refresh fault class = %v (%v), want Permanent", got, err)
 	}
 
-	// The correctly scoped refresh path still succeeds in-band.
-	if err := client.RefreshCredential(contact, 2*time.Hour); err != nil {
-		t.Fatal(err)
+	// The correctly scoped refresh still succeeds in-band.
+	errs, err := client.BatchRefreshCredential(contact.GatekeeperAddr, []string{contact.JobID}, 2*time.Hour)
+	if err != nil || errs[0] != nil {
+		t.Fatalf("refresh: %v / %v", err, errs)
 	}
 	waitGramState(t, client, contact, StateDone)
 }

@@ -17,11 +17,9 @@ import (
 	"condorg/internal/wire"
 )
 
-// Service names for auth-context binding.
-const (
-	GatekeeperService = "gram-gatekeeper"
-	JobManagerService = "gram-jobmanager"
-)
+// GatekeeperService is the wire service name the Gatekeeper binds
+// authentication contexts to.
+const GatekeeperService = "gram-gatekeeper"
 
 // DefaultCommitTimeout bounds how long an uncommitted submission survives
 // before the site discards it (phase two of the two-phase commit never
@@ -61,8 +59,11 @@ type SiteConfig struct {
 	// ablation A1, which demonstrates the duplicate executions this
 	// causes under message loss.
 	AutoCommit bool
-	// GatekeeperFaults and JobManagerFaults inject protocol failures.
+	// GatekeeperFaults injects protocol failures at the Gatekeeper.
 	GatekeeperFaults *wire.Faults
+	// JobManagerFaults has no effect: a JobManager serves no endpoint, so
+	// there is nothing for it to inject into. The field remains only so
+	// existing configurations that set it still compile.
 	JobManagerFaults *wire.Faults
 }
 
@@ -328,6 +329,7 @@ func (s *Site) startGatekeeper(addr string) error {
 	gk.Handle("gram.stage-commit", s.handleStageCommit)
 	gk.Handle("gram.batch-submit", s.handleBatchSubmit)
 	gk.Handle("gram.batch-commit", s.handleBatchCommit)
+	gk.Handle("gram.batch-refresh-credential", s.handleBatchRefreshCredential)
 	// The batched JobManager verbs live on the Gatekeeper because it is
 	// the interface machine every JobManager of the site runs on: one
 	// frame reaches all of them.
@@ -408,38 +410,34 @@ type submitReq struct {
 	Capability []byte `json:"capability,omitempty"`
 }
 
-type submitResp struct {
-	JobID          string `json:"job_id"`
-	JobManagerAddr string `json:"jobmanager_addr"`
-}
-
 // submitOne runs a single submission through authorization, SubmissionID
-// dedup, and JobManager startup: the body of each gram.batch-submit entry.
-func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
+// dedup, and JobManager startup: the body of each gram.batch-submit entry. It
+// returns the site job ID.
+func (s *Site) submitOne(peer string, req submitReq) (string, error) {
 	localUser, err := s.authorize(peer)
 	if err != nil {
 		// Gridmap refused: a capability signed by the site
 		// administrator may still authorize this request.
 		if s.cfg.CapabilityIssuer == nil || len(req.Capability) == 0 {
-			return submitResp{}, err
+			return "", err
 		}
 		cap, decErr := gsi.DecodeCapability(req.Capability)
 		if decErr != nil {
-			return submitResp{}, fmt.Errorf("gram: bad capability: %w", decErr)
+			return "", fmt.Errorf("gram: bad capability: %w", decErr)
 		}
 		localUser, err = cap.Verify(s.cfg.CapabilityIssuer, peer, "gram:submit", s.cfg.Clock())
 		if err != nil {
-			return submitResp{}, fmt.Errorf("gram: capability: %w", err)
+			return "", fmt.Errorf("gram: capability: %w", err)
 		}
 	}
 	var cred *gsi.Credential
 	if len(req.Delegated) > 0 {
 		cred, err = gsi.DecodeCredential(req.Delegated)
 		if err != nil {
-			return submitResp{}, fmt.Errorf("gram: bad delegated credential: %w", err)
+			return "", fmt.Errorf("gram: bad delegated credential: %w", err)
 		}
 		if err := s.checkDelegated(cred); err != nil {
-			return submitResp{}, err
+			return "", err
 		}
 	}
 
@@ -448,13 +446,7 @@ func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 	// known SubmissionID returns the existing job instead of a new one.
 	if existing, ok := s.bySubID[req.SubmissionID]; ok && req.SubmissionID != "" {
 		s.mu.Unlock()
-		existing.mu.Lock()
-		defer existing.mu.Unlock()
-		addr := ""
-		if existing.jm != nil {
-			addr = existing.jm.Addr()
-		}
-		return submitResp{JobID: existing.id, JobManagerAddr: addr}, nil
+		return existing.id, nil
 	}
 	s.serial++
 	id := fmt.Sprintf("%s-job%d", s.cfg.Name, s.serial)
@@ -477,10 +469,7 @@ func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 	}
 	s.mu.Unlock()
 
-	jm, err := s.startJobManager(job)
-	if err != nil {
-		return submitResp{}, err
-	}
+	s.startJobManager(job)
 	if s.cfg.AutoCommit {
 		// Ablation A1: no second phase — execution commences now.
 		job.mu.Lock()
@@ -495,7 +484,7 @@ func (s *Site) submitOne(peer string, req submitReq) (submitResp, error) {
 		job.mu.Unlock()
 		s.persist(job)
 	}
-	return submitResp{JobID: id, JobManagerAddr: jm.Addr()}, nil
+	return id, nil
 }
 
 // checkDelegated vets a proxy forwarded to this site: the chain must
@@ -643,10 +632,6 @@ type jmRestartReq struct {
 	JobID string `json:"job_id"`
 }
 
-type jmRestartResp struct {
-	JobManagerAddr string `json:"jobmanager_addr"`
-}
-
 func (s *Site) handleJMRestart(peer string, body json.RawMessage) (any, error) {
 	var req jmRestartReq
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -657,17 +642,12 @@ func (s *Site) handleJMRestart(peer string, body json.RawMessage) (any, error) {
 		return nil, err
 	}
 	job.mu.Lock()
-	if job.jm != nil {
-		addr := job.jm.Addr()
-		job.mu.Unlock()
-		return jmRestartResp{JobManagerAddr: addr}, nil // still alive
-	}
+	alive := job.jm != nil
 	job.mu.Unlock()
-	jm, err := s.startJobManager(job)
-	if err != nil {
-		return nil, err
+	if !alive {
+		s.startJobManager(job)
 	}
-	return jmRestartResp{JobManagerAddr: jm.Addr()}, nil
+	return struct{}{}, nil
 }
 
 // stageAndSubmit performs stage-in through GASS and hands the job to the
@@ -945,25 +925,14 @@ func (s *Site) RestartGatekeeperMachine() error {
 
 // Partition severs and refuses all connections to the site until Heal —
 // indistinguishable, from the client side, from a machine crash (the paper
-// notes the GridManager cannot tell these apart).
+// notes the GridManager cannot tell these apart). The Gatekeeper is the
+// site's only endpoint, so pausing it cuts the site off.
 func (s *Site) Partition() {
 	s.mu.Lock()
 	gk := s.gk
-	jobs := make([]*siteJob, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
 	s.mu.Unlock()
 	if gk != nil {
 		gk.Pause()
-	}
-	for _, job := range jobs {
-		job.mu.Lock()
-		jm := job.jm
-		job.mu.Unlock()
-		if jm != nil {
-			jm.srv.Pause()
-		}
 	}
 }
 
@@ -971,21 +940,9 @@ func (s *Site) Partition() {
 func (s *Site) Heal() {
 	s.mu.Lock()
 	gk := s.gk
-	jobs := make([]*siteJob, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
 	s.mu.Unlock()
 	if gk != nil {
 		gk.Resume()
-	}
-	for _, job := range jobs {
-		job.mu.Lock()
-		jm := job.jm
-		job.mu.Unlock()
-		if jm != nil {
-			jm.srv.Resume()
-		}
 	}
 }
 

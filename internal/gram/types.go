@@ -94,27 +94,27 @@ type JobSpec struct {
 	ExecutableHash string `json:"executable_hash,omitempty"`
 }
 
-// JobContact identifies a submitted job: the JobManager's address plus the
-// site-assigned job ID. It is the handle the GridManager journals.
+// JobContact identifies a submitted job: the site's Gatekeeper address plus
+// the site-assigned job ID. It is the handle the GridManager journals; every
+// verb that names the job, batched or not, goes to that Gatekeeper.
 type JobContact struct {
-	JobManagerAddr string `json:"jobmanager_addr"`
 	GatekeeperAddr string `json:"gatekeeper_addr"`
 	JobID          string `json:"job_id"`
 }
 
 // String renders the contact as a stable identifier.
 func (c JobContact) String() string {
-	return fmt.Sprintf("gram://%s/%s (gk %s)", c.JobManagerAddr, c.JobID, c.GatekeeperAddr)
+	return fmt.Sprintf("gram://%s/%s", c.GatekeeperAddr, c.JobID)
 }
 
 // StatusInfo is a status report for a job.
 type StatusInfo struct {
 	JobID string `json:"job_id"`
-	// JobManagerAddr is set on pushed callbacks so the receiver can match
+	// GatekeeperAddr is set on pushed callbacks so the receiver can match
 	// the report to the job's current remote incarnation: job IDs are only
 	// unique per site, so a late callback from a cancelled incarnation at
 	// one site could otherwise masquerade as the live one at another.
-	JobManagerAddr string   `json:"jobmanager_addr,omitempty"`
+	GatekeeperAddr string   `json:"gatekeeper_addr,omitempty"`
 	State          JobState `json:"state"`
 	Error          string   `json:"error,omitempty"`
 	// Fault classifies Error so the GridManager can choose a recovery

@@ -225,8 +225,6 @@ type Server struct {
 	cache    *replyCache
 	paused   bool
 	closed   bool
-	draining bool           // Shutdown in progress: no new requests are served
-	reqs     sync.WaitGroup // requests being served (a subset of wg)
 	wg       sync.WaitGroup
 }
 
@@ -295,19 +293,6 @@ func (s *Server) Resume() {
 	s.mu.Lock()
 	s.paused = false
 	s.mu.Unlock()
-}
-
-// Shutdown is the orderly exit of a daemon whose work is over: frames that
-// arrive from now on go unanswered, requests already being served finish and
-// write their replies, and then Close severs everything. A handler may
-// therefore arrange for its own server to shut down (from another goroutine)
-// without tearing the very reply that announced it.
-func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.reqs.Wait()
-	return s.Close()
 }
 
 // Close shuts the server down, severing all connections.
@@ -379,19 +364,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.handleHello(sc, msg)
 			continue
 		}
-		// Registered under s.mu so Shutdown's reqs.Wait never races an Add
-		// from zero.
-		s.mu.Lock()
-		if s.draining || s.closed {
-			s.mu.Unlock()
-			return
-		}
 		s.wg.Add(1)
-		s.reqs.Add(1)
-		s.mu.Unlock()
 		go func(msg *Message) {
 			defer s.wg.Done()
-			defer s.reqs.Done()
 			resp := s.dispatch(msg, sc)
 			if resp == nil {
 				return // injected request/response loss

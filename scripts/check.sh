@@ -21,8 +21,9 @@ go vet ./...
 # bench/ is a nested module (its own go.mod, `replace condorg => ../`), so
 # the root `./...` never sees it: vet, build and smoke-test it here, or a
 # change that breaks the repository benchmark stays invisible until it
-# runs. -short keeps the smoke to `interactive` + `recovery`: the full
-# smoke's 1 s window does not fit `staging` on a 2-core box.
+# runs. -short keeps the smoke to `interactive` + `recovery` so the gate
+# stays quick; every workload fits the full smoke's 1 s window (run all
+# four with `cd bench && go test ./...`).
 (cd bench && go vet ./... && go build ./... && go test -short -count=1 ./...)
 
 # The submit ladder and the daemon lifetimes around it: what one warm job
@@ -30,13 +31,15 @@ go vet ./...
 # they are needed and no longer.
 go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridManagerRetiresAtProbePace|TestJobManagerExits' ./internal/condorg/
 go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
-go test -race -count=1 -run 'TestShutdownLetsRepliesOut' ./internal/wire/
 
-# The one submit/recover/probe/cancel route: batch frames (a lone job is a
-# batch of one) coalesce, settle exactly-once when torn, cancel through the
-# gatekeeper without a JobManager, and re-verify recovered jobs — pointing
-# their JobManagers at the restarted agent — without one either.
-go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched' ./internal/condorg/
+# The one submit/recover/probe/cancel/refresh route: batch frames (a lone
+# job is a batch of one) coalesce, settle exactly-once when torn, cancel
+# through the gatekeeper without a JobManager, re-verify recovered jobs —
+# pointing their JobManagers at the restarted agent — without one either,
+# and re-delegate credentials through the gatekeeper past a dead JobManager
+# and a partition, and past a site that lost the job; callbacks are matched
+# to the job's gatekeeper.
+go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
 go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
