@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -198,10 +199,6 @@ type HAOptions struct {
 	SyncTimeout time.Duration
 }
 
-// spoolKeyPrefix namespaces replicated job payloads inside the owner's
-// queue partition, apart from the job records keyed by bare job ID.
-const spoolKeyPrefix = "spool/"
-
 // openQueue opens the job queue of an agent or standby state directory:
 // the owner-partitioned store set under queue/parts. Store files in queue/
 // itself (the retired single-store layout) are refused, never migrated.
@@ -214,8 +211,9 @@ func openQueue(stateDir string, partitions int, opts journal.StoreOptions) (*jou
 	return journal.OpenPartitionSet(filepath.Join(queue, "parts"), partitions, opts)
 }
 
-// maxOpenUserLogs bounds the persistent user-log file handles kept open for
-// non-terminal jobs; excess handles are closed and reopened on demand.
+// maxOpenUserLogs bounds the user-log file handles kept open, one per
+// owner that logged an event; past it a kept handle is closed and its
+// owner's file reopened on that owner's next event.
 const maxOpenUserLogs = 128
 
 // Agent is the Condor-G Scheduler: persistent queue plus per-user
@@ -225,8 +223,14 @@ type Agent struct {
 	gassS *gass.Server
 	cbSrv *wire.Server
 
-	logMu    sync.Mutex // guards logFiles and on-disk user-log appends
-	logFiles map[string]*os.File
+	logMu    sync.Mutex          // guards logFiles and on-disk user-log appends
+	logFiles map[string]*os.File // by owner
+
+	// spoolLocks are the per-path locks of the spool (paths hash onto
+	// stripes). The write side serializes the writers of one object and
+	// finishJob's check and Delete of a replicated key; the read side
+	// holds an HA submit's Put and indexing of that key.
+	spoolLocks [spoolStripes]sync.RWMutex
 
 	// changed wakes WaitAll and other whole-queue watchers on any
 	// job-state change; its lock is a leaf taken under no other.
@@ -345,6 +349,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	a.gassS = gassS
+	if err := a.initSpool(); err != nil {
+		gassS.Close()
+		parts.Close()
+		return nil, err
+	}
 	cbSrv, err := wire.NewServer(wire.ServerConfig{Name: gram.CallbackService, Faults: cfg.Faults.Callback})
 	if err != nil {
 		gassS.Close()
@@ -538,8 +547,9 @@ func (a *Agent) recover() error {
 	}
 	// Re-stage replicated payloads before any job restarts: a recovered
 	// submission's JobManager will fetch the executable from these URLs.
+	// Each key names its own path, whatever layout wrote it.
 	for rel, data := range spool {
-		if err := a.gassS.WriteFile(rel, data); err != nil {
+		if err := a.commitSpool(rel, data); err != nil {
 			return fmt.Errorf("condorg: re-stage %s: %w", rel, err)
 		}
 	}
@@ -637,20 +647,21 @@ func (a *Agent) unindexSiteJob(siteJobID, jobID string) {
 }
 
 // finishJob retires a job that reached a terminal state: it leaves the
-// non-terminal index and its user-log handle is released. Call after the
-// final state is set and logged.
+// non-terminal index and, under HA, releases its replicated payloads.
+// Call after the final state is set and logged.
 func (a *Agent) finishJob(rec *jobRecord) {
 	// Every job record is created through shard(owner), so the shard exists.
 	sh := a.shardIfPresent(rec.Owner)
 	sh.mu.Lock()
 	delete(sh.active, rec.ID)
 	sh.mu.Unlock()
-	a.closeUserLog(rec.ID)
 	if a.cfg.HA.Enabled {
-		// The replicated payload has served its purpose; drop it so the
-		// journal stream and snapshots don't carry finished jobs' bytes.
-		_ = sh.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "executable"))
-		_ = sh.store.Delete(spoolKeyPrefix + filepath.Join("jobs", rec.ID, "stdin"))
+		rec.mu.Lock()
+		paths := spoolPaths(rec.Spec)
+		rec.mu.Unlock()
+		for _, p := range paths {
+			a.releaseSpoolKey(sh.store, p)
+		}
 	}
 }
 
@@ -766,54 +777,46 @@ func (a *Agent) log(rec *jobRecord, code, format string, args ...any) {
 	a.appendUserLog(rec, ev)
 }
 
-// appendUserLog writes one event line through a persistent per-job handle,
-// avoiding an open/close syscall pair per event. A job that is already over
-// (a submit's own log line can trail the Done callback of a very short job)
-// gets no kept handle: finishJob has released, or is about to release, it.
-// The job's state is read under logMu, which closeUserLog takes only after
-// the job turned terminal, so a line racing the job's end cannot re-open a
-// handle nobody will close.
+// appendUserLog writes one event line, tagged with the job's ID, to its
+// owner's user log through a kept per-owner handle: one append-only file
+// shared by all of the owner's jobs, as Condor's user log is shared by the
+// jobs of a cluster. No handle belongs to a job, so none outlives one.
 func (a *Agent) appendUserLog(rec *jobRecord, ev LogEvent) {
+	// ID and Owner are immutable, so they are read without rec.mu.
 	a.logMu.Lock()
 	defer a.logMu.Unlock()
-	rec.mu.Lock()
-	id, keep := rec.ID, !rec.State.Terminal()
-	rec.mu.Unlock()
-	f := a.logFiles[id]
+	f := a.logFiles[rec.Owner]
 	if f == nil {
 		var err error
-		f, err = os.OpenFile(a.UserLogPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+		f, err = os.OpenFile(a.userLogPath(rec.Owner), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 		if err != nil {
 			return
 		}
-		if !keep {
-			defer f.Close()
-		} else {
-			if len(a.logFiles) >= maxOpenUserLogs {
-				for victim, vf := range a.logFiles {
-					vf.Close()
-					delete(a.logFiles, victim)
-					break
-				}
+		if len(a.logFiles) >= maxOpenUserLogs {
+			for victim, vf := range a.logFiles {
+				vf.Close()
+				delete(a.logFiles, victim)
+				break
 			}
-			a.logFiles[id] = f
 		}
+		a.logFiles[rec.Owner] = f
 	}
-	fmt.Fprintf(f, "%s %-16s %s\n", ev.Time.Format(time.RFC3339Nano), ev.Code, ev.Text)
+	fmt.Fprintf(f, "%s %s %-16s %s\n", ev.Time.Format(time.RFC3339Nano), rec.ID, ev.Code, ev.Text)
 }
 
-func (a *Agent) closeUserLog(id string) {
-	a.logMu.Lock()
-	if f := a.logFiles[id]; f != nil {
-		f.Close()
-		delete(a.logFiles, id)
-	}
-	a.logMu.Unlock()
-}
-
-// UserLogPath returns the on-disk user log file for a job.
+// UserLogPath returns the on-disk user log that holds job id's events: its
+// owner's file, in which every line names the job it belongs to ("" for an
+// unknown job).
 func (a *Agent) UserLogPath(id string) string {
-	return filepath.Join(a.cfg.StateDir, "logs", id+".log")
+	rec, ok := a.job(id)
+	if !ok {
+		return ""
+	}
+	return a.userLogPath(rec.Owner)
+}
+
+func (a *Agent) userLogPath(owner string) string {
+	return filepath.Join(a.cfg.StateDir, "logs", url.PathEscape(owner)+".log")
 }
 
 // managerFor returns (starting if needed) the owner's GridManager.
@@ -924,23 +927,6 @@ func (a *Agent) ActiveGridManagers() int {
 	return n
 }
 
-// spool writes one of job id's input files into the agent's own GASS tree
-// (no round trip) and returns its URL. Under HA the payload also enters the
-// journal stream, BEFORE the job record: a standby that holds the record
-// holds the bytes it must re-stage after takeover. A failed write is a local
-// hiccup, not a verdict on the job: Transient, so callers retry.
-func (a *Agent) spool(sh *ownerShard, id, name string, data []byte) (string, error) {
-	rel := filepath.Join("jobs", id, name)
-	err := a.gassS.WriteFile(rel, data)
-	if err == nil && a.cfg.HA.Enabled {
-		err = sh.store.Put(spoolKeyPrefix+rel, data)
-	}
-	if err != nil {
-		return "", faultclass.New(faultclass.Transient, fmt.Errorf("condorg: stage %s: %w", name, err))
-	}
-	return a.gassS.URLFor(rel).String(), nil
-}
-
 // Submit stages the executable into the agent's GASS spool and enqueues the
 // job; the owner's GridManager drives it from there.
 func (a *Agent) Submit(req SubmitRequest) (string, error) {
@@ -993,24 +979,31 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		}
 	}
 
-	execURL, err := a.spool(sh, id, "executable", req.Executable)
+	// One hash per payload: it names the spooled object and, with staging
+	// on, keys the site's cache.
+	execHash := gram.HashExecutable(req.Executable)
+	execRel, err := a.spool(execHash, req.Executable)
 	if err != nil {
 		return "", err
 	}
 	spec := gram.JobSpec{
-		Executable: execURL,
+		Executable: a.gassS.URLFor(execRel).String(),
 		Args:       req.Args,
 		Cpus:       req.Cpus,
 		WallLimit:  req.WallLimit,
 		Estimate:   req.Estimate,
 		Env:        req.Env,
-		StdoutURL:  a.gassS.URLFor(filepath.Join("jobs", id, "stdout")).String(),
-		StderrURL:  a.gassS.URLFor(filepath.Join("jobs", id, "stderr")).String(),
+		StdoutURL:  a.gassS.URLFor("out/" + id + ".stdout").String(),
+		StderrURL:  a.gassS.URLFor("out/" + id + ".stderr").String(),
 	}
+	payloads := map[string][]byte{execRel: req.Executable}
 	if req.Stdin != nil {
-		if spec.Stdin, err = a.spool(sh, id, "stdin", req.Stdin); err != nil {
+		stdinRel, err := a.spool(gram.HashExecutable(req.Stdin), req.Stdin)
+		if err != nil {
 			return "", err
 		}
+		spec.Stdin = a.gassS.URLFor(stdinRel).String()
+		payloads[stdinRel] = req.Stdin
 	}
 
 	rec := &jobRecord{
@@ -1023,10 +1016,16 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 	if !a.cfg.Stage.Disabled {
 		// Content-address the executable: the hash keys the per-site cache
 		// and drives the pre-stage task (resume offsets journal in Stage).
-		rec.Spec.ExecutableHash = gram.HashExecutable(req.Executable)
-		rec.Stage = StageInfo{Hash: rec.Spec.ExecutableHash, Total: int64(len(req.Executable))}
+		rec.Spec.ExecutableHash = execHash
+		rec.Stage = StageInfo{Hash: execHash, Total: int64(len(req.Executable))}
 	}
-	a.indexJob(sh, rec)
+	if a.cfg.HA.Enabled {
+		if err := a.replicateSpool(sh, rec, payloads); err != nil {
+			return "", err
+		}
+	} else {
+		a.indexJob(sh, rec)
+	}
 	a.trace(rec, obs.PhaseSubmit, "", "accepted into the agent queue")
 	// Journal BEFORE the network submission: if we crash between the
 	// journal write and the site's reply, recovery resubmits with the
@@ -1290,19 +1289,25 @@ func (a *Agent) hasRunnableJobs() bool {
 // Stdout returns the job's streamed standard output so far (empty when
 // nothing has arrived yet).
 func (a *Agent) Stdout(id string) ([]byte, error) {
-	return a.readStream(id, "stdout")
+	return a.readStream(id, func(spec *gram.JobSpec) string { return spec.StdoutURL })
 }
 
 // Stderr returns the job's streamed standard error.
 func (a *Agent) Stderr(id string) ([]byte, error) {
-	return a.readStream(id, "stderr")
+	return a.readStream(id, func(spec *gram.JobSpec) string { return spec.StderrURL })
 }
 
-func (a *Agent) readStream(id, stream string) ([]byte, error) {
-	if _, err := a.Status(id); err != nil {
-		return nil, err
+// readStream reads the output file the job's own spec URL names, so a
+// record journaled under any spool layout reads back the same way.
+func (a *Agent) readStream(id string, stream func(*gram.JobSpec) string) ([]byte, error) {
+	rec, ok := a.job(id)
+	if !ok {
+		return nil, fmt.Errorf("condorg: %w: %q", ErrNoSuchJob, id)
 	}
-	data, err := a.gassS.ReadFile(filepath.Join("jobs", id, stream))
+	rec.mu.Lock()
+	ref := stream(&rec.Spec)
+	rec.mu.Unlock()
+	data, err := a.readSpool(ref)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil // no output streamed yet
 	}
@@ -1665,9 +1670,9 @@ func (a *Agent) Close() {
 	a.gassS.Close()
 	a.parts.Close()
 	a.logMu.Lock()
-	for id, f := range a.logFiles {
+	for owner, f := range a.logFiles {
 		f.Close()
-		delete(a.logFiles, id)
+		delete(a.logFiles, owner)
 	}
 	a.logMu.Unlock()
 }

@@ -189,22 +189,63 @@ func TestManyJobsManySites(t *testing.T) {
 	}
 }
 
-// TestOnDiskUserLog: the per-job history is mirrored to a plain text file
-// in the agent's state directory and survives agent restarts.
+// TestOnDiskUserLog: the job history is mirrored to one plain-text user log
+// per owner in the agent's state directory, every line naming its job, and
+// the file survives agent restarts: each incarnation appends to it.
 func TestOnDiskUserLog(t *testing.T) {
 	w := newWorld(t, 1)
-	id, _ := w.agent.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task")})
-	waitAgentState(t, w.agent, id, Completed)
-	// The state flips before the event line reaches the file.
-	var text string
-	waitFor(t, "TERMINATED in the on-disk log", 5*time.Second, func() bool {
-		data, err := os.ReadFile(w.agent.UserLogPath(id))
-		text = string(data)
-		return err == nil && strings.Contains(text, "TERMINATED")
+	owners := []string{"amy", "ben/x"}
+	ids := make(map[string]string)
+	for _, owner := range owners {
+		id, err := w.agent.Submit(SubmitRequest{Owner: owner, Executable: gram.Program("task"), Args: []string{"600ms"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[owner] = id
+	}
+	for _, id := range ids {
+		waitAgentState(t, w.agent, id, Running)
+	}
+	paths := make(map[string]string)
+	for owner, id := range ids {
+		paths[owner] = w.agent.UserLogPath(id)
+	}
+	if paths[owners[0]] == paths[owners[1]] {
+		t.Fatalf("two owners share the user log %s", paths[owners[0]])
+	}
+	w.agent.Close()
+	a2, err := NewAgent(AgentConfig{
+		StateDir: w.dir,
+		Selector: StaticSelector(w.sites[0].GatekeeperAddr()),
+		Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
 	})
-	for _, code := range []string{"SUBMIT", "GRID_SUBMIT", "TERMINATED"} {
-		if !strings.Contains(text, code) {
-			t.Fatalf("on-disk log missing %s:\n%s", code, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Close()
+	for owner, id := range ids {
+		waitAgentState(t, a2, id, Completed)
+		if got := a2.UserLogPath(id); got != paths[owner] {
+			t.Fatalf("restarted agent logs %s to %s, was %s", id, got, paths[owner])
+		}
+		// The state flips before the event line reaches the file.
+		var text string
+		waitFor(t, "TERMINATED in "+owner+"'s on-disk log", 5*time.Second, func() bool {
+			data, err := os.ReadFile(paths[owner])
+			text = string(data)
+			return err == nil && strings.Contains(text, " TERMINATED ")
+		})
+		for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+			if f := strings.Fields(line); len(f) < 3 || f[1] != id {
+				t.Fatalf("line in %s's log does not name job %s: %q", owner, id, line)
+			}
+		}
+		// SUBMIT and GRID_SUBMIT from the first incarnation, TERMINATED
+		// from the second: the job was running when the first closed.
+		for _, code := range []string{"SUBMIT", "GRID_SUBMIT", "TERMINATED"} {
+			if !strings.Contains(text, " "+id+" "+code+" ") {
+				t.Fatalf("%s's log missing %s for %s:\n%s", owner, code, id, text)
+			}
 		}
 	}
 }

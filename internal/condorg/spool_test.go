@@ -1,0 +1,420 @@
+package condorg
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"condorg/internal/gram"
+	"condorg/internal/journal"
+	"condorg/internal/lrm"
+)
+
+// The agent's spool (DESIGN.md §8): every payload once under objects/
+// <sha256>, every job's output as flat files under out/, one user log per
+// owner under logs/ — so a submit creates no file of its own.
+
+// bytesRuntime runs jobs, checking that the site handed each the executable
+// the test submitted for it (by args[0], its tag); runs counts executions
+// by tag.
+type bytesRuntime struct {
+	mu   sync.Mutex
+	want map[string][]byte
+	runs map[string]int
+	bad  []string // tags that ran on other bytes
+}
+
+func newBytesRuntime() *bytesRuntime {
+	return &bytesRuntime{want: make(map[string][]byte), runs: make(map[string]int)}
+}
+
+// expect registers a job's tag and the executable it must run on.
+func (r *bytesRuntime) expect(tag string, exec []byte) {
+	r.mu.Lock()
+	r.want[tag] = exec
+	r.mu.Unlock()
+}
+
+func (r *bytesRuntime) Run(_ context.Context, exec []byte, args []string, _ []byte, stdout, _ io.Writer, _ map[string]string) error {
+	r.mu.Lock()
+	if !bytes.Equal(exec, r.want[args[0]]) {
+		r.bad = append(r.bad, args[0])
+	}
+	r.runs[args[0]]++
+	r.mu.Unlock()
+	fmt.Fprintf(stdout, "ran %s\n", args[0])
+	return nil
+}
+
+// checkRanOnce fails unless every expected job ran exactly once, on its
+// executable, and nothing else ran.
+func (r *bytesRuntime) checkRanOnce(t *testing.T) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.bad) > 0 {
+		t.Fatalf("jobs %v ran on bytes other than their submitted executable", r.bad)
+	}
+	for tag := range r.want {
+		if r.runs[tag] != 1 {
+			t.Fatalf("job %s ran %d times, want 1 (all runs %v)", tag, r.runs[tag], r.runs)
+		}
+	}
+	if len(r.runs) != len(r.want) {
+		t.Fatalf("%d distinct jobs ran, want %d", len(r.runs), len(r.want))
+	}
+}
+
+// newRuntimeSite is a site whose jobs run on rt.
+func newRuntimeSite(t *testing.T, rt gram.Runtime) *gram.Site {
+	t.Helper()
+	cluster, err := lrm.NewCluster(lrm.Config{Name: "spool-site", Cpus: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := gram.NewSite(gram.SiteConfig{
+		Name: "spool-site", Cluster: cluster, Runtime: rt, StateDir: t.TempDir(), CommitTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+	return site
+}
+
+// dirEntries lists the names in dir (nil when it does not exist).
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestSubmitCreatesNoPerJobFiles: submitting an executable the spool already
+// holds creates no file and no directory. Forty jobs of two owners leave one
+// object, one user log per owner, at most one output file per job and no
+// per-job directory; sixteen concurrent submits of a new executable write
+// its object once, and every job runs once on exactly those bytes.
+func TestSubmitCreatesNoPerJobFiles(t *testing.T) {
+	t.Run("shared", func(t *testing.T) {
+		exec := paddedProgram("shared", 4096, 's')
+		rt := newBytesRuntime()
+		site := newRuntimeSite(t, rt)
+		dir := t.TempDir()
+		a, err := NewAgent(AgentConfig{
+			StateDir: dir,
+			Selector: StaticSelector(site.GatekeeperAddr()),
+			Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		const n = 40
+		var ids []string
+		for i := 0; i < n; i++ {
+			tag := fmt.Sprintf("j%d", i)
+			rt.expect(tag, exec)
+			id, err := a.Submit(SubmitRequest{Owner: []string{"amy", "ben"}[i%2], Executable: exec, Args: []string{tag}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for _, id := range ids {
+			waitAgentState(t, a, id, Completed)
+		}
+		rt.checkRanOnce(t)
+		spool := filepath.Join(dir, "spool")
+		if got := dirEntries(t, filepath.Join(spool, "objects")); len(got) != 1 || got[0] != gram.HashExecutable(exec) {
+			t.Fatalf("objects/ holds %v, want only the executable's hash", got)
+		}
+		if got := dirEntries(t, filepath.Join(dir, "logs")); len(got) != 2 {
+			t.Fatalf("logs/ holds %v, want one user log per owner", got)
+		}
+		if got := dirEntries(t, filepath.Join(spool, "out")); len(got) > n {
+			t.Fatalf("out/ holds %d files for %d jobs", len(got), n)
+		}
+		if got := dirEntries(t, filepath.Join(spool, "jobs")); got != nil {
+			t.Fatalf("the spool grew per-job directories: %v", got)
+		}
+		if got := a.obs.Counter("agent_spool_writes_total").Value(); got != 1 {
+			t.Fatalf("%d spool objects written for one executable", got)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		rt := newBytesRuntime()
+		site := newRuntimeSite(t, rt)
+		dir := t.TempDir()
+		a, err := NewAgent(AgentConfig{
+			StateDir: dir,
+			Selector: StaticSelector(site.GatekeeperAddr()),
+			Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		// Open the owner's shard first, so the submits race on the spool
+		// alone. Each round is a burst of submits of a new executable.
+		if _, err := a.shard("amy"); err != nil {
+			t.Fatal(err)
+		}
+		const rounds, n = 6, 16
+		var ids []string
+		for r := 0; r < rounds; r++ {
+			exec := paddedProgram("fresh", 1<<20, byte('a'+r))
+			burst := make([]string, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := range burst {
+				tag := fmt.Sprintf("r%dc%d", r, i)
+				rt.expect(tag, exec)
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					burst[i], errs[i] = a.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{tag}})
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("round %d submit %d: %v", r, i, err)
+				}
+			}
+			if got := a.obs.Counter("agent_spool_writes_total").Value(); got != int64(r+1) {
+				t.Fatalf("round %d: %d spool writes so far, want one per executable (%d)", r, got, r+1)
+			}
+			ids = append(ids, burst...)
+		}
+		for _, id := range ids {
+			waitAgentState(t, a, id, Completed)
+		}
+		rt.checkRanOnce(t)
+		if got := dirEntries(t, filepath.Join(dir, "spool", "objects")); len(got) != rounds {
+			t.Fatalf("objects/ holds %d entries for %d executables", len(got), rounds)
+		}
+		if got := dirEntries(t, filepath.Join(dir, "spool", "partial")); got != nil {
+			t.Fatalf("temp files left behind: %v", got)
+		}
+	})
+}
+
+// journalHas reports whether a queue partition holds key.
+func journalHas(t *testing.T, st *journal.Store, key string) bool {
+	t.Helper()
+	found := false
+	if err := st.ForEach(func(k string, _ json.RawMessage) error {
+		found = found || k == key
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// TestSharedSpoolSurvivesFinishUnderHA: two jobs of one owner share an
+// executable under HA. The first finishing must not drop the replicated
+// payload the second still needs: after the primary dies, the promoted
+// standby materializes the object from its journal and the second job runs
+// once, on those bytes. Its own end then releases the key.
+func TestSharedSpoolSurvivesFinishUnderHA(t *testing.T) {
+	exec := paddedProgram("ha-shared", 2*stageChunkSize, 'h')
+	rt := newBytesRuntime()
+	rt.expect("first", exec)
+	rt.expect("second", exec)
+	// The first job runs at one site. The second is accepted unbound (the
+	// primary's selector has no site) and only the promoted agent binds it,
+	// to another site, whose cache is empty: that site can get the
+	// executable only from the promoted agent's spool.
+	firstSite, secondSite := newRuntimeSite(t, rt), newRuntimeSite(t, rt)
+	key := spoolKeyPrefix + "objects/" + gram.HashExecutable(exec)
+
+	primary, err := NewAgent(AgentConfig{
+		StateDir:     t.TempDir(),
+		Selector:     StaticSelector(""),
+		DeferBinding: true,
+		Probe:        ProbeOptions{Interval: 40 * time.Millisecond},
+		HA:           HAOptions{Enabled: true, SyncTimeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewControlServer(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStandby(StandbyConfig{Primary: ctl.Addr(), StateDir: t.TempDir(), LeaseTTL: 600 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := primary.Submit(SubmitRequest{Owner: "amy", Site: firstSite.GatekeeperAddr(), Executable: exec, Args: []string{"first"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := primary.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{"second"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitAgentState(t, primary, first, Completed)
+	sh := primary.shardIfPresent("amy")
+	waitFor(t, first+" to leave the active index", 5*time.Second, func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.active[first] == nil
+	})
+	if !journalHas(t, sh.store, key) {
+		t.Fatalf("finishing %s dropped %s while %s still names it", first, key, second)
+	}
+	waitStandbyCaughtUp(t, sb, primary)
+
+	ctl.Close()
+	primary.Close()
+	select {
+	case <-sb.TakeoverCh():
+	case <-time.After(10 * time.Second):
+		t.Fatal("standby never declared the primary dead")
+	}
+	promoted, err := sb.Takeover(AgentConfig{
+		Selector:     StaticSelector(secondSite.GatekeeperAddr()),
+		DeferBinding: true,
+		Probe:        ProbeOptions{Interval: 40 * time.Millisecond},
+		HA:           HAOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	defer promoted.Close()
+	waitAgentState(t, promoted, second, Completed)
+	rt.checkRanOnce(t)
+	waitFor(t, "the last job's end to release "+key, 5*time.Second, func() bool {
+		return !journalHas(t, promoted.shardIfPresent("amy").store, key)
+	})
+}
+
+// TestRecoverLegacySpoolRecord: a job journaled before the spool was
+// content-addressed names jobs/<id>/executable and jobs/<id>/stdout. After
+// a restart it completes from that path, and Stdout reads the output its
+// spec names — whether the payload is on disk (the plain agent) or only in
+// the journal under its old key (HA).
+func TestRecoverLegacySpoolRecord(t *testing.T) {
+	for _, ha := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ha=%v", ha), func(t *testing.T) {
+			exec := paddedProgram("legacy", 1000, 'l')
+			rt := newBytesRuntime()
+			rt.expect("legacy", exec)
+			rt.expect("fresh", exec)
+			site := newRuntimeSite(t, rt)
+			dir := t.TempDir()
+			cfg := AgentConfig{
+				StateDir: dir,
+				Selector: StaticSelector(site.GatekeeperAddr()),
+				Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
+				HA:       HAOptions{Enabled: ha},
+			}
+			// Lay the queue out, then journal the record as the old layout did.
+			a1, err := NewAgent(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a1.Close()
+			const id = "gj7"
+			old := "gass://127.0.0.1:1/jobs/" + id + "/"
+			hash := gram.HashExecutable(exec)
+			doc := struct {
+				JobInfo
+				SubmissionID string       `json:"submission_id"`
+				Spec         gram.JobSpec `json:"spec"`
+			}{
+				JobInfo:      JobInfo{ID: id, Owner: "amy", State: Idle, Site: site.GatekeeperAddr(), SubmittedAt: time.Now()},
+				SubmissionID: gram.NewSubmissionID(),
+				Spec: gram.JobSpec{
+					Executable: old + "executable", Args: []string{"legacy"},
+					StdoutURL: old + "stdout", StderrURL: old + "stderr", ExecutableHash: hash,
+				},
+			}
+			doc.Stage = StageInfo{Hash: hash, Total: int64(len(exec))}
+			parts, err := openQueue(dir, 0, journal.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := parts.PartitionFor("amy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacyKey := spoolKeyPrefix + "jobs/" + id + "/executable"
+			if ha {
+				err = st.Put(legacyKey, exec)
+			} else {
+				legacy := filepath.Join(dir, "spool", "jobs", id)
+				if err = os.MkdirAll(legacy, 0o700); err == nil {
+					err = os.WriteFile(filepath.Join(legacy, "executable"), exec, 0o600)
+				}
+			}
+			if err == nil {
+				err = st.Put(id, doc)
+			}
+			parts.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			a2, err := NewAgent(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a2.Close()
+			waitAgentState(t, a2, id, Completed)
+			waitFor(t, "the legacy job's output", 5*time.Second, func() bool {
+				out, err := a2.Stdout(id)
+				return err == nil && string(out) == "ran legacy\n"
+			})
+			if _, err := os.Stat(filepath.Join(dir, "spool", "jobs", id, "stdout")); err != nil {
+				t.Fatalf("the output did not land where the record's spec names: %v", err)
+			}
+			if ha {
+				waitFor(t, "the job's end to release "+legacyKey, 5*time.Second, func() bool {
+					return !journalHas(t, a2.shardIfPresent("amy").store, legacyKey)
+				})
+			}
+			// A new job still rides the content-addressed layout.
+			fresh, err := a2.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{"fresh"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh == id {
+				t.Fatalf("new job reused the recovered ID %s", id)
+			}
+			waitAgentState(t, a2, fresh, Completed)
+			rt.checkRanOnce(t)
+			info, _ := a2.job(fresh)
+			info.mu.Lock()
+			spec := info.Spec
+			info.mu.Unlock()
+			if !strings.HasSuffix(spec.Executable, "/objects/"+hash) || !strings.HasSuffix(spec.StdoutURL, "/out/"+fresh+".stdout") {
+				t.Fatalf("new job's spec names %s and %s", spec.Executable, spec.StdoutURL)
+			}
+		})
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"condorg/internal/faultclass"
-	"condorg/internal/gass"
 	"condorg/internal/obs"
 )
 
@@ -125,16 +124,6 @@ func (gm *GridManager) stageStats() (hits, misses map[string]int) {
 		misses[site] = n
 	}
 	return hits, misses
-}
-
-// readSpool reads the file a gass:// URL of the agent's own spool server
-// names, through the server's local door.
-func (a *Agent) readSpool(ref string) ([]byte, error) {
-	u, err := gass.ParseURL(ref)
-	if err != nil {
-		return nil, err
-	}
-	return a.gassS.ReadFile(u.Path)
 }
 
 // stageJob pushes one job's executable to its site (a taskStage body).

@@ -3,6 +3,7 @@ package condorg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -183,6 +184,22 @@ func (a *Agent) indexJob(sh *ownerShard, rec *jobRecord) {
 		sh.active[rec.ID] = rec
 	}
 	sh.mu.Unlock()
+}
+
+// activeNames reports whether one of the shard's non-terminal jobs names
+// spool path p as its executable or stdin.
+func (sh *ownerShard) activeNames(p string) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, rec := range sh.active {
+		rec.mu.Lock()
+		names := slices.Contains(spoolPaths(rec.Spec), p)
+		rec.mu.Unlock()
+		if names {
+			return true
+		}
+	}
+	return false
 }
 
 // admit applies the per-owner admission policy to one submit: payload

@@ -13,8 +13,9 @@
 // directory (a ".." segment is rejected). Reads and writes move at most
 // ChunkSize bytes per call, so a single RPC always fits the wire layer's
 // framing and timeouts. The process that owns a Server does not dial it:
-// Server.WriteFile and Server.ReadFile are the local door to the same
-// confined tree, and how the Condor-G agent fills and reads its own spool.
+// Server.Root, Server.WriteFile and Server.ReadFile are the local door to
+// the same confined tree. The Condor-G agent commits its spool objects
+// under Root and reads its spool through ReadFile.
 //
 // # Resume contract
 //
@@ -239,12 +240,15 @@ func (s *Server) handleRead(_ string, body json.RawMessage, _ []byte) (any, []by
 	if req.MaxLen <= 0 || req.MaxLen > ChunkSize {
 		req.MaxLen = ChunkSize
 	}
-	buf := make([]byte, req.MaxLen)
+	// One byte past the window tells whether the window reaches the end:
+	// a read that fills the window exactly up to the end of the file sees
+	// no io.EOF.
+	buf := make([]byte, req.MaxLen+1)
 	n, err := f.ReadAt(buf, req.Offset)
 	if err != nil && err != io.EOF {
 		return nil, nil, err
 	}
-	return readResp{EOF: err == io.EOF}, buf[:n], nil
+	return readResp{EOF: n <= req.MaxLen}, buf[:min(n, req.MaxLen)], nil
 }
 
 func (s *Server) handleWrite(_ string, body json.RawMessage, data []byte) (any, []byte, error) {

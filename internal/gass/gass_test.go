@@ -62,6 +62,32 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadWindowEndingAtEOF: a read whose window ends exactly at the end of
+// the file reports EOF, so a reader needs no further call to learn it.
+func TestReadWindowEndingAtEOF(t *testing.T) {
+	s, c := newPair(t)
+	u := s.URLFor("input/exact")
+	if err := c.WriteFile(u, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		off     int64
+		max     int
+		want    string
+		wantEOF bool
+	}{
+		{0, 10, "0123456789", true},
+		{4, 6, "456789", true},
+		{4, 5, "45678", false},
+		{10, 4, "", true},
+	} {
+		data, eof, err := c.ReadAt(u, w.off, w.max)
+		if err != nil || string(data) != w.want || eof != w.wantEOF {
+			t.Errorf("ReadAt(%d, %d) = %q, eof=%v, %v; want %q, eof=%v", w.off, w.max, data, eof, err, w.want, w.wantEOF)
+		}
+	}
+}
+
 func TestStatMissing(t *testing.T) {
 	s, c := newPair(t)
 	_, exists, err := c.Stat(s.URLFor("no/such/file"))

@@ -45,11 +45,14 @@ go test -race -count=1 -run 'TestBatch' ./internal/gram/
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
 # temp names, the LRM letting go of finished payloads, and the agent using
-# its own spool without dialing it.
+# its own spool without dialing it: one content-addressed object per
+# payload, written once however many submits race on it, replicated keys
+# released only by the last job naming them, records of the old per-job
+# layout still recovered, and one user log per owner across restarts.
 go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
 go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize' ./internal/gram/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
-go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC' ./internal/condorg/
+go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog' ./internal/condorg/
 
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
