@@ -278,6 +278,16 @@ type Agent struct {
 	mSubmit  *obs.Histogram // agent_submit_seconds
 	mWait    *obs.Histogram // agent_wait_seconds
 	mPersist *obs.Histogram // agent_persist_seconds
+
+	// lazy lists, per journal partition, the records with lazy changes
+	// waiting to ride the partition's next commit (persist.go).
+	lazyMu sync.Mutex
+	lazy   map[*journal.Store][]*jobRecord
+
+	// testPersistHook, when set (by tests, before any job exists), runs in
+	// persist just before each journal write, with the record's persistMu
+	// held: a test blocks or counts writes there.
+	testPersistHook func(rec *jobRecord, d durability)
 }
 
 // NewAgent opens (or recovers) an agent rooted at cfg.StateDir.
@@ -316,6 +326,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		tombstoned: make(map[string]*jobRecord),
 		managers:   make(map[string]*GridManager),
 		logFiles:   make(map[string]*os.File),
+		lazy:       make(map[*journal.Store][]*jobRecord),
 		pipeSem:    newFairSem(cfg.Pipeline.MaxInFlight),
 		traceCap:   cfg.Obs.TraceCap,
 	}
@@ -488,40 +499,27 @@ func (a *Agent) recover() error {
 	var recovered []*jobRecord
 	tombOwners := make(map[string]bool)
 	spool := make(map[string][]byte)
-	err := a.parts.ForEach(func(key string, raw json.RawMessage) error {
+	err := a.parts.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
 		if rel, ok := strings.CutPrefix(key, spoolKeyPrefix); ok {
 			// A replicated job payload, not a job record: collect it for
 			// materialization into the GASS spool below (the standby's disk
 			// has the journal but not the staged files).
 			var data []byte
-			if err := json.Unmarshal(raw, &data); err != nil {
+			if err := json.Unmarshal(image, &data); err != nil {
 				return fmt.Errorf("condorg: spool entry %s: %w", key, err)
 			}
 			spool[rel] = data
 			return nil
 		}
-		var rec jobRecord
-		if err := json.Unmarshal(raw, &rec.JobInfo); err != nil {
+		rec, err := foldJob(key, image, patches)
+		if err != nil {
 			return err
 		}
-		var full struct {
-			SubmissionID string        `json:"submission_id"`
-			Spec         gram.JobSpec  `json:"spec"`
-			Remote       gram.JobState `json:"remote"`
-			Trace        obs.Timeline  `json:"trace"`
-		}
-		if err := json.Unmarshal(raw, &full); err != nil {
-			return err
-		}
-		rec.SubmissionID = full.SubmissionID
-		rec.Spec = full.Spec
-		rec.Remote = full.Remote
-		rec.Trace = full.Trace
 		sh, err := a.shard(rec.Owner)
 		if err != nil {
 			return err
 		}
-		a.indexJob(sh, &rec)
+		a.indexJob(sh, rec)
 		a.mu.Lock()
 		if rec.Contact.JobID != "" {
 			a.bySiteJob[rec.Contact.JobID] = rec.ID
@@ -530,7 +528,7 @@ func (a *Agent) recover() error {
 			// An old incarnation's cancel never got acknowledged; a
 			// GridManager must keep chasing it even if this job is
 			// otherwise finished.
-			a.tombstoned[rec.ID] = &rec
+			a.tombstoned[rec.ID] = rec
 			tombOwners[rec.Owner] = true
 		}
 		a.mu.Unlock()
@@ -538,7 +536,7 @@ func (a *Agent) recover() error {
 			a.serial.Store(n)
 		}
 		if !rec.State.Terminal() {
-			recovered = append(recovered, &rec)
+			recovered = append(recovered, rec)
 		}
 		return nil
 	})
@@ -564,7 +562,8 @@ func (a *Agent) recover() error {
 		held := rec.State == Held
 		a.traceLocked(rec, obs.PhaseRecover, "", "agent restarted; job reloaded from the queue")
 		rec.mu.Unlock()
-		a.persist(rec)
+		// Lazy: the next restart rewrites the URLs again.
+		a.persist(rec, lazy)
 		if !held {
 			byOwner[rec.Owner] = append(byOwner[rec.Owner], rec)
 		}
@@ -581,7 +580,8 @@ func (a *Agent) recover() error {
 }
 
 // addCancelTombstone records that the remote copy at contact must be
-// cancelled before this job's story is over. Persisted, so the
+// cancelled before this job's story is over. The caller journals it —
+// must-wait, in the write of the change that orphaned the copy — so the
 // obligation survives agent restarts; the owner's GridManager retries
 // until the site acknowledges (cancelBatch).
 func (a *Agent) addCancelTombstone(rec *jobRecord, contact gram.JobContact) {
@@ -594,10 +594,10 @@ func (a *Agent) addCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 	a.mu.Lock()
 	a.tombstoned[rec.ID] = rec
 	a.mu.Unlock()
-	a.persist(rec)
 }
 
-// ackCancelTombstone drops an acknowledged cancel obligation.
+// ackCancelTombstone drops an acknowledged cancel obligation; the caller
+// journals it.
 func (a *Agent) ackCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 	rec.mu.Lock()
 	kept := make([]gram.JobContact, 0, len(rec.CancelPending))
@@ -614,7 +614,6 @@ func (a *Agent) ackCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 		delete(a.tombstoned, rec.ID)
 		a.mu.Unlock()
 	}
-	a.persist(rec)
 }
 
 // pendingCancels returns owner's jobs that still carry cancel
@@ -646,10 +645,18 @@ func (a *Agent) unindexSiteJob(siteJobID, jobID string) {
 	a.mu.Unlock()
 }
 
-// finishJob retires a job that reached a terminal state: it leaves the
-// non-terminal index and, under HA, releases its replicated payloads.
-// Call after the final state is set and logged.
-func (a *Agent) finishJob(rec *jobRecord) {
+// finishJob retires a job that reached a terminal state once the state's
+// must-wait write has returned: durably (ok), the job settles, its waiters
+// wake, it leaves the non-terminal index and, under HA, releases its
+// replicated payloads. A failed write leaves the job unsettled in the
+// index, so neither Wait nor WaitAll reports it: journal errors are sticky,
+// the partition takes no further write, and after a restart recovery
+// re-probes the job from its last durable state.
+func (a *Agent) finishJob(rec *jobRecord, ok bool) {
+	rec.release(ok)
+	if !ok {
+		return
+	}
 	// Every job record is created through shard(owner), so the shard exists.
 	sh := a.shardIfPresent(rec.Owner)
 	sh.mu.Lock()
@@ -667,7 +674,8 @@ func (a *Agent) finishJob(rec *jobRecord) {
 
 // noteJobChange wakes whole-queue watchers (WaitAll) and the owner's
 // GridManager after a job-state change. Per-job waiters are woken by
-// bumpLocked at the mutation site.
+// bumpLocked at the mutation site, or by release once the change's
+// must-wait write has returned.
 func (a *Agent) noteJobChange(owner string) {
 	a.changed.Notify()
 	a.mu.Lock()
@@ -742,39 +750,6 @@ func (a *Agent) rewriteSpecURLs(spec *gram.JobSpec) {
 	if spec.StderrURL != "" {
 		spec.StderrURL = fix(spec.StderrURL)
 	}
-}
-
-func (a *Agent) persist(rec *jobRecord) {
-	// persistMu orders snapshot+Put pairs per record: with per-site
-	// workers, two goroutines can persist the same job back-to-back, and
-	// without this lock the older snapshot could reach the journal last.
-	rec.persistMu.Lock()
-	defer rec.persistMu.Unlock()
-	rec.mu.Lock()
-	doc := struct {
-		JobInfo
-		SubmissionID string        `json:"submission_id"`
-		Spec         gram.JobSpec  `json:"spec"`
-		Remote       gram.JobState `json:"remote"`
-		Trace        obs.Timeline  `json:"trace"`
-	}{rec.JobInfo, rec.SubmissionID, rec.Spec, rec.Remote, rec.Trace}
-	rec.mu.Unlock()
-	start := time.Now()
-	// Every job record is created through shard(owner), so the shard exists.
-	_ = a.shardIfPresent(doc.Owner).store.Put(doc.ID, doc)
-	a.mPersist.Observe(time.Since(start).Seconds())
-}
-
-func (a *Agent) log(rec *jobRecord, code, format string, args ...any) {
-	ev := LogEvent{Time: time.Now(), Code: code, Text: fmt.Sprintf(format, args...)}
-	rec.mu.Lock()
-	rec.Log = append(rec.Log, ev)
-	rec.mu.Unlock()
-	a.persist(rec)
-	// Mirror to the on-disk user log (§4.1: "obtain access to detailed
-	// logs, providing a complete history of their jobs' execution") so
-	// the history is greppable without the agent API.
-	a.appendUserLog(rec, ev)
 }
 
 // appendUserLog writes one event line, tagged with the job's ID, to its
@@ -1019,23 +994,35 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		rec.Spec.ExecutableHash = execHash
 		rec.Stage = StageInfo{Hash: execHash, Total: int64(len(req.Executable))}
 	}
-	if a.cfg.HA.Enabled {
-		if err := a.replicateSpool(sh, rec, payloads); err != nil {
-			return "", err
-		}
-	} else {
-		a.indexJob(sh, rec)
-	}
-	a.trace(rec, obs.PhaseSubmit, "", "accepted into the agent queue")
-	// Journal BEFORE the network submission: if we crash between the
-	// journal write and the site's reply, recovery resubmits with the
-	// same SubmissionID and the site deduplicates — exactly-once. log()
-	// persists the record (SUBMIT event included) in a single delta.
 	dest := site
 	if dest == "" {
 		dest = "a deferred-binding site"
 	}
-	a.log(rec, "SUBMIT", "job submitted to agent, destined for %s", dest)
+	rec.mu.Lock()
+	a.traceLocked(rec, obs.PhaseSubmit, "", "accepted into the agent queue")
+	a.noteLocked(rec, "SUBMIT", "job submitted to agent, destined for %s", dest)
+	rec.mu.Unlock()
+	// The admit image is journaled (must-wait) BEFORE the job is queued or
+	// acknowledged (§3.2), and so before the network submission: if we
+	// crash between the journal write and the site's reply, recovery
+	// resubmits with the same SubmissionID and the site deduplicates —
+	// exactly-once. A job whose image never reached the journal was never
+	// queued.
+	admit := func() error {
+		if err := a.persist(rec, mustWait); err != nil {
+			return faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal job %s: %w", id, err))
+		}
+		a.indexJob(sh, rec)
+		return nil
+	}
+	if a.cfg.HA.Enabled {
+		err = a.replicateSpool(sh, payloads, admit)
+	} else {
+		err = admit()
+	}
+	if err != nil {
+		return "", err
+	}
 	a.enqueueSubmit(rec)
 	a.changed.Notify()
 	a.obs.Counter("agent_jobs_submitted_total").Inc()
@@ -1151,18 +1138,19 @@ func (a *Agent) Hold(id, reason string) error {
 	rec.HoldReason = reason
 	contact := rec.Contact
 	a.traceLocked(rec, obs.PhaseHold, "", reason)
-	rec.bumpLocked()
+	a.noteLocked(rec, "HELD", "job held: %s", reason)
 	rec.mu.Unlock()
 	a.obs.Counter("agent_jobs_held_total").Inc()
-	a.log(rec, "HELD", "job held: %s", reason)
+	// Tombstoned, not best-effort: a lost cancel here would let the old
+	// copy run after a later Release resubmits the job.
+	a.addCancelTombstone(rec, contact)
+	err := a.persist(rec, mustWait)
+	rec.release(err == nil)
 	a.noteJobChange(rec.Owner)
 	if contact.JobID != "" {
-		// Tombstoned, not best-effort: a lost cancel here would let the
-		// old copy run after a later Release resubmits the job.
-		a.addCancelTombstone(rec, contact)
 		a.managerFor(rec.Owner).dispatchCancelsFor(rec)
 	}
-	return nil
+	return journalErr(id, "hold", err)
 }
 
 // Release returns a held job to Idle; it will be (re)submitted.
@@ -1186,9 +1174,13 @@ func (a *Agent) Release(id string) error {
 	rec.Remote = gram.StateUnsubmitted
 	rec.SubmitRetries = 0
 	a.traceLocked(rec, obs.PhaseRelease, "", "released from hold")
-	rec.bumpLocked()
+	a.noteLocked(rec, "RELEASED", "job released from hold")
 	rec.mu.Unlock()
-	a.log(rec, "RELEASED", "job released from hold")
+	err := a.persist(rec, mustWait)
+	rec.release(err == nil)
+	if err != nil {
+		return journalErr(id, "release", err)
+	}
 	a.enqueueSubmit(rec)
 	a.changed.Notify()
 	return nil
@@ -1209,22 +1201,32 @@ func (a *Agent) Remove(id string) error {
 	rec.FinishedAt = time.Now()
 	contact := rec.Contact
 	a.traceLocked(rec, obs.PhaseRemove, "", "removed by user")
-	rec.bumpLocked()
+	a.noteLocked(rec, "REMOVED", "job removed by user")
 	rec.mu.Unlock()
 	a.obs.Counter("agent_jobs_removed_total").Inc()
-	a.log(rec, "REMOVED", "job removed by user")
-	a.finishJob(rec)
+	a.addCancelTombstone(rec, contact)
+	err := a.persist(rec, mustWait)
+	a.finishJob(rec, err == nil)
 	a.noteJobChange(rec.Owner)
 	if contact.JobID != "" {
-		a.addCancelTombstone(rec, contact)
 		a.managerFor(rec.Owner).dispatchCancelsFor(rec)
 	}
-	return nil
+	return journalErr(id, "removal", err)
 }
 
-// Wait blocks until the job is terminal or ctx expires. It wakes on the
-// job's state-change broadcast, so completion latency is bounded by the
-// event, not by a poll interval.
+// journalErr wraps a failed must-wait write of a user operation on job id
+// (nil stays nil): Transient, since the operation may succeed once the
+// journal can be written.
+func journalErr(id, op string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return faultclass.New(faultclass.Transient, fmt.Errorf("condorg: journal %s of %s: %w", op, id, err))
+}
+
+// Wait blocks until the job is terminal — and that state durable in the
+// journal — or ctx expires. It wakes on the job's state-change broadcast,
+// so completion latency is bounded by the event, not by a poll interval.
 func (a *Agent) Wait(ctx context.Context, id string) (JobInfo, error) {
 	start := time.Now()
 	rec, ok := a.job(id)
@@ -1235,8 +1237,9 @@ func (a *Agent) Wait(ctx context.Context, id string) (JobInfo, error) {
 		rec.mu.Lock()
 		info := rec.snapshotLocked()
 		ch := rec.changedLocked()
+		settled := rec.settled
 		rec.mu.Unlock()
-		if info.State.Terminal() {
+		if settled {
 			a.mWait.Observe(time.Since(start).Seconds())
 			return info, nil
 		}
@@ -1248,7 +1251,8 @@ func (a *Agent) Wait(ctx context.Context, id string) (JobInfo, error) {
 	}
 }
 
-// WaitAll blocks until every job is terminal or held, or ctx expires.
+// WaitAll blocks until every job is held or terminal — that state durable
+// in the journal, as for Wait — or ctx expires.
 func (a *Agent) WaitAll(ctx context.Context) error {
 	for {
 		// Grab the broadcast channel BEFORE scanning so a change that
@@ -1265,7 +1269,8 @@ func (a *Agent) WaitAll(ctx context.Context) error {
 	}
 }
 
-// hasRunnableJobs reports whether any job is neither terminal nor held.
+// hasRunnableJobs reports whether any job is neither held nor terminal
+// with that state durable.
 func (a *Agent) hasRunnableJobs() bool {
 	for _, sh := range a.allShards() {
 		sh.mu.Lock()
@@ -1276,7 +1281,7 @@ func (a *Agent) hasRunnableJobs() bool {
 		sh.mu.Unlock()
 		for _, rec := range recs {
 			rec.mu.Lock()
-			runnable := !rec.State.Terminal() && rec.State != Held
+			runnable := !rec.settled && rec.State != Held
 			rec.mu.Unlock()
 			if runnable {
 				return true
@@ -1364,36 +1369,52 @@ func remoteRank(s gram.JobState) int {
 	return 0
 }
 
-// applyRemoteStatus folds a GRAM status into the agent job record. Two
-// staleness guards apply: the status must describe the job's CURRENT
-// remote incarnation (hold/release, resubmission, and migration mint fresh
-// remote jobs, and callbacks from the dead incarnation may still be in
-// flight), and within an incarnation it must not move the lifecycle
-// backwards (callbacks are delivered asynchronously and can reorder).
+// applyRemoteStatus folds a GRAM status a callback delivered into the job
+// record and journals it: a terminal state must-wait, before waiters wake
+// and the owner is told, anything else lazily (the next probe re-derives
+// it).
 func (a *Agent) applyRemoteStatus(rec *jobRecord, st gram.StatusInfo) {
-	rec.mu.Lock()
-	if rec.State.Terminal() || rec.State == Held {
-		rec.mu.Unlock()
+	changed, done := a.foldRemoteStatus(rec, st)
+	if !changed {
 		return
 	}
+	d := lazy
+	if done {
+		d = mustWait
+	}
+	err := a.persist(rec, d)
+	a.statusApplied(rec, done, err == nil)
+}
+
+// foldRemoteStatus folds a GRAM status into the job record without
+// journaling it, reporting whether the record changed and whether the job
+// is now done (the caller's write must wait, and statusApplied wakes the
+// waiters after it). Two staleness guards apply: the status must describe
+// the job's CURRENT remote incarnation (hold/release, resubmission, and
+// migration mint fresh remote jobs, and callbacks from the dead incarnation
+// may still be in flight), and within an incarnation it must not move the
+// lifecycle backwards (callbacks are delivered asynchronously and can
+// reorder).
+func (a *Agent) foldRemoteStatus(rec *jobRecord, st gram.StatusInfo) (changed, done bool) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.State.Terminal() || rec.State == Held {
+		return false, false
+	}
 	if st.JobID != "" && st.JobID != rec.Contact.JobID {
-		rec.mu.Unlock()
-		return // a previous incarnation's status
+		return false, false // a previous incarnation's status
 	}
 	if st.GatekeeperAddr != "" && st.GatekeeperAddr != rec.Contact.GatekeeperAddr {
 		// Job IDs are only site-unique: a late callback from a cancelled
 		// incarnation at another site can collide with the live job ID.
-		rec.mu.Unlock()
-		return
+		return false, false
 	}
 	if remoteRank(st.State) < remoteRank(rec.Remote) {
-		rec.mu.Unlock()
-		return // stale out-of-order delivery
+		return false, false // stale out-of-order delivery
 	}
 	transitioned := rec.Remote != st.State
 	if !transitioned && !rec.Disconnected {
-		rec.mu.Unlock()
-		return // no observable change: skip the redundant persist
+		return false, false // no observable change: skip the redundant persist
 	}
 	rec.Remote = st.State
 	rec.Disconnected = false
@@ -1429,23 +1450,32 @@ func (a *Agent) applyRemoteStatus(rec *jobRecord, st gram.StatusInfo) {
 	default:
 		rec.State = Idle
 	}
-	rec.bumpLocked()
-	owner := rec.Owner
-	rec.mu.Unlock()
-	if st.State == gram.StateDone {
-		a.obs.Counter("agent_jobs_completed_total").Inc()
-	}
 	if transitioned && code != "" {
-		a.log(rec, code, "%s", text)
-	} else {
-		a.persist(rec)
+		a.noteLocked(rec, code, "%s", text)
 	}
-	if st.State == gram.StateDone {
-		a.finishJob(rec)
-		a.cfg.Notifier.Notify(owner, "job "+rec.ID+" completed",
-			fmt.Sprintf("Your job %s finished successfully on %s.", rec.ID, rec.Site))
+	done = st.State == gram.StateDone
+	if !done {
+		rec.bumpLocked() // only a terminal state waits for its write
 	}
-	a.noteJobChange(owner)
+	return true, done
+}
+
+// statusApplied releases a folded status once its journal write has
+// returned (ok: durably): a completed job's waiters wake, it leaves the
+// active index, and its owner is told.
+func (a *Agent) statusApplied(rec *jobRecord, done, ok bool) {
+	if done {
+		a.obs.Counter("agent_jobs_completed_total").Inc()
+		a.finishJob(rec, ok)
+		if ok {
+			rec.mu.Lock()
+			site := rec.Site
+			rec.mu.Unlock()
+			a.cfg.Notifier.Notify(rec.Owner, "job "+rec.ID+" completed",
+				fmt.Sprintf("Your job %s finished successfully on %s.", rec.ID, site))
+		}
+	}
+	a.noteJobChange(rec.Owner)
 }
 
 // Credential returns the agent's default user proxy (owners refreshed
@@ -1668,6 +1698,10 @@ func (a *Agent) Close() {
 	}
 	a.cbSrv.Close()
 	a.gassS.Close()
+	// Lazy changes ride the journal's final flush.
+	for _, st := range a.parts.Stores() {
+		a.writeLazy(st, nil)
+	}
 	a.parts.Close()
 	a.logMu.Lock()
 	for owner, f := range a.logFiles {

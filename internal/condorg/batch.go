@@ -41,9 +41,10 @@ func jobIDs(xs []incarnation) []string {
 
 // submitBatch runs the two-phase commit for jobs bound to the same
 // gatekeeper as two frames: one gram.batch-submit for phase one, then —
-// after journaling every issued contact — one gram.batch-commit. Per-entry
-// failures flow through submitFailed individually; a commit failure sends
-// that entry to recovery.
+// after journaling every issued contact, with one durability wait for the
+// frame — one gram.batch-commit. Per-entry failures flow through
+// submitFailed individually; a commit failure, or a contact the journal
+// could not take, sends that entry to recovery.
 func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	type member struct {
 		rec   *jobRecord
@@ -100,10 +101,20 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		gm.agent.mu.Unlock()
 		// Journal the contact BEFORE committing: recovery after a crash
 		// here reconnects rather than resubmits.
-		gm.agent.persist(m.rec)
+		if err := gm.agent.persist(m.rec, frameWait); err != nil {
+			gm.commitRetry(m.rec, err)
+			continue
+		}
 		coms = append(coms, incarnation{rec: m.rec, contact: contact})
 	}
 	if len(coms) == 0 {
+		return
+	}
+	if err := gm.agent.flushOwner(gm.owner); err != nil {
+		// No contact is known durable: none may be committed from here.
+		for _, cm := range coms {
+			gm.commitRetry(cm.rec, err)
+		}
 		return
 	}
 	cerrs, err := gm.gram.BatchCommit(site, jobIDs(coms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr())
@@ -123,8 +134,12 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		}
 		gm.agent.obs.Histogram("gm_two_phase_seconds").Observe(elapsed)
 		gm.agent.obs.Counter(obs.Key("gm_site_submits_total", "site", site)).Inc()
-		gm.agent.trace(cm.rec, obs.PhaseCommit, "", "two-phase commit complete")
-		gm.agent.log(cm.rec, "GRID_SUBMIT", "job submitted to %s as %s", site, cm.contact.JobID)
+		cm.rec.mu.Lock()
+		gm.agent.traceLocked(cm.rec, obs.PhaseCommit, "", "two-phase commit complete")
+		gm.agent.noteLocked(cm.rec, "GRID_SUBMIT", "job submitted to %s as %s", site, cm.contact.JobID)
+		cm.rec.mu.Unlock()
+		// Lazy: the contact is on disk, and the probe re-derives the rest.
+		gm.agent.persist(cm.rec, lazy)
 	}
 }
 
@@ -140,8 +155,9 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 		return
 	}
 	gm.agent.traceLocked(rec, obs.PhaseCommitRetry, faultclass.ClassOf(err).String(), err.Error())
+	gm.agent.noteLocked(rec, "COMMIT_RETRY", "commit failed (%v); will re-verify", err)
 	rec.mu.Unlock()
-	gm.agent.log(rec, "COMMIT_RETRY", "commit failed (%v); will re-verify", err)
+	gm.agent.persist(rec, lazy)
 	gm.mu.Lock()
 	gm.recovery = append(gm.recovery, rec)
 	gm.mu.Unlock()
@@ -171,9 +187,11 @@ func (gm *GridManager) recoverBatch(recs []*jobRecord) {
 // probeBatch is the §4.2 failure detector (a taskProbe body): "The
 // GridManager detects remote failures by periodically probing the
 // JobManagers of all the jobs it manages." One jm.batch-status frame to the
-// gatekeeper covers every member. A member whose JobManager died
-// (JMAlive=false) goes straight to the restart flow — the same frame
-// already proved the gatekeeper alive.
+// gatekeeper covers every member. Every member's new state is journaled
+// before any of it is acted on, with one durability wait for the whole
+// frame: only then do waiters wake, finished jobs retire and owners hear.
+// A member whose JobManager died (JMAlive=false) then goes straight to the
+// restart flow — the same frame already proved the gatekeeper alive.
 func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	ms := liveIncarnations(recs)
 	if len(ms) == 0 {
@@ -193,6 +211,9 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 		return
 	}
 	gm.agent.obs.Counter("gm_probe_coalesced_total").Add(int64(len(ms)))
+	var released []func(ok bool)
+	var restarts []incarnation
+	wait := false // a frameWait write is among the frame's
 	for i, r := range results {
 		m := ms[i]
 		if r.Err != nil {
@@ -201,20 +222,53 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 				// The site is alive but has no record of the job — it
 				// can never finish there. Same verdict as a failed
 				// jm-restart.
-				gm.agent.log(m.rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", r.Err)
-				gm.siteLost(m.rec, r.Err.Error())
+				m.rec.mu.Lock()
+				gm.agent.noteLocked(m.rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", r.Err)
+				m.rec.mu.Unlock()
+				if after := gm.maybeResubmit(m.rec, siteLostStatus(r.Err.Error()), frameWait); after != nil {
+					released = append(released, after)
+					wait = true
+				}
 			case faultclass.AuthExpired:
 				gm.holdJob(m.rec, "credential rejected by site: "+r.Err.Error())
 			}
 			// Other per-entry errors: leave the job for the next tick.
 			continue
 		}
-		gm.agent.applyRemoteStatus(m.rec, r.Status)
-		gm.maybeResubmit(m.rec, r.Status)
+		changed, done := gm.agent.foldRemoteStatus(m.rec, r.Status)
+		var werr error
+		if r.Status.State == gram.StateFailed {
+			// The verdict rides the status's own write.
+			if after := gm.maybeResubmit(m.rec, r.Status, frameWait); after != nil {
+				released = append(released, after)
+				wait = true
+			}
+		} else if changed {
+			d := lazy
+			if done {
+				d = frameWait
+				wait = true
+			}
+			werr = gm.agent.persist(m.rec, d)
+		}
+		if changed {
+			rec := m.rec
+			released = append(released, func(ok bool) { gm.agent.statusApplied(rec, done, ok && werr == nil) })
+		}
 		gm.maybeMigrate(m.rec, r.Status)
 		if !r.JMAlive && !r.Status.State.Terminal() {
-			gm.restartJobManagerFor(m.rec, m.contact)
+			restarts = append(restarts, m)
 		}
+	}
+	ok := true
+	if wait {
+		ok = gm.agent.flushOwner(gm.owner) == nil
+	}
+	for _, after := range released {
+		after(ok)
+	}
+	for _, m := range restarts {
+		gm.restartJobManagerFor(m.rec, m.contact)
 	}
 }
 
@@ -239,8 +293,12 @@ func (gm *GridManager) cancelBatch(pairs []incarnation) {
 		if r != nil && faultclass.ClassOf(r) == faultclass.AuthExpired {
 			continue
 		}
-		gm.agent.trace(p.rec, obs.PhaseCancelAck, "", "old copy "+p.contact.JobID+" confirmed cancelled")
 		gm.agent.ackCancelTombstone(p.rec, p.contact)
-		gm.agent.log(p.rec, "CANCEL_ACKED", "old copy %s confirmed cancelled", p.contact.JobID)
+		p.rec.mu.Lock()
+		gm.agent.traceLocked(p.rec, obs.PhaseCancelAck, "", "old copy "+p.contact.JobID+" confirmed cancelled")
+		gm.agent.noteLocked(p.rec, "CANCEL_ACKED", "old copy %s confirmed cancelled", p.contact.JobID)
+		p.rec.mu.Unlock()
+		// Lazy: a lost ack only re-sends an idempotent cancel.
+		gm.agent.persist(p.rec, lazy)
 	}
 }

@@ -268,13 +268,16 @@ func (gm *GridManager) submitFailed(rec *jobRecord, site string, err error) {
 	n := rec.SubmitRetries
 	max := gm.agent.cfg.Retry.MaxSubmitRetries
 	gm.agent.traceLocked(rec, obs.PhaseSubmitRetry, faultclass.ClassOf(err).String(), err.Error())
+	if n < max {
+		gm.agent.noteLocked(rec, "SUBMIT_RETRY", "submission to %s failed (%d/%d: %v); will retry", site, n, max, err)
+	}
 	rec.mu.Unlock()
 	if n >= max {
 		gm.holdJob(rec, fmt.Sprintf("submission failed %d times (last: %v)", n, err))
 		return
 	}
-	gm.agent.log(rec, "SUBMIT_RETRY", "submission to %s failed (%d/%d: %v); will retry", site, n, max, err)
-	gm.agent.persist(rec)
+	// Lazy: a lost retry count only grants the job a few more attempts.
+	gm.agent.persist(rec, lazy)
 	gm.mu.Lock()
 	gm.pendingLater(rec)
 	gm.mu.Unlock()
@@ -294,11 +297,11 @@ func (gm *GridManager) holdJob(rec *jobRecord, reason string) {
 	owner := rec.Owner
 	id := rec.ID
 	gm.agent.traceLocked(rec, obs.PhaseHold, "", reason)
-	rec.bumpLocked()
+	gm.agent.noteLocked(rec, "HELD", "job held: %s", reason)
 	rec.mu.Unlock()
 	gm.agent.obs.Counter("agent_jobs_held_total").Inc()
-	gm.agent.log(rec, "HELD", "job held: %s", reason)
-	gm.agent.persist(rec)
+	err := gm.agent.persist(rec, mustWait)
+	rec.release(err == nil)
 	gm.agent.noteJobChange(owner)
 	gm.agent.cfg.Notifier.Notify(owner, "job "+id+" held",
 		fmt.Sprintf("Your job %s was held: %s", id, reason))
@@ -315,11 +318,13 @@ func (gm *GridManager) markDisconnected(rec *jobRecord, gkAddr string) {
 	if !already {
 		gm.agent.traceLocked(rec, obs.PhaseDisconnect, "",
 			"lost contact with "+gkAddr)
+		gm.agent.noteLocked(rec, "DISCONNECTED", "lost contact with %s; waiting to reconnect", gkAddr)
 		rec.bumpLocked()
 	}
 	rec.mu.Unlock()
 	if !already {
-		gm.agent.log(rec, "DISCONNECTED", "lost contact with %s; waiting to reconnect", gkAddr)
+		// Lazy: the next probe re-derives reachability.
+		gm.agent.persist(rec, lazy)
 	}
 }
 
@@ -342,11 +347,13 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 		if wire.IsRemote(err) && faultclass.ClassOf(err) == faultclass.SiteLost {
 			// The site is alive but has no record of the job — it can
 			// never finish there. Resubmit instead of probing forever.
-			gm.agent.log(rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", err)
+			rec.mu.Lock()
+			gm.agent.noteLocked(rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", err)
+			rec.mu.Unlock()
 			gm.siteLost(rec, err.Error())
 			return
 		}
-		gm.agent.log(rec, "JM_RESTART_FAILED", "jobmanager restart failed: %v", err)
+		gm.agent.log(rec, lazy, "JM_RESTART_FAILED", "jobmanager restart failed: %v", err)
 		return
 	}
 	rec.mu.Lock()
@@ -359,18 +366,16 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 	if wasDisconnected {
 		gm.agent.traceLocked(rec, obs.PhaseReconnect, "",
 			"reestablished contact with "+contact.GatekeeperAddr)
+		gm.agent.noteLocked(rec, "RECONNECTED", "reestablished contact with %s", contact.GatekeeperAddr)
 		rec.bumpLocked()
 	} else {
 		gm.agent.traceLocked(rec, obs.PhaseJMRestart, "",
 			"replacement jobmanager started by "+contact.GatekeeperAddr)
+		gm.agent.noteLocked(rec, "JM_RESTARTED", "started replacement jobmanager through %s", contact.GatekeeperAddr)
 	}
 	rec.mu.Unlock()
-	gm.agent.persist(rec)
-	if wasDisconnected {
-		gm.agent.log(rec, "RECONNECTED", "reestablished contact with %s", contact.GatekeeperAddr)
-	} else {
-		gm.agent.log(rec, "JM_RESTARTED", "started replacement jobmanager through %s", contact.GatekeeperAddr)
-	}
+	// Lazy: the next probe re-derives both.
+	gm.agent.persist(rec, lazy)
 }
 
 // maybeMigrate moves a job that has been stuck in a remote queue past the
@@ -411,16 +416,17 @@ func (gm *GridManager) maybeMigrate(rec *jobRecord, st gram.StatusInfo) {
 	n := rec.Migrations
 	gm.agent.traceLocked(rec, obs.PhaseMigrate, "",
 		fmt.Sprintf("queued too long at %s; migration %d", currentSite, n))
-	rec.bumpLocked()
+	gm.agent.noteLocked(rec, "MIGRATED", "queued too long at %s; migrating to %s (migration %d)", currentSite, newSite, n)
 	rec.mu.Unlock()
 	gm.agent.obs.Counter("agent_migrations_total").Inc()
 	gm.agent.unindexSiteJob(oldContact.JobID, rec.ID)
-	gm.agent.log(rec, "MIGRATED", "queued too long at %s; migrating to %s (migration %d)", currentSite, newSite, n)
 	// The old queued copy must be withdrawn or the job could run twice. A
 	// tombstone makes the cancel durable: the dispatcher retries it on the
 	// old site's pipeline until the site acknowledges, even across agent
 	// restarts.
 	gm.agent.addCancelTombstone(rec, oldContact)
+	err = gm.agent.persist(rec, mustWait)
+	rec.release(err == nil)
 	gm.dispatchCancelsFor(rec)
 	gm.mu.Lock()
 	gm.pendingLater(rec)
@@ -430,20 +436,29 @@ func (gm *GridManager) maybeMigrate(rec *jobRecord, st gram.StatusInfo) {
 // siteLost hands maybeResubmit a job that can never finish at its site: the
 // site, though alive, has no record of it, or is gone for good.
 func (gm *GridManager) siteLost(rec *jobRecord, reason string) {
-	gm.maybeResubmit(rec, gram.StatusInfo{State: gram.StateFailed, Error: reason, Fault: faultclass.SiteLost})
+	gm.maybeResubmit(rec, siteLostStatus(reason), mustWait)
+}
+
+// siteLostStatus is the status of a job its site has lost.
+func siteLostStatus(reason string) gram.StatusInfo {
+	return gram.StatusInfo{State: gram.StateFailed, Error: reason, Fault: faultclass.SiteLost}
 }
 
 // maybeResubmit handles jobs the site reported as failed. Failures caused
 // by the site losing the job are retried (possibly elsewhere); application
-// failures are final.
-func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo) {
+// failures are final. A Failed verdict is journaled in class d — mustWait,
+// or frameWait from a probe frame, which then gets the verdict's effects
+// back to release after its one wait (nil otherwise); a resubmission is
+// lazy, since the new incarnation's contact write makes it durable before
+// its commit.
+func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo, d durability) (after func(ok bool)) {
 	if st.State != gram.StateFailed {
-		return
+		return nil
 	}
 	rec.mu.Lock()
 	if rec.State.Terminal() || rec.State == Held {
 		rec.mu.Unlock()
-		return
+		return nil
 	}
 	// Branch on the typed fault class the site reported, not on the prose
 	// of st.Error. SiteLost means the program provably never ran to
@@ -454,7 +469,7 @@ func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo) {
 	if st.Fault == faultclass.AuthExpired {
 		rec.mu.Unlock()
 		gm.holdJob(rec, "credential rejected by site: "+st.Error)
-		return
+		return nil
 	}
 	// The fault event precedes whatever we decide to do about it, so a
 	// timeline always reads fault → (resubmit | failed).
@@ -467,15 +482,24 @@ func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo) {
 		owner := rec.Owner
 		id := rec.ID
 		gm.agent.traceLocked(rec, obs.PhaseFailed, st.Fault.String(), st.Error)
-		rec.bumpLocked()
+		gm.agent.noteLocked(rec, "FAILED", "job failed: %s", st.Error)
 		rec.mu.Unlock()
 		gm.agent.obs.Counter("agent_jobs_failed_total").Inc()
-		gm.agent.log(rec, "FAILED", "job failed: %s", st.Error)
-		gm.agent.finishJob(rec)
-		gm.agent.noteJobChange(owner)
-		gm.agent.cfg.Notifier.Notify(owner, "job "+id+" failed",
-			fmt.Sprintf("Your job %s failed: %s", id, st.Error))
-		return
+		werr := gm.agent.persist(rec, d)
+		after = func(ok bool) {
+			ok = ok && werr == nil
+			gm.agent.finishJob(rec, ok)
+			gm.agent.noteJobChange(owner)
+			if ok {
+				gm.agent.cfg.Notifier.Notify(owner, "job "+id+" failed",
+					fmt.Sprintf("Your job %s failed: %s", id, st.Error))
+			}
+		}
+		if d == frameWait {
+			return after
+		}
+		after(true)
+		return nil
 	}
 	// Resubmit: fresh identity, fresh site choice if a selector exists.
 	rec.Resubmits++
@@ -493,14 +517,16 @@ func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo) {
 	n := rec.Resubmits
 	gm.agent.traceLocked(rec, obs.PhaseResubmit, st.Fault.String(),
 		fmt.Sprintf("resubmission %d", n))
+	gm.agent.noteLocked(rec, "RESUBMIT", "site lost the job (%s); resubmission %d", st.Error, n)
 	rec.bumpLocked()
 	rec.mu.Unlock()
 	gm.agent.obs.Counter(obs.Key("agent_resubmits_total", "class", st.Fault.String())).Inc()
 	gm.agent.unindexSiteJob(oldContact.JobID, rec.ID)
-	gm.agent.log(rec, "RESUBMIT", "site lost the job (%s); resubmission %d", st.Error, n)
+	gm.agent.persist(rec, lazy)
 	gm.mu.Lock()
 	gm.pendingLater(rec)
 	gm.mu.Unlock()
+	return nil
 }
 
 // healthView adapts this manager's breaker state to the selector
@@ -609,9 +635,11 @@ func (gm *GridManager) refreshBatch(recs []*jobRecord) {
 		m.rec.credRefreshTries = 0
 		gm.agent.traceLocked(m.rec, obs.PhaseCredRefresh, "",
 			"refreshed credential delivered in-band to "+gkAddr)
+		gm.agent.noteLocked(m.rec, "CRED_REFRESH", "refreshed credential delivered to %s", gkAddr)
 		m.rec.mu.Unlock()
 		gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "ok")).Inc()
-		gm.agent.log(m.rec, "CRED_REFRESH", "refreshed credential delivered to %s", gkAddr)
+		// Lazy: the obligation itself is never journaled (credRefresh).
+		gm.agent.persist(m.rec, lazy)
 	}
 }
 

@@ -14,13 +14,12 @@ import (
 // primary's synchronous-replication wait (HAOptions.Enabled). Every reply
 // reports the primary's partition count, which the follower's must match.
 
-// CtlJournalSnapshotResp is one partition's full key space plus the chain
-// head it is valid at — a follower installs it verbatim and tails the
-// partition's stream from Head.
+// CtlJournalSnapshotResp is one partition's full key space — images and
+// unfolded patches — plus the chain head it is valid at: a follower
+// installs it verbatim and tails the partition's stream from Head.
 type CtlJournalSnapshotResp struct {
-	Data       map[string]json.RawMessage `json:"data"`
-	Head       journal.ChainState         `json:"head"`
-	Partitions int                        `json:"partitions"`
+	journal.Snapshot
+	Partitions int `json:"partitions"`
 }
 
 // CtlJournalStreamReq asks for one partition's chained deltas after a
@@ -71,8 +70,7 @@ func (c *ControlServer) opJournalSnapshot(owner string, body json.RawMessage) (a
 	if err != nil {
 		return nil, err
 	}
-	data, head := st.SnapshotDump()
-	return CtlJournalSnapshotResp{Data: data, Head: head, Partitions: c.agent.parts.Partitions()}, nil
+	return CtlJournalSnapshotResp{Snapshot: st.SnapshotDump(), Partitions: c.agent.parts.Partitions()}, nil
 }
 
 func (c *ControlServer) opJournalStream(owner string, body json.RawMessage) (any, error) {

@@ -1,0 +1,401 @@
+package condorg
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"time"
+
+	"condorg/internal/gram"
+	"condorg/internal/journal"
+	"condorg/internal/obs"
+)
+
+// The job record's journal history (DESIGN.md §10): one full image when the
+// job is admitted, then patches that carry only what each later write
+// changed. Every write names its durability class; only the paper's
+// contract points wait for the disk.
+
+// durability is the class of one journal write of a job record.
+type durability int
+
+const (
+	// lazy writes carry what recovery re-derives (progress the site's
+	// answers re-establish, or the next restart redoes). They ride the
+	// partition's next group commit: the record is written — one patch,
+	// however many lazy changes it gathered — just before that commit's
+	// write (or Close), and never waits for a flush of its own. A crash
+	// loses what has not ridden a commit yet, as recovery allows.
+	lazy durability = iota
+	// mustWait writes are the contract points: admission before Submit
+	// acks (§3.2), the GRAM contact before the commit, terminal and
+	// failure verdicts before anyone is told, a new binding before the
+	// wire, hold/release/remove, and cancel tombstones. persist returns
+	// only once the write is durable and, under HA, held by the standby.
+	mustWait
+	// frameWait is mustWait with the wait left to the caller: the record
+	// is enqueued at once but not waited for, and the caller makes the
+	// whole batch durable with one flushOwner before releasing any of its
+	// effects — one wait per submit or probe frame instead of one per job.
+	frameWait
+)
+
+// maxPatchesPerImage bounds the patches on one image: the write after
+// that many is a full image again, so replaying a long-lived job folds a
+// bounded list.
+const maxPatchesPerImage = 32
+
+// jobDoc is a job record as journaled in full: the admit image, a re-image,
+// and what folding an image with its patches rebuilds. The layout is the
+// one every earlier release wrote for every write.
+type jobDoc struct {
+	JobInfo
+	SubmissionID string        `json:"submission_id"`
+	Spec         gram.JobSpec  `json:"spec"`
+	Remote       gram.JobState `json:"remote"`
+	Trace        obs.Timeline  `json:"trace"`
+}
+
+// A patch is a JSON object holding, under its jobDoc name, every top-level
+// field whose value changed since the record's previous write, plus the
+// user-log and trace events appended since then under "log" and "trace"
+// (there, lists to append rather than values to replace).
+
+// docField is one top-level jobDoc field a patch replaces whole: its JSON
+// name and its index path (JobInfo's fields are promoted).
+type docField struct {
+	name  string
+	index []int
+}
+
+// docFields lists jobDoc's replaceable fields, found by reflection, so a
+// field added to the record is patched without being listed anywhere. The
+// user log and the trace are left out: patches append to them.
+var docFields = func() []docField {
+	var out []docField
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[jobDoc]()) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Anonymous || !f.IsExported() || name == "-" || name == "log" || name == "trace" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		out = append(out, docField{name, f.Index})
+	}
+	return out
+}()
+
+// marshalFields encodes each of docFields' values in doc, in that order.
+func marshalFields(doc *jobDoc) ([][]byte, error) {
+	v := reflect.ValueOf(doc).Elem()
+	out := make([][]byte, len(docFields))
+	for i, f := range docFields {
+		raw, err := json.Marshal(v.FieldByIndex(f.index).Interface())
+		if err != nil {
+			return nil, fmt.Errorf("condorg: encode job field %s: %w", f.name, err)
+		}
+		out[i] = raw
+	}
+	return out, nil
+}
+
+// appendMember appends "name":raw to the JSON object under way in buf.
+func appendMember(buf []byte, name string, raw []byte) []byte {
+	if len(buf) > 1 {
+		buf = append(buf, ',')
+	}
+	buf = append(buf, '"')
+	buf = append(buf, name...)
+	buf = append(buf, '"', ':')
+	return append(buf, raw...)
+}
+
+// applyPatch folds one patch into doc.
+func applyPatch(doc *jobDoc, raw json.RawMessage) error {
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &members); err != nil {
+		return err
+	}
+	v := reflect.ValueOf(doc).Elem()
+	for name, val := range members {
+		switch name {
+		case "log":
+			var evs []LogEvent
+			if err := json.Unmarshal(val, &evs); err != nil {
+				return fmt.Errorf("log: %w", err)
+			}
+			doc.Log = append(doc.Log, evs...)
+		case "trace":
+			var evs []obs.TraceEvent
+			if err := json.Unmarshal(val, &evs); err != nil {
+				return fmt.Errorf("trace: %w", err)
+			}
+			for _, ev := range evs {
+				doc.Trace.Append(ev.Wall, ev.Phase, ev.Site, ev.Class, ev.Detail)
+			}
+		default:
+			i := slices.IndexFunc(docFields, func(f docField) bool { return f.name == name })
+			if i < 0 {
+				continue // as an image's unknown fields are
+			}
+			// A fresh value, so the patch replaces the field whole
+			// rather than merging into what the image held.
+			field := v.FieldByIndex(docFields[i].index)
+			fresh := reflect.New(field.Type())
+			if err := json.Unmarshal(val, fresh.Interface()); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			field.Set(fresh.Elem())
+		}
+	}
+	return nil
+}
+
+// patchOf encodes what doc, whose docFields values are fields, adds to the
+// history jw describes: a patch, or nil when nothing changed.
+func patchOf(jw journaled, doc *jobDoc, fields [][]byte) ([]byte, error) {
+	raw := []byte{'{'}
+	for i, f := range docFields {
+		if !bytes.Equal(fields[i], jw.fields[i]) {
+			raw = appendMember(raw, f.name, fields[i])
+		}
+	}
+	if logs := doc.Log[jw.logN:]; len(logs) > 0 {
+		enc, err := json.Marshal(logs)
+		if err != nil {
+			return nil, err
+		}
+		raw = appendMember(raw, "log", enc)
+	}
+	if first := jw.traceN - doc.Trace.Dropped; first < len(doc.Trace.Events) {
+		enc, err := json.Marshal(doc.Trace.Events[max(first, 0):])
+		if err != nil {
+			return nil, err
+		}
+		raw = appendMember(raw, "trace", enc)
+	}
+	if len(raw) == 1 {
+		return nil, nil
+	}
+	return append(raw, '}'), nil
+}
+
+// journaled is what a record's journal history holds, as of its last
+// write. Guarded by the record's persistMu.
+type journaled struct {
+	imaged  bool     // an image exists (false only before admission)
+	patches int      // patches on the current image
+	fields  [][]byte // docFields values of the last write
+	logN    int      // user-log events written
+	traceN  int      // trace events written (a Timeline sequence number)
+}
+
+// foldJob rebuilds a job record from its image and patches, decoding each
+// once.
+func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*jobRecord, error) {
+	if image == nil {
+		return nil, fmt.Errorf("condorg: job record %s has %d patches but no image", key, len(patches))
+	}
+	var doc jobDoc
+	if err := json.Unmarshal(image, &doc); err != nil {
+		return nil, fmt.Errorf("condorg: job record %s: %w", key, err)
+	}
+	for i, raw := range patches {
+		if err := applyPatch(&doc, raw); err != nil {
+			return nil, fmt.Errorf("condorg: job record %s patch %d: %w", key, i, err)
+		}
+	}
+	fields, err := marshalFields(&doc)
+	if err != nil {
+		return nil, err
+	}
+	rec := &jobRecord{
+		JobInfo:      doc.JobInfo,
+		SubmissionID: doc.SubmissionID,
+		Spec:         doc.Spec,
+		Remote:       doc.Remote,
+		Trace:        doc.Trace,
+	}
+	// What was read back is durable: terminal states may be reported, and
+	// its user-log lines were mirrored when they were written.
+	rec.settled = rec.State.Terminal()
+	rec.mirrored = len(rec.Log)
+	rec.jw = journaled{
+		imaged:  true,
+		patches: len(patches),
+		fields:  fields,
+		logN:    len(rec.Log),
+		traceN:  rec.Trace.Dropped + len(rec.Trace.Events),
+	}
+	return rec, nil
+}
+
+// persist journals what changed in rec since its last write, in class d.
+// A lazy change only queues the record on its partition (see lazy) and
+// returns nil; any other write first writes the partition's queued
+// records, so the commit it waits for (or, for frameWait, the caller's
+// flushOwner) covers them too. The error is the journal's: a failed write
+// leaves the record's history where it was, and its next write carries the
+// change again.
+func (a *Agent) persist(rec *jobRecord, d durability) error {
+	store := a.shardIfPresent(rec.Owner).store
+	if d == lazy {
+		// A lazy change's log lines reach the user log now, not with the
+		// commit its write waits for: the user log is how a user watches a
+		// running job. A crash before that commit re-derives the change,
+		// and its line appears a second time.
+		rec.mu.Lock()
+		a.mirrorLocked(rec, len(rec.Log))
+		rec.mu.Unlock()
+		a.lazyMu.Lock()
+		if !rec.lazyQueued {
+			rec.lazyQueued = true
+			a.lazy[store] = append(a.lazy[store], rec)
+		}
+		a.lazyMu.Unlock()
+		return nil
+	}
+	a.writeLazy(store, rec)
+	return a.write(rec, store, d)
+}
+
+// writeLazy enqueues one patch for every record queued lazily on store,
+// except skip, whose own write is about to carry its changes.
+func (a *Agent) writeLazy(store *journal.Store, skip *jobRecord) {
+	a.lazyMu.Lock()
+	recs := a.lazy[store]
+	delete(a.lazy, store)
+	for _, rec := range recs {
+		rec.lazyQueued = false
+	}
+	a.lazyMu.Unlock()
+	for _, rec := range recs {
+		if rec != skip {
+			// A failed write leaves the change for the record's next one.
+			_ = a.write(rec, store, lazy)
+		}
+	}
+}
+
+// write journals rec's changes since its last write to store: a full image
+// for the first write of a record (and every maxPatchesPerImage-th after),
+// a patch otherwise, enqueued only (lazy, frameWait) or waited out
+// (mustWait). A must-wait write with nothing new still waits, so the caller
+// may rely on everything written so far being durable. After the write the
+// user-log events it carried that are not mirrored yet go to the owner's
+// user log.
+func (a *Agent) write(rec *jobRecord, store *journal.Store, d durability) error {
+	// persistMu orders diff+write pairs per record: with per-site workers,
+	// two goroutines can persist the same job back to back, and the record's
+	// patches must reach the journal in the order they were cut.
+	rec.persistMu.Lock()
+	defer rec.persistMu.Unlock()
+	jw := rec.jw
+	rec.mu.Lock()
+	// A shallow copy suffices: the record's slices only grow or are
+	// replaced (CancelPending, the trace's copy-on-evict), never rewritten
+	// in place.
+	doc := jobDoc{rec.JobInfo, rec.SubmissionID, rec.Spec, rec.Remote, rec.Trace}
+	rec.mu.Unlock()
+	fields, err := marshalFields(&doc)
+	if err != nil {
+		return err
+	}
+	traceN := doc.Trace.Dropped + len(doc.Trace.Events)
+	full := !jw.imaged || jw.patches >= maxPatchesPerImage
+	var raw []byte
+	if full {
+		if raw, err = json.Marshal(&doc); err != nil {
+			return err
+		}
+	} else {
+		if raw, err = patchOf(jw, &doc, fields); err != nil {
+			return err
+		}
+		if raw == nil { // nothing changed
+			if d == mustWait {
+				return store.Flush()
+			}
+			return nil
+		}
+	}
+	if a.testPersistHook != nil {
+		a.testPersistHook(rec, d)
+	}
+	start := time.Now()
+	if full {
+		err = store.PutRaw(rec.ID, raw, d == mustWait)
+	} else {
+		err = store.Patch(rec.ID, raw, d == mustWait)
+	}
+	a.mPersist.Observe(time.Since(start).Seconds())
+	if err != nil {
+		return err
+	}
+	rec.jw = journaled{
+		imaged:  true,
+		patches: jw.patches + 1,
+		fields:  fields,
+		logN:    len(doc.Log),
+		traceN:  traceN,
+	}
+	if full {
+		rec.jw.patches = 0
+	}
+	rec.mu.Lock()
+	a.mirrorLocked(rec, len(doc.Log))
+	rec.mu.Unlock()
+	return nil
+}
+
+// flushOwner makes every write enqueued on owner's journal partition
+// durable, lazily queued records included: the one wait a batch of
+// frameWait writes shares.
+func (a *Agent) flushOwner(owner string) error {
+	store := a.shardIfPresent(owner).store
+	a.writeLazy(store, nil)
+	return store.Flush()
+}
+
+// noteLocked appends one event to the job's user log; the record's next
+// journal write carries it, together with the change it describes. Caller
+// holds rec.mu.
+func (a *Agent) noteLocked(rec *jobRecord, code, format string, args ...any) {
+	rec.Log = append(rec.Log, LogEvent{Time: time.Now(), Code: code, Text: fmt.Sprintf(format, args...)})
+}
+
+// mirrorLocked appends the job's user-log events before index n that are
+// not in the owner's on-disk user log yet (§4.1: "obtain access to
+// detailed logs, providing a complete history of their jobs' execution"),
+// so the history is greppable without the agent API. Caller holds rec.mu,
+// which keeps one job's lines in order.
+func (a *Agent) mirrorLocked(rec *jobRecord, n int) {
+	for ; rec.mirrored < n; rec.mirrored++ {
+		a.appendUserLog(rec, rec.Log[rec.mirrored])
+	}
+}
+
+// log notes one user-log event and journals it (with whatever else changed)
+// in class d.
+func (a *Agent) log(rec *jobRecord, d durability, code, format string, args ...any) error {
+	rec.mu.Lock()
+	a.noteLocked(rec, code, format, args...)
+	rec.mu.Unlock()
+	return a.persist(rec, d)
+}
+
+// release wakes the job's waiters once the write of its change has
+// returned. A terminal state reaches Wait only when that write made it
+// durable (ok): "its terminal state is on disk before it is reported".
+func (rec *jobRecord) release(ok bool) {
+	rec.mu.Lock()
+	if ok && rec.State.Terminal() {
+		rec.settled = true
+	}
+	rec.bumpLocked()
+	rec.mu.Unlock()
+}

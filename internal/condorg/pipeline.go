@@ -289,12 +289,17 @@ func (gm *GridManager) dispatchPending() {
 					detail = "rebound from breaker-open " + old + " to " + newSite
 				}
 				gm.agent.traceLocked(rec, obs.PhaseBind, "", detail)
-				rec.bumpLocked()
+				gm.agent.noteLocked(rec, "BIND", "%s", detail)
 				rec.mu.Unlock()
 				// Journal the new binding BEFORE the task can reach the
 				// wire: recovery must resubmit (same SubmissionID) to the
 				// site the incarnation actually targets.
-				gm.agent.log(rec, "BIND", "%s", detail)
+				err := gm.agent.persist(rec, mustWait)
+				rec.release(err == nil)
+				if err != nil {
+					parked = append(parked, rec)
+					continue
+				}
 				site = newSite
 				rec.mu.Lock()
 				if rec.State.Terminal() || rec.State == Held {

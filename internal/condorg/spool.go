@@ -117,11 +117,11 @@ func spoolStripe(p string) int {
 
 // replicateSpool journals a job's payloads (by spool path) under HA, each
 // before the job record, so a standby that holds the record holds the
-// bytes it must re-stage after takeover; then it indexes the job. Both
-// happen under the read side of each payload's stripe, taken in stripe
-// order, so no finishJob of a job sharing a payload can drop its key in
-// between.
-func (a *Agent) replicateSpool(sh *ownerShard, rec *jobRecord, payloads map[string][]byte) error {
+// bytes it must re-stage after takeover; then admit journals and indexes
+// the job. Both happen under the read side of each payload's stripe, taken
+// in stripe order, so no finishJob of a job sharing a payload can drop its
+// key in between.
+func (a *Agent) replicateSpool(sh *ownerShard, payloads map[string][]byte, admit func() error) error {
 	var stripes []int
 	for p := range payloads {
 		stripes = append(stripes, spoolStripe(p))
@@ -136,8 +136,7 @@ func (a *Agent) replicateSpool(sh *ownerShard, rec *jobRecord, payloads map[stri
 			return faultclass.New(faultclass.Transient, fmt.Errorf("condorg: replicate %s: %w", p, err))
 		}
 	}
-	a.indexJob(sh, rec)
-	return nil
+	return admit()
 }
 
 // releaseSpoolKey drops the replicated payload at spool path p from a

@@ -167,7 +167,9 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		}
 		gm.agent.traceLocked(rec, obs.PhaseStage, "", detail)
 		rec.mu.Unlock()
-		gm.agent.persist(rec)
+		// Lazy: the site's ack and cache are the authority on what it
+		// holds; a lost Done only costs one stage-check.
+		gm.agent.persist(rec, lazy)
 		requeue()
 	}
 
@@ -223,7 +225,10 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 			rec.mu.Lock()
 			rec.Stage.Offset = off
 			rec.mu.Unlock()
-			gm.agent.persist(rec)
+			if off < int64(len(data)) {
+				// A complete push is journaled by finish, with Done.
+				gm.agent.persist(rec, lazy)
+			}
 		}
 		if err != nil {
 			if errors.Is(err, faultclass.ErrBreakerOpen) ||
@@ -247,7 +252,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 					rec.mu.Lock()
 					rec.Stage.Offset = off
 					rec.mu.Unlock()
-					gm.agent.persist(rec)
+					gm.agent.persist(rec, lazy)
 				}
 			}
 			gm.agent.obs.Counter("stage_resumes_total").Inc()
@@ -336,9 +341,9 @@ func (gm *GridManager) stageFailed(rec *jobRecord, site string, err error,
 		finish(false, fmt.Sprintf("pre-stage abandoned after %d attempts (%v); site will pull", n, err))
 		return
 	}
-	gm.agent.persist(rec)
 	gm.agent.trace(rec, obs.PhaseStage, faultclass.ClassOf(err).String(),
 		"staging to "+site+" failed: "+err.Error())
+	gm.agent.persist(rec, lazy)
 	requeue()
 }
 

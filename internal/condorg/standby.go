@@ -233,7 +233,7 @@ func (s *Standby) rebootstrap(part int, st *journal.Store) error {
 		return err
 	}
 	s.noteContact()
-	return st.InstallSnapshot(boot.Data, boot.Head)
+	return st.InstallSnapshot(boot.Snapshot)
 }
 
 // halt stops the tail loops and waits them out.

@@ -192,10 +192,22 @@ type jobRecord struct {
 	// obligation, so journaling it would only add write amplification.
 	credRefresh      bool
 	credRefreshTries int
-	// persistMu serializes snapshot+journal-write pairs for this record:
+	// settled marks a terminal state whose journal write has returned
+	// durable; only then do Wait and WaitAll report it. Guarded by mu.
+	settled bool
+	// persistMu serializes diff+journal-write pairs for this record:
 	// without it two workers could persist the same record with the older
-	// snapshot landing after the newer one. Taken around mu, never inside.
+	// patch landing after the newer one. Taken around mu, never inside.
 	persistMu sync.Mutex
+	// jw is what the journal holds for this record (persist.go). Guarded
+	// by persistMu.
+	jw journaled
+	// lazyQueued marks the record queued on its partition's lazy list
+	// (Agent.lazy). Guarded by Agent.lazyMu.
+	lazyQueued bool
+	// mirrored counts the user-log events already appended to the owner's
+	// on-disk user log (Agent.mirrorLocked). Guarded by mu.
+	mirrored int
 }
 
 func (j *jobRecord) snapshot() JobInfo {

@@ -13,8 +13,8 @@
 // directory (a ".." segment is rejected). Reads and writes move at most
 // ChunkSize bytes per call, so a single RPC always fits the wire layer's
 // framing and timeouts. The process that owns a Server does not dial it:
-// Server.Root, Server.WriteFile and Server.ReadFile are the local door to
-// the same confined tree. The Condor-G agent commits its spool objects
+// Server.Root and Server.ReadFile are the local door to the same confined
+// tree. The Condor-G agent commits its spool objects
 // under Root and reads its spool through ReadFile.
 //
 // # Resume contract
@@ -168,12 +168,6 @@ func (s *Server) writeAt(rel string, off int64, data []byte, truncate bool) erro
 	defer f.Close()
 	_, err = f.WriteAt(data, off)
 	return err
-}
-
-// WriteFile replaces the file at rel (a path under the served root) with
-// data, without a round trip: the local form of Client.WriteFile.
-func (s *Server) WriteFile(rel string, data []byte) error {
-	return s.writeAt(rel, 0, data, true)
 }
 
 // ReadFile returns the file at rel (a path under the served root); a file

@@ -7,14 +7,15 @@
 // CRC32 so a torn final write (the classic crash signature) is detected
 // and discarded on replay rather than corrupting recovery. A Store is a
 // crash-safe persistent map built from a snapshot file plus a journal of
-// deltas; snapshot compaction runs off the writers' lock so a large
-// compact never stalls concurrent Puts.
+// deltas — set (a key's image), patch (a change appended to a key's image,
+// kept unfolded for the caller to fold) and del; snapshot compaction runs
+// off the writers' lock so a large compact never stalls concurrent Puts.
 //
 // # Durability contract
 //
 // What is guaranteed once an append call (Journal.Append, Journal.AppendRaw,
-// Journal.Commit, Store.Put, Store.Delete) has returned nil depends on the
-// configured mode:
+// Journal.Commit, Store.Put, Store.Delete, a must-wait Store.PutRaw or
+// Store.Patch, Store.Flush) has returned nil depends on the configured mode:
 //
 //   - Sync (Options.Sync / StoreOptions.Sync set): the record has been
 //     written AND fsynced before the call returns. It survives both a
@@ -35,6 +36,13 @@
 //     the batching window is the previous batch's write+fsync time.
 //     Options.NoGroupCommit restores the historical
 //     one-write-one-fsync-per-append behavior for comparison.
+//
+// A lazy store write (Store.PutRaw or Store.Patch with mustWait false)
+// only enqueues its record: it reaches disk with the store's next
+// must-wait write, Flush, segment rotation or Close, sharing that batch's
+// write and fsync, and a crash before then loses it like any
+// unacknowledged record. Callers journal lazily only what they can
+// re-derive after such a loss.
 //
 // In every mode, a record is either replayed intact or — when the crash
 // tore it — discarded along with everything after it. Records never

@@ -54,6 +54,40 @@ func FuzzStoreReplay(f *testing.F) {
 	rogue := unchainedFrame(recSet, []byte(`{"key":"k","value":{"n":2}}`))
 	f.Add(rogue)                                                         // unchained only
 	f.Add(chained(func(b []byte) []byte { return append(b, rogue...) })) // unchained suffix
+	// Set/patch/del interleavings, intact and with a torn patch tail.
+	mixed := func() []byte {
+		path := filepath.Join(f.TempDir(), "mixed.log")
+		j, err := Open(path, Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, d := range []struct {
+			typ, key, value string
+		}{
+			{recSet, "a", `{"n":0}`}, {recPatch, "a", `{"n":1}`}, {recPatch, "b", `{"n":1}`},
+			{recSet, "b", `{"n":2}`}, {recPatch, "a", `{"n":3}`}, {recDelete, "b", ""},
+			{recPatch, "a", `{"log":["x"]}`},
+		} {
+			var value json.RawMessage
+			if d.value != "" {
+				value = json.RawMessage(d.value)
+			}
+			delta, _ := frameDelta(d.key, value)
+			if err := j.AppendRaw(d.typ, delta); err != nil {
+				f.Fatal(err)
+			}
+		}
+		j.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}()
+	f.Add(mixed)
+	f.Add(mixed[:len(mixed)-5])                                     // torn patch tail
+	f.Add(append(append([]byte(nil), mixed...), mixed[:30]...))     // replayed prefix as a torn tail
+	f.Add(append(mixed[:len(mixed)/2:len(mixed)/2], mixed[40:]...)) // spliced middle
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()

@@ -170,7 +170,7 @@ func TestStoreRecoversLeftoverSegments(t *testing.T) {
 	dir := t.TempDir()
 	// A snapshot that does NOT include the rotated deltas.
 	if err := writeSnapshotAtomic(filepath.Join(dir, "snapshot.json"), ChainState{},
-		map[string]json.RawMessage{"base": json.RawMessage(`{"n":0}`)}); err != nil {
+		map[string]entry{"base": {image: json.RawMessage(`{"n":0}`)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Two orphaned segments with conflicting writes to the same key: the

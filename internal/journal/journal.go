@@ -297,6 +297,15 @@ func (j *Journal) Commit(seq uint64) error {
 	}
 }
 
+// CommitAll blocks until every record enqueued so far is covered by the
+// configured durability mode: Commit of the latest sequence.
+func (j *Journal) CommitAll() error {
+	j.mu.Lock()
+	seq := j.pendSeq
+	j.mu.Unlock()
+	return j.Commit(seq)
+}
+
 // Appends returns the number of records appended through this handle.
 func (j *Journal) Appends() int {
 	j.mu.Lock()

@@ -194,12 +194,13 @@ func (ps *PartitionSet) Stores() []*Store {
 	return stores
 }
 
-// ForEach visits every record of every open partition. Iteration order
-// across partitions is by bucket index; within a partition it is the
-// Store's own (unordered map) order.
-func (ps *PartitionSet) ForEach(fn func(key string, raw json.RawMessage) error) error {
+// ForEachEntry visits every key of every open partition with its image
+// and patches (see Store.ForEachEntry). Iteration order across partitions
+// is by bucket index; within a partition it is the Store's own (unordered
+// map) order.
+func (ps *PartitionSet) ForEachEntry(fn func(key string, image json.RawMessage, patches []json.RawMessage) error) error {
 	for _, st := range ps.Stores() {
-		if err := st.ForEach(fn); err != nil {
+		if err := st.ForEachEntry(fn); err != nil {
 			return err
 		}
 	}

@@ -29,17 +29,24 @@ const (
 // for each submitted job is stored persistently in the scheduler's job
 // queue", §4.2). Keys are strings; values are JSON documents.
 //
+// A key holds an image (the value a set wrote) plus the patches appended to
+// it since, in order. The store never interprets a patch: replay, snapshots
+// and the replication stream carry patches unfolded, and the caller folds
+// them (ForEachEntry). A set replaces the image and drops the key's patches.
+//
 // Writers only ever pay for framing their own delta: the durability wait
 // happens outside the store lock (so concurrent Puts group-commit), and
 // compaction rotates the delta journal aside and folds it into the
-// snapshot in the background instead of stalling the queue.
+// snapshot in the background instead of stalling the queue. A lazy write
+// (PutRaw or Patch with mustWait false) waits for nothing: it rides the
+// next write that does, or the next Flush.
 type Store struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // compaction state changes
 	dir    string
 	opts   StoreOptions
 	jn     *Journal
-	data   map[string]json.RawMessage
+	data   map[string]entry
 	deltas int
 
 	olds       []int // rotated journal segments awaiting the compactor
@@ -100,7 +107,64 @@ type storeDelta struct {
 const (
 	recSet    = "set"
 	recDelete = "del"
+	recPatch  = "patch"
 )
+
+// entry is one key's state: the image the last set wrote and the patches
+// appended since, unfolded. An entry is replaced, never modified in place,
+// except that patches grows by append — so a shallow copy of the map is a
+// consistent snapshot.
+type entry struct {
+	image   json.RawMessage
+	patches []json.RawMessage
+}
+
+// applyDelta folds one replayed or replicated delta into data.
+func applyDelta(data map[string]entry, typ, key string, value json.RawMessage) {
+	switch typ {
+	case recSet:
+		data[key] = entry{image: value}
+	case recPatch:
+		e := data[key]
+		e.patches = append(e.patches, value)
+		data[key] = e
+	case recDelete:
+		delete(data, key)
+	}
+}
+
+// frameDelta builds the JSON body of one delta around an already-marshalled
+// value (nil for a delete) without re-validating it, and returns the value's
+// span inside the body so the store can keep that instead of a copy.
+func frameDelta(key string, value json.RawMessage) (delta, v []byte) {
+	b := make([]byte, 0, len(key)+len(value)+20)
+	b = append(b, `{"key":`...)
+	b = appendJSONString(b, key)
+	if value == nil {
+		return append(b, '}'), nil
+	}
+	b = append(b, `,"value":`...)
+	start := len(b)
+	b = append(b, value...)
+	end := len(b)
+	b = append(b, '}')
+	return b, b[start:end:end]
+}
+
+// appendJSONString appends s as a JSON string, byte for byte what
+// encoding/json writes: quoted as is when it holds only printable ASCII
+// that needs no escape, through encoding/json otherwise.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string never fails to marshal
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
 
 // OpenStore opens (or recovers) a store rooted at dir with the default
 // (async) journaling options.
@@ -122,7 +186,7 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 	s := &Store{
 		dir:     dir,
 		opts:    opts,
-		data:    make(map[string]json.RawMessage),
+		data:    make(map[string]entry),
 		ringCap: streamRing,
 	}
 	s.cDisarms = opts.Obs.Counter("journal_sync_repl_disarms_total")
@@ -148,12 +212,7 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 		if err := json.Unmarshal(rec.Data, &d); err != nil {
 			return err
 		}
-		switch rec.Type {
-		case recSet:
-			s.data[d.Key] = d.Value
-		case recDelete:
-			delete(s.data, d.Key)
-		}
+		applyDelta(s.data, rec.Type, d.Key, d.Value)
 		return nil
 	}
 	verifier := &chainVerifier{anchor: chain}
@@ -293,18 +352,22 @@ func (s *Store) listOldSegments() []int {
 	return olds
 }
 
-// storeSnapshotV2 is the on-disk snapshot: format version, the chain head
-// the data was captured at, and the folded key space.
-type storeSnapshotV2 struct {
-	V     int                        `json:"v"`
-	Chain ChainState                 `json:"chain"`
-	Data  map[string]json.RawMessage `json:"data"`
+// storeSnapshot is the on-disk snapshot: format version, the chain head
+// the data was captured at, each key's image, and the patches appended to
+// each key since its image (left out when no key has any). Version 3 added
+// the patches; a version 2 snapshot, from before patches existed, still
+// loads as images without patches.
+type storeSnapshot struct {
+	V       int                          `json:"v"`
+	Chain   ChainState                   `json:"chain"`
+	Data    map[string]json.RawMessage   `json:"data"`
+	Patches map[string][]json.RawMessage `json:"patches,omitempty"`
 }
 
 // loadSnapshotFile reads a snapshot; a missing file is the empty snapshot
 // at the genesis chain state. A file that does not parse or carries no
 // chain anchor is a *CorruptionError.
-func loadSnapshotFile(path string) (ChainState, map[string]json.RawMessage, error) {
+func loadSnapshotFile(path string) (ChainState, map[string]entry, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return ChainState{}, nil, nil
@@ -312,20 +375,34 @@ func loadSnapshotFile(path string) (ChainState, map[string]json.RawMessage, erro
 	if err != nil {
 		return ChainState{}, nil, err
 	}
-	var snap storeSnapshotV2
+	var snap storeSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return ChainState{}, nil, &CorruptionError{Path: path, Reason: fmt.Sprintf("snapshot does not parse: %v", err)}
 	}
-	if snap.V != 2 {
-		return ChainState{}, nil, &CorruptionError{Path: path, Reason: "snapshot carries no chain anchor (not a v2 snapshot)"}
+	if snap.V != 2 && snap.V != 3 {
+		return ChainState{}, nil, &CorruptionError{Path: path, Reason: "snapshot carries no chain anchor (not a v2 or v3 snapshot)"}
 	}
-	return snap.Chain, snap.Data, nil
+	return snap.Chain, entries(snap.Data, snap.Patches), nil
 }
 
-// writeSnapshotAtomic streams a v2 snapshot to a temp file entry by entry
+// entries builds the key space from images and unfolded patches.
+func entries(images map[string]json.RawMessage, patches map[string][]json.RawMessage) map[string]entry {
+	data := make(map[string]entry, len(images))
+	for k, v := range images {
+		data[k] = entry{image: v}
+	}
+	for k, ps := range patches {
+		e := data[k]
+		e.patches = ps
+		data[k] = e
+	}
+	return data
+}
+
+// writeSnapshotAtomic streams a snapshot to a temp file entry by entry
 // (never materializing one giant JSON blob — a 1M-job fold would otherwise
 // double its memory), fsyncs, renames into place, and fsyncs the directory.
-func writeSnapshotAtomic(path string, chain ChainState, data map[string]json.RawMessage) error {
+func writeSnapshotAtomic(path string, chain ChainState, data map[string]entry) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
@@ -342,27 +419,46 @@ func writeSnapshotAtomic(path string, chain ChainState, data map[string]json.Raw
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(w, `{"v":2,"chain":%s,"data":{`, head)
+	fmt.Fprintf(w, `{"v":3,"chain":%s,"data":{`, head)
 	first := true
-	for k, v := range data {
+	for k, e := range data {
+		if e.image == nil {
+			continue // patches without an image: listed under patches only
+		}
 		if !first {
 			w.WriteByte(',')
 		}
 		first = false
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return fail(err)
-		}
-		w.Write(kb)
+		w.Write(appendJSONString(nil, k))
 		w.WriteByte(':')
-		if len(v) == 0 {
-			v = json.RawMessage("null")
-		}
-		if _, err := w.Write(v); err != nil {
-			return fail(err)
-		}
+		w.Write(e.image)
 	}
-	if _, err := w.WriteString("}}"); err != nil {
+	w.WriteByte('}')
+	first = true
+	for k, e := range data {
+		if len(e.patches) == 0 {
+			continue
+		}
+		if first {
+			w.WriteString(`,"patches":{`)
+		} else {
+			w.WriteByte(',')
+		}
+		first = false
+		w.Write(appendJSONString(nil, k))
+		w.WriteString(":[")
+		for i, p := range e.patches {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			w.Write(p)
+		}
+		w.WriteByte(']')
+	}
+	if !first {
+		w.WriteByte('}')
+	}
+	if _, err := w.WriteString("}"); err != nil {
 		return fail(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -382,66 +478,67 @@ func writeSnapshotAtomic(path string, chain ChainState, data map[string]json.Raw
 	return syncDir(dir)
 }
 
-// Put stores v under key. With Sync journaling the call returns once the
-// delta is fsynced; concurrent writers share fsyncs through group commit.
+// Put stores v under key as its image, dropping the key's patches. With
+// Sync journaling the call returns once the delta is fsynced; concurrent
+// writers share fsyncs through group commit.
 func (s *Store) Put(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	delta, err := json.Marshal(storeDelta{Key: key, Value: raw})
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.jn == nil {
-		s.mu.Unlock()
-		return errors.New("journal: store closed")
-	}
-	jn := s.jn
-	seq, link, err := jn.EnqueueChained(recSet, delta)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.data[key] = raw
-	s.deltas++
-	s.appendRingLocked(StreamRecord{Seq: link.Seq, Prev: link.Prev, Hash: link.Hash, Type: recSet, Data: delta})
-	s.maybeRotateLocked()
-	s.mu.Unlock()
-	if err := jn.Commit(seq); err != nil {
-		return err
-	}
-	s.waitFollower(link.Seq)
-	return nil
+	return s.write(recSet, key, raw, true)
 }
 
-// Delete removes key.
+// PutRaw stores raw, a valid JSON document the store keeps without copying,
+// as key's image, dropping the key's patches. mustWait makes the call
+// return only once the delta is as durable as Put's; otherwise it returns
+// once the delta is enqueued, and the delta reaches disk with the next
+// write that waits, the next Flush, or Close.
+func (s *Store) PutRaw(key string, raw json.RawMessage, mustWait bool) error {
+	return s.write(recSet, key, raw, mustWait)
+}
+
+// Patch appends delta, a valid JSON document the store keeps without
+// copying, to key's patches. The store never interprets it: whoever reads
+// the key back (ForEachEntry) folds the patches over the image in order.
+// mustWait is as for PutRaw.
+func (s *Store) Patch(key string, delta json.RawMessage, mustWait bool) error {
+	return s.write(recPatch, key, delta, mustWait)
+}
+
+// Delete removes key, its image and its patches.
 func (s *Store) Delete(key string) error {
-	delta, err := json.Marshal(storeDelta{Key: key})
-	if err != nil {
-		return err
-	}
+	return s.write(recDelete, key, nil, true)
+}
+
+// write journals one delta and applies it to the key space. A must-wait
+// write then waits out local durability and, under sync replication, the
+// follower; a lazy one returns at once.
+func (s *Store) write(typ, key string, value json.RawMessage, mustWait bool) error {
+	delta, value := frameDelta(key, value)
 	s.mu.Lock()
 	if s.jn == nil {
 		s.mu.Unlock()
 		return errors.New("journal: store closed")
 	}
-	if _, ok := s.data[key]; !ok {
+	if _, ok := s.data[key]; !ok && typ == recDelete {
 		s.mu.Unlock()
 		return nil
 	}
 	jn := s.jn
-	seq, link, err := jn.EnqueueChained(recDelete, delta)
+	seq, link, err := jn.EnqueueChained(typ, delta)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	delete(s.data, key)
+	applyDelta(s.data, typ, key, value)
 	s.deltas++
-	s.appendRingLocked(StreamRecord{Seq: link.Seq, Prev: link.Prev, Hash: link.Hash, Type: recDelete, Data: delta})
+	s.appendRingLocked(StreamRecord{Seq: link.Seq, Prev: link.Prev, Hash: link.Hash, Type: typ, Data: delta})
 	s.maybeRotateLocked()
 	s.mu.Unlock()
+	if !mustWait {
+		return nil
+	}
 	if err := jn.Commit(seq); err != nil {
 		return err
 	}
@@ -449,15 +546,34 @@ func (s *Store) Delete(key string) error {
 	return nil
 }
 
-// Get unmarshals the value at key into v; found is false when absent.
+// Flush makes every delta enqueued so far as durable as a must-wait write:
+// one wait that covers a run of lazy writes.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	if s.jn == nil {
+		s.mu.Unlock()
+		return errors.New("journal: store closed")
+	}
+	jn := s.jn
+	head := jn.ChainHead()
+	s.mu.Unlock()
+	if err := jn.CommitAll(); err != nil {
+		return err
+	}
+	s.waitFollower(head.Seq)
+	return nil
+}
+
+// Get unmarshals the image at key into v; found is false when absent.
+// Patches appended since the image are not folded in (see ForEachEntry).
 func (s *Store) Get(key string, v any) (found bool, err error) {
 	s.mu.Lock()
-	raw, ok := s.data[key]
+	e, ok := s.data[key]
 	s.mu.Unlock()
 	if !ok {
 		return false, nil
 	}
-	return true, json.Unmarshal(raw, v)
+	return true, json.Unmarshal(e.image, v)
 }
 
 // Keys returns all keys (unordered).
@@ -478,16 +594,26 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// ForEach calls fn with each key and raw value.
+// ForEach calls fn with each key and its image. It is for stores that never
+// patch; ForEachEntry also hands over the patches.
 func (s *Store) ForEach(fn func(key string, raw json.RawMessage) error) error {
+	return s.ForEachEntry(func(key string, image json.RawMessage, _ []json.RawMessage) error {
+		return fn(key, image)
+	})
+}
+
+// ForEachEntry calls fn with each key, its image (nil when the key has only
+// patches) and the patches appended to it since, in order, so the caller
+// folds each key once.
+func (s *Store) ForEachEntry(fn func(key string, image json.RawMessage, patches []json.RawMessage) error) error {
 	s.mu.Lock()
-	snapshot := make(map[string]json.RawMessage, len(s.data))
-	for k, v := range s.data {
-		snapshot[k] = v
+	snapshot := make(map[string]entry, len(s.data))
+	for k, e := range s.data {
+		snapshot[k] = e
 	}
 	s.mu.Unlock()
-	for k, v := range snapshot {
-		if err := fn(k, v); err != nil {
+	for k, e := range snapshot {
+		if err := fn(k, e.image, e.patches); err != nil {
 			return err
 		}
 	}
@@ -585,9 +711,9 @@ func (s *Store) compactor() {
 			return
 		}
 		olds := append([]int(nil), s.olds...)
-		snap := make(map[string]json.RawMessage, len(s.data))
-		for k, v := range s.data {
-			snap[k] = v
+		snap := make(map[string]entry, len(s.data))
+		for k, e := range s.data {
+			snap[k] = e
 		}
 		// The chain head at clone time anchors the snapshot: every delta it
 		// folds in is ≤ head, so recovery can verify the surviving segments

@@ -107,24 +107,44 @@ func (s *Store) WaitStream(after uint64, d time.Duration) {
 	}
 }
 
+// Snapshot is a store's full key space at one chain position, as a
+// follower bootstraps from it: each key's image and, unfolded, the patches
+// appended to it since.
+type Snapshot struct {
+	Data    map[string]json.RawMessage   `json:"data"`
+	Patches map[string][]json.RawMessage `json:"patches,omitempty"`
+	Head    ChainState                   `json:"head"`
+}
+
 // SnapshotDump clones the full key space and the chain head it is valid
 // at, for bootstrapping a follower.
-func (s *Store) SnapshotDump() (map[string]json.RawMessage, ChainState) {
+func (s *Store) SnapshotDump() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data := make(map[string]json.RawMessage, len(s.data))
-	for k, v := range s.data {
-		data[k] = v
+	snap := Snapshot{Data: make(map[string]json.RawMessage, len(s.data))}
+	for k, e := range s.data {
+		if e.image != nil {
+			snap.Data[k] = e.image
+		}
+		if len(e.patches) > 0 {
+			if snap.Patches == nil {
+				snap.Patches = make(map[string][]json.RawMessage)
+			}
+			// Capped: a store installing this snapshot in-process
+			// reallocates on its first append instead of writing into
+			// this store's array.
+			snap.Patches[k] = e.patches[:len(e.patches):len(e.patches)]
+		}
 	}
-	var head ChainState
 	if s.jn != nil {
-		head = s.jn.ChainHead()
+		snap.Head = s.jn.ChainHead()
 	}
-	return data, head
+	return snap
 }
 
 // SyncReplication enables synchronous mirroring: once a follower has
-// acknowledged progress (FollowerAck), every Put/Delete additionally waits
+// acknowledged progress (FollowerAck), every must-wait write (Put, Delete,
+// a must-wait PutRaw or Patch) and every Flush additionally waits
 // — after local durability — until the follower's acked sequence covers
 // the new record, or wait elapses. On expiry the wait disarms (primary
 // availability beats replication) until the follower acks again. wait <= 0
@@ -204,7 +224,7 @@ func (s *Store) waitFollower(seq uint64) {
 // received from the primary: the journal and any rotated segments are
 // discarded, the snapshot is written with its chain anchor, and a fresh
 // journal continues from head. The follower's bootstrap path.
-func (s *Store) InstallSnapshot(data map[string]json.RawMessage, head ChainState) error {
+func (s *Store) InstallSnapshot(snap Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.jn == nil {
@@ -222,6 +242,8 @@ func (s *Store) InstallSnapshot(data map[string]json.RawMessage, head ChainState
 	}
 	s.olds = nil
 	s.compactErr = nil
+	data := entries(snap.Data, snap.Patches)
+	head := snap.Head
 	if err := writeSnapshotAtomic(s.snapshotPath(), head, data); err != nil {
 		return err
 	}
@@ -233,10 +255,7 @@ func (s *Store) InstallSnapshot(data map[string]json.RawMessage, head ChainState
 		return err
 	}
 	s.jn = jn
-	s.data = make(map[string]json.RawMessage, len(data))
-	for k, v := range data {
-		s.data[k] = v
-	}
+	s.data = data
 	s.deltas = 0
 	s.ring = nil
 	if s.streamCh != nil {
@@ -286,12 +305,7 @@ func (s *Store) ApplyReplica(sr StreamRecord) error {
 		s.mu.Unlock()
 		return fmt.Errorf("journal: replica record %d re-framed to a different hash", sr.Seq)
 	}
-	switch sr.Type {
-	case recSet:
-		s.data[d.Key] = d.Value
-	case recDelete:
-		delete(s.data, d.Key)
-	}
+	applyDelta(s.data, sr.Type, d.Key, d.Value)
 	s.deltas++
 	s.appendRingLocked(sr)
 	s.maybeRotateLocked()

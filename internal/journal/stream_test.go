@@ -61,8 +61,9 @@ func TestStreamReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, head := p.SnapshotDump()
-	if err := f.InstallSnapshot(data, head); err != nil {
+	snap := p.SnapshotDump()
+	head := snap.Head
+	if err := f.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.ChainHead(); got != head {

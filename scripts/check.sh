@@ -42,6 +42,15 @@ go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
 go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
+# The job journal: an admit image plus patches folds back to the record
+# in memory (plainly, across compaction, across a standby takeover), and
+# every record field patches; a state directory of the previous release
+# still loads; Submit acks only a journaled job, Wait and WaitAll report
+# only a durable terminal state, a running job's lazy log line is in the
+# user log at once, a lost lazy write is re-derived, and a job costs a
+# third of the bytes.
+go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestPatchCarriesEveryField' ./internal/condorg/
+
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
 # temp names, the LRM letting go of finished payloads, and the agent using
@@ -81,9 +90,13 @@ if [ -n "$undocumented" ]; then
 fi
 
 # Replay the FuzzStoreReplay seed corpus: every mutation of a chained
-# journal must either verify+open or be refused+quarantined — never a
+# journal — set/patch/del interleavings and a torn patch tail among the
+# seeds — must either verify+open or be refused+quarantined, never a
 # silent partial replay.
 go test -run FuzzStoreReplay -count=1 ./internal/journal/
+# And the patch record beside it: replay, snapshots, lazy writes, the
+# replication stream, and delta framing byte-identical to encoding/json.
+go test -count=1 -run 'TestStorePatchReplay|TestStoreLazyWriteRidesNextCommit|TestStreamReplicatesPatches|TestFrameDeltaMatchesMarshal' ./internal/journal/
 # And the FuzzDecodeMessage one: arbitrary bytes — truncated and overrun
 # blob frames among the seeds — decode to a message or an error, never a
 # panic.
