@@ -88,7 +88,8 @@ type FaultOptions struct {
 // StageOptions selects the executable pre-staging data plane. When enabled
 // (the default), the GridManager pushes each job's executable to its site
 // through the gatekeeper's content-addressed cache before the GRAM submit,
-// in 64 KiB chunks over at most four streams per site (stage.go): shared
+// over at most four streams per site in chunks sized so that an executable
+// of up to 4 MiB moves in one window (stage.go): shared
 // binaries transfer once per site, and interrupted transfers resume from
 // the last site-acked offset journaled in the job record.
 type StageOptions struct {
@@ -238,6 +239,8 @@ type Agent struct {
 
 	// stageKnown remembers which sites hold which executables (stage.go).
 	stageKnown stageKnown
+	// chunkBufs is the free list staging pushes read chunks into (stage.go).
+	chunkBufs chunkBufs
 
 	// pipeSem is the agent-wide remote-operation cap shared by every
 	// GridManager's site workers (AgentConfig.Pipeline.MaxInFlight),
@@ -328,6 +331,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		logFiles:   make(map[string]*os.File),
 		lazy:       make(map[*journal.Store][]*jobRecord),
 		pipeSem:    newFairSem(cfg.Pipeline.MaxInFlight),
+		chunkBufs:  make(chunkBufs, maxChunkBufs),
 		traceCap:   cfg.Obs.TraceCap,
 	}
 	if !cfg.Obs.Disabled {

@@ -151,11 +151,12 @@ func runChaosSeed(t *testing.T, seed int64) {
 		d := time.Duration(20+rng.Intn(120)) * time.Millisecond
 		id, err := agent.Submit(SubmitRequest{
 			Owner: "u",
-			// Each job carries a unique six-chunk executable, so the
+			// Each job carries a unique 384 KiB executable, so the
 			// staging plane (check/chunk/commit, resume, per-site cache)
 			// rides through every event in the schedule and every transfer
-			// spans several stage-chunk RPCs that meet the resets above.
-			Executable: paddedProgram("chaos", 6*stageChunkSize, byte('a'+i)),
+			// spans three parallel stage-chunk RPCs that meet the resets
+			// above.
+			Executable: paddedProgram("chaos", 6*stageChunkMin, byte('a'+i)),
 			Args:       []string{fmt.Sprintf("j%d", i), d.String()},
 		})
 		if err != nil {

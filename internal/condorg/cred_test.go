@@ -9,6 +9,7 @@ import (
 
 	"condorg/internal/gram"
 	"condorg/internal/gsi"
+	"condorg/internal/lrm"
 	"condorg/internal/obs"
 )
 
@@ -288,6 +289,90 @@ func TestRefreshIsBatched(t *testing.T) {
 				t.Fatalf("%d batch-refresh-credential frames for %d jobs, want %d", got, n, want)
 			}
 		})
+	}
+}
+
+// TestRefreshedCredentialReachesOutputPush: §4.3 — a credential never
+// strands a job. The job's first proxy expires after an in-band refresh;
+// the agent then restarts on new ports, so the JobManager must dial the
+// agent's new GASS server to stream the output. That dial authenticates
+// with the refreshed proxy, not the expired one, and the whole stdout
+// arrives.
+func TestRefreshedCredentialReachesOutputPush(t *testing.T) {
+	now := time.Now()
+	ca, err := gsi.NewCA("/O=Grid/CN=CA", now, 48*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := ca.IssueUser("/O=Grid/CN=u", now, 24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shortLife = 2 * time.Second
+	short, err := gsi.NewProxy(user, now, shortLife)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := gsi.NewProxy(user, now, 12*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := &atomic.Int64{}
+	cluster, err := lrm.NewCluster(lrm.Config{Name: "s", Cpus: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := gram.NewSite(gram.SiteConfig{
+		Name:          "s",
+		Anchor:        ca.Certificate(),
+		Cluster:       cluster,
+		Runtime:       buildRuntime(runs),
+		StateDir:      t.TempDir(),
+		CommitTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+	cfg := AgentConfig{
+		StateDir:   t.TempDir(),
+		Credential: short,
+		Delegate:   time.Hour, // capped at the short proxy's lifetime
+		Selector:   StaticSelector(site.GatekeeperAddr()),
+		Probe:      ProbeOptions{Interval: 40 * time.Millisecond},
+	}
+	agent, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := agent.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task"), Args: []string{"4s"}})
+	if err != nil {
+		agent.Close()
+		t.Fatal(err)
+	}
+	waitAgentState(t, agent, id, Running)
+	agent.SetOwnerCredential("u", long)
+	waitFor(t, "the refresh to be delivered", 5*time.Second, func() bool {
+		return refreshesDelivered(t, agent, id) > 0
+	})
+	// Restart once the first proxy is dead: the restarted agent serves
+	// GASS on a new port, and recovery points the job's output at it.
+	time.Sleep(time.Until(now.Add(shortLife + 200*time.Millisecond)))
+	agent.Close()
+	cfg.Credential = long
+	agent, err = NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agent.Close)
+
+	waitCompletedUnheld(t, agent, id, 10*time.Second)
+	waitFor(t, "the job's stdout", 5*time.Second, func() bool {
+		out, err := agent.Stdout(id)
+		return err == nil && string(out) == "task ok 4s\n"
+	})
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("program ran %d times, want 1", got)
 	}
 }
 

@@ -81,15 +81,15 @@ func (a *Agent) commitSpool(rel string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // a no-op once renamed
 	_, err = tmp.Write(data)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
 	a.obs.Counter("agent_spool_writes_total").Inc()
@@ -156,6 +156,25 @@ func (a *Agent) releaseSpoolKey(store *journal.Store, p string) {
 	// A failed Delete only leaves the bytes in the journal: a later
 	// recovery re-stages an object no job names, which is harmless.
 	_ = store.Delete(spoolKeyPrefix + p)
+}
+
+// openSpool opens the file a gass:// URL of the agent's own spool server
+// names, through the server's local door, and reports its size.
+func (a *Agent) openSpool(ref string) (*os.File, int64, error) {
+	u, err := gass.ParseURL(ref)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := a.gassS.Open(u.Path)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
 }
 
 // readSpool reads the file a gass:// URL of the agent's own spool server

@@ -240,7 +240,7 @@ func journalHas(t *testing.T, st *journal.Store, key string) bool {
 // standby materializes the object from its journal and the second job runs
 // once, on those bytes. Its own end then releases the key.
 func TestSharedSpoolSurvivesFinishUnderHA(t *testing.T) {
-	exec := paddedProgram("ha-shared", 2*stageChunkSize, 'h')
+	exec := paddedProgram("ha-shared", 2*stageChunkMin, 'h')
 	rt := newBytesRuntime()
 	rt.expect("first", exec)
 	rt.expect("second", exec)

@@ -8,23 +8,73 @@ package condorg
 // last acked chunk instead of byte zero. The per-site stream cap
 // (stageStreams) is shared across all of the owner's staging jobs and
 // composes with Pipeline.PerSiteInFlight: a staging task occupies one
-// pipeline slot while its chunk RPCs share the stream semaphore.
+// pipeline slot while its chunk RPCs share the stream semaphore. The push
+// streams from the spool object: each chunk is read from the file into a
+// buffer the agent reuses, so the executable is never on the heap whole.
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 
 	"condorg/internal/faultclass"
 	"condorg/internal/obs"
 )
 
-// stageChunkSize is the push transfer unit in bytes; stageStreams caps
-// concurrent chunk RPCs per site across all of one owner's staging jobs.
+// stageStreams caps concurrent chunk RPCs per site across all of one owner's
+// staging jobs. A push's chunk size comes from its object (stageChunkFor),
+// between stageChunkMin and stageChunkMax.
 const (
-	stageChunkSize = 64 << 10
-	stageStreams   = 4
+	stageStreams  = 4
+	stageChunkMin = 64 << 10
+	stageChunkMax = 1 << 20
 )
+
+// stageChunkFor sizes the chunks of an object of total bytes so that it
+// moves in one window of stageStreams parallel RPCs when it can:
+// ceil(total/stageStreams), rounded up to a multiple of stageChunkMin and
+// kept within [stageChunkMin, stageChunkMax]. An object of up to
+// stageStreams*stageChunkMax bytes (4 MiB) is one window; a larger one
+// moves in windows of 1 MiB chunks.
+func stageChunkFor(total int64) int64 {
+	chunk := (total + stageStreams - 1) / stageStreams
+	chunk = (chunk + stageChunkMin - 1) / stageChunkMin * stageChunkMin
+	return min(max(chunk, stageChunkMin), stageChunkMax)
+}
+
+// maxChunkBufs bounds the agent's free list of chunk buffers: what one
+// full window to each of four sites holds at once.
+const maxChunkBufs = 4 * stageStreams
+
+// chunkBufs is the agent's free list of chunk buffers, shared by every
+// owner's pushes. A chunk RPC borrows one for the read from the spool and
+// returns it once the RPC is over, so a steady stream of pushes allocates
+// nothing per chunk; the free list keeps at most maxChunkBufs buffers.
+type chunkBufs chan []byte
+
+// get returns a buffer of n bytes (n <= size), reused when a free one is
+// big enough. A new one is allocated at size bytes, the push's chunk size,
+// so every later chunk of the push fits it.
+func (b chunkBufs) get(n int, size int64) []byte {
+	select {
+	case buf := <-b:
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	default:
+	}
+	return make([]byte, n, size)
+}
+
+// put hands a buffer back; one beyond the bound is left to the collector.
+func (b chunkBufs) put(buf []byte) {
+	select {
+	case b <- buf:
+	default:
+	}
+}
 
 // maxStageKnown bounds the agent's stage-known set. At the bound an arbitrary
 // entry makes room: forgetting one costs its next job a stage-check, nothing
@@ -146,7 +196,6 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	}
 	site := rec.Site
 	hash := rec.Stage.Hash
-	total := rec.Stage.Total
 	execRef := rec.Spec.Executable
 	journaled := rec.Stage.Offset
 	rec.mu.Unlock()
@@ -163,7 +212,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		if cacheHit {
 			rec.Stage.Offset = 0
 		} else {
-			rec.Stage.Offset = total
+			rec.Stage.Offset = rec.Stage.Total
 		}
 		gm.agent.traceLocked(rec, obs.PhaseStage, "", detail)
 		rec.mu.Unlock()
@@ -188,7 +237,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	gm.mu.Unlock()
 	gm.agent.obs.Counter("stage_cache_misses_total").Inc()
 
-	data, err := gm.agent.readSpool(execRef)
+	obj, total, err := gm.agent.openSpool(execRef)
 	if err != nil {
 		// The spool is local state; losing it is not the site's fault.
 		// Fall back to submit — stage-in there will fail the same way and
@@ -196,6 +245,8 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		finish(false, "pre-stage abandoned (spool read: "+err.Error()+"); site will pull")
 		return
 	}
+	defer obj.Close()
+	push := objectPush{f: obj, total: total, chunk: stageChunkFor(total)}
 
 	// Resume at the site's ack: that is what the site holds. The journaled
 	// offset only says how far an earlier push (a torn response, an agent
@@ -210,7 +261,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	attempts := 0
 	sem := gm.stageStream(site)
 	chunks := 0
-	for off < int64(len(data)) {
+	for off < total {
 		select {
 		case <-gm.stopCh:
 			// Agent shutting down: the acked offset is already journaled,
@@ -218,14 +269,14 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 			return
 		default:
 		}
-		acked, err := gm.pushWindow(site, hash, data, off, sem, &chunks)
+		acked, err := gm.pushWindow(site, hash, push, off, sem, &chunks)
 		if acked > off {
 			gm.agent.obs.Counter("stage_bytes_total").Add(acked - off)
 			off = acked
 			rec.mu.Lock()
 			rec.Stage.Offset = off
 			rec.mu.Unlock()
-			if off < int64(len(data)) {
+			if off < total {
 				// A complete push is journaled by finish, with Done.
 				gm.agent.persist(rec, lazy)
 			}
@@ -260,18 +311,28 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 				fmt.Sprintf("transfer error at offset %d/%d; resuming (attempt %d/%d)", off, total, attempts, maxStageAttempts))
 		}
 	}
-	if err := gm.gram.StageCommit(site, hash, int64(len(data))); err != nil {
+	if err := gm.gram.StageCommit(site, hash, total); err != nil {
 		gm.stageFailed(rec, site, err, requeue, finish)
 		return
 	}
 	gm.agent.stageKnown.add(site, hash)
-	finish(false, fmt.Sprintf("staged %d bytes in %d chunks to %s", len(data), chunks, site))
+	finish(false, fmt.Sprintf("staged %d bytes in %d chunks to %s", total, chunks, site))
+}
+
+// objectPush is the spool object one staging task pushes: its open file,
+// its size and the chunk size stageChunkFor chose for it.
+type objectPush struct {
+	f     *os.File
+	total int64
+	chunk int64
 }
 
 // pushWindow sends up to stageStreams consecutive chunks starting at off in
-// parallel, each RPC holding one slot of the per-site stream semaphore.
-// It returns the highest contiguous site ack observed and the first error.
-func (gm *GridManager) pushWindow(site, hash string, data []byte, off int64, sem chan struct{}, chunks *int) (int64, error) {
+// parallel, each RPC holding one slot of the per-site stream semaphore and
+// one buffer of the agent's free list, read from the spool object just
+// before it goes out. It returns the highest contiguous site ack observed
+// and the first error.
+func (gm *GridManager) pushWindow(site, hash string, p objectPush, off int64, sem chan struct{}, chunks *int) (int64, error) {
 	type result struct {
 		acked int64
 		err   error
@@ -279,23 +340,29 @@ func (gm *GridManager) pushWindow(site, hash string, data []byte, off int64, sem
 	var wg sync.WaitGroup
 	results := make([]result, 0, stageStreams)
 	var mu sync.Mutex
-	for i := 0; i < stageStreams && off < int64(len(data)); i++ {
-		end := off + stageChunkSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		chunkOff, chunk := off, data[off:end]
+	bufs := gm.agent.chunkBufs
+	for i := 0; i < stageStreams && off < p.total; i++ {
+		chunkOff, n := off, min(p.chunk, p.total-off)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
-			acked, err := gm.gram.StageChunk(site, hash, chunkOff, chunk)
+			buf := bufs.get(int(n), p.chunk)
+			var acked int64
+			_, err := p.f.ReadAt(buf, chunkOff)
+			if err == io.EOF {
+				err = fmt.Errorf("condorg: spool object shorter than %d bytes", p.total)
+			}
+			if err == nil {
+				acked, err = gm.gram.StageChunk(site, hash, chunkOff, buf)
+			}
+			bufs.put(buf)
 			<-sem
 			mu.Lock()
 			results = append(results, result{acked, err})
 			mu.Unlock()
 		}()
-		off = end
+		off += n
 	}
 	wg.Wait()
 	var maxAck int64

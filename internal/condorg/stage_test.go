@@ -2,6 +2,9 @@ package condorg
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,7 +90,8 @@ func stageStatsSum(a *Agent) (hits, misses int) {
 // is the proof: well under two file sizes despite repeated teardowns.
 func TestStagePushResumesAfterReset(t *testing.T) {
 	w := newStageWorld(t)
-	exec := paddedProgram("task", 10*stageChunkSize, 'p')
+	// Ten 1 MiB chunks: three push windows, the first of them torn.
+	exec := paddedProgram("task", 10*stageChunkMax, 'p')
 
 	// Tear the response of every stage-chunk attempt of the first push
 	// window: four streams, each a call the GridManager's client tries
@@ -139,7 +143,7 @@ func TestStagePushResumesAfterReset(t *testing.T) {
 // push from there instead of byte zero, and the job runs exactly once.
 func TestStageResumesAfterAgentCrash(t *testing.T) {
 	w := newStageWorld(t)
-	exec := paddedProgram("task", 8*stageStreams*stageChunkSize, 'q')
+	exec := paddedProgram("task", 8*stageStreams*stageChunkMax, 'q')
 
 	// Slow each chunk down so the kill lands mid-transfer: eight push
 	// windows, each one delay long.
@@ -380,7 +384,7 @@ func TestAgentIssuesNoSelfRPC(t *testing.T) {
 	}
 	defer agent.Close()
 
-	exec := paddedProgram("task", 5*stageChunkSize, 'z') // five staging chunks
+	exec := paddedProgram("task", 5*stageChunkMin, 'z') // a three-chunk push
 	id, err := agent.Submit(SubmitRequest{Owner: "u", Executable: exec, Args: []string{"1ms"}, Stdin: []byte("input")})
 	if err != nil {
 		t.Fatal(err)
@@ -412,5 +416,136 @@ func TestAgentIssuesNoSelfRPC(t *testing.T) {
 	}
 	if seen["gass.read"] > 1 {
 		t.Errorf("%d gass.read requests for a 5-byte stdin", seen["gass.read"])
+	}
+}
+
+// TestStageOneWindow pins what a push costs on the wire. The chunk size
+// comes from the object, so one of up to 4 MiB moves in a single window of
+// at most stageStreams parallel stage-chunk RPCs: 1 MiB is four 256 KiB
+// chunks and 100 KiB two 64 KiB ones. A larger object moves in 1 MiB
+// chunks, a window of stageStreams at a time. The first window's RPCs must
+// all be in flight together: each waits at the site for the others.
+func TestStageOneWindow(t *testing.T) {
+	for _, tc := range []struct {
+		size, chunks int
+		chunk        int64
+	}{
+		{1 << 20, 4, 256 << 10},
+		{100 << 10, 2, 64 << 10},
+		{6 << 20, 6, 1 << 20},
+	} {
+		t.Run(fmt.Sprintf("%dKiB", tc.size>>10), func(t *testing.T) {
+			if got := stageChunkFor(int64(tc.size)); got != tc.chunk {
+				t.Fatalf("stageChunkFor(%d) = %d, want %d", tc.size, got, tc.chunk)
+			}
+			w := newStageWorld(t)
+			window := min(tc.chunks, stageStreams)
+			var calls atomic.Int64
+			var apart atomic.Bool
+			together := make(chan struct{})
+			w.faults.SetDelay(func(m string) time.Duration {
+				if m != "gram.stage-chunk" {
+					return 0
+				}
+				n := calls.Add(1)
+				if n == int64(window) {
+					close(together)
+				}
+				if n <= int64(window) {
+					select {
+					case <-together:
+					case <-time.After(200 * time.Millisecond): // under the client's per-call timeout
+						apart.Store(true)
+					}
+				}
+				return 0
+			})
+			exec := paddedProgram("task", tc.size, 'w')
+			id, err := w.agent.Submit(SubmitRequest{Owner: "u", Executable: exec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := waitAgentState(t, w.agent, id, Completed); !info.ExitOK || info.Stage.CacheHit {
+				t.Fatalf("job after a push: %+v", info)
+			}
+			if apart.Load() {
+				t.Fatalf("the first %d stage-chunk RPCs were not in flight together", window)
+			}
+			if got := calls.Load(); got != int64(tc.chunks) {
+				t.Fatalf("%d stage-chunk RPCs for a %d-byte executable, want %d", got, tc.size, tc.chunks)
+			}
+			if got := w.site.StageBytesReceived(); got != int64(len(exec)) {
+				t.Fatalf("site received %d chunk bytes, want exactly the file (%d)", got, len(exec))
+			}
+		})
+	}
+}
+
+// heapBytesIn reports the bytes allocated so far by stacks running any
+// function whose name starts with one of prefixes. It reads the runtime's
+// allocation profile, so it counts only while runtime.MemProfileRate is 1.
+func heapBytesIn(prefixes ...string) int64 {
+	runtime.GC() // the profile is as of the last completed cycle
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f.Function, p) }) {
+				total += r.AllocBytes
+				break
+			}
+		}
+	}
+	return total
+}
+
+// TestStagePushStreamsFromSpool: a push reads its executable from the spool
+// object chunk by chunk into reused buffers instead of loading the whole
+// file, so the heap bytes the agent's staging task allocates per push stay
+// under half the executable's size.
+func TestStagePushStreamsFromSpool(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	w := newStageWorld(t)
+	const size = 1 << 20
+	push := func(fill byte) {
+		id, err := w.agent.Submit(SubmitRequest{Owner: "u", Executable: paddedProgram("task", size, fill)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := waitAgentState(t, w.agent, id, Completed); !info.ExitOK || info.Stage.CacheHit {
+			t.Fatalf("job after a push: %+v", info)
+		}
+	}
+	staging := []string{
+		"condorg/internal/condorg.(*GridManager).stageJob",
+		"condorg/internal/condorg.(*GridManager).pushWindow",
+	}
+	push('0') // warm: connections, and the chunk buffers' free list
+	before := heapBytesIn(staging...)
+	const pushes = 4
+	for i := 1; i <= pushes; i++ {
+		push(byte('0' + i))
+	}
+	perPush := (heapBytesIn(staging...) - before) / pushes
+	t.Logf("staging heap bytes per 1 MiB push: %d", perPush)
+	if perPush >= size/2 {
+		t.Fatalf("a push allocated %d heap bytes for a %d-byte executable, want < %d", perPush, size, size/2)
+	}
+	if got := w.site.StageBytesReceived(); got != (pushes+1)*size {
+		t.Fatalf("site received %d chunk bytes, want %d", got, (pushes+1)*size)
 	}
 }

@@ -168,8 +168,8 @@ func runCredChaosSeed(t *testing.T, seed int64) {
 		d := time.Duration(30+rng.Intn(90)) * time.Millisecond
 		id, err := agent.Submit(condorg.SubmitRequest{
 			Owner: owner,
-			// Five 64 KiB chunks, two push windows: the clock lurches land
-			// mid-stage-in, not only mid-run.
+			// A 320 KiB executable, a push of three parallel chunks: the
+			// clock lurches land mid-stage-in, not only mid-run.
 			Executable: paddedProgram("chaos", 5*64<<10, byte('a'+i)),
 			Args:       []string{fmt.Sprintf("j%d", i), d.String()},
 		})

@@ -13,9 +13,9 @@
 // directory (a ".." segment is rejected). Reads and writes move at most
 // ChunkSize bytes per call, so a single RPC always fits the wire layer's
 // framing and timeouts. The process that owns a Server does not dial it:
-// Server.Root and Server.ReadFile are the local door to the same confined
-// tree. The Condor-G agent commits its spool objects
-// under Root and reads its spool through ReadFile.
+// Server.Root, Server.ReadFile and Server.Open are the local door to the
+// same confined tree. The Condor-G agent commits its spool objects under
+// Root, reads its output through ReadFile and pushes executables from Open.
 //
 // # Resume contract
 //
@@ -178,6 +178,15 @@ func (s *Server) ReadFile(rel string) ([]byte, error) {
 		return nil, err
 	}
 	return os.ReadFile(path)
+}
+
+// Open opens the file at rel (a path under the served root) for reading.
+func (s *Server) Open(rel string) (*os.File, error) {
+	path, err := s.resolve(rel)
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(path)
 }
 
 // fileReq is the body of every verb: the file, where (gass.read/write), how

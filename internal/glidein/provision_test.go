@@ -364,11 +364,11 @@ func TestAutoscalerRetiresPilotMidStageIn(t *testing.T) {
 	})
 	prov.Start()
 
-	// 32 chunks of 64 KiB, four streams at 100 ms per chunk ≈ 0.8 s of
-	// staging.
+	// 32 MiB: eight windows of four 1 MiB chunks (the largest chunk a
+	// push uses), at 100 ms per chunk ≈ 0.8 s of staging.
 	id, err := w.agent.Submit(condorg.SubmitRequest{
 		Owner:      "u",
-		Executable: paddedWork(32 * 64 << 10),
+		Executable: paddedWork(32 << 20),
 		Args:       []string{"solo"},
 	})
 	if err != nil {

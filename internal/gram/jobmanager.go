@@ -109,7 +109,9 @@ func (jm *JobManager) Close() {
 // wake-up streams unsent output to the client's GASS URLs, resuming from the
 // high-water mark after any failure — "real-time streaming of standard output
 // and error" — and then exits the daemon if its work is over. A failed push
-// is retried at pushRetry pace.
+// is retried at pushRetry pace. Each push authenticates with the job's
+// current proxy, so one refreshed in-band (gram.batch-refresh-credential)
+// is what a redial to a moved client presents once the first has expired.
 func (jm *JobManager) run() {
 	jm.job.mu.Lock()
 	cred := jm.job.cred
@@ -128,7 +130,12 @@ func (jm *JobManager) run() {
 		jm.job.mu.Lock()
 		stdoutURL, stderrURL := jm.job.spec.StdoutURL, jm.job.spec.StderrURL
 		terminal := jm.job.status.State.Terminal()
+		current := jm.job.cred
 		jm.job.mu.Unlock()
+		if current != cred {
+			cred = current
+			gc.SetCredential(cred)
+		}
 		// Both streams are attempted even when the first fails.
 		outDone := jm.pushStream(gc, &jm.job.stdout, stdoutURL)
 		errDone := jm.pushStream(gc, &jm.job.stderr, stderrURL)

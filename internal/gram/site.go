@@ -107,6 +107,9 @@ type siteJob struct {
 	stdout       outBuffer
 	stderr       outBuffer
 	commitTimer  *time.Timer
+	// releaseExec unmaps the executable a cache hit mapped for the run;
+	// nil before stage-in, on the heap paths, and once released.
+	releaseExec func()
 	// kick wakes the job's JobManager (see wake). Buffered so a nudge
 	// raised while the daemon is busy pushing is not lost.
 	kick chan struct{}
@@ -120,6 +123,18 @@ func (j *siteJob) wake() {
 	select {
 	case j.kick <- struct{}{}:
 	default:
+	}
+}
+
+// unmapExec releases the job's mapped executable, if it holds one: at most
+// once, whichever way the job ends first.
+func (j *siteJob) unmapExec() {
+	j.mu.Lock()
+	release := j.releaseExec
+	j.releaseExec = nil
+	j.mu.Unlock()
+	if release != nil {
+		release()
 	}
 }
 
@@ -675,15 +690,19 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 		s.notifyStatus(job)
 	}
 
-	execData, err := s.stageIn(gc, spec.Executable, spec.ExecutableHash)
+	execData, release, err := s.stageIn(gc, spec.Executable, spec.ExecutableHash)
 	if err != nil {
 		fail(fmt.Errorf("stage-in executable: %w", err))
 		return
 	}
+	job.mu.Lock()
+	job.releaseExec = release
+	job.mu.Unlock()
 	var stdin []byte
 	if spec.Stdin != "" {
-		stdin, err = s.stageIn(gc, spec.Stdin, "")
+		stdin, _, err = s.stageIn(gc, spec.Stdin, "")
 		if err != nil {
+			job.unmapExec()
 			fail(fmt.Errorf("stage-in stdin: %w", err))
 			return
 		}
@@ -695,6 +714,9 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 		Cpus:      spec.Cpus,
 		WallLimit: spec.WallLimit,
 		Run: func(ctx context.Context) error {
+			// The body is over when Run returns — finished, failed, killed
+			// at its wall limit, cancelled — and so is the mapping.
+			defer job.unmapExec()
 			env := map[string]string{}
 			for k, v := range spec.Env {
 				env[k] = v
@@ -706,6 +728,7 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 		},
 	}, spec.Estimate)
 	if err != nil {
+		job.unmapExec()
 		fail(fmt.Errorf("lrm submit: %w", err))
 		return
 	}
@@ -732,34 +755,35 @@ func stageFaultClass(err error) faultclass.Class {
 // stageIn fetches a GASS URL through the site's content-addressed
 // executable cache, or treats the string as inline program text when it has
 // no URL scheme (used by tests and GlideIn bootstrap). A non-empty hash is
-// the sha256 content address: a cache hit skips the transfer entirely, and
-// a miss verifies the pulled bytes against the hash before caching them, so
-// a job can never poison the cache entry of another program that shares its
-// name.
-func (s *Site) stageIn(gc *gass.Client, ref, hash string) ([]byte, error) {
+// the sha256 content address: a cache hit skips the transfer entirely and
+// returns the cached object mapped read-only, and a miss verifies the pulled
+// bytes against the hash before caching them, so a job can never poison the
+// cache entry of another program that shares its name. release is nil
+// unless the bytes are a mapping, which the caller must release once.
+func (s *Site) stageIn(gc *gass.Client, ref, hash string) (data []byte, release func(), err error) {
 	u, err := gass.ParseURL(ref)
 	if err != nil {
-		return []byte(ref), nil
+		return []byte(ref), nil, nil
 	}
 	if hash != "" {
 		if data, ok := s.stage.get(hash); ok {
 			s.stage.hits.Add(1)
-			return data, nil
+			return data, func() { s.stage.unmap(data) }, nil
 		}
 		s.stage.misses.Add(1)
 	}
-	data, err := s.pullResumable(gc, u)
+	data, err = s.pullResumable(gc, u)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if hash != "" {
 		if got := HashExecutable(data); got != hash {
-			return nil, fmt.Errorf("gram: staged bytes hash %s, client claimed %s", got[:12], hash[:12])
+			return nil, nil, fmt.Errorf("gram: staged bytes hash %s, client claimed %s", got[:12], hash[:12])
 		}
 		// Best-effort: a full cache disk never fails the job.
 		_ = s.stage.put(hash, data)
 	}
-	return data, nil
+	return data, nil, nil
 }
 
 // pullResumable reads a whole GASS file, preserving the byte offset across
@@ -801,6 +825,12 @@ func (s *Site) pullResumable(gc *gass.Client, u gass.URL) ([]byte, error) {
 func (s *Site) watchLRM(job *siteJob, lrmID string) {
 	st, err := s.cfg.Cluster.Status(lrmID)
 	for ; err == nil; st, err = s.cfg.Cluster.WaitChange(lrmID, st.State) {
+		if st.State.Terminal() {
+			// Released before the verdict is published, so a job reported
+			// terminal holds no mapping. A body that ran released it on
+			// its way out; one cancelled while queued never ran.
+			job.unmapExec()
+		}
 		job.mu.Lock()
 		var newState JobState
 		switch st.State {
@@ -972,7 +1002,12 @@ func (s *Site) Close() {
 			jm.Close()
 		}
 	}
+	// Every body has returned once the cluster is closed; what the watchers
+	// did not see end (a queued job the close cancelled) is released here.
 	s.cfg.Cluster.Close()
+	for _, job := range jobs {
+		job.unmapExec()
+	}
 	s.stage.close()
 	s.store.Close()
 }

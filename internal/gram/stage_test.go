@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 
 	"condorg/internal/faultclass"
 	"condorg/internal/gass"
+	"condorg/internal/lrm"
 	"condorg/internal/wire"
 )
 
@@ -79,6 +81,7 @@ func TestStageCacheResume(t *testing.T) {
 	if !ok || string(got) != string(data) {
 		t.Fatalf("cached object missing or corrupt after resume")
 	}
+	c2.unmap(got)
 	// Commit cleans the partial state.
 	if present, off := c2.check(hash); !present || off != 0 {
 		t.Fatalf("check after commit = (%v, %d), want (true, 0)", present, off)
@@ -138,9 +141,14 @@ func TestStageCachePutConcurrent(t *testing.T) {
 						return
 					default:
 					}
-					if got, ok := c.get(hash); ok && !bytes.Equal(got, data) {
-						t.Errorf("round %d: get returned %d of %d bytes", round, len(got), len(data))
-						return
+					if got, ok := c.get(hash); ok {
+						whole := bytes.Equal(got, data)
+						n := len(got)
+						c.unmap(got)
+						if !whole {
+							t.Errorf("round %d: get returned %d of %d bytes", round, n, len(data))
+							return
+						}
 					}
 				}
 			}()
@@ -167,9 +175,14 @@ func TestStageCachePutConcurrent(t *testing.T) {
 		writers.Wait()
 		close(stop)
 		readers.Wait()
-		if got, ok := c.get(hash); !ok || !bytes.Equal(got, data) {
+		got, ok := c.get(hash)
+		if !ok || !bytes.Equal(got, data) {
 			t.Fatalf("round %d: object missing or short after every writer returned", round)
 		}
+		c.unmap(got)
+	}
+	if n := c.mapped.Load(); n != 0 {
+		t.Fatalf("%d mappings left live after every get was unmapped", n)
 	}
 	left, _ := filepath.Glob(filepath.Join(c.root, "partial", "*"))
 	if len(left) != 0 {
@@ -408,5 +421,167 @@ func TestStageInAuthExpiredHoldsClass(t *testing.T) {
 	err := faultclass.New(faultclass.AuthExpired, fmt.Errorf("proxy expired at %s", time.Now().Format(time.RFC3339)))
 	if got := stageFaultClass(fmt.Errorf("stage-in: %w", err)); got != faultclass.AuthExpired {
 		t.Fatalf("wrapped auth fault classified %v", got)
+	}
+}
+
+// bigProgram returns a runnable "#!condor name" executable padded to n
+// bytes.
+func bigProgram(name string, n int) []byte {
+	prog := Program(name)
+	return append(prog, bytes.Repeat([]byte{'x'}, n-len(prog))...)
+}
+
+// preStage pushes exec into the site's cache the way the agent's data plane
+// does, and returns its hash.
+func (g *testGrid) preStage(t *testing.T, exec []byte) string {
+	t.Helper()
+	gk := g.site.GatekeeperAddr()
+	hash := HashExecutable(exec)
+	if _, err := g.client.StageChunk(gk, hash, 0, exec); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.client.StageCommit(gk, hash, int64(len(exec))); err != nil {
+		t.Fatal(err)
+	}
+	return hash
+}
+
+// waitSiteState waits, without a round trip, until the site's record of job
+// id is in state want, and returns its status.
+func waitSiteState(t *testing.T, s *Site, id string, want JobState) StatusInfo {
+	t.Helper()
+	s.mu.Lock()
+	job := s.jobs[id]
+	s.mu.Unlock()
+	if job == nil {
+		t.Fatalf("site has no job %s", id)
+	}
+	for deadline := time.Now().Add(8 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		job.mu.Lock()
+		st := job.status
+		job.mu.Unlock()
+		if st.State == want {
+			return st
+		}
+		if st.State.Terminal() {
+			t.Fatalf("job %s reached %v (err=%q), want %v", id, st.State, st.Error, want)
+		}
+	}
+	t.Fatalf("job %s never reached %v", id, want)
+	return StatusInfo{}
+}
+
+// TestProgramNameDoesNotCopy: reading a 1 MiB executable's program name
+// allocates the name and nothing else.
+func TestProgramNameDoesNotCopy(t *testing.T) {
+	exec := bigProgram("echo", 1<<20)
+	allocs := testing.AllocsPerRun(20, func() {
+		if name, err := ProgramName(exec); err != nil || name != "echo" {
+			t.Fatalf("ProgramName = %q, %v", name, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ProgramName made %.0f allocations on a 1 MiB executable, want 1", allocs)
+	}
+}
+
+// TestStageInHitDoesNotCopy: a job served from the site's cache runs on
+// the mapped object, so the heap bytes a cache-hit job costs the process
+// (site and client together) stay far below its 1 MiB executable.
+func TestStageInHitDoesNotCopy(t *testing.T) {
+	g := newTestGrid(t)
+	exec := bigProgram("echo", 1<<20)
+	hash := g.preStage(t, exec)
+	run := func() {
+		contact := g.submitAndCommit(t, JobSpec{
+			Executable:     g.gassS.URLFor("bin/missing").String(),
+			ExecutableHash: hash,
+			Args:           []string{"hit"},
+		})
+		// Waited out on the site's own record: a status poll per loop
+		// would bill the wait's length to the job.
+		if st := waitSiteState(t, g.site, contact.JobID, StateDone); !st.ExitOK {
+			t.Fatalf("job failed: %+v", st)
+		}
+	}
+	run() // warm: connections, sessions, the first journal segment
+	const jobs = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perJob := (after.TotalAlloc - before.TotalAlloc) / jobs
+	t.Logf("heap bytes per cache-hit job: %d", perJob)
+	if perJob >= 64<<10 {
+		t.Fatalf("a cache-hit job allocated %d heap bytes for a %d-byte executable, want < 64 KiB", perJob, len(exec))
+	}
+	if hits, _ := g.site.StageCacheStats(); hits != jobs+1 {
+		t.Fatalf("cache hits = %d, want %d", hits, jobs+1)
+	}
+}
+
+// TestStageMappingReleased: a cache hit's mapping lives exactly as long as
+// its job can still run — held while the body runs or waits in the queue,
+// released however the job ends: done, killed at its wall limit, cancelled
+// while queued, or lost to the site's Close. A small object is not mapped.
+func TestStageMappingReleased(t *testing.T) {
+	cluster, err := lrm.NewCluster(lrm.Config{Name: "one", Cpus: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTestGrid(t, func(cfg *SiteConfig) { cfg.Cluster = cluster })
+	hash := g.preStage(t, bigProgram("sleep", 256<<10))
+	submit := func(wall time.Duration, sleep string) string {
+		return g.submitAndCommit(t, JobSpec{
+			Executable:     g.gassS.URLFor("bin/missing").String(),
+			ExecutableHash: hash,
+			Args:           []string{sleep},
+			WallLimit:      wall,
+		}).JobID
+	}
+	live := func(want int64, when string) {
+		t.Helper()
+		if got := g.site.stage.mapped.Load(); got != want {
+			t.Fatalf("%d live mappings %s, want %d", got, when, want)
+		}
+	}
+
+	// An object under mapMin is read, not mapped.
+	tiny := g.submitAndCommit(t, JobSpec{
+		Executable:     g.gassS.URLFor("bin/missing").String(),
+		ExecutableHash: g.preStage(t, Program("sleep")),
+		Args:           []string{"10s"},
+	})
+	waitSiteState(t, g.site, tiny.JobID, StateActive)
+	live(0, "while a small object's body runs")
+	if err := g.client.Cancel(tiny); err != nil {
+		t.Fatal(err)
+	}
+	waitSiteState(t, g.site, tiny.JobID, StateFailed)
+
+	waitSiteState(t, g.site, submit(0, "1ms"), StateDone)
+	live(0, "after a job finished")
+	waitSiteState(t, g.site, submit(50*time.Millisecond, "10s"), StateFailed)
+	live(0, "after a wall-limit kill")
+
+	running := submit(0, "10s")
+	waitSiteState(t, g.site, running, StateActive)
+	live(1, "while a body runs")
+	queued := submit(0, "10s") // the one CPU is taken
+	waitSiteState(t, g.site, queued, StatePending)
+	live(2, "with a job queued behind it")
+	if err := g.client.Cancel(JobContact{GatekeeperAddr: g.site.GatekeeperAddr(), JobID: queued}); err != nil {
+		t.Fatal(err)
+	}
+	waitSiteState(t, g.site, queued, StateFailed)
+	live(1, "after the queued job was cancelled")
+
+	g.site.Close()
+	live(0, "after the site closed under a running job")
+	if st := waitSiteState(t, g.site, running, StateFailed); st.Fault != faultclass.SiteLost {
+		t.Fatalf("job killed by Close: %+v", st)
 	}
 }

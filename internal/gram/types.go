@@ -10,6 +10,7 @@
 package gram
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -132,6 +133,9 @@ type StatusInfo struct {
 type Runtime interface {
 	// Run executes the program. execData is the staged executable's
 	// bytes; args, stdin, and the output writers mirror a Unix process.
+	// execData is read-only and valid only until Run returns: a cache hit
+	// can hand Run the site's read-only mapping of the cached object,
+	// which is unmapped once the job's body is over.
 	Run(ctx context.Context, execData []byte, args []string, stdin []byte, stdout, stderr io.Writer, env map[string]string) error
 }
 
@@ -159,26 +163,16 @@ func (r *FuncRuntime) Register(name string, fn JobFunc) {
 	r.funcs[name] = fn
 }
 
-// ProgramName extracts the program name from staged executable bytes.
+// ProgramName extracts the program name from staged executable bytes. It
+// reads only the first line: the name is the one copy it makes, so a large
+// (or mapped) executable is never copied onto the heap.
 func ProgramName(execData []byte) (string, error) {
-	line := string(execData)
-	if i := indexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	const prefix = "#!condor "
-	if len(line) <= len(prefix) || line[:len(prefix)] != prefix {
+	line, _, _ := bytes.Cut(execData, []byte{'\n'})
+	name, ok := bytes.CutPrefix(line, []byte("#!condor "))
+	if !ok || len(name) == 0 {
 		return "", fmt.Errorf("gram: executable is not a '#!condor <name>' program")
 	}
-	return line[len(prefix):], nil
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
+	return string(name), nil
 }
 
 // Program renders an executable blob for a registered program name.

@@ -37,9 +37,10 @@ go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 # through the gatekeeper without a JobManager, re-verify recovered jobs —
 # pointing their JobManagers at the restarted agent — without one either,
 # and re-delegate credentials through the gatekeeper past a dead JobManager
-# and a partition, and past a site that lost the job; callbacks are matched
-# to the job's gatekeeper.
-go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
+# and a partition, and past a site that lost the job, and on to the output
+# push of a job whose first proxy expired; callbacks are matched to the
+# job's gatekeeper.
+go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestRefreshedCredentialReachesOutputPush|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
 go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
 # The job journal: an admit image plus patches folds back to the record
@@ -53,13 +54,16 @@ go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsO
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
-# temp names, the LRM letting go of finished payloads, and the agent using
+# temp names, a push of up to 4 MiB in one window read chunk by chunk from
+# the spool, a cache hit run on the mapped object (and the program name
+# read without a copy), every mapping released however its job ends, the
+# LRM letting go of finished payloads, and the agent using
 # its own spool without dialing it: one content-addressed object per
 # payload, written once however many submits race on it, replicated keys
 # released only by the last job naming them, records of the old per-job
 # layout still recovered, and one user log per owner across restarts.
 go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
-go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize' ./internal/gram/
+go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy' ./internal/gram/ ./internal/condorg/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
 go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog' ./internal/condorg/
 
