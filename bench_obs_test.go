@@ -19,10 +19,10 @@ import (
 )
 
 // BenchmarkSubmitObsOverhead runs the 8-worker submit burst of
-// BenchmarkSubmitBurst three ways: everything on (the default), just the
-// metric registry off (the nil-registry no-op path — this pair is the
-// within-noise guard), and metrics plus tracing off (tracing costs real
-// work: each trace event rides the journaled job record).
+// BenchmarkSubmitBurst two ways: everything on (the default) and the metric
+// registry off (the nil-registry no-op path) — this pair is the
+// within-noise guard. A job's trace is a view of its history, which is
+// always kept, so there is no tracing-off mode to compare.
 func BenchmarkSubmitObsOverhead(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -30,7 +30,6 @@ func BenchmarkSubmitObsOverhead(b *testing.B) {
 	}{
 		{"enabled", condorg.ObsOptions{}},
 		{"no-metrics", condorg.ObsOptions{Disabled: true}},
-		{"bare", condorg.ObsOptions{Disabled: true, TraceCap: -1}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var runs atomic.Int64

@@ -823,9 +823,6 @@ func jobOp(cmd string, args []string) {
 		if err != nil {
 			die(err)
 		}
-		if tl.Dropped > 0 {
-			fmt.Printf("(%d earlier events dropped; ring capacity %d)\n", tl.Dropped, tl.Cap)
-		}
 		for _, ev := range tl.Events {
 			line := fmt.Sprintf("%4d %s %-14s", ev.Seq, ev.Wall.Format("15:04:05.000"), ev.Phase)
 			if ev.Site != "" {

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,11 +102,9 @@ type StageOptions struct {
 // ObsOptions configures the observability layer.
 type ObsOptions struct {
 	// Disabled turns the metrics registry off: every instrument becomes
-	// a nil-handle no-op. Trace timelines are controlled by TraceCap.
+	// a nil-handle no-op. A job's trace is a view of its history and
+	// stays.
 	Disabled bool
-	// TraceCap bounds each job's trace timeline ring (0 = the default,
-	// obs.DefaultTraceCap; negative disables tracing entirely).
-	TraceCap int
 }
 
 // AgentConfig configures the agent. The zero value (plus StateDir) works:
@@ -275,9 +274,8 @@ type Agent struct {
 	mailbox *Mailbox
 
 	// obs is nil when metrics are disabled (every handle below is then a
-	// nil no-op). traceCap < 0 disables per-job timelines.
+	// nil no-op).
 	obs      *obs.Registry
-	traceCap int
 	mSubmit  *obs.Histogram // agent_submit_seconds
 	mWait    *obs.Histogram // agent_wait_seconds
 	mPersist *obs.Histogram // agent_persist_seconds
@@ -332,7 +330,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		lazy:       make(map[*journal.Store][]*jobRecord),
 		pipeSem:    newFairSem(cfg.Pipeline.MaxInFlight),
 		chunkBufs:  make(chunkBufs, maxChunkBufs),
-		traceCap:   cfg.Obs.TraceCap,
 	}
 	if !cfg.Obs.Disabled {
 		a.obs = obs.NewRegistry()
@@ -388,9 +385,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 // Notifier was supplied).
 func (a *Agent) Mailbox() *Mailbox { return a.mailbox }
 
-// GassAddr returns the agent's GASS server address.
-func (a *Agent) GassAddr() string { return a.gassS.Addr() }
-
 // collectGauges is the registry collector: queue and site gauges computed
 // from live structures at snapshot time. Breaker gauges exist only while
 // the owner has a live GridManager (managers retire when their user's
@@ -399,12 +393,7 @@ func (a *Agent) collectGauges(set func(name string, v float64)) {
 	activeTotal := 0
 	bySite := make(map[string]int)
 	for _, sh := range a.allShards() {
-		sh.mu.Lock()
-		recs := make([]*jobRecord, 0, len(sh.active))
-		for _, rec := range sh.active {
-			recs = append(recs, rec)
-		}
-		sh.mu.Unlock()
+		recs := a.activeJobs(sh.owner)
 		for _, rec := range recs {
 			activeTotal++
 			rec.mu.Lock()
@@ -465,35 +454,16 @@ func (a *Agent) MetricsSnapshot() []obs.Metric { return a.obs.Snapshot() }
 // companion services can register their own instruments.
 func (a *Agent) Obs() *obs.Registry { return a.obs }
 
-// traceLocked appends one event to the job's timeline; the caller holds
-// rec.mu and is responsible for the following persist, which makes the
-// event crash-durable together with the state change it describes.
-func (a *Agent) traceLocked(rec *jobRecord, phase, class, detail string) {
-	if a.traceCap < 0 {
-		return
-	}
-	rec.Trace.Cap = a.traceCap
-	rec.Trace.Append(time.Now(), phase, rec.Site, class, detail)
-}
-
-// trace is traceLocked plus the locking, for call sites that hold no lock.
-func (a *Agent) trace(rec *jobRecord, phase, class, detail string) {
-	rec.mu.Lock()
-	a.traceLocked(rec, phase, class, detail)
-	rec.mu.Unlock()
-}
-
-// Trace returns the job's lifecycle timeline. The timeline is persisted
-// with the job record, so it survives agent crash and recovery.
+// Trace returns the job's lifecycle timeline: its whole history, which is
+// persisted with the job record, so it survives agent crash and recovery.
 func (a *Agent) Trace(id string) (obs.Timeline, error) {
 	rec, ok := a.job(id)
 	if !ok {
 		return obs.Timeline{}, fmt.Errorf("condorg: %w: %q", ErrNoSuchJob, id)
 	}
 	rec.mu.Lock()
-	tl := rec.Trace.Clone()
-	rec.mu.Unlock()
-	return tl, nil
+	defer rec.mu.Unlock()
+	return traceOf(rec.Events), nil
 }
 
 // recover reloads the queue and restarts GridManagers for unfinished work.
@@ -564,7 +534,7 @@ func (a *Agent) recover() error {
 		rec.mu.Lock()
 		a.rewriteSpecURLs(&rec.Spec)
 		held := rec.State == Held
-		a.traceLocked(rec, obs.PhaseRecover, "", "agent restarted; job reloaded from the queue")
+		a.emit(rec, evRecover, "", "agent restarted; job reloaded from the queue")
 		rec.mu.Unlock()
 		// Lazy: the next restart rewrites the URLs again.
 		a.persist(rec, lazy)
@@ -604,14 +574,10 @@ func (a *Agent) addCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 // journals it.
 func (a *Agent) ackCancelTombstone(rec *jobRecord, contact gram.JobContact) {
 	rec.mu.Lock()
-	kept := make([]gram.JobContact, 0, len(rec.CancelPending))
-	for _, c := range rec.CancelPending {
-		if c != contact {
-			kept = append(kept, c)
-		}
-	}
-	rec.CancelPending = kept
-	empty := len(kept) == 0
+	// A fresh slice: a journal write may hold the old one (persist.go).
+	rec.CancelPending = slices.DeleteFunc(slices.Clone(rec.CancelPending),
+		func(c gram.JobContact) bool { return c == contact })
+	empty := len(rec.CancelPending) == 0
 	rec.mu.Unlock()
 	if empty {
 		a.mu.Lock()
@@ -759,8 +725,9 @@ func (a *Agent) rewriteSpecURLs(spec *gram.JobSpec) {
 // appendUserLog writes one event line, tagged with the job's ID, to its
 // owner's user log through a kept per-owner handle: one append-only file
 // shared by all of the owner's jobs, as Condor's user log is shared by the
-// jobs of a cluster. No handle belongs to a job, so none outlives one.
-func (a *Agent) appendUserLog(rec *jobRecord, ev LogEvent) {
+// jobs of a cluster. No handle belongs to a job, so none outlives one. A
+// handle that fails a write is dropped, so the retry opens the file anew.
+func (a *Agent) appendUserLog(rec *jobRecord, ev *Event) error {
 	// ID and Owner are immutable, so they are read without rec.mu.
 	a.logMu.Lock()
 	defer a.logMu.Unlock()
@@ -769,7 +736,7 @@ func (a *Agent) appendUserLog(rec *jobRecord, ev LogEvent) {
 		var err error
 		f, err = os.OpenFile(a.userLogPath(rec.Owner), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 		if err != nil {
-			return
+			return err
 		}
 		if len(a.logFiles) >= maxOpenUserLogs {
 			for victim, vf := range a.logFiles {
@@ -780,7 +747,12 @@ func (a *Agent) appendUserLog(rec *jobRecord, ev LogEvent) {
 		}
 		a.logFiles[rec.Owner] = f
 	}
-	fmt.Fprintf(f, "%s %s %-16s %s\n", ev.Time.Format(time.RFC3339Nano), rec.ID, ev.Code, ev.Text)
+	if _, err := fmt.Fprintf(f, "%s %s %-16s %s\n", ev.At.Format(time.RFC3339Nano), rec.ID, ev.Code, ev.Text); err != nil {
+		f.Close()
+		delete(a.logFiles, rec.Owner)
+		return err
+	}
+	return nil
 }
 
 // UserLogPath returns the on-disk user log that holds job id's events: its
@@ -985,13 +957,11 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 		payloads[stdinRel] = req.Stdin
 	}
 
-	rec := &jobRecord{
-		JobInfo: JobInfo{
-			ID: id, Owner: req.Owner, State: Idle, Site: site, SubmittedAt: time.Now(),
-		},
+	rec := &jobRecord{jobDoc: jobDoc{
+		JobInfo:      JobInfo{ID: id, Owner: req.Owner, State: Idle, Site: site, SubmittedAt: time.Now()},
 		SubmissionID: gram.NewSubmissionID(),
 		Spec:         spec,
-	}
+	}}
 	if !a.cfg.Stage.Disabled {
 		// Content-address the executable: the hash keys the per-site cache
 		// and drives the pre-stage task (resume offsets journal in Stage).
@@ -1002,10 +972,7 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 	if dest == "" {
 		dest = "a deferred-binding site"
 	}
-	rec.mu.Lock()
-	a.traceLocked(rec, obs.PhaseSubmit, "", "accepted into the agent queue")
-	a.noteLocked(rec, "SUBMIT", "job submitted to agent, destined for %s", dest)
-	rec.mu.Unlock()
+	a.emit(rec, evSubmit, "", "job submitted to agent, destined for "+dest) // rec is not shared yet
 	// The admit image is journaled (must-wait) BEFORE the job is queued or
 	// acknowledged (§3.2), and so before the network submission: if we
 	// crash between the journal write and the site's reply, recovery
@@ -1029,7 +996,6 @@ func (a *Agent) Submit(req SubmitRequest) (string, error) {
 	}
 	a.enqueueSubmit(rec)
 	a.changed.Notify()
-	a.obs.Counter("agent_jobs_submitted_total").Inc()
 	elapsed := time.Since(start).Seconds()
 	a.mSubmit.Observe(elapsed)
 	a.obs.Histogram(obs.Key("agent_owner_submit_seconds", "owner", req.Owner)).Observe(elapsed)
@@ -1047,16 +1013,8 @@ func (a *Agent) Status(id string) (JobInfo, error) {
 
 // Jobs lists all jobs sorted by ID.
 func (a *Agent) Jobs() []JobInfo {
-	a.idMu.RLock()
-	out := make([]JobInfo, 0, len(a.ids))
-	for _, rec := range a.ids {
-		out = append(out, rec.snapshot())
-	}
-	a.idMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		return lessJobID(out[i].ID, out[j].ID)
-	})
-	return out
+	jobs, _ := a.JobsFiltered(JobFilter{})
+	return jobs
 }
 
 // JobFilter selects and pages Jobs output. The zero value matches
@@ -1100,17 +1058,8 @@ func (a *Agent) JobsFiltered(f JobFilter) (jobs []JobInfo, next string) {
 			continue // at or before the cursor
 		}
 		info := rec.snapshot()
-		if len(f.States) > 0 {
-			match := false
-			for _, s := range f.States {
-				if info.State == s {
-					match = true
-					break
-				}
-			}
-			if !match {
-				continue
-			}
+		if len(f.States) > 0 && !slices.Contains(f.States, info.State) {
+			continue
 		}
 		if f.Limit > 0 && len(jobs) >= f.Limit {
 			next = jobs[len(jobs)-1].ID
@@ -1129,24 +1078,32 @@ func (a *Agent) Hold(id, reason string) error {
 	if !ok {
 		return fmt.Errorf("condorg: %w: %q", ErrNoSuchJob, id)
 	}
+	if held, err := a.hold(rec, reason); held {
+		return journalErr(id, "hold", err)
+	}
 	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	if rec.State.Terminal() {
-		rec.mu.Unlock()
 		return fmt.Errorf("condorg: %w: job %s is %v", ErrBadJobState, id, rec.State)
 	}
-	if rec.State == Held {
+	return nil
+}
+
+// hold parks a job Held for reason and journals it must-wait. The remote
+// copy, if any, is tombstone-cancelled, not cancelled best-effort: a lost
+// cancel would let it run after a later Release resubmits the job. It
+// reports false, changing nothing, for a job already held or finished.
+func (a *Agent) hold(rec *jobRecord, reason string) (bool, error) {
+	rec.mu.Lock()
+	if rec.State.Terminal() || rec.State == Held {
 		rec.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	rec.State = Held
 	rec.HoldReason = reason
 	contact := rec.Contact
-	a.traceLocked(rec, obs.PhaseHold, "", reason)
-	a.noteLocked(rec, "HELD", "job held: %s", reason)
+	a.emit(rec, evHold, "", "job held: "+reason)
 	rec.mu.Unlock()
-	a.obs.Counter("agent_jobs_held_total").Inc()
-	// Tombstoned, not best-effort: a lost cancel here would let the old
-	// copy run after a later Release resubmits the job.
 	a.addCancelTombstone(rec, contact)
 	err := a.persist(rec, mustWait)
 	rec.release(err == nil)
@@ -1154,7 +1111,7 @@ func (a *Agent) Hold(id, reason string) error {
 	if contact.JobID != "" {
 		a.managerFor(rec.Owner).dispatchCancelsFor(rec)
 	}
-	return journalErr(id, "hold", err)
+	return true, err
 }
 
 // Release returns a held job to Idle; it will be (re)submitted.
@@ -1177,8 +1134,7 @@ func (a *Agent) Release(id string) error {
 	rec.Contact = gram.JobContact{}
 	rec.Remote = gram.StateUnsubmitted
 	rec.SubmitRetries = 0
-	a.traceLocked(rec, obs.PhaseRelease, "", "released from hold")
-	a.noteLocked(rec, "RELEASED", "job released from hold")
+	a.emit(rec, evRelease, "", "job released from hold")
 	rec.mu.Unlock()
 	err := a.persist(rec, mustWait)
 	rec.release(err == nil)
@@ -1204,10 +1160,8 @@ func (a *Agent) Remove(id string) error {
 	rec.State = Removed
 	rec.FinishedAt = time.Now()
 	contact := rec.Contact
-	a.traceLocked(rec, obs.PhaseRemove, "", "removed by user")
-	a.noteLocked(rec, "REMOVED", "job removed by user")
+	a.emit(rec, evRemove, "", "job removed by user")
 	rec.mu.Unlock()
-	a.obs.Counter("agent_jobs_removed_total").Inc()
 	a.addCancelTombstone(rec, contact)
 	err := a.persist(rec, mustWait)
 	a.finishJob(rec, err == nil)
@@ -1277,13 +1231,7 @@ func (a *Agent) WaitAll(ctx context.Context) error {
 // with that state durable.
 func (a *Agent) hasRunnableJobs() bool {
 	for _, sh := range a.allShards() {
-		sh.mu.Lock()
-		recs := make([]*jobRecord, 0, len(sh.active))
-		for _, rec := range sh.active {
-			recs = append(recs, rec)
-		}
-		sh.mu.Unlock()
-		for _, rec := range recs {
+		for _, rec := range a.activeJobs(sh.owner) {
 			rec.mu.Lock()
 			runnable := !rec.settled && rec.State != Held
 			rec.mu.Unlock()
@@ -1354,23 +1302,12 @@ func (a *Agent) handleCallback(_ string, body json.RawMessage) (any, error) {
 	return struct{}{}, nil
 }
 
-// remoteRank orders GRAM states along the job lifecycle so stale,
-// out-of-order status deliveries (callbacks are asynchronous) cannot move
-// a job backwards.
-func remoteRank(s gram.JobState) int {
-	switch s {
-	case gram.StateUnsubmitted:
-		return 0
-	case gram.StateStageIn:
-		return 1
-	case gram.StatePending:
-		return 2
-	case gram.StateActive:
-		return 3
-	case gram.StateDone, gram.StateFailed:
-		return 4
-	}
-	return 0
+// remoteRank orders GRAM states along the job lifecycle (Unsubmitted is 0)
+// so stale, out-of-order status deliveries (callbacks are asynchronous)
+// cannot move a job backwards.
+var remoteRank = map[gram.JobState]int{
+	gram.StateStageIn: 1, gram.StatePending: 2, gram.StateActive: 3,
+	gram.StateDone: 4, gram.StateFailed: 4,
 }
 
 // applyRemoteStatus folds a GRAM status a callback delivered into the job
@@ -1413,7 +1350,7 @@ func (a *Agent) foldRemoteStatus(rec *jobRecord, st gram.StatusInfo) (changed, d
 		// incarnation at another site can collide with the live job ID.
 		return false, false
 	}
-	if remoteRank(st.State) < remoteRank(rec.Remote) {
+	if remoteRank[st.State] < remoteRank[rec.Remote] {
 		return false, false // stale out-of-order delivery
 	}
 	transitioned := rec.Remote != st.State
@@ -1422,7 +1359,6 @@ func (a *Agent) foldRemoteStatus(rec *jobRecord, st gram.StatusInfo) (changed, d
 	}
 	rec.Remote = st.State
 	rec.Disconnected = false
-	var code, text string
 	switch st.State {
 	case gram.StatePending:
 		rec.State = Idle
@@ -1430,32 +1366,30 @@ func (a *Agent) foldRemoteStatus(rec *jobRecord, st gram.StatusInfo) (changed, d
 			rec.PendingSince = time.Now()
 		}
 		if transitioned {
-			a.traceLocked(rec, obs.PhasePending, "", "queued in the site's local resource manager")
+			a.emit(rec, evPending, "", "queued in the site's local resource manager")
 		}
 	case gram.StateActive:
 		rec.State = Running
 		rec.PendingSince = time.Time{}
-		code, text = "EXECUTE", "job began executing at "+rec.Site
 		if transitioned {
-			a.traceLocked(rec, obs.PhaseActive, "", "")
+			a.emit(rec, evActive, "", "job began executing at "+rec.Site)
 		}
 	case gram.StateDone:
+		// Always a transition: a job already Done remotely is Completed.
 		rec.State = Completed
 		rec.ExitOK = true
 		rec.FinishedAt = time.Now()
-		code, text = "TERMINATED", "job completed successfully"
-		a.traceLocked(rec, obs.PhaseDone, "", "")
+		a.emit(rec, evDone, "", "job completed successfully")
 	case gram.StateFailed:
 		// Site-lost jobs are the GridManager's to resubmit; it
 		// decides in its loop (maybeResubmit records the fault event
 		// with its class). Mark the remote error for it.
 		rec.Error = st.Error
-		code, text = "REMOTE_FAILURE", "remote failure: "+st.Error
+		if transitioned {
+			a.emit(rec, evRemoteFailure, st.Fault.String(), "remote failure: "+st.Error)
+		}
 	default:
 		rec.State = Idle
-	}
-	if transitioned && code != "" {
-		a.noteLocked(rec, code, "%s", text)
 	}
 	done = st.State == gram.StateDone
 	if !done {
@@ -1554,13 +1488,7 @@ func (a *Agent) SetCredential(cred *gsi.Credential) {
 func (a *Agent) HoldAll(owner, reason string) []string {
 	var held []string
 	for _, rec := range a.activeJobsSorted(owner) {
-		rec.mu.Lock()
-		skip := rec.State.Terminal() || rec.State == Held
-		rec.mu.Unlock()
-		if skip {
-			continue
-		}
-		if err := a.Hold(rec.ID, reason); err == nil {
+		if ok, err := a.hold(rec, reason); ok && err == nil {
 			held = append(held, rec.ID)
 		}
 	}

@@ -94,7 +94,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		contact := r.Contact
 		m.rec.mu.Lock()
 		m.rec.Contact = contact
-		gm.agent.traceLocked(m.rec, obs.PhaseGridSubmit, "", "site issued "+contact.JobID)
+		gm.agent.emit(m.rec, evGridSubmit, "", "site issued "+contact.JobID)
 		m.rec.mu.Unlock()
 		gm.agent.mu.Lock()
 		gm.agent.bySiteJob[contact.JobID] = m.rec.ID
@@ -135,8 +135,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		gm.agent.obs.Histogram("gm_two_phase_seconds").Observe(elapsed)
 		gm.agent.obs.Counter(obs.Key("gm_site_submits_total", "site", site)).Inc()
 		cm.rec.mu.Lock()
-		gm.agent.traceLocked(cm.rec, obs.PhaseCommit, "", "two-phase commit complete")
-		gm.agent.noteLocked(cm.rec, "GRID_SUBMIT", "job submitted to %s as %s", site, cm.contact.JobID)
+		gm.agent.emit(cm.rec, evCommit, "", "job submitted to "+site+" as "+cm.contact.JobID)
 		cm.rec.mu.Unlock()
 		// Lazy: the contact is on disk, and the probe re-derives the rest.
 		gm.agent.persist(cm.rec, lazy)
@@ -154,8 +153,7 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 		rec.mu.Unlock()
 		return
 	}
-	gm.agent.traceLocked(rec, obs.PhaseCommitRetry, faultclass.ClassOf(err).String(), err.Error())
-	gm.agent.noteLocked(rec, "COMMIT_RETRY", "commit failed (%v); will re-verify", err)
+	gm.agent.emit(rec, evCommitRetry, faultclass.ClassOf(err).String(), "commit failed ("+err.Error()+"); will re-verify")
 	rec.mu.Unlock()
 	gm.agent.persist(rec, lazy)
 	gm.mu.Lock()
@@ -223,7 +221,7 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 				// can never finish there. Same verdict as a failed
 				// jm-restart.
 				m.rec.mu.Lock()
-				gm.agent.noteLocked(m.rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", r.Err)
+				gm.agent.emit(m.rec, evJMRestartFailed, faultclass.SiteLost.String(), "site no longer knows the job: "+r.Err.Error())
 				m.rec.mu.Unlock()
 				if after := gm.maybeResubmit(m.rec, siteLostStatus(r.Err.Error()), frameWait); after != nil {
 					released = append(released, after)
@@ -295,8 +293,7 @@ func (gm *GridManager) cancelBatch(pairs []incarnation) {
 		}
 		gm.agent.ackCancelTombstone(p.rec, p.contact)
 		p.rec.mu.Lock()
-		gm.agent.traceLocked(p.rec, obs.PhaseCancelAck, "", "old copy "+p.contact.JobID+" confirmed cancelled")
-		gm.agent.noteLocked(p.rec, "CANCEL_ACKED", "old copy %s confirmed cancelled", p.contact.JobID)
+		gm.agent.emit(p.rec, evCancelAck, "", "old copy "+p.contact.JobID+" confirmed cancelled")
 		p.rec.mu.Unlock()
 		// Lazy: a lost ack only re-sends an idempotent cancel.
 		gm.agent.persist(p.rec, lazy)

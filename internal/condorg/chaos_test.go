@@ -298,7 +298,7 @@ func runChaosSeed(t *testing.T, seed int64) {
 				t.Fatalf("job %s has %q trace event after completion:\n%+v", id, ev.Phase, tl.Events)
 			}
 		}
-		if tl.Dropped == 0 && countPhase(tl, obs.PhaseResubmit) != info.Resubmits {
+		if countPhase(tl, obs.PhaseResubmit) != info.Resubmits {
 			t.Fatalf("job %s: %d resubmit trace events vs %d recorded resubmits:\n%+v",
 				id, countPhase(tl, obs.PhaseResubmit), info.Resubmits, tl.Events)
 		}

@@ -455,60 +455,57 @@ func (c *ControlServer) opQueue(owner string, body json.RawMessage) (any, error)
 	return CtlQueueResp{Jobs: jobs, Next: encodeCursor(next)}, nil
 }
 
+// decodeJobOp decodes the body of a per-job op into req and authorizes
+// owner for the job *id (a field of req) names.
+func (c *ControlServer) decodeJobOp(owner, op string, body json.RawMessage, req any, id *string) error {
+	if err := json.Unmarshal(body, req); err != nil {
+		return ctlBadRequest("condorg: bad %s body: %v", op, err)
+	}
+	if cerr := c.authorizeJob(owner, *id); cerr != nil {
+		return cerr
+	}
+	return nil
+}
+
 func (c *ControlServer) opStatus(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad status body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "status", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	return c.agent.Status(req.ID)
 }
 
 func (c *ControlServer) opRemove(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad rm body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "rm", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	return struct{}{}, c.agent.Remove(req.ID)
 }
 
 func (c *ControlServer) opHold(owner string, body json.RawMessage) (any, error) {
 	var req ctlHold
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad hold body: %v", err)
+	if err := c.decodeJobOp(owner, "hold", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	if req.Reason == "" {
 		req.Reason = "held by user"
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
 	}
 	return struct{}{}, c.agent.Hold(req.ID, req.Reason)
 }
 
 func (c *ControlServer) opRelease(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad release body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "release", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	return struct{}{}, c.agent.Release(req.ID)
 }
 
 func (c *ControlServer) opLog(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad log body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "log", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	events, err := c.agent.UserLog(req.ID)
 	if err != nil {
@@ -519,11 +516,8 @@ func (c *ControlServer) opLog(owner string, body json.RawMessage) (any, error) {
 
 func (c *ControlServer) opStdout(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad stdout body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "stdout", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	data, err := c.agent.Stdout(req.ID)
 	if err != nil {
@@ -534,11 +528,8 @@ func (c *ControlServer) opStdout(owner string, body json.RawMessage) (any, error
 
 func (c *ControlServer) opWait(owner string, body json.RawMessage) (any, error) {
 	var req ctlWait
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad wait body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "wait", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	// Wait briefly server-side; the client re-calls for long waits so a
 	// single RPC never outlives the wire timeout. The wait itself is
@@ -558,11 +549,8 @@ func (c *ControlServer) opWait(owner string, body json.RawMessage) (any, error) 
 
 func (c *ControlServer) opTrace(owner string, body json.RawMessage) (any, error) {
 	var req ctlID
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, ctlBadRequest("condorg: bad trace body: %v", err)
-	}
-	if cerr := c.authorizeJob(owner, req.ID); cerr != nil {
-		return nil, cerr
+	if err := c.decodeJobOp(owner, "trace", body, &req, &req.ID); err != nil {
+		return nil, err
 	}
 	tl, err := c.agent.Trace(req.ID)
 	if err != nil {

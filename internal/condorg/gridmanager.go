@@ -9,7 +9,6 @@ import (
 	"condorg/internal/faultclass"
 	"condorg/internal/gram"
 	"condorg/internal/gsi"
-	"condorg/internal/obs"
 	"condorg/internal/wire"
 )
 
@@ -267,9 +266,9 @@ func (gm *GridManager) submitFailed(rec *jobRecord, site string, err error) {
 	rec.SubmitRetries++
 	n := rec.SubmitRetries
 	max := gm.agent.cfg.Retry.MaxSubmitRetries
-	gm.agent.traceLocked(rec, obs.PhaseSubmitRetry, faultclass.ClassOf(err).String(), err.Error())
-	if n < max {
-		gm.agent.noteLocked(rec, "SUBMIT_RETRY", "submission to %s failed (%d/%d: %v); will retry", site, n, max, err)
+	if n < max { // the last failure's event is the hold
+		gm.agent.emit(rec, evSubmitRetry, faultclass.ClassOf(err).String(),
+			fmt.Sprintf("submission to %s failed (%d/%d: %v); will retry", site, n, max, err))
 	}
 	rec.mu.Unlock()
 	if n >= max {
@@ -283,28 +282,15 @@ func (gm *GridManager) submitFailed(rec *jobRecord, site string, err error) {
 	gm.mu.Unlock()
 }
 
-// holdJob parks a job Held with the given reason and notifies the owner —
-// the paper's hold-and-notify response to conditions that need a human
-// (§4.3). Held is not terminal: the user can fix the cause and release.
+// holdJob parks a job Held with the given reason (Agent.hold, which also
+// tombstones its remote copy) and notifies the owner — the paper's
+// hold-and-notify response to conditions that need a human (§4.3). Held is
+// not terminal: the user can fix the cause and release.
 func (gm *GridManager) holdJob(rec *jobRecord, reason string) {
-	rec.mu.Lock()
-	if rec.State.Terminal() || rec.State == Held {
-		rec.mu.Unlock()
-		return
+	if held, _ := gm.agent.hold(rec, reason); held {
+		gm.agent.cfg.Notifier.Notify(rec.Owner, "job "+rec.ID+" held",
+			fmt.Sprintf("Your job %s was held: %s", rec.ID, reason))
 	}
-	rec.State = Held
-	rec.HoldReason = reason
-	owner := rec.Owner
-	id := rec.ID
-	gm.agent.traceLocked(rec, obs.PhaseHold, "", reason)
-	gm.agent.noteLocked(rec, "HELD", "job held: %s", reason)
-	rec.mu.Unlock()
-	gm.agent.obs.Counter("agent_jobs_held_total").Inc()
-	err := gm.agent.persist(rec, mustWait)
-	rec.release(err == nil)
-	gm.agent.noteJobChange(owner)
-	gm.agent.cfg.Notifier.Notify(owner, "job "+id+" held",
-		fmt.Sprintf("Your job %s was held: %s", id, reason))
 }
 
 // markDisconnected records that a job's site is unreachable. "Either the
@@ -316,9 +302,7 @@ func (gm *GridManager) markDisconnected(rec *jobRecord, gkAddr string) {
 	already := rec.Disconnected
 	rec.Disconnected = true
 	if !already {
-		gm.agent.traceLocked(rec, obs.PhaseDisconnect, "",
-			"lost contact with "+gkAddr)
-		gm.agent.noteLocked(rec, "DISCONNECTED", "lost contact with %s; waiting to reconnect", gkAddr)
+		gm.agent.emit(rec, evDisconnect, "", "lost contact with "+gkAddr+"; waiting to reconnect")
 		rec.bumpLocked()
 	}
 	rec.mu.Unlock()
@@ -348,12 +332,15 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 			// The site is alive but has no record of the job — it can
 			// never finish there. Resubmit instead of probing forever.
 			rec.mu.Lock()
-			gm.agent.noteLocked(rec, "JM_RESTART_FAILED", "site no longer knows the job: %v", err)
+			gm.agent.emit(rec, evJMRestartFailed, faultclass.SiteLost.String(), "site no longer knows the job: "+err.Error())
 			rec.mu.Unlock()
 			gm.siteLost(rec, err.Error())
 			return
 		}
-		gm.agent.log(rec, lazy, "JM_RESTART_FAILED", "jobmanager restart failed: %v", err)
+		rec.mu.Lock()
+		gm.agent.emit(rec, evJMRestartFailed, faultclass.ClassOf(err).String(), "jobmanager restart failed: "+err.Error())
+		rec.mu.Unlock()
+		gm.agent.persist(rec, lazy)
 		return
 	}
 	rec.mu.Lock()
@@ -364,14 +351,10 @@ func (gm *GridManager) restartJobManagerFor(rec *jobRecord, contact gram.JobCont
 	wasDisconnected := rec.Disconnected
 	rec.Disconnected = false
 	if wasDisconnected {
-		gm.agent.traceLocked(rec, obs.PhaseReconnect, "",
-			"reestablished contact with "+contact.GatekeeperAddr)
-		gm.agent.noteLocked(rec, "RECONNECTED", "reestablished contact with %s", contact.GatekeeperAddr)
+		gm.agent.emit(rec, evReconnect, "", "reestablished contact with "+contact.GatekeeperAddr)
 		rec.bumpLocked()
 	} else {
-		gm.agent.traceLocked(rec, obs.PhaseJMRestart, "",
-			"replacement jobmanager started by "+contact.GatekeeperAddr)
-		gm.agent.noteLocked(rec, "JM_RESTARTED", "started replacement jobmanager through %s", contact.GatekeeperAddr)
+		gm.agent.emit(rec, evJMRestart, "", "started replacement jobmanager through "+contact.GatekeeperAddr)
 	}
 	rec.mu.Unlock()
 	// Lazy: the next probe re-derives both.
@@ -413,12 +396,9 @@ func (gm *GridManager) maybeMigrate(rec *jobRecord, st gram.StatusInfo) {
 	// The new site has none of our bytes: restart staging from zero (the
 	// destination's cache may still short-circuit the transfer).
 	rec.Stage = StageInfo{Hash: rec.Stage.Hash, Total: rec.Stage.Total}
-	n := rec.Migrations
-	gm.agent.traceLocked(rec, obs.PhaseMigrate, "",
-		fmt.Sprintf("queued too long at %s; migration %d", currentSite, n))
-	gm.agent.noteLocked(rec, "MIGRATED", "queued too long at %s; migrating to %s (migration %d)", currentSite, newSite, n)
+	gm.agent.emit(rec, evMigrate, "",
+		fmt.Sprintf("queued too long at %s; migrating to %s (migration %d)", currentSite, newSite, rec.Migrations))
 	rec.mu.Unlock()
-	gm.agent.obs.Counter("agent_migrations_total").Inc()
 	gm.agent.unindexSiteJob(oldContact.JobID, rec.ID)
 	// The old queued copy must be withdrawn or the job could run twice. A
 	// tombstone makes the cancel durable: the dispatcher retries it on the
@@ -473,26 +453,22 @@ func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo, d durab
 	}
 	// The fault event precedes whatever we decide to do about it, so a
 	// timeline always reads fault → (resubmit | failed).
-	gm.agent.traceLocked(rec, obs.PhaseFault, st.Fault.String(), st.Error)
+	gm.agent.emit(rec, evFault, st.Fault.String(), st.Error)
 	siteLost := st.Fault == faultclass.SiteLost
 	if !siteLost || rec.Resubmits >= gm.agent.cfg.Retry.MaxResubmits {
 		rec.State = Failed
 		rec.Error = st.Error
 		rec.FinishedAt = time.Now()
-		owner := rec.Owner
-		id := rec.ID
-		gm.agent.traceLocked(rec, obs.PhaseFailed, st.Fault.String(), st.Error)
-		gm.agent.noteLocked(rec, "FAILED", "job failed: %s", st.Error)
+		gm.agent.emit(rec, evFailed, st.Fault.String(), "job failed: "+st.Error)
 		rec.mu.Unlock()
-		gm.agent.obs.Counter("agent_jobs_failed_total").Inc()
 		werr := gm.agent.persist(rec, d)
 		after = func(ok bool) {
 			ok = ok && werr == nil
 			gm.agent.finishJob(rec, ok)
-			gm.agent.noteJobChange(owner)
+			gm.agent.noteJobChange(rec.Owner)
 			if ok {
-				gm.agent.cfg.Notifier.Notify(owner, "job "+id+" failed",
-					fmt.Sprintf("Your job %s failed: %s", id, st.Error))
+				gm.agent.cfg.Notifier.Notify(rec.Owner, "job "+rec.ID+" failed",
+					fmt.Sprintf("Your job %s failed: %s", rec.ID, st.Error))
 			}
 		}
 		if d == frameWait {
@@ -514,13 +490,10 @@ func (gm *GridManager) maybeResubmit(rec *jobRecord, st gram.StatusInfo, d durab
 			rec.Site = site
 		}
 	}
-	n := rec.Resubmits
-	gm.agent.traceLocked(rec, obs.PhaseResubmit, st.Fault.String(),
-		fmt.Sprintf("resubmission %d", n))
-	gm.agent.noteLocked(rec, "RESUBMIT", "site lost the job (%s); resubmission %d", st.Error, n)
+	gm.agent.emit(rec, evResubmit, st.Fault.String(),
+		fmt.Sprintf("site lost the job (%s); resubmission %d", st.Error, rec.Resubmits))
 	rec.bumpLocked()
 	rec.mu.Unlock()
-	gm.agent.obs.Counter(obs.Key("agent_resubmits_total", "class", st.Fault.String())).Inc()
 	gm.agent.unindexSiteJob(oldContact.JobID, rec.ID)
 	gm.agent.persist(rec, lazy)
 	gm.mu.Lock()
@@ -633,11 +606,8 @@ func (gm *GridManager) refreshBatch(recs []*jobRecord) {
 		m.rec.mu.Lock()
 		m.rec.credRefresh = false
 		m.rec.credRefreshTries = 0
-		gm.agent.traceLocked(m.rec, obs.PhaseCredRefresh, "",
-			"refreshed credential delivered in-band to "+gkAddr)
-		gm.agent.noteLocked(m.rec, "CRED_REFRESH", "refreshed credential delivered to %s", gkAddr)
+		gm.agent.emit(m.rec, evCredRefresh, "", "refreshed credential delivered to "+gkAddr)
 		m.rec.mu.Unlock()
-		gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "ok")).Inc()
 		// Lazy: the obligation itself is never journaled (credRefresh).
 		gm.agent.persist(m.rec, lazy)
 	}
@@ -658,18 +628,17 @@ func (gm *GridManager) credRefreshRefused(rec *jobRecord, gkAddr string, err err
 		return
 	}
 	rec.credRefreshTries++
-	n := rec.credRefreshTries
-	gm.agent.traceLocked(rec, obs.PhaseCredRefresh, class.String(), "re-delegation refused: "+err.Error())
-	exhausted := n >= maxCredRefreshTries ||
+	exhausted := rec.credRefreshTries >= maxCredRefreshTries ||
 		class == faultclass.Permanent || class == faultclass.AuthExpired
+	kind := evCredRetry
 	if exhausted {
 		rec.credRefresh = false
+		kind = evCredFallback
 	}
+	gm.agent.emit(rec, kind, class.String(), "re-delegation refused: "+err.Error())
 	rec.mu.Unlock()
 	if !exhausted {
-		gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "retry")).Inc()
 		return // still flagged; the next dispatch pass retries
 	}
-	gm.agent.obs.Counter(obs.Key("cred_redelegations_total", "outcome", "fallback")).Inc()
 	gm.holdJob(rec, fmt.Sprintf("credential re-delegation to %s failed (%v)", gkAddr, err))
 }

@@ -49,20 +49,27 @@ const (
 const maxPatchesPerImage = 32
 
 // jobDoc is a job record as journaled in full: the admit image, a re-image,
-// and what folding an image with its patches rebuilds. The layout is the
-// one every earlier release wrote for every write.
+// and what folding an image with its patches rebuilds.
 type jobDoc struct {
 	JobInfo
-	SubmissionID string        `json:"submission_id"`
-	Spec         gram.JobSpec  `json:"spec"`
-	Remote       gram.JobState `json:"remote"`
-	Trace        obs.Timeline  `json:"trace"`
+	SubmissionID string       `json:"submission_id"`
+	Spec         gram.JobSpec `json:"spec"`
+	// Remote mirrors the last GRAM state seen, to detect transitions.
+	Remote gram.JobState `json:"remote"`
+	// Events is the job's history, appended only through Agent.emit.
+	Events eventList `json:"events"`
+	// What a record written before the event stream holds instead of
+	// Events: read, folded into Events (foldHistory), never written.
+	// OldLog hides JobInfo.Log, which a job record leaves empty.
+	OldLog   []LogEvent    `json:"log,omitempty"`
+	OldTrace *obs.Timeline `json:"trace,omitempty"`
 }
 
 // A patch is a JSON object holding, under its jobDoc name, every top-level
 // field whose value changed since the record's previous write, plus the
-// user-log and trace events appended since then under "log" and "trace"
-// (there, lists to append rather than values to replace).
+// events appended since then under "events" (there, a list to append
+// rather than a value to replace). A patch of a record written before the
+// event stream carries "log" and "trace" lists instead.
 
 // docField is one top-level jobDoc field a patch replaces whole: its JSON
 // name and its index path (JobInfo's fields are promoted).
@@ -73,12 +80,12 @@ type docField struct {
 
 // docFields lists jobDoc's replaceable fields, found by reflection, so a
 // field added to the record is patched without being listed anywhere. The
-// user log and the trace are left out: patches append to them.
+// history is left out: patches append to it.
 var docFields = func() []docField {
 	var out []docField
 	for _, f := range reflect.VisibleFields(reflect.TypeFor[jobDoc]()) {
 		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if f.Anonymous || !f.IsExported() || name == "-" || name == "log" || name == "trace" {
+		if f.Anonymous || !f.IsExported() || name == "-" || name == "events" || name == "log" || name == "trace" {
 			continue
 		}
 		if name == "" {
@@ -121,21 +128,23 @@ func applyPatch(doc *jobDoc, raw json.RawMessage) error {
 		return err
 	}
 	v := reflect.ValueOf(doc).Elem()
+	var oldLog []LogEvent
+	var oldTrace []obs.TraceEvent
 	for name, val := range members {
 		switch name {
+		case "events":
+			evs, err := doc.Events.decode(val)
+			if err != nil {
+				return fmt.Errorf("events: %w", err)
+			}
+			doc.Events = evs
 		case "log":
-			var evs []LogEvent
-			if err := json.Unmarshal(val, &evs); err != nil {
+			if err := json.Unmarshal(val, &oldLog); err != nil {
 				return fmt.Errorf("log: %w", err)
 			}
-			doc.Log = append(doc.Log, evs...)
 		case "trace":
-			var evs []obs.TraceEvent
-			if err := json.Unmarshal(val, &evs); err != nil {
+			if err := json.Unmarshal(val, &oldTrace); err != nil {
 				return fmt.Errorf("trace: %w", err)
-			}
-			for _, ev := range evs {
-				doc.Trace.Append(ev.Wall, ev.Phase, ev.Site, ev.Class, ev.Detail)
 			}
 		default:
 			i := slices.IndexFunc(docFields, func(f docField) bool { return f.name == name })
@@ -152,6 +161,7 @@ func applyPatch(doc *jobDoc, raw json.RawMessage) error {
 			field.Set(fresh.Elem())
 		}
 	}
+	doc.Events = foldHistory(doc.Events, oldLog, oldTrace)
 	return nil
 }
 
@@ -164,19 +174,12 @@ func patchOf(jw journaled, doc *jobDoc, fields [][]byte) ([]byte, error) {
 			raw = appendMember(raw, f.name, fields[i])
 		}
 	}
-	if logs := doc.Log[jw.logN:]; len(logs) > 0 {
-		enc, err := json.Marshal(logs)
+	if evs := doc.Events[jw.events:]; len(evs) > 0 {
+		enc, err := evs.encode(doc.Events[:jw.events])
 		if err != nil {
 			return nil, err
 		}
-		raw = appendMember(raw, "log", enc)
-	}
-	if first := jw.traceN - doc.Trace.Dropped; first < len(doc.Trace.Events) {
-		enc, err := json.Marshal(doc.Trace.Events[max(first, 0):])
-		if err != nil {
-			return nil, err
-		}
-		raw = appendMember(raw, "trace", enc)
+		raw = appendMember(raw, "events", enc)
 	}
 	if len(raw) == 1 {
 		return nil, nil
@@ -190,8 +193,7 @@ type journaled struct {
 	imaged  bool     // an image exists (false only before admission)
 	patches int      // patches on the current image
 	fields  [][]byte // docFields values of the last write
-	logN    int      // user-log events written
-	traceN  int      // trace events written (a Timeline sequence number)
+	events  int      // events written
 }
 
 // foldJob rebuilds a job record from its image and patches, decoding each
@@ -204,6 +206,10 @@ func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*job
 	if err := json.Unmarshal(image, &doc); err != nil {
 		return nil, fmt.Errorf("condorg: job record %s: %w", key, err)
 	}
+	if doc.OldTrace != nil { // an image from before the event stream
+		doc.Events = foldHistory(doc.Events, doc.OldLog, doc.OldTrace.Events)
+		doc.OldLog, doc.OldTrace = nil, nil
+	}
 	for i, raw := range patches {
 		if err := applyPatch(&doc, raw); err != nil {
 			return nil, fmt.Errorf("condorg: job record %s patch %d: %w", key, i, err)
@@ -213,24 +219,12 @@ func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*job
 	if err != nil {
 		return nil, err
 	}
-	rec := &jobRecord{
-		JobInfo:      doc.JobInfo,
-		SubmissionID: doc.SubmissionID,
-		Spec:         doc.Spec,
-		Remote:       doc.Remote,
-		Trace:        doc.Trace,
-	}
+	rec := &jobRecord{jobDoc: doc}
 	// What was read back is durable: terminal states may be reported, and
 	// its user-log lines were mirrored when they were written.
 	rec.settled = rec.State.Terminal()
-	rec.mirrored = len(rec.Log)
-	rec.jw = journaled{
-		imaged:  true,
-		patches: len(patches),
-		fields:  fields,
-		logN:    len(rec.Log),
-		traceN:  rec.Trace.Dropped + len(rec.Trace.Events),
-	}
+	rec.mirrored = len(rec.Events)
+	rec.jw = journaled{imaged: true, patches: len(patches), fields: fields, events: len(rec.Events)}
 	return rec, nil
 }
 
@@ -249,7 +243,7 @@ func (a *Agent) persist(rec *jobRecord, d durability) error {
 		// running job. A crash before that commit re-derives the change,
 		// and its line appears a second time.
 		rec.mu.Lock()
-		a.mirrorLocked(rec, len(rec.Log))
+		a.mirrorLocked(rec, len(rec.Events))
 		rec.mu.Unlock()
 		a.lazyMu.Lock()
 		if !rec.lazyQueued {
@@ -297,15 +291,13 @@ func (a *Agent) write(rec *jobRecord, store *journal.Store, d durability) error 
 	jw := rec.jw
 	rec.mu.Lock()
 	// A shallow copy suffices: the record's slices only grow or are
-	// replaced (CancelPending, the trace's copy-on-evict), never rewritten
-	// in place.
-	doc := jobDoc{rec.JobInfo, rec.SubmissionID, rec.Spec, rec.Remote, rec.Trace}
+	// replaced (CancelPending), never rewritten in place.
+	doc := rec.jobDoc
 	rec.mu.Unlock()
 	fields, err := marshalFields(&doc)
 	if err != nil {
 		return err
 	}
-	traceN := doc.Trace.Dropped + len(doc.Trace.Events)
 	full := !jw.imaged || jw.patches >= maxPatchesPerImage
 	var raw []byte
 	if full {
@@ -336,18 +328,12 @@ func (a *Agent) write(rec *jobRecord, store *journal.Store, d durability) error 
 	if err != nil {
 		return err
 	}
-	rec.jw = journaled{
-		imaged:  true,
-		patches: jw.patches + 1,
-		fields:  fields,
-		logN:    len(doc.Log),
-		traceN:  traceN,
-	}
+	rec.jw = journaled{imaged: true, patches: jw.patches + 1, fields: fields, events: len(doc.Events)}
 	if full {
 		rec.jw.patches = 0
 	}
 	rec.mu.Lock()
-	a.mirrorLocked(rec, len(doc.Log))
+	a.mirrorLocked(rec, len(doc.Events))
 	rec.mu.Unlock()
 	return nil
 }
@@ -361,31 +347,18 @@ func (a *Agent) flushOwner(owner string) error {
 	return store.Flush()
 }
 
-// noteLocked appends one event to the job's user log; the record's next
-// journal write carries it, together with the change it describes. Caller
-// holds rec.mu.
-func (a *Agent) noteLocked(rec *jobRecord, code, format string, args ...any) {
-	rec.Log = append(rec.Log, LogEvent{Time: time.Now(), Code: code, Text: fmt.Sprintf(format, args...)})
-}
-
-// mirrorLocked appends the job's user-log events before index n that are
-// not in the owner's on-disk user log yet (§4.1: "obtain access to
-// detailed logs, providing a complete history of their jobs' execution"),
-// so the history is greppable without the agent API. Caller holds rec.mu,
-// which keeps one job's lines in order.
+// mirrorLocked appends the user-log lines of the job's events before index
+// n that are not in the owner's on-disk user log yet (§4.1: "obtain access
+// to detailed logs, providing a complete history of their jobs'
+// execution"), so the history is greppable without the agent API. A line
+// that cannot be appended stops the mirror there: the record's next write
+// retries it. Caller holds rec.mu, which keeps one job's lines in order.
 func (a *Agent) mirrorLocked(rec *jobRecord, n int) {
 	for ; rec.mirrored < n; rec.mirrored++ {
-		a.appendUserLog(rec, rec.Log[rec.mirrored])
+		if ev := &rec.Events[rec.mirrored]; ev.Code != "" && a.appendUserLog(rec, ev) != nil {
+			return
+		}
 	}
-}
-
-// log notes one user-log event and journals it (with whatever else changed)
-// in class d.
-func (a *Agent) log(rec *jobRecord, d durability, code, format string, args ...any) error {
-	rec.mu.Lock()
-	a.noteLocked(rec, code, format, args...)
-	rec.mu.Unlock()
-	return a.persist(rec, d)
 }
 
 // release wakes the job's waiters once the write of its change has

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +37,9 @@ func (noSites) Select(SubmitRequest) (string, error) { return "", errors.New("no
 func docOf(rec *jobRecord) jobDoc {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return jobDoc{rec.snapshotLocked(), rec.SubmissionID, rec.Spec, rec.Remote, rec.Trace.Clone()}
+	doc := rec.jobDoc
+	doc.Events = slices.Clone(doc.Events)
+	return doc
 }
 
 func asJSON(t *testing.T, v any) string {
@@ -404,7 +407,7 @@ func (m *mutator) step() {
 		// dispatcher off it from here on.
 		rec.opBusy = true
 		rec.Contact = gram.JobContact{GatekeeperAddr: "127.0.0.1:9", JobID: fmt.Sprintf("s-%d", m.rnd.Intn(1000))}
-		a.traceLocked(rec, obs.PhaseGridSubmit, "", "site issued "+rec.Contact.JobID)
+		a.emit(rec, evGridSubmit, "", "site issued "+rec.Contact.JobID)
 		rec.mu.Unlock()
 		if err := a.persist(rec, mustWait); err != nil {
 			t.Fatal(err)
@@ -424,7 +427,10 @@ func (m *mutator) step() {
 		rec.mu.Unlock()
 		if c.JobID != "" {
 			a.ackCancelTombstone(rec, c)
-			a.log(rec, lazy, "CANCEL_ACKED", "old copy %s confirmed cancelled", c.JobID)
+			rec.mu.Lock()
+			a.emit(rec, evCancelAck, "", "old copy "+c.JobID+" confirmed cancelled")
+			rec.mu.Unlock()
+			a.persist(rec, lazy)
 		}
 	}
 }
@@ -457,11 +463,11 @@ func requireFolded(t *testing.T, b *Agent, want map[string]jobDoc) {
 		got := docOf(rec)
 		if !w.State.Terminal() {
 			b.rewriteSpecURLs(&w.Spec)
-			last := len(got.Trace.Events) - 1
-			if last < 0 || got.Trace.Events[last].Phase != obs.PhaseRecover {
+			last := len(got.Events) - 1
+			if last < 0 || got.Events[last].Phase != obs.PhaseRecover {
 				t.Fatalf("recovered live job %s has no recover event", id)
 			}
-			got.Trace.Events = got.Trace.Events[:last]
+			got.Events = got.Events[:last]
 		}
 		if g, w := asJSON(t, got), asJSON(t, w); g != w {
 			t.Fatalf("job %s folded to\n%s\nwant\n%s", id, g, w)
@@ -611,7 +617,8 @@ func copyTree(t *testing.T, src, dst string) {
 
 // TestParentQueueStillLoads: a state directory written before patches
 // existed — v2 snapshots plus set records, in testdata/v2queue — loads and
-// reports its jobs exactly as the release that wrote it did, and takes
+// reports its jobs, their user logs and their traces exactly as the
+// releases before the event stream did (jobs.json, traces.json), and takes
 // patches on top.
 func TestParentQueueStillLoads(t *testing.T) {
 	dir := t.TempDir()
@@ -642,6 +649,27 @@ func TestParentQueueStillLoads(t *testing.T) {
 	if got, w := roundTrip(a.Jobs()), roundTrip(want); got != w {
 		a.Close()
 		t.Fatalf("jobs loaded from the old layout:\n%s\nwant\n%s", got, w)
+	}
+	raw, err = os.ReadFile(filepath.Join("testdata", "v2queue", "traces.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantTraces map[string][]obs.TraceEvent
+	if err := json.Unmarshal(raw, &wantTraces); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range want {
+		tl, err := a.Trace(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.State.Terminal() { // this load's recover event
+			tl.Events = tl.Events[:len(tl.Events)-1]
+		}
+		if got, w := asJSON(t, tl.Events), asJSON(t, wantTraces[j.ID]); got != w {
+			a.Close()
+			t.Fatalf("trace of %s loaded from the old layout:\n%s\nwant\n%s", j.ID, got, w)
+		}
 	}
 	var held string
 	for _, j := range want {
@@ -766,7 +794,9 @@ func journalBytesByJob(t *testing.T, stateDir string) map[string]int {
 // TestJournalBytesPerJob: a completed short job whose executable the site
 // already caches costs its admit image and at most four small patches
 // (contact, commit, Active, Done) — not a full record per state change
-// and log line, which came to about 10 kB per job.
+// and log line, which came to about 10 kB per job, nor a user log and a
+// trace side by side, which came to about 3 kB. The bound is the median
+// measured with one event stream (about 2,420 B) plus about 10%.
 func TestJournalBytesPerJob(t *testing.T) {
 	runs := &atomic.Int64{}
 	site := newSite(t, "s", runs, t.TempDir(), "")
@@ -808,8 +838,8 @@ func TestJournalBytesPerJob(t *testing.T) {
 	median := sizes[len(sizes)/2]
 	t.Logf("journal bytes per completed job: median %d (min %d, max %d); the job that staged: %d",
 		median, sizes[0], sizes[len(sizes)-1], byJob[ids[0]])
-	if median > 10000/3 {
-		t.Fatalf("median %d journal bytes per completed job, want at most a third of 10 kB", median)
+	if median > 2650 {
+		t.Fatalf("median %d journal bytes per completed job, want at most 2650", median)
 	}
 }
 

@@ -45,23 +45,10 @@ const (
 	taskRefreshCred                 // in-band credential re-delegation to jobs at one site
 )
 
-func (k taskKind) String() string {
-	switch k {
-	case taskSubmit:
-		return "submit"
-	case taskRecover:
-		return "recover"
-	case taskProbe:
-		return "probe"
-	case taskCancel:
-		return "cancel"
-	case taskStage:
-		return "stage"
-	case taskRefreshCred:
-		return "refresh-cred"
-	}
-	return "unknown"
-}
+var taskKindNames = [...]string{taskSubmit: "submit", taskRecover: "recover", taskProbe: "probe",
+	taskCancel: "cancel", taskStage: "stage", taskRefreshCred: "refresh-cred"}
+
+func (k taskKind) String() string { return taskKindNames[k] }
 
 // incarnation is one remote copy of a job: the record plus the contact a
 // frame addresses, which for a cancel tombstone is the OLD incarnation's
@@ -288,8 +275,7 @@ func (gm *GridManager) dispatchPending() {
 				if old != "" {
 					detail = "rebound from breaker-open " + old + " to " + newSite
 				}
-				gm.agent.traceLocked(rec, obs.PhaseBind, "", detail)
-				gm.agent.noteLocked(rec, "BIND", "%s", detail)
+				gm.agent.emit(rec, evBind, "", detail)
 				rec.mu.Unlock()
 				// Journal the new binding BEFORE the task can reach the
 				// wire: recovery must resubmit (same SubmissionID) to the
@@ -332,13 +318,13 @@ func (gm *GridManager) dispatchPending() {
 			if gm.agent.stageKnown.has(site, rec.Stage.Hash) {
 				knownHash = rec.Stage.Hash
 				rec.Stage.Done, rec.Stage.CacheHit, rec.Stage.Offset = true, true, 0
-				gm.agent.traceLocked(rec, obs.PhaseStage, "", "executable "+short(knownHash)+" known to be cached at "+site)
+				gm.agent.emit(rec, evStage, "", "executable "+short(knownHash)+" known to be cached at "+site)
 			} else {
 				kind = taskStage
 			}
 		}
 		rec.opBusy = true
-		gm.agent.traceLocked(rec, obs.PhaseDispatch, "", "queued on the "+site+" pipeline ("+kind.String()+")")
+		gm.agent.emit(rec, evDispatch, "", "queued on the "+site+" pipeline ("+kind.String()+")")
 		rec.mu.Unlock()
 		if knownHash != "" {
 			gm.noteStageHit(site, knownHash)

@@ -16,11 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sync"
 
 	"condorg/internal/faultclass"
-	"condorg/internal/obs"
 )
 
 // stageStreams caps concurrent chunk RPCs per site across all of one owner's
@@ -165,15 +165,7 @@ func (gm *GridManager) stageStream(site string) chan struct{} {
 func (gm *GridManager) stageStats() (hits, misses map[string]int) {
 	gm.mu.Lock()
 	defer gm.mu.Unlock()
-	hits = make(map[string]int, len(gm.stageHits))
-	misses = make(map[string]int, len(gm.stageMisses))
-	for site, n := range gm.stageHits {
-		hits[site] = n
-	}
-	for site, n := range gm.stageMisses {
-		misses[site] = n
-	}
-	return hits, misses
+	return maps.Clone(gm.stageHits), maps.Clone(gm.stageMisses)
 }
 
 // stageJob pushes one job's executable to its site (a taskStage body).
@@ -214,7 +206,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 		} else {
 			rec.Stage.Offset = rec.Stage.Total
 		}
-		gm.agent.traceLocked(rec, obs.PhaseStage, "", detail)
+		gm.agent.emit(rec, evStage, "", detail)
 		rec.mu.Unlock()
 		// Lazy: the site's ack and cache are the authority on what it
 		// holds; a lost Done only costs one stage-check.
@@ -254,8 +246,9 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	off := siteOff
 	if off > 0 || journaled > 0 {
 		gm.agent.obs.Counter("stage_resumes_total").Inc()
-		gm.agent.trace(rec, obs.PhaseStage, "",
-			fmt.Sprintf("resuming at site-acked offset %d/%d (journaled %d)", off, total, journaled))
+		rec.mu.Lock()
+		gm.agent.emit(rec, evStage, "", fmt.Sprintf("resuming at site-acked offset %d/%d (journaled %d)", off, total, journaled))
+		rec.mu.Unlock()
 	}
 
 	attempts := 0
@@ -307,8 +300,10 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 				}
 			}
 			gm.agent.obs.Counter("stage_resumes_total").Inc()
-			gm.agent.trace(rec, obs.PhaseStage, faultclass.ClassOf(err).String(),
+			rec.mu.Lock()
+			gm.agent.emit(rec, evStage, faultclass.ClassOf(err).String(),
 				fmt.Sprintf("transfer error at offset %d/%d; resuming (attempt %d/%d)", off, total, attempts, maxStageAttempts))
+			rec.mu.Unlock()
 		}
 	}
 	if err := gm.gram.StageCommit(site, hash, total); err != nil {
@@ -400,6 +395,9 @@ func (gm *GridManager) stageFailed(rec *jobRecord, site string, err error,
 	rec.mu.Lock()
 	rec.Stage.Attempts++
 	n := rec.Stage.Attempts
+	if n < maxStageAttempts { // the last failure's event is finish's
+		gm.agent.emit(rec, evStage, faultclass.ClassOf(err).String(), "staging to "+site+" failed: "+err.Error())
+	}
 	rec.mu.Unlock()
 	if n >= maxStageAttempts {
 		// An unreachable or broken site must not loop in staging forever:
@@ -408,8 +406,6 @@ func (gm *GridManager) stageFailed(rec *jobRecord, site string, err error,
 		finish(false, fmt.Sprintf("pre-stage abandoned after %d attempts (%v); site will pull", n, err))
 		return
 	}
-	gm.agent.trace(rec, obs.PhaseStage, faultclass.ClassOf(err).String(),
-		"staging to "+site+" failed: "+err.Error())
 	gm.agent.persist(rec, lazy)
 	requeue()
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"condorg/internal/gram"
-	"condorg/internal/obs"
 )
 
 // JobState is the queue state shown to the user (condor_q vocabulary).
@@ -101,6 +100,19 @@ type SubmitRequest struct {
 	Env map[string]string
 }
 
+// Event is one entry of a job's history, the one record of what happened
+// to it: the trace (Agent.Trace) shows every event, and the user log of
+// §4.1 (UserLog, JobInfo.Log and the owner's on-disk log) the ones that
+// carry a Code.
+type Event struct {
+	At    time.Time
+	Phase string // an obs.Phase* constant
+	Code  string // user-log code (SUBMIT, EXECUTE, ...); "" for trace-only events
+	Site  string // the job's site when the event happened
+	Class string // faultclass name for fault-ish events
+	Text  string
+}
+
 // LogEvent is one line of the job's user log — "a complete history of
 // their jobs' execution" (§4.1).
 type LogEvent struct {
@@ -138,8 +150,10 @@ type JobInfo struct {
 	// Stage is the executable pre-staging progress for the job's current
 	// remote incarnation. Journaled with the record, so an agent crash
 	// mid-transfer resumes from the last acked offset instead of byte zero.
-	Stage StageInfo  `json:"stage,omitempty"`
-	Log   []LogEvent `json:"log"`
+	Stage StageInfo `json:"stage,omitempty"`
+	// Log is the user-log view of the job's events; a job record's own
+	// JobInfo leaves it empty and holds the events (jobRecord.Events).
+	Log []LogEvent `json:"log"`
 }
 
 // StageInfo tracks chunked executable pre-staging to the job's site.
@@ -165,18 +179,10 @@ type StageInfo struct {
 // jobRecord is the internal, persisted job state.
 type jobRecord struct {
 	mu sync.Mutex
-	JobInfo
-	SubmissionID string       `json:"submission_id"`
-	Spec         gram.JobSpec `json:"spec"`
-	// remote mirrors the last GRAM state seen, to detect transitions.
-	Remote gram.JobState `json:"remote"`
-	// Trace is the job's lifecycle timeline, persisted with the record
-	// (guarded by mu like the rest; the Timeline itself is not locked).
-	Trace obs.Timeline `json:"trace"`
+	jobDoc
 
-	// gen counts observable state changes; waitCh (lazily created) is
-	// closed at each one so waiters block on events instead of polling.
-	gen    uint64
+	// waitCh (lazily created) is closed at each observable state change,
+	// so waiters block on events instead of polling.
 	waitCh chan struct{}
 
 	// opBusy marks a pipeline task (submit/recover/probe) in flight for
@@ -205,8 +211,8 @@ type jobRecord struct {
 	// lazyQueued marks the record queued on its partition's lazy list
 	// (Agent.lazy). Guarded by Agent.lazyMu.
 	lazyQueued bool
-	// mirrored counts the user-log events already appended to the owner's
-	// on-disk user log (Agent.mirrorLocked). Guarded by mu.
+	// mirrored counts the events the owner's on-disk user log has caught
+	// up with (Agent.mirrorLocked). Guarded by mu.
 	mirrored int
 }
 
@@ -218,14 +224,13 @@ func (j *jobRecord) snapshot() JobInfo {
 
 func (j *jobRecord) snapshotLocked() JobInfo {
 	info := j.JobInfo
-	info.Log = append([]LogEvent(nil), j.Log...)
+	info.Log = userLog(j.Events)
 	return info
 }
 
-// bumpLocked marks an observable state change: the generation advances and
-// every goroutine blocked on the current wait channel wakes. Caller holds mu.
+// bumpLocked marks an observable state change: every goroutine blocked on
+// the current wait channel wakes. Caller holds mu.
 func (j *jobRecord) bumpLocked() {
-	j.gen++
 	if j.waitCh != nil {
 		close(j.waitCh)
 		j.waitCh = nil
@@ -241,13 +246,12 @@ func (j *jobRecord) changedLocked() <-chan struct{} {
 	return j.waitCh
 }
 
-// stateBroadcast is an agent-wide, generation-counted change signal: any
-// job-state change closes the current channel. Its mutex is a leaf — safe
-// to take under any other agent lock.
+// stateBroadcast is an agent-wide change signal: any job-state change
+// closes the current channel. Its mutex is a leaf — safe to take under any
+// other agent lock.
 type stateBroadcast struct {
-	mu  sync.Mutex
-	gen uint64
-	ch  chan struct{}
+	mu sync.Mutex
+	ch chan struct{}
 }
 
 // C returns a channel that closes at the next change.
@@ -260,22 +264,14 @@ func (b *stateBroadcast) C() <-chan struct{} {
 	return b.ch
 }
 
-// Notify wakes every waiter and advances the generation.
+// Notify wakes every waiter.
 func (b *stateBroadcast) Notify() {
 	b.mu.Lock()
-	b.gen++
 	if b.ch != nil {
 		close(b.ch)
 		b.ch = nil
 	}
 	b.mu.Unlock()
-}
-
-// Gen returns the current change generation.
-func (b *stateBroadcast) Gen() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gen
 }
 
 // Notifier delivers the user-facing notifications of §4.3 (the paper uses

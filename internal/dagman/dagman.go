@@ -4,7 +4,8 @@
 // capability Nimrod lacks ("inter-job dependencies"). It parses the classic
 // DAGMan description syntax, executes nodes through a caller-supplied
 // submit function with throttling and per-node retries, and emits a rescue
-// DAG when a run fails partway.
+// DAG when a run fails partway. It backs experiment E9
+// (BenchmarkE9_CMSPipeline, examples/cms).
 package dagman
 
 import (

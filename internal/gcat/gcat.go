@@ -7,7 +7,8 @@
 //
 // The package provides the MSS (a chunk-store mass storage system served
 // over the wire protocol, with injectable bandwidth variation and outages),
-// the G-Cat monitor itself, and the reassembling reader.
+// the G-Cat monitor itself, and the reassembling reader. It backs
+// experiment E10 (BenchmarkE10_GCat, examples/gridgaussian).
 package gcat
 
 import (

@@ -382,6 +382,7 @@ func (c *Cluster) Cancel(id string) error {
 		}
 		c.transition(rec, Cancelled)
 		rec.status.Finished = time.Now()
+		rec.job.Run = nil // as finish does: the payload never runs now
 		status := rec.status
 		c.mu.Unlock()
 		c.emit(status)
@@ -526,6 +527,7 @@ func (c *Cluster) Close() {
 		rec := c.jobs[q.ID]
 		c.transition(rec, Cancelled)
 		rec.status.Finished = time.Now()
+		rec.job.Run = nil
 		cancelled = append(cancelled, rec.status)
 	}
 	c.queue = nil

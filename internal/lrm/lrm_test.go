@@ -484,4 +484,36 @@ func TestLRMReleasesPayload(t *testing.T) {
 	if _, err := c.WaitChange(completed, Completed); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WaitChange after Close = %v, want ErrClosed", err)
 	}
+
+	// A job that never ran lets go too: cancelled while queued behind a
+	// busy CPU, or still queued when the cluster closes.
+	one, err := NewCluster(Config{Name: "pbs", Cpus: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = one
+	freed.Store(0)
+	busy := make(chan struct{})
+	submit(func(ctx context.Context, _ []byte) error { close(busy); <-ctx.Done(); return nil })
+	<-busy
+	queuedCancel := submit(func(context.Context, []byte) error { return nil })
+	queuedClose := submit(func(context.Context, []byte) error { return nil })
+	if err := c.Cancel(queuedCancel); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	c.mu.Lock()
+	for _, id := range []string{queuedCancel, queuedClose} {
+		if rec := c.jobs[id]; rec.status.State != Cancelled || rec.job.Run != nil {
+			t.Errorf("queued job %s: %v, still references its Run: %v", id, rec.status.State, rec.job.Run != nil)
+		}
+	}
+	c.mu.Unlock()
+	for i := 0; i < 50 && freed.Load() < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if freed.Load() != 3 {
+		t.Fatalf("%d of 3 payloads were collected after cancel-while-queued and Close", freed.Load())
+	}
 }

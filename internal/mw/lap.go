@@ -4,7 +4,8 @@
 // algorithm whose bounding step solves Linear Assignment Problems — "over
 // 540 billion Linear Assignment Problems controlled by a sophisticated
 // branch and bound algorithm". This file is the LAP solver: the
-// Jonker-Volgenant shortest-augmenting-path algorithm, O(n^3).
+// Jonker-Volgenant shortest-augmenting-path algorithm, O(n^3). The package
+// backs experiment E8 (BenchmarkE8_MasterWorker, examples/qap).
 package mw
 
 import (

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -167,62 +166,5 @@ func TestKey(t *testing.T) {
 	}
 	if got := Key("plain"); got != "plain" {
 		t.Fatalf("Key = %q", got)
-	}
-}
-
-func TestTimelineAppendAndSeq(t *testing.T) {
-	var tl Timeline
-	base := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		tl.Append(base.Add(time.Duration(i)*time.Second), PhaseSubmit, "site-a", "", "")
-	}
-	if len(tl.Events) != 5 || tl.Dropped != 0 {
-		t.Fatalf("timeline = %d events, dropped %d", len(tl.Events), tl.Dropped)
-	}
-	for i, ev := range tl.Events {
-		if ev.Seq != i {
-			t.Fatalf("seq[%d] = %d", i, ev.Seq)
-		}
-	}
-}
-
-func TestTimelineRingEviction(t *testing.T) {
-	tl := Timeline{Cap: 4}
-	base := time.Unix(0, 0)
-	for i := 0; i < 10; i++ {
-		tl.Append(base, PhaseActive, "s", "", "")
-	}
-	if len(tl.Events) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(tl.Events))
-	}
-	if tl.Dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", tl.Dropped)
-	}
-	if tl.Events[0].Seq != 6 || tl.Events[3].Seq != 9 {
-		t.Fatalf("seqs = %d..%d, want 6..9", tl.Events[0].Seq, tl.Events[3].Seq)
-	}
-}
-
-func TestTimelineCopyOnEvict(t *testing.T) {
-	tl := Timeline{Cap: 3}
-	base := time.Unix(0, 0)
-	for i := 0; i < 3; i++ {
-		tl.Append(base, PhasePending, "s", "", "")
-	}
-	snap := tl.Events // simulated reader snapshot taken under the owner's lock
-	first := snap[0].Seq
-	tl.Append(base, PhaseActive, "s", "", "")
-	if snap[0].Seq != first {
-		t.Fatal("eviction mutated a previously taken snapshot")
-	}
-}
-
-func TestTimelineClone(t *testing.T) {
-	var tl Timeline
-	tl.Append(time.Unix(1, 0), PhaseFault, "s", "site-lost", "probe: connection refused")
-	c := tl.Clone()
-	tl.Events[0].Detail = "mutated"
-	if c.Events[0].Detail != "probe: connection refused" {
-		t.Fatal("Clone shares backing array with original")
 	}
 }

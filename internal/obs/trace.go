@@ -5,35 +5,36 @@ import "time"
 // Trace phases — the vocabulary of the per-job timeline. Each constant
 // names one kind of lifecycle transition; DESIGN.md §6 is the catalogue.
 const (
-	PhaseSubmit      = "submit"       // accepted into the agent queue
-	PhaseDispatch    = "dispatch"     // handed to a per-site pipeline worker
-	PhaseGridSubmit  = "grid-submit"  // GRAM submit RPC returned a contact
-	PhaseCommit      = "commit"       // GRAM two-phase commit completed
-	PhaseCommitRetry = "commit-retry" // commit failed; job requeued for recovery
-	PhaseSubmitRetry = "submit-retry" // grid submit failed; will retry
-	PhasePending     = "pending"      // remote reports queued in the LRM
-	PhaseActive      = "active"       // remote reports running
-	PhaseDone        = "done"         // remote reports completed
-	PhaseFailed      = "failed"       // job reached Failed
-	PhaseFault       = "fault"        // classified fault observed (Class set)
-	PhaseResubmit    = "resubmit"     // new submission after a fault
-	PhaseMigrate     = "migrate"      // proactive move off a slow site
-	PhaseHold        = "hold"         // placed on hold
-	PhaseRelease     = "release"      // released from hold
-	PhaseRemove      = "remove"       // removed by the user
-	PhaseDisconnect  = "disconnect"   // probe lost contact with the job manager
-	PhaseReconnect   = "reconnect"    // probe re-established contact
-	PhaseJMRestart   = "jm-restart"   // gatekeeper restarted the job manager
-	PhaseRecover     = "recover"      // agent restart reloaded this job
-	PhaseCancelAck   = "cancel-ack"   // site acknowledged a cancel tombstone
-	PhaseStage       = "stage"        // executable pre-staging progress (resume offsets in Detail)
-	PhaseBind        = "bind"         // deferred/elastic binding chose (or changed) the target site
-	PhaseCredRefresh = "cred-refresh" // refreshed credential re-delegated in-band to the job manager
+	PhaseSubmit        = "submit"         // accepted into the agent queue
+	PhaseDispatch      = "dispatch"       // handed to a per-site pipeline worker
+	PhaseGridSubmit    = "grid-submit"    // GRAM submit RPC returned a contact
+	PhaseCommit        = "commit"         // GRAM two-phase commit completed
+	PhaseCommitRetry   = "commit-retry"   // commit failed; job requeued for recovery
+	PhaseSubmitRetry   = "submit-retry"   // grid submit failed; will retry
+	PhasePending       = "pending"        // remote reports queued in the LRM
+	PhaseActive        = "active"         // remote reports running
+	PhaseDone          = "done"           // remote reports completed
+	PhaseFailed        = "failed"         // job reached Failed
+	PhaseRemoteFailure = "remote-failure" // site reported the job failed (Class set)
+	PhaseFault         = "fault"          // classified fault observed (Class set)
+	PhaseResubmit      = "resubmit"       // new submission after a fault
+	PhaseMigrate       = "migrate"        // proactive move off a slow site
+	PhaseHold          = "hold"           // placed on hold
+	PhaseRelease       = "release"        // released from hold
+	PhaseRemove        = "remove"         // removed by the user
+	PhaseDisconnect    = "disconnect"     // probe lost contact with the job manager
+	PhaseReconnect     = "reconnect"      // probe re-established contact
+	PhaseJMRestart     = "jm-restart"     // gatekeeper restarted the job manager
+	PhaseRecover       = "recover"        // agent restart reloaded this job
+	PhaseCancelAck     = "cancel-ack"     // site acknowledged a cancel tombstone
+	PhaseStage         = "stage"          // executable pre-staging progress (resume offsets in Detail)
+	PhaseBind          = "bind"           // deferred/elastic binding chose (or changed) the target site
+	PhaseCredRefresh   = "cred-refresh"   // refreshed credential re-delegated in-band to the job manager
 )
 
 // TraceEvent is one entry of a job's lifecycle timeline.
 type TraceEvent struct {
-	Seq    int       `json:"seq"`             // global position, survives ring eviction
+	Seq    int       `json:"seq"`             // position in the timeline
 	Wall   time.Time `json:"wall"`            // wall-clock time of the transition
 	Phase  string    `json:"phase"`           // one of the Phase* constants
 	Site   string    `json:"site,omitempty"`  // gatekeeper address at event time
@@ -41,52 +42,7 @@ type TraceEvent struct {
 	Detail string    `json:"detail,omitempty"`
 }
 
-// DefaultTraceCap is the per-job timeline ring capacity. A job that churns
-// through more transitions keeps the most recent DefaultTraceCap events and
-// counts the rest in Dropped.
-const DefaultTraceCap = 256
-
-// Timeline is an ordered, ring-buffered sequence of TraceEvents. It is NOT
-// internally locked: the owner (the agent's per-job record) must guard it
-// with the same mutex that guards the job state, which also makes trace
-// appends atomic with the state transitions they describe. Seq values are
-// strictly increasing; after eviction Seq of Events[0] equals Dropped.
+// Timeline is a job's lifecycle timeline, oldest event first.
 type Timeline struct {
-	Cap     int          `json:"cap,omitempty"`
-	Dropped int          `json:"dropped,omitempty"` // events evicted from the ring
-	Events  []TraceEvent `json:"events,omitempty"`
-}
-
-// Append adds one event at the next sequence number. When the ring is at
-// capacity the oldest event is evicted by allocating a fresh backing slice
-// (copy-on-evict), never by shifting in place: snapshots of Events taken
-// under the owner's lock stay valid after the lock is released.
-func (t *Timeline) Append(now time.Time, phase, site, class, detail string) {
-	cap := t.Cap
-	if cap <= 0 {
-		cap = DefaultTraceCap
-	}
-	ev := TraceEvent{
-		Seq:    t.Dropped + len(t.Events),
-		Wall:   now,
-		Phase:  phase,
-		Site:   site,
-		Class:  class,
-		Detail: detail,
-	}
-	if len(t.Events) >= cap {
-		drop := len(t.Events) - cap + 1
-		fresh := make([]TraceEvent, 0, cap)
-		fresh = append(fresh, t.Events[drop:]...)
-		t.Events = append(fresh, ev)
-		t.Dropped += drop
-		return
-	}
-	t.Events = append(t.Events, ev)
-}
-
-// Clone returns a deep copy safe to use after the owner's lock is released.
-func (t Timeline) Clone() Timeline {
-	t.Events = append([]TraceEvent(nil), t.Events...)
-	return t
+	Events []TraceEvent `json:"events,omitempty"`
 }

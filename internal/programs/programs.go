@@ -3,7 +3,7 @@
 // stages to it; here staged executables are "#!condor <name>" stubs
 // resolved against this registry (see the Runtime substitution note in
 // DESIGN.md), so every example and CLI session shares one vocabulary of
-// workloads.
+// workloads. It backs examples/quickstart and the cmd/gridsite demo site.
 package programs
 
 import (

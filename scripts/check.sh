@@ -46,11 +46,13 @@ go test -race -count=1 -run 'TestBatch' ./internal/gram/
 # The job journal: an admit image plus patches folds back to the record
 # in memory (plainly, across compaction, across a standby takeover), and
 # every record field patches; a state directory of the previous release
-# still loads; Submit acks only a journaled job, Wait and WaitAll report
-# only a durable terminal state, a running job's lazy log line is in the
-# user log at once, a lost lazy write is re-derived, and a job costs a
-# third of the bytes.
-go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestPatchCarriesEveryField' ./internal/condorg/
+# still loads, its user logs and traces folded into event streams; Submit
+# acks only a journaled job, Wait and WaitAll report only a durable
+# terminal state, a running job's lazy log line is in the user log at
+# once, a line the user log refused is appended by the next write, a lost
+# lazy write is re-derived, and a job costs a quarter of the bytes. Every
+# kind of event reaches its views and bumps its counter once.
+go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField' ./internal/condorg/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
@@ -70,14 +72,15 @@ go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobF
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
 # control-plane types, the agent's and standby's config surface (agent.go,
-# standby.go, types.go), the journal, the glidein autoscaler, the
-# credential manager, the GSI layer, GASS, the LRM and GRAM must carry a
-# doc comment. (A grep-level check, so it stays dependency-free; grouped decl
+# standby.go, types.go), the job event stream (events.go), the journal,
+# the glidein autoscaler, the credential manager, the GSI layer, GASS, the
+# LRM and GRAM must carry a doc comment. (A grep-level check, so it stays dependency-free; grouped decl
 # blocks are out of scope.)
 doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/control.go internal/condorg/controlv1.go \
     internal/condorg/tenancy.go internal/condorg/agent.go \
     internal/condorg/standby.go internal/condorg/types.go \
+    internal/condorg/events.go \
     internal/journal/*.go internal/glidein/*.go \
     internal/credmgr/*.go internal/gsi/*.go internal/gass/*.go \
     internal/lrm/*.go internal/gram/*.go | grep -v _test.go)
