@@ -470,52 +470,55 @@ func (a *Agent) Trace(id string) (obs.Timeline, error) {
 // For jobs whose GASS URLs reference the agent's previous address, the URLs
 // are rewritten and pushed to the JobManagers — the §4.2 restart path.
 func (a *Agent) recover() error {
+	// Each partition's entries fold in a goroutine of their own — the
+	// partitions share nothing — and are indexed one partition after
+	// another below.
+	stores := a.parts.Stores()
+	folded := make([]foldedPartition, len(stores))
+	var wg sync.WaitGroup
+	for i, st := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			folded[i] = foldPartition(st)
+		}()
+	}
+	wg.Wait()
 	var recovered []*jobRecord
 	tombOwners := make(map[string]bool)
 	spool := make(map[string][]byte)
-	err := a.parts.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
-		if rel, ok := strings.CutPrefix(key, spoolKeyPrefix); ok {
-			// A replicated job payload, not a job record: collect it for
-			// materialization into the GASS spool below (the standby's disk
-			// has the journal but not the staged files).
-			var data []byte
-			if err := json.Unmarshal(image, &data); err != nil {
-				return fmt.Errorf("condorg: spool entry %s: %w", key, err)
-			}
+	for _, part := range folded {
+		if part.err != nil {
+			return part.err
+		}
+		for rel, data := range part.spool {
 			spool[rel] = data
-			return nil
 		}
-		rec, err := foldJob(key, image, patches)
-		if err != nil {
-			return err
+		for _, rec := range part.recs {
+			sh, err := a.shard(rec.Owner)
+			if err != nil {
+				return err
+			}
+			a.indexJob(sh, rec)
+			a.mu.Lock()
+			if rec.Contact.JobID != "" {
+				a.bySiteJob[rec.Contact.JobID] = rec.ID
+			}
+			if len(rec.CancelPending) > 0 {
+				// An old incarnation's cancel never got acknowledged; a
+				// GridManager must keep chasing it even if this job is
+				// otherwise finished.
+				a.tombstoned[rec.ID] = rec
+				tombOwners[rec.Owner] = true
+			}
+			a.mu.Unlock()
+			if n := int64(parseAgentSerial(rec.ID)); n > a.serial.Load() {
+				a.serial.Store(n)
+			}
+			if !rec.State.Terminal() {
+				recovered = append(recovered, rec)
+			}
 		}
-		sh, err := a.shard(rec.Owner)
-		if err != nil {
-			return err
-		}
-		a.indexJob(sh, rec)
-		a.mu.Lock()
-		if rec.Contact.JobID != "" {
-			a.bySiteJob[rec.Contact.JobID] = rec.ID
-		}
-		if len(rec.CancelPending) > 0 {
-			// An old incarnation's cancel never got acknowledged; a
-			// GridManager must keep chasing it even if this job is
-			// otherwise finished.
-			a.tombstoned[rec.ID] = rec
-			tombOwners[rec.Owner] = true
-		}
-		a.mu.Unlock()
-		if n := int64(parseAgentSerial(rec.ID)); n > a.serial.Load() {
-			a.serial.Store(n)
-		}
-		if !rec.State.Terminal() {
-			recovered = append(recovered, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	// Re-stage replicated payloads before any job restarts: a recovered
 	// submission's JobManager will fetch the executable from these URLs.
@@ -551,6 +554,39 @@ func (a *Agent) recover() error {
 		a.managerFor(owner)
 	}
 	return nil
+}
+
+// foldedPartition is what one journal partition holds: its job records,
+// folded, and its replicated job payloads by spool path.
+type foldedPartition struct {
+	recs  []*jobRecord
+	spool map[string][]byte
+	err   error
+}
+
+// foldPartition folds every entry of one journal partition.
+func foldPartition(st *journal.Store) foldedPartition {
+	out := foldedPartition{spool: make(map[string][]byte)}
+	out.err = st.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
+		if rel, ok := strings.CutPrefix(key, spoolKeyPrefix); ok {
+			// A replicated job payload, not a job record: collected for
+			// materialization into the GASS spool (the standby's disk has
+			// the journal but not the staged files).
+			var data []byte
+			if err := json.Unmarshal(image, &data); err != nil {
+				return fmt.Errorf("condorg: spool entry %s: %w", key, err)
+			}
+			out.spool[rel] = data
+			return nil
+		}
+		rec, err := foldJob(key, image, patches)
+		if err != nil {
+			return err
+		}
+		out.recs = append(out.recs, rec)
+		return nil
+	})
+	return out
 }
 
 // addCancelTombstone records that the remote copy at contact must be
@@ -1146,7 +1182,8 @@ func (a *Agent) Release(id string) error {
 	return nil
 }
 
-// Remove cancels a job.
+// Remove cancels a job. The remote copy of a held job was tombstoned when
+// it was held; it is not cancelled a second time.
 func (a *Agent) Remove(id string) error {
 	rec, ok := a.job(id)
 	if !ok {
@@ -1157,9 +1194,12 @@ func (a *Agent) Remove(id string) error {
 		rec.mu.Unlock()
 		return nil
 	}
+	contact := rec.Contact
+	if rec.State == Held {
+		contact = gram.JobContact{}
+	}
 	rec.State = Removed
 	rec.FinishedAt = time.Now()
-	contact := rec.Contact
 	a.emit(rec, evRemove, "", "job removed by user")
 	rec.mu.Unlock()
 	a.addCancelTombstone(rec, contact)

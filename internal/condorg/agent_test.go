@@ -48,7 +48,7 @@ func buildRuntime(runs *atomic.Int64) *gram.FuncRuntime {
 	return rt
 }
 
-func newSite(t *testing.T, name string, runs *atomic.Int64, stateDir, addr string) *gram.Site {
+func newSite(t testing.TB, name string, runs *atomic.Int64, stateDir, addr string) *gram.Site {
 	t.Helper()
 	cluster, err := lrm.NewCluster(lrm.Config{Name: name, Cpus: 4})
 	if err != nil {

@@ -117,7 +117,7 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 		}
 		return
 	}
-	cerrs, err := gm.gram.BatchCommit(site, jobIDs(coms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr())
+	cres, err := gm.gram.BatchCommit(site, jobIDs(coms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr())
 	if err != nil {
 		// The whole commit frame was lost: every journaled contact goes
 		// to recovery, whose commit frame is idempotent.
@@ -128,8 +128,8 @@ func (gm *GridManager) submitBatch(recs []*jobRecord) {
 	}
 	elapsed := time.Since(start).Seconds()
 	for i, cm := range coms {
-		if cerrs[i] != nil {
-			gm.commitRetry(cm.rec, cerrs[i])
+		if err := cres[i].Err; err != nil {
+			gm.commitRetry(cm.rec, err)
 			continue
 		}
 		gm.agent.obs.Histogram("gm_two_phase_seconds").Observe(elapsed)
@@ -165,31 +165,28 @@ func (gm *GridManager) commitRetry(rec *jobRecord, err error) {
 // queue with a contact, or whose commit reply was lost (a taskRecover body):
 // one gram.batch-commit frame — a replay for jobs already committed — that
 // names this agent's current GASS server and callback endpoint, so the site
-// re-points jobs reporting to a pre-restart address (§4.2), then the probe
-// of the same members. The commit goes first: a terminal status reply lets
-// a JobManager exit, and it must know where to drain its output before
-// that. A commit frame lost in transit leaves its members to the probe
-// tick; per-entry refusals are the probe's to interpret.
+// re-points jobs reporting to a pre-restart address (§4.2). The site
+// answers a replayed commit with the job's status, built after the
+// re-point — a terminal status lets a JobManager exit, and it must know
+// where to drain its output before that — so the one frame both reconnects
+// the members and tells the agent where each one stands (applyStatuses). A
+// commit frame lost in transit leaves its members to the probe tick.
 func (gm *GridManager) recoverBatch(recs []*jobRecord) {
 	ms := liveIncarnations(recs)
 	if len(ms) == 0 {
 		return
 	}
-	gkAddr := ms[0].contact.GatekeeperAddr
-	if _, err := gm.gram.BatchCommit(gkAddr, jobIDs(ms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr()); err != nil {
+	results, err := gm.gram.BatchCommit(ms[0].contact.GatekeeperAddr, jobIDs(ms), gm.agent.gassS.Addr(), gm.agent.cbSrv.Addr())
+	if err != nil {
 		return
 	}
-	gm.probeBatch(recs)
+	gm.applyStatuses(ms, results)
 }
 
 // probeBatch is the §4.2 failure detector (a taskProbe body): "The
 // GridManager detects remote failures by periodically probing the
 // JobManagers of all the jobs it manages." One jm.batch-status frame to the
-// gatekeeper covers every member. Every member's new state is journaled
-// before any of it is acted on, with one durability wait for the whole
-// frame: only then do waiters wake, finished jobs retire and owners hear.
-// A member whose JobManager died (JMAlive=false) then goes straight to the
-// restart flow — the same frame already proved the gatekeeper alive.
+// gatekeeper covers every member, and applyStatuses acts on its answers.
 func (gm *GridManager) probeBatch(recs []*jobRecord) {
 	ms := liveIncarnations(recs)
 	if len(ms) == 0 {
@@ -209,12 +206,25 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 		return
 	}
 	gm.agent.obs.Counter("gm_probe_coalesced_total").Add(int64(len(ms)))
+	gm.applyStatuses(ms, results)
+}
+
+// applyStatuses acts on one frame's answers about its members — a probe's,
+// or a recovery commit's. An entry that carries a status is folded into its
+// record; one that carries only an error is judged by its class; one that
+// carries neither (a job the commit frame itself committed) waits for the
+// job's next report. Every member's new state is journaled before any of it
+// is acted on, with one durability wait for the whole frame: only then do
+// waiters wake, finished jobs retire and owners hear. A member whose
+// JobManager died (JMAlive=false) then goes straight to the restart flow —
+// the same frame already proved the gatekeeper alive.
+func (gm *GridManager) applyStatuses(ms []incarnation, results []gram.BatchStatusResult) {
 	var released []func(ok bool)
 	var restarts []incarnation
 	wait := false // a frameWait write is among the frame's
 	for i, r := range results {
 		m := ms[i]
-		if r.Err != nil {
+		if r.Status == (gram.StatusInfo{}) {
 			switch faultclass.ClassOf(r.Err) {
 			case faultclass.SiteLost:
 				// The site is alive but has no record of the job — it
@@ -230,7 +240,8 @@ func (gm *GridManager) probeBatch(recs []*jobRecord) {
 			case faultclass.AuthExpired:
 				gm.holdJob(m.rec, "credential rejected by site: "+r.Err.Error())
 			}
-			// Other per-entry errors: leave the job for the next tick.
+			// Other per-entry errors, and no answer yet: leave the job
+			// for the next tick.
 			continue
 		}
 		changed, done := gm.agent.foldRemoteStatus(m.rec, r.Status)

@@ -2,8 +2,10 @@ package condorg
 
 import (
 	"encoding/json"
+	"math"
 	"time"
 
+	"condorg/internal/jsonscan"
 	"condorg/internal/obs"
 )
 
@@ -115,11 +117,16 @@ func (l eventList) encode(history []Event) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// decode appends the events raw encodes, which follow l, to l.
+// decode appends the events raw encodes, which follow l, to l: in place
+// when raw is in the shape encode writes (readEvents), through
+// encoding/json otherwise.
 func (l eventList) decode(raw []byte) (eventList, error) {
+	site := lastSite(l)
+	if out, ok := l.readEvents(raw, site); ok {
+		return out, nil
+	}
 	var in []eventJSON
 	err := json.Unmarshal(raw, &in)
-	site := lastSite(l)
 	for _, ev := range in {
 		if ev.Site != "" {
 			site = ev.Site
@@ -127,6 +134,55 @@ func (l eventList) decode(raw []byte) (eventList, error) {
 		l = append(l, Event{At: time.Unix(0, ev.At), Phase: ev.Phase, Code: ev.Code, Site: site, Class: ev.Class, Text: ev.Text})
 	}
 	return l, err
+}
+
+// readEvents appends the events of raw, which follow l and whose site was
+// site, to l when raw is [{"at":N,"phase":…,"code":…,"site":…,"class":…,
+// "text":…},…] byte for byte as json.Marshal writes an eventJSON list —
+// members in that order, the empty ones left out — and reports false for
+// any other bytes, which decode then reads through encoding/json.
+func (l eventList) readEvents(raw []byte, site string) (eventList, bool) {
+	if len(raw) < 2 || raw[0] != '[' || raw[len(raw)-1] != ']' {
+		return l, false
+	}
+	if len(raw) == 2 {
+		return l, true // []
+	}
+	for i := 1; ; {
+		var ev eventJSON
+		var ok bool
+		if i, ok = jsonscan.Lit(raw, i, `{"at":`); !ok {
+			return l, false
+		}
+		var at uint64
+		if at, i, ok = jsonscan.Uint(raw, i); !ok || at > math.MaxInt64 {
+			return l, false // a time before 1970 is read by encoding/json
+		}
+		ev.At = int64(at)
+		for _, m := range [...]struct {
+			name string
+			dst  *string
+		}{{`,"phase":`, &ev.Phase}, {`,"code":`, &ev.Code}, {`,"site":`, &ev.Site}, {`,"class":`, &ev.Class}, {`,"text":`, &ev.Text}} {
+			if j, ok := jsonscan.Lit(raw, i, m.name); ok {
+				if *m.dst, i, ok = jsonscan.String(raw, j); !ok {
+					return l, false
+				}
+			}
+		}
+		if i, ok = jsonscan.Lit(raw, i, "}"); !ok {
+			return l, false
+		}
+		if ev.Site != "" {
+			site = ev.Site
+		}
+		l = append(l, Event{At: time.Unix(0, ev.At), Phase: ev.Phase, Code: ev.Code, Site: site, Class: ev.Class, Text: ev.Text})
+		if i == len(raw)-1 {
+			return l, true
+		}
+		if i, ok = jsonscan.Lit(raw, i, ","); !ok {
+			return l, false
+		}
+	}
 }
 
 // MarshalJSON implements json.Marshaler.

@@ -1,8 +1,11 @@
 package condorg
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,5 +167,60 @@ func TestUserLogRetriesFailedAppend(t *testing.T) {
 	}
 	if strings.Join(codes, " ") != "SUBMIT HELD" {
 		t.Fatalf("user log after the failed append holds %v, want [SUBMIT HELD]:\n%s", codes, raw)
+	}
+}
+
+// TestReadEventsMatchesUnmarshal: the events an image or patch carries are
+// read in place exactly as encoding/json reads them — escaped, non-ASCII
+// and empty members, sites carried over from the history — and a list in
+// any other shape, or with a time before 1970, goes to encoding/json.
+func TestReadEventsMatchesUnmarshal(t *testing.T) {
+	history := []Event{{At: time.Unix(0, 1), Site: "gk:1"}}
+	viaJSON := func(raw []byte) eventList {
+		var in []eventJSON
+		if err := json.Unmarshal(raw, &in); err != nil {
+			t.Fatal(err)
+		}
+		out, site := eventList(slices.Clone(history)), lastSite(history)
+		for _, ev := range in {
+			if ev.Site != "" {
+				site = ev.Site
+			}
+			out = append(out, Event{At: time.Unix(0, ev.At), Phase: ev.Phase, Code: ev.Code, Site: site, Class: ev.Class, Text: ev.Text})
+		}
+		return out
+	}
+	evs := eventList{
+		{At: time.Unix(5, 6), Phase: obs.PhaseSubmit, Code: "SUBMIT", Site: "gk:1", Text: "quo\"te <html> & tab\tünï"},
+		{At: time.Unix(7, 0), Phase: obs.PhaseFault, Site: "gk:2", Class: "site-lost"},
+		{At: time.Unix(8, 0), Code: "HELD", Site: "gk:2"},
+		{At: time.Unix(9, 0), Site: "gk:2"},
+	}
+	raw, err := evs.encode(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range [][]byte{raw, []byte(`[]`)} {
+		got, ok := eventList(slices.Clone(history)).readEvents(raw, lastSite(history))
+		if !ok {
+			t.Fatalf("readEvents refused %s, which encode wrote", raw)
+		}
+		if want := viaJSON(raw); !reflect.DeepEqual(got, want) {
+			t.Fatalf("readEvents(%s) = %+v, encoding/json %+v", raw, got, want)
+		}
+	}
+	old, err := eventList{{At: time.Unix(-9, 0), Code: "HELD"}}.encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, foreign := range []string{string(old), `[ ]`, `[{"phase":"x","at":1}]`, `[{"at":1.5}]`, `[{"at":1} ]`, `[{"at":1,"text":"x","code":"y"}]`, `null`} {
+		if _, ok := eventList(nil).readEvents([]byte(foreign), ""); ok {
+			t.Fatalf("readEvents took %s", foreign)
+		}
+		got, err := eventList(nil).decode([]byte(foreign))
+		var in []eventJSON
+		if werr := json.Unmarshal([]byte(foreign), &in); (err == nil) != (werr == nil) || len(got) != len(in) {
+			t.Fatalf("decode(%s) = %+v, %v; encoding/json %+v, %v", foreign, got, err, in, werr)
+		}
 	}
 }

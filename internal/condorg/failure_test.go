@@ -381,3 +381,51 @@ func TestSubmitRetriesAreCapped(t *testing.T) {
 	}
 	agent.Remove(id)
 }
+
+// TestRemoveHeldJobCancelsOnce: holding a running job tombstones its remote
+// copy, and the site acknowledges the cancel. Removing the held job then
+// sends no second cancel: the job's one jm.batch-cancel entry and its one
+// CANCEL_ACKED line are all its story holds once its manager retires.
+func TestRemoveHeldJobCancelsOnce(t *testing.T) {
+	runs := &atomic.Int64{}
+	gk := &verbCounts{}
+	site := newHookedSite(t, "wisc", runs, 4, gk.faults())
+	a, err := NewAgent(AgentConfig{
+		StateDir: t.TempDir(),
+		Selector: StaticSelector(site.GatekeeperAddr()),
+		Probe:    ProbeOptions{Interval: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	id, err := a.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task"), Args: []string{"30s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitAgentState(t, a, id, Running)
+	if err := a.Hold(id, "operator hold"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the hold's cancel to be acknowledged", 8*time.Second, func() bool {
+		info, _ := a.Status(id)
+		return len(info.CancelPending) == 0 && strings.Contains(fmt2str(info.Log), "CANCEL_ACKED")
+	})
+	if err := a.Remove(id); err != nil {
+		t.Fatal(err)
+	}
+	// A manager with a cancel outstanding does not retire: once it has,
+	// every cancel the removal could have sent was sent and acknowledged.
+	waitFor(t, "the manager to retire", 8*time.Second, func() bool { return a.ActiveGridManagers() == 0 })
+	info, _ := a.Status(id)
+	if info.State != Removed {
+		t.Fatalf("job is %v, want removed", info.State)
+	}
+	// The only job, so each jm.batch-cancel frame is one entry for it.
+	if got := gk.get("jm.batch-cancel"); got != 1 {
+		t.Fatalf("%d jm.batch-cancel frames for one held-then-removed job, want 1", got)
+	}
+	if got := strings.Count(fmt2str(info.Log), "CANCEL_ACKED"); got != 1 {
+		t.Fatalf("%d CANCEL_ACKED lines, want 1:\n%s", got, fmt2str(info.Log))
+	}
+}

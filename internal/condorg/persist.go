@@ -11,6 +11,7 @@ import (
 
 	"condorg/internal/gram"
 	"condorg/internal/journal"
+	"condorg/internal/jsonscan"
 	"condorg/internal/obs"
 )
 
@@ -96,6 +97,22 @@ var docFields = func() []docField {
 	return out
 }()
 
+// zeroFields holds the encoding of each of docFields' zero values: what an
+// image that leaves a field out (omitempty) holds for it.
+var zeroFields = func() [][]byte {
+	out, err := marshalFields(&jobDoc{})
+	if err != nil {
+		panic(err) // the zero record always encodes
+	}
+	return out
+}()
+
+// fieldIndex returns the position of the field named name in docFields, or
+// -1 when no replaceable field has that name.
+func fieldIndex(name string) int {
+	return slices.IndexFunc(docFields, func(f docField) bool { return f.name == name })
+}
+
 // marshalFields encodes each of docFields' values in doc, in that order.
 func marshalFields(doc *jobDoc) ([][]byte, error) {
 	v := reflect.ValueOf(doc).Elem()
@@ -121,16 +138,13 @@ func appendMember(buf []byte, name string, raw []byte) []byte {
 	return append(buf, raw...)
 }
 
-// applyPatch folds one patch into doc.
-func applyPatch(doc *jobDoc, raw json.RawMessage) error {
-	var members map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &members); err != nil {
-		return err
-	}
+// applyPatch folds one patch into doc, decoding each member once, and
+// records in fields the bytes of each replaceable field it set.
+func applyPatch(doc *jobDoc, fields [][]byte, raw json.RawMessage) error {
 	v := reflect.ValueOf(doc).Elem()
 	var oldLog []LogEvent
 	var oldTrace []obs.TraceEvent
-	for name, val := range members {
+	err := jsonscan.Members(raw, func(name string, val []byte) error {
 		switch name {
 		case "events":
 			evs, err := doc.Events.decode(val)
@@ -147,9 +161,9 @@ func applyPatch(doc *jobDoc, raw json.RawMessage) error {
 				return fmt.Errorf("trace: %w", err)
 			}
 		default:
-			i := slices.IndexFunc(docFields, func(f docField) bool { return f.name == name })
+			i := fieldIndex(name)
 			if i < 0 {
-				continue // as an image's unknown fields are
+				return nil // as an image's unknown fields are
 			}
 			// A fresh value, so the patch replaces the field whole
 			// rather than merging into what the image held.
@@ -159,7 +173,12 @@ func applyPatch(doc *jobDoc, raw json.RawMessage) error {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 			field.Set(fresh.Elem())
+			fields[i] = val
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	doc.Events = foldHistory(doc.Events, oldLog, oldTrace)
 	return nil
@@ -197,7 +216,9 @@ type journaled struct {
 }
 
 // foldJob rebuilds a job record from its image and patches, decoding each
-// once.
+// once. What the journal holds of each replaceable field (journaled.fields)
+// is read off the bytes just decoded rather than encoded again: a member
+// holds what json.Marshal gave for the field when it was written.
 func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*jobRecord, error) {
 	if image == nil {
 		return nil, fmt.Errorf("condorg: job record %s has %d patches but no image", key, len(patches))
@@ -206,18 +227,23 @@ func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*job
 	if err := json.Unmarshal(image, &doc); err != nil {
 		return nil, fmt.Errorf("condorg: job record %s: %w", key, err)
 	}
+	fields := slices.Clone(zeroFields)
+	if err := jsonscan.Members(image, func(name string, val []byte) error {
+		if i := fieldIndex(name); i >= 0 {
+			fields[i] = val
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("condorg: job record %s: %w", key, err)
+	}
 	if doc.OldTrace != nil { // an image from before the event stream
 		doc.Events = foldHistory(doc.Events, doc.OldLog, doc.OldTrace.Events)
 		doc.OldLog, doc.OldTrace = nil, nil
 	}
 	for i, raw := range patches {
-		if err := applyPatch(&doc, raw); err != nil {
+		if err := applyPatch(&doc, fields, raw); err != nil {
 			return nil, fmt.Errorf("condorg: job record %s patch %d: %w", key, i, err)
 		}
-	}
-	fields, err := marshalFields(&doc)
-	if err != nil {
-		return nil, err
 	}
 	rec := &jobRecord{jobDoc: doc}
 	// What was read back is durable: terminal states may be reported, and

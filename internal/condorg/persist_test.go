@@ -288,7 +288,8 @@ func fill(v reflect.Value) {
 // TestPatchCarriesEveryField: every field of the journaled record but the
 // appended log and trace is patchable, and a change to any one of them —
 // from zero to a full value and back — survives its patch and the fold, so
-// no field waits for the next full image.
+// no field waits for the next full image. The fold knows what the journal
+// holds of every field, so the next patch carries only what changes after.
 func TestPatchCarriesEveryField(t *testing.T) {
 	// Every JobInfo field but Log, and jobDoc's submission ID, spec and
 	// remote state.
@@ -323,6 +324,11 @@ func TestPatchCarriesEveryField(t *testing.T) {
 			}
 			if g, w := asJSON(t, docOf(rec)), asJSON(t, &to); g != w {
 				t.Fatalf("%s: patch %s folded to\n%s\nwant\n%s", f.name, patch, g, w)
+			}
+			// The fold reads what the journal holds of each field off the
+			// bytes it decoded; they are what encoding the field gives.
+			if !reflect.DeepEqual(rec.jw.fields, toFields) {
+				t.Fatalf("%s: folded record's journaled fields %q, want %q", f.name, rec.jw.fields, toFields)
 			}
 		}
 	}
@@ -731,12 +737,14 @@ func TestLazyLossReExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var onDisk *jobRecord
-	ps.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
-		if key == id {
-			onDisk, err = foldJob(key, image, patches)
-		}
-		return err
-	})
+	for _, st := range ps.Stores() {
+		st.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
+			if key == id {
+				onDisk, err = foldJob(key, image, patches)
+			}
+			return err
+		})
+	}
 	ps.Close()
 	if onDisk == nil || onDisk.Contact.JobID == "" || onDisk.State == Running {
 		t.Fatalf("crash copy holds %+v; want the contact without the Active patch", onDisk)
@@ -897,5 +905,70 @@ func TestPersistClassesCarryEverything(t *testing.T) {
 	got, _ := b.Status(id)
 	if g, w := asJSON(t, got), asJSON(t, rec.snapshot()); got.Stage.Offset != 7 || g != w {
 		t.Fatalf("job after the crash\n%s\nwant\n%s", g, w)
+	}
+}
+
+// BenchmarkFoldJob times foldJob on the journal history of jobs that were
+// running when their agent closed — an admit image plus the patches of
+// binding, submission, commit and execution — as recovery folds them.
+func BenchmarkFoldJob(b *testing.B) {
+	runs := &atomic.Int64{}
+	site := newSite(b, "s", runs, b.TempDir(), "")
+	defer site.Close()
+	dir := b.TempDir()
+	a, err := NewAgent(AgentConfig{
+		StateDir: dir,
+		Selector: StaticSelector(site.GatekeeperAddr()),
+		Probe:    ProbeOptions{Interval: 20 * time.Millisecond},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 4
+	ids := make([]string, n)
+	for i := range ids {
+		if ids[i], err = a.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task"), Args: []string{"1m", fmt.Sprint(i)}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		running := 0
+		for _, id := range ids {
+			if info, _ := a.Status(id); info.State == Running {
+				running++
+			}
+		}
+		if running == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("jobs never ran")
+		}
+	}
+	a.Close()
+	parts, err := journal.OpenPartitionSet(filepath.Join(dir, "queue", "parts"), 0, journal.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type history struct {
+		key     string
+		image   json.RawMessage
+		patches []json.RawMessage
+	}
+	var hs []history
+	for _, st := range parts.Stores() {
+		st.ForEachEntry(func(key string, image json.RawMessage, patches []json.RawMessage) error {
+			hs = append(hs, history{key, image, patches})
+			return nil
+		})
+	}
+	parts.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := hs[i%len(hs)]
+		if _, err := foldJob(h.key, h.image, h.patches); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -61,7 +61,7 @@ type batchRefreshReq struct {
 }
 
 // batchOpResult is the per-entry outcome of an op with no per-entry
-// payload (commit, cancel, refresh-credential).
+// payload (cancel, refresh-credential).
 type batchOpResult struct {
 	Error string           `json:"error,omitempty"`
 	Fault faultclass.Class `json:"fault,omitempty"`
@@ -71,11 +71,18 @@ type batchOpResp struct {
 	Results []batchOpResult `json:"results"`
 }
 
+// batchStatusResult is the per-entry outcome of jm.batch-status and of
+// gram.batch-commit. A status entry carries the job's status unless it
+// carries an error. A commit entry of a job the frame committed is empty —
+// the job is in stage-in by construction — while a replayed commit's, or
+// one refused because the job already failed, carries the status as
+// jm.batch-status reports it, so a caller re-verifying its jobs learns
+// their states from the commit itself.
 type batchStatusResult struct {
-	Status StatusInfo `json:"status"`
+	Status *StatusInfo `json:"status,omitempty"`
 	// JMAlive reports whether the job's JobManager daemon is currently
 	// running. A probe that finds it dead goes straight to gram.jm-restart.
-	JMAlive bool             `json:"jm_alive"`
+	JMAlive bool             `json:"jm_alive,omitempty"`
 	Error   string           `json:"error,omitempty"`
 	Fault   faultclass.Class `json:"fault,omitempty"`
 }
@@ -110,10 +117,17 @@ func (s *Site) handleBatchCommit(peer string, body json.RawMessage) (any, error)
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	resp := batchOpResp{Results: make([]batchOpResult, len(req.JobIDs))}
+	resp := batchStatusResp{Results: make([]batchStatusResult, len(req.JobIDs))}
 	for i, id := range req.JobIDs {
-		if err := s.commitOne(peer, id, req.GASS, req.Callback); err != nil {
-			resp.Results[i] = opErr(err)
+		job, fresh, err := s.commitOne(peer, id, req.GASS, req.Callback)
+		if job != nil && !fresh {
+			// Built after commitOne re-pointed the job: a terminal status
+			// here lets its JobManager exit, and it must know where to
+			// drain first.
+			resp.Results[i] = s.statusEntry(job)
+		}
+		if err != nil {
+			resp.Results[i].Error, resp.Results[i].Fault = err.Error(), faultclass.ClassOf(err)
 		}
 	}
 	return resp, nil
@@ -169,20 +183,27 @@ func (s *Site) handleBatchStatus(peer string, body json.RawMessage) (any, error)
 			resp.Results[i] = batchStatusResult{Error: err.Error(), Fault: faultclass.ClassOf(err)}
 			continue
 		}
-		job.mu.Lock()
-		st := job.status
-		jm := job.jm
-		job.mu.Unlock()
-		st.StdoutSent = job.stdout.sentBytes()
-		st.StderrSent = job.stderr.sentBytes()
-		resp.Results[i] = batchStatusResult{Status: st, JMAlive: jm != nil}
-		if jm != nil && st.State.Terminal() {
-			// This reply tells the client the job is over, which is what
-			// its JobManager was waiting for before exiting.
-			jm.markDelivered()
-		}
+		resp.Results[i] = s.statusEntry(job)
 	}
 	return resp, nil
+}
+
+// statusEntry is one job's entry in a reply that reports its status: the
+// status with the output bytes pushed so far, and whether its JobManager
+// runs. A terminal status marks the JobManager delivered — the reply tells
+// the client the job is over, which is what the daemon waits for before
+// exiting.
+func (s *Site) statusEntry(job *siteJob) batchStatusResult {
+	job.mu.Lock()
+	st := job.status
+	jm := job.jm
+	job.mu.Unlock()
+	st.StdoutSent = job.stdout.sentBytes()
+	st.StderrSent = job.stderr.sentBytes()
+	if jm != nil && st.State.Terminal() {
+		jm.markDelivered()
+	}
+	return batchStatusResult{Status: &st, JMAlive: jm != nil}
 }
 
 func (s *Site) handleBatchCancel(peer string, body json.RawMessage) (any, error) {
@@ -244,7 +265,9 @@ type BatchSubmitResult struct {
 	Err     error
 }
 
-// BatchStatusResult is one entry's outcome of a BatchStatus sweep.
+// BatchStatusResult is one entry's outcome of a BatchStatus sweep or a
+// BatchCommit. Status is the zero StatusInfo when the entry carries none:
+// a failed probe entry, or a job the commit frame itself committed.
 type BatchStatusResult struct {
 	Status  StatusInfo
 	JMAlive bool
@@ -316,11 +339,15 @@ func (c *Client) BatchSubmit(gkAddr string, entries []BatchSubmitEntry) ([]Batch
 // site where the caller's GASS server (gassAddr) and callback endpoint
 // (callback) listen now; the site re-points any job whose addresses moved,
 // which is how a restarted submit machine reconnects its jobs (§4.2). Empty
-// addresses re-point nothing. The returned slice has one entry per job ID:
-// nil, or that entry's error.
-func (c *Client) BatchCommit(gkAddr string, jobIDs []string, gassAddr, callback string) ([]error, error) {
+// addresses re-point nothing. The returned slice has one entry per job ID.
+// Err is the entry's error. A job this frame committed carries no status;
+// a job committed before — the replay a restarted submit machine sends —
+// carries its status and JobManager liveness as BatchStatus reports them,
+// and so does a job that failed before its commit arrived, beside the
+// error that refuses the commit.
+func (c *Client) BatchCommit(gkAddr string, jobIDs []string, gassAddr, callback string) ([]BatchStatusResult, error) {
 	req := batchCommitReq{JobIDs: jobIDs, GASS: gassAddr, Callback: callback}
-	return c.batchOp(gkAddr, "commit", "gram.batch-commit", req, len(jobIDs))
+	return c.statusOp(gkAddr, "commit", "gram.batch-commit", req, len(jobIDs))
 }
 
 // BatchRefreshCredential re-forwards the client's current proxy to several
@@ -339,8 +366,8 @@ func (c *Client) BatchRefreshCredential(gkAddr string, jobIDs []string, lifetime
 }
 
 // batchOp sends one frame of an op whose entries carry no payload of their
-// own (commit, cancel, refresh-credential) to the gatekeeper and returns one
-// error slot per entry.
+// own (cancel, refresh-credential) to the gatekeeper and returns one error
+// slot per entry.
 func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, error) {
 	var resp batchOpResp
 	if err := c.guard(gkAddr, "batch-"+verb, func() error {
@@ -363,24 +390,29 @@ func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, 
 // BatchStatus probes several jobs at one site in one frame, addressed to
 // the gatekeeper (the machine the site's JobManagers run on).
 func (c *Client) BatchStatus(gkAddr string, jobIDs []string) ([]BatchStatusResult, error) {
+	return c.statusOp(gkAddr, "status", "jm.batch-status", batchIDsReq{JobIDs: jobIDs}, len(jobIDs))
+}
+
+// statusOp sends one frame of an op whose entries answer with a status
+// (status, commit) to the gatekeeper and returns one result per entry.
+func (c *Client) statusOp(gkAddr, verb, method string, req any, n int) ([]BatchStatusResult, error) {
 	var resp batchStatusResp
-	if err := c.guard(gkAddr, "batch-status", func() error {
-		return c.gatekeeper(gkAddr).Call("jm.batch-status", batchIDsReq{JobIDs: jobIDs}, &resp)
+	if err := c.guard(gkAddr, "batch-"+verb, func() error {
+		return c.gatekeeper(gkAddr).Call(method, req, &resp)
 	}); err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(jobIDs) {
-		return nil, fmt.Errorf("gram: batch-status returned %d results for %d jobs",
-			len(resp.Results), len(jobIDs))
+	if len(resp.Results) != n {
+		return nil, fmt.Errorf("gram: batch-%s returned %d results for %d jobs",
+			verb, len(resp.Results), n)
 	}
-	c.observeBatch("status", len(jobIDs))
-	out := make([]BatchStatusResult, len(jobIDs))
+	c.observeBatch(verb, n)
+	out := make([]BatchStatusResult, n)
 	for i, r := range resp.Results {
-		if r.Error != "" {
-			out[i].Err = entryErr(r.Error, r.Fault)
-			continue
+		out[i] = BatchStatusResult{JMAlive: r.JMAlive, Err: entryErr(r.Error, r.Fault)}
+		if r.Status != nil {
+			out[i].Status = *r.Status
 		}
-		out[i] = BatchStatusResult{Status: r.Status, JMAlive: r.JMAlive}
 	}
 	return out, nil
 }

@@ -1,11 +1,13 @@
 package gram
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"condorg/internal/faultclass"
 	"condorg/internal/gsi"
+	"condorg/internal/lrm"
 )
 
 // One batch-submit + one batch-commit must carry N jobs through the
@@ -41,8 +43,8 @@ func TestBatchSubmitCommitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range cerrs {
-		if e != nil {
-			t.Fatalf("commit entry %d: %v", i, e)
+		if e.Err != nil || e.Status != (StatusInfo{}) {
+			t.Fatalf("commit entry %d: %+v, want a bare success", i, e)
 		}
 	}
 	deadline := time.Now().Add(8 * time.Second)
@@ -217,5 +219,67 @@ func TestBatchRefreshCredentialPerEntry(t *testing.T) {
 	}
 	if creds[0].Subject() != proxy.Subject() {
 		t.Fatalf("installed proxy subject %q, want %q", creds[0].Subject(), proxy.Subject())
+	}
+}
+
+// TestBatchCommitReplayCarriesStatus: a commit entry that commits its job
+// is empty on the wire, byte for byte as before commits answered with
+// status; a replayed commit answers with the job's status and JobManager
+// liveness, a terminal one releasing the JobManager as a status reply
+// does; and a commit refused because the job failed first carries that
+// failure beside the refusal.
+func TestBatchCommitReplayCarriesStatus(t *testing.T) {
+	g := newTestGrid(t)
+	contact, err := g.client.Submit(g.site.GatekeeperAddr(), JobSpec{Executable: g.stageProgram(t, "sleep"), Args: []string{"300ms"}}, SubmitOptions{SubmissionID: NewSubmissionID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(batchCommitReq{JobIDs: []string{contact.JobID}})
+	resp, err := g.site.handleBatchCommit("", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := json.Marshal(resp); string(raw) != `{"results":[{}]}` {
+		t.Fatalf("fresh commit reply %s, want {\"results\":[{}]}", raw)
+	}
+
+	res, err := g.client.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res[0]; r.Err != nil || r.Status.JobID != contact.JobID || r.Status.State.Terminal() || !r.JMAlive {
+		t.Fatalf("replayed commit of a running job answered %+v", r)
+	}
+	waitSiteState(t, g.site, contact.JobID, StateDone)
+	res, err = g.client.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res[0]; r.Err != nil || r.Status.State != StateDone || !r.JMAlive {
+		t.Fatalf("replayed commit of a finished job answered %+v", r)
+	}
+	waitLiveJobManagers(t, g.site, 0) // the reply was the JobManager's cue to exit
+
+	cluster, err := lrm.NewCluster(lrm.Config{Name: "s2", Cpus: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := NewSite(SiteConfig{Name: "short", Cluster: cluster, Runtime: testRuntime(),
+		StateDir: t.TempDir(), CommitTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer short.Close()
+	expired, err := g.client.Submit(short.GatekeeperAddr(), JobSpec{Executable: g.stageProgram(t, "echo")}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSiteState(t, short, expired.JobID, StateFailed)
+	res, err = g.client.BatchCommit(expired.GatekeeperAddr, []string{expired.JobID}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res[0]; r.Err == nil || r.Status.State != StateFailed || r.Status.Fault != faultclass.SiteLost {
+		t.Fatalf("commit of an expired job answered %+v, want a refusal with its SiteLost failure", r)
 	}
 }

@@ -270,11 +270,11 @@ func (c *Client) Submit(gkAddr string, spec JobSpec, opts SubmitOptions) (JobCon
 // Commit runs phase two for one job, as a gram.batch-commit of one that
 // re-points nothing: "job execution can commence". Idempotent.
 func (c *Client) Commit(contact JobContact) error {
-	errs, err := c.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, "", "")
+	res, err := c.BatchCommit(contact.GatekeeperAddr, []string{contact.JobID}, "", "")
 	if err != nil {
 		return err
 	}
-	return errs[0]
+	return res[0].Err
 }
 
 // Status reports one job's current state, as a jm.batch-status of one

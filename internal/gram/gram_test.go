@@ -530,8 +530,11 @@ func TestGSIAuthorizationPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs[0] == nil {
+	if errs[0].Err == nil {
 		t.Fatal("foreign subject re-committed job")
+	}
+	if errs[0].Status != (StatusInfo{}) {
+		t.Fatalf("a refused re-commit told a foreign subject the job's status %+v", errs[0].Status)
 	}
 	if _, err := os.Stat(urlFile); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("foreign re-commit touched the URL file (stat err=%v)", err)
@@ -553,11 +556,11 @@ func TestGSIAuthorizationPath(t *testing.T) {
 		return out
 	}
 	before := creds()
-	errs, err = otherClient.BatchRefreshCredential(running.GatekeeperAddr, []string{contact.JobID, running.JobID}, time.Hour)
+	rerrs, err := otherClient.BatchRefreshCredential(running.GatekeeperAddr, []string{contact.JobID, running.JobID}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range errs {
+	for i, e := range rerrs {
 		if e == nil {
 			t.Fatalf("foreign subject refreshed entry %d's credential", i)
 		}
@@ -709,8 +712,11 @@ func TestURLFileUpdateAfterSubmitMachineRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs[0] != nil {
-		t.Fatalf("re-commit: %v", errs[0])
+	if errs[0].Err != nil {
+		t.Fatalf("re-commit: %v", errs[0].Err)
+	}
+	if st := errs[0].Status; st.JobID != contact.JobID || st.State == StateUnsubmitted {
+		t.Fatalf("re-commit answered status %+v, want the committed job's", st)
 	}
 	got, err := gass.ReadURLFile(urlFile)
 	if err != nil || got != gs2.Addr() {

@@ -572,22 +572,23 @@ func (s *Site) ownedJob(peer, id string) (*siteJob, error) {
 // gram.batch-commit entry. It first re-points the job at the caller's
 // current GASS and callback addresses, whether the commit is new, a replay,
 // or refused because the job already failed — a failed job's output must
-// still drain.
-func (s *Site) commitOne(peer, jobID, gassAddr, callback string) error {
-	job, err := s.ownedJob(peer, jobID)
+// still drain. It returns the job (nil when the caller may not name it) and
+// whether this call committed it.
+func (s *Site) commitOne(peer, jobID, gassAddr, callback string) (job *siteJob, fresh bool, err error) {
+	job, err = s.ownedJob(peer, jobID)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	s.repoint(job, gassAddr, callback)
 	job.mu.Lock()
 	if job.committed {
 		job.mu.Unlock()
-		return nil // idempotent
+		return job, false, nil // idempotent
 	}
 	if job.status.State == StateFailed {
 		err := job.status.Error
 		job.mu.Unlock()
-		return fmt.Errorf("gram: job %s already failed: %s", jobID, err)
+		return job, false, fmt.Errorf("gram: job %s already failed: %s", jobID, err)
 	}
 	job.committed = true
 	if job.commitTimer != nil {
@@ -597,7 +598,7 @@ func (s *Site) commitOne(peer, jobID, gassAddr, callback string) error {
 	job.mu.Unlock()
 	s.persist(job)
 	go s.stageAndSubmit(job)
-	return nil
+	return job, true, nil
 }
 
 // repoint moves a job to where its submit machine listens now — a

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -88,8 +89,27 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add(mixed[:len(mixed)-5])                                     // torn patch tail
 	f.Add(append(append([]byte(nil), mixed...), mixed[:30]...))     // replayed prefix as a torn tail
 	f.Add(append(mixed[:len(mixed)/2:len(mixed)/2], mixed[40:]...)) // spliced middle
+	// Record bodies, for the in-place reader: every shape the store writes
+	// (escaped keys and types, an empty prev, a delete with no value), and
+	// near misses it must leave to encoding/json.
+	framed, foreign := readerCases()
+	for _, body := range append(framed, foreign...) {
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Whatever the reader accepts, as a body or as any intact frame's
+		// body, it decodes as encoding/json does.
+		readerAgrees(t, raw)
+		for rest := raw; len(rest) >= 8; {
+			size := binary.LittleEndian.Uint32(rest[0:4])
+			if uint64(size) > uint64(len(rest)-8) {
+				break
+			}
+			readerAgrees(t, rest[8:8+size])
+			rest = rest[8+size:]
+		}
+
 		dir := t.TempDir()
 		jpath := filepath.Join(dir, storeJournalFile)
 		if err := os.WriteFile(jpath, raw, 0o600); err != nil {

@@ -54,10 +54,12 @@ type partitionMeta struct {
 
 // OpenPartitionSet opens (or creates) a partition set rooted at dir with
 // n buckets (n <= 0 uses DefaultPartitions). Every partition directory
-// that already exists is opened — and therefore chain-verified — eagerly,
-// so corruption in any bucket surfaces at open time exactly as it does
-// for a single Store; buckets that have never been written are created
-// lazily on first use.
+// that already exists is opened — and therefore chain-verified — eagerly
+// and concurrently, so corruption in any bucket surfaces at open time
+// exactly as it does for a single Store: the first damaged bucket's
+// *CorruptionError is returned, that bucket alone is quarantined, and every
+// store that did open is closed again. Buckets that have never been written
+// are created lazily on first use.
 func OpenPartitionSet(dir string, n int, opts StoreOptions) (*PartitionSet, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err
@@ -79,11 +81,32 @@ func OpenPartitionSet(dir string, n int, opts StoreOptions) (*PartitionSet, erro
 		}
 	}
 	ps := &PartitionSet{dir: dir, opts: opts, n: n, parts: make(map[int]*Store)}
-	for _, idx := range ps.existing() {
-		if _, err := ps.open(idx); err != nil {
-			ps.Close()
-			return nil, err
+	idxs := ps.existing()
+	stores := make([]*Store, len(idxs))
+	errs := make([]error, len(idxs))
+	// The partitions share nothing, so they replay side by side: one
+	// goroutine per bucket directory.
+	var wg sync.WaitGroup
+	for i, idx := range idxs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stores[i], errs[i] = OpenStoreOptions(ps.partitionDir(idx), opts)
+		}()
+	}
+	wg.Wait()
+	var first error
+	for i, idx := range idxs {
+		if stores[i] != nil {
+			ps.parts[idx] = stores[i]
 		}
+		if first == nil {
+			first = errs[i]
+		}
+	}
+	if first != nil {
+		ps.Close()
+		return nil, first
 	}
 	return ps, nil
 }
@@ -121,6 +144,11 @@ func (ps *PartitionSet) existing() []int {
 	return out
 }
 
+// partitionDir is bucket idx's store directory.
+func (ps *PartitionSet) partitionDir(idx int) string {
+	return filepath.Join(ps.dir, partitionDirPrefix+strconv.Itoa(idx))
+}
+
 // Partitions returns the bucket count new writes are hashed across.
 func (ps *PartitionSet) Partitions() int { return ps.n }
 
@@ -155,7 +183,7 @@ func (ps *PartitionSet) open(idx int) (*Store, error) {
 	if st, ok := ps.parts[idx]; ok {
 		return st, nil
 	}
-	st, err := OpenStoreOptions(filepath.Join(ps.dir, partitionDirPrefix+strconv.Itoa(idx)), ps.opts)
+	st, err := OpenStoreOptions(ps.partitionDir(idx), ps.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -194,19 +222,6 @@ func (ps *PartitionSet) Stores() []*Store {
 	return stores
 }
 
-// ForEachEntry visits every key of every open partition with its image
-// and patches (see Store.ForEachEntry). Iteration order across partitions
-// is by bucket index; within a partition it is the Store's own (unordered
-// map) order.
-func (ps *PartitionSet) ForEachEntry(fn func(key string, image json.RawMessage, patches []json.RawMessage) error) error {
-	for _, st := range ps.Stores() {
-		if err := st.ForEachEntry(fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close closes every open partition, returning the first error. The set
 // opens nothing afterwards.
 func (ps *PartitionSet) Close() error {
@@ -229,7 +244,7 @@ func PartitionDirs(dir string) []string {
 	ps := PartitionSet{dir: dir}
 	var out []string
 	for _, idx := range ps.existing() {
-		out = append(out, filepath.Join(dir, partitionDirPrefix+strconv.Itoa(idx)))
+		out = append(out, ps.partitionDir(idx))
 	}
 	return out
 }

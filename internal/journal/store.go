@@ -207,11 +207,7 @@ func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 	if snap != nil {
 		s.data = snap
 	}
-	apply := func(rec Record) error {
-		var d storeDelta
-		if err := json.Unmarshal(rec.Data, &d); err != nil {
-			return err
-		}
+	apply := func(rec Record, d storeDelta) error {
 		applyDelta(s.data, rec.Type, d.Key, d.Value)
 		return nil
 	}

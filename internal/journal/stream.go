@@ -278,8 +278,8 @@ func (s *Store) ApplyReplica(sr StreamRecord) error {
 	if sum := hashBody(frame[8:]); sum != sr.Hash {
 		return fmt.Errorf("journal: replica record %d hash mismatch (got %.12s want %.12s)", sr.Seq, sum, sr.Hash)
 	}
-	var d storeDelta
-	if err := json.Unmarshal(sr.Data, &d); err != nil {
+	d, err := decodeDelta(sr.Data)
+	if err != nil {
 		return fmt.Errorf("journal: replica record %d: %w", sr.Seq, err)
 	}
 	s.mu.Lock()

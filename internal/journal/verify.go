@@ -110,11 +110,14 @@ type replayStats struct {
 
 // replayVerified reads the journal at path, CRC-checking every frame and
 // verifying hash-chain continuity through v (which persists across files).
-// fn, when non-nil, receives each intact record. A damaged tail with no
-// intact record after it is a crash-torn write and ends replay silently;
-// damage with intact records beyond it — and any chain violation — yields
-// a *CorruptionError. A missing file yields zero records.
-func replayVerified(path string, v *chainVerifier, fn func(rec Record) error) (replayStats, error) {
+// fn, when non-nil, receives each intact record and the store delta it
+// carries. A damaged tail with no intact record after it is a crash-torn
+// write and ends replay silently; damage with intact records beyond it —
+// and any chain violation — yields a *CorruptionError. A missing file
+// yields zero records. A record is read in place (readRecord); one that
+// frameRecord could not have written goes through encoding/json, whose
+// verdicts on it are the ones replay has always given.
+func replayVerified(path string, v *chainVerifier, fn func(rec Record, d storeDelta) error) (replayStats, error) {
 	var stats replayStats
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -154,15 +157,24 @@ func replayVerified(path string, v *chainVerifier, fn func(rec Record) error) (r
 		if crc32.ChecksumIEEE(buf) != sum {
 			return bad("frame CRC mismatch")
 		}
-		var rec Record
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			return bad(fmt.Sprintf("unparseable record: %v", err))
+		rec, d, inPlace := readRecord(buf)
+		if !inPlace {
+			rec = Record{}
+			if err := json.Unmarshal(buf, &rec); err != nil {
+				return bad(fmt.Sprintf("unparseable record: %v", err))
+			}
 		}
 		if reason, badSeq := v.check(&rec, hashBody(buf)); reason != "" {
 			return stats, &CorruptionError{Path: path, Seq: badSeq, Offset: off, Reason: reason}
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
+			if !inPlace {
+				d = storeDelta{}
+				if err := json.Unmarshal(rec.Data, &d); err != nil {
+					return stats, err
+				}
+			}
+			if err := fn(rec, d); err != nil {
 				return stats, err
 			}
 		}

@@ -34,13 +34,15 @@ go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 
 # The one submit/recover/probe/cancel/refresh route: batch frames (a lone
 # job is a batch of one) coalesce, settle exactly-once when torn, cancel
-# through the gatekeeper without a JobManager, re-verify recovered jobs —
-# pointing their JobManagers at the restarted agent — without one either,
+# through the gatekeeper without a JobManager — once, however a job is
+# held and removed — re-verify recovered jobs — pointing their JobManagers
+# at the restarted agent, and learning each job's state from the commit
+# reply alone — without one either,
 # and re-delegate credentials through the gatekeeper past a dead JobManager
 # and a partition, and past a site that lost the job, and on to the output
 # push of a job whose first proxy expired; callbacks are matched to the
 # job's gatekeeper.
-go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestRefreshedCredentialReachesOutputPush|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
+go test -race -count=1 -run 'TestBatchedProbeSweepCoalescesRPCs|TestSubmitBurstCoalesces|TestMidBatchResetSettlesExactlyOnce|TestMigrationCancelRetriedUntilAcked|TestMigrationCancelNeedsNoJobManager|TestRemoveHeldJobCancelsOnce|TestRecoveredJobCallsBack|TestRecoveryIsBatched|TestRecoveryFrameDecidesEachOutcome|TestRefreshReachesJobWithDeadJobManager|TestRefreshWaitsOutPartition|TestRefreshToSiteThatLostTheJob|TestRefreshIsBatched|TestRefreshedCredentialReachesOutputPush|TestCallbackFromAnotherGatekeeperIgnored' ./internal/condorg/
 go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
 # The job journal: an admit image plus patches folds back to the record
@@ -51,8 +53,9 @@ go test -race -count=1 -run 'TestBatch' ./internal/gram/
 # terminal state, a running job's lazy log line is in the user log at
 # once, a line the user log refused is appended by the next write, a lost
 # lazy write is re-derived, and a job costs a quarter of the bytes. Every
-# kind of event reaches its views and bumps its counter once.
-go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField' ./internal/condorg/
+# kind of event reaches its views and bumps its counter once, and a
+# record's events read back in place exactly as encoding/json reads them.
+go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField|TestReadEventsMatchesUnmarshal' ./internal/condorg/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), the site cache's per-hash uploads and unique
@@ -72,8 +75,8 @@ go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobF
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
 # control-plane types, the agent's and standby's config surface (agent.go,
-# standby.go, types.go), the job event stream (events.go), the journal,
-# the glidein autoscaler, the credential manager, the GSI layer, GASS, the
+# standby.go, types.go), the job event stream (events.go), the journal and
+# its in-place JSON readers (jsonscan), the glidein autoscaler, the credential manager, the GSI layer, GASS, the
 # LRM and GRAM must carry a doc comment. (A grep-level check, so it stays dependency-free; grouped decl
 # blocks are out of scope.)
 doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
@@ -83,7 +86,7 @@ doc_lint_files=$(ls internal/gateway/*.go internal/wire/*.go \
     internal/condorg/events.go \
     internal/journal/*.go internal/glidein/*.go \
     internal/credmgr/*.go internal/gsi/*.go internal/gass/*.go \
-    internal/lrm/*.go internal/gram/*.go | grep -v _test.go)
+    internal/lrm/*.go internal/gram/*.go internal/jsonscan/*.go | grep -v _test.go)
 undocumented=$(awk '
     (/^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/) && prev !~ /^\/\// {
         printf "%s:%d: exported declaration without doc comment: %s\n", FILENAME, FNR, $0
@@ -102,14 +105,19 @@ fi
 # silent partial replay.
 go test -run FuzzStoreReplay -count=1 ./internal/journal/
 # And the patch record beside it: replay, snapshots, lazy writes, the
-# replication stream, and delta framing byte-identical to encoding/json.
-go test -count=1 -run 'TestStorePatchReplay|TestStoreLazyWriteRidesNextCommit|TestStreamReplicatesPatches|TestFrameDeltaMatchesMarshal' ./internal/journal/
+# replication stream, delta framing byte-identical to encoding/json, the
+# in-place record reader decoding exactly what encoding/json decodes, and
+# partitions that open side by side failing, quarantining and closing as
+# one store would; the readers under it match encoding/json too.
+go test -count=1 -run 'TestStorePatchReplay|TestStoreLazyWriteRidesNextCommit|TestStreamReplicatesPatches|TestFrameDeltaMatchesMarshal|TestReadRecordMatchesUnmarshal|TestOpenPartitionSetCorruptPartition' ./internal/journal/
+go test -count=1 ./internal/jsonscan/
 # And the FuzzDecodeMessage one: arbitrary bytes — truncated and overrun
 # blob frames among the seeds — decode to a message or an error, never a
 # panic.
 go test -run FuzzDecodeMessage -count=1 ./internal/wire/
 if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime "$CHECK_FUZZ_TIME" ./internal/journal/
+    go test -run FuzzMembers -fuzz FuzzMembers -fuzztime "$CHECK_FUZZ_TIME" ./internal/jsonscan/
     go test -run FuzzDecodeMessage -fuzz FuzzDecodeMessage -fuzztime "$CHECK_FUZZ_TIME" ./internal/wire/
 fi
 
