@@ -229,9 +229,10 @@ func (gm *GridManager) applyStatuses(ms []incarnation, results []gram.BatchStatu
 			case faultclass.SiteLost:
 				// The site is alive but has no record of the job — it
 				// can never finish there. Same verdict as a failed
-				// jm-restart.
+				// jm-restart, but no restart was asked for: the user log
+				// reads a remote failure.
 				m.rec.mu.Lock()
-				gm.agent.emit(m.rec, evJMRestartFailed, faultclass.SiteLost.String(), "site no longer knows the job: "+r.Err.Error())
+				gm.agent.emit(m.rec, evRemoteFailure, faultclass.SiteLost.String(), "remote failure: site no longer knows the job: "+r.Err.Error())
 				m.rec.mu.Unlock()
 				if after := gm.maybeResubmit(m.rec, siteLostStatus(r.Err.Error()), frameWait); after != nil {
 					released = append(released, after)

@@ -412,3 +412,49 @@ func TestJobManagerExits(t *testing.T) {
 		})
 	})
 }
+
+// TestCallbacksShareOneConnection: a site's JobManagers report to the agent
+// over one callback connection, however many of its jobs are live, and the
+// connection goes once the last of them exits.
+func TestCallbacksShareOneConnection(t *testing.T) {
+	var accepts atomic.Int64
+	site := newSite(t, "s", &atomic.Int64{}, t.TempDir(), "")
+	t.Cleanup(site.Close)
+	a, err := NewAgent(AgentConfig{
+		StateDir: t.TempDir(),
+		Selector: StaticSelector(site.GatekeeperAddr()),
+		Probe:    ProbeOptions{Interval: time.Minute}, // only callbacks report
+		Faults: FaultOptions{Callback: &wire.Faults{RefuseConn: func() bool {
+			accepts.Add(1)
+			return false
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	const n = 16
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ids[i], errs[i] = a.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task"), Args: []string{"200ms"}})
+		}(i)
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		waitAgentState(t, a, id, Completed)
+	}
+	if got := accepts.Load(); got != 1 {
+		t.Fatalf("the callback listener accepted %d connections from one site for %d jobs, want 1", got, n)
+	}
+	waitFor(t, "every JobManager to exit and its callback connection to close", 5*time.Second, func() bool {
+		return site.LiveJobManagers() == 0 && a.cbSrv.Conns() == 0
+	})
+}

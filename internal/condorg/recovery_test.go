@@ -338,8 +338,27 @@ func TestRecoveryFrameDecidesEachOutcome(t *testing.T) {
 	if c, f := codes(lost), faults(lost); c["RESUBMIT"] != 1 || f != 1 || info.Resubmits != 1 {
 		t.Fatalf("lost job's log %v with %d fault events and %d resubmits, want one resubmission", c, f, info.Resubmits)
 	}
+	// The site answered the commit that it lost the job: the user log says
+	// so, and claims no JobManager restart nobody asked for.
+	var lostLog []string
+	for _, l := range info.Log {
+		if l.Code == "REMOTE_FAILURE" || l.Code == "RESUBMIT" || strings.HasPrefix(l.Code, "JM_RESTART") {
+			lostLog = append(lostLog, l.Code)
+		}
+	}
+	if strings.Join(lostLog, " ") != "REMOTE_FAILURE RESUBMIT" {
+		t.Fatalf("lost job's log reads %v, want REMOTE_FAILURE then RESUBMIT", lostLog)
+	}
 	if c := codes(running); c["JM_RESTARTED"] != 1 || c["RESUBMIT"] != 0 {
 		t.Fatalf("running job's log %v, want one JobManager restart", c)
+	}
+	restarts := 0
+	for _, id := range []string{done, failed, running, lost} {
+		c := codes(id)
+		restarts += c["JM_RESTARTED"] + c["JM_RESTART_FAILED"]
+	}
+	if want := gk.get("gram.jm-restart"); restarts != want {
+		t.Fatalf("the user logs hold %d JM_RESTART* lines for %d gram.jm-restart requests", restarts, want)
 	}
 	for _, tag := range []string{"done", "failed", "running", "lost"} {
 		if got := keeper.count(keeper.started, tag); got != 1 {

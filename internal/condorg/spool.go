@@ -29,15 +29,16 @@ const spoolKeyPrefix = "spool/"
 const spoolStripes = 64
 
 // initSpool lays out the agent's GASS tree: objects/ holds every payload
-// once under its content hash, out/ every job's stdout and stderr, and
-// partial/ the temp files objects are written through. A temp file left by
-// a crash is never renamed, so partial/ starts empty.
+// once under its content hash and partial/ the temp files objects are
+// written through. Every job's stdout and stderr are streams of the GASS
+// server's append log, under out/<id> paths no directory holds. A temp file
+// left by a crash is never renamed, so partial/ starts empty.
 func (a *Agent) initSpool() error {
 	root := a.gassS.Root()
 	if err := os.RemoveAll(filepath.Join(root, "partial")); err != nil {
 		return err
 	}
-	for _, d := range []string{"objects", "out", "partial"} {
+	for _, d := range []string{"objects", "partial"} {
 		if err := os.MkdirAll(filepath.Join(root, d), 0o700); err != nil {
 			return err
 		}

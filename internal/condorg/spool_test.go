@@ -13,14 +13,16 @@ import (
 	"testing"
 	"time"
 
+	"condorg/internal/gass"
 	"condorg/internal/gram"
 	"condorg/internal/journal"
 	"condorg/internal/lrm"
 )
 
 // The agent's spool (DESIGN.md §8): every payload once under objects/
-// <sha256>, every job's output as flat files under out/, one user log per
-// owner under logs/ — so a submit creates no file of its own.
+// <sha256>, every job's output as streams of the GASS server's one append
+// log, one user log per owner under logs/ — so a job creates no file of its
+// own.
 
 // bytesRuntime runs jobs, checking that the site handed each the executable
 // the test submitted for it (by args[0], its tag); runs counts executions
@@ -107,11 +109,29 @@ func dirEntries(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestSubmitCreatesNoPerJobFiles: submitting an executable the spool already
-// holds creates no file and no directory. Forty jobs of two owners leave one
-// object, one user log per owner, at most one output file per job and no
-// per-job directory; sixteen concurrent submits of a new executable write
-// its object once, and every job runs once on exactly those bytes.
+// countFiles counts the regular files under dir.
+func countFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSubmitCreatesNoPerJobFiles: a job creates no file and no directory,
+// its output included. Once each of two owners has run a job and its
+// output is home, thirty-eight more jobs and their output leave the state
+// directory holding exactly as many files: one object, one user log per
+// owner, the append log, no per-job file or directory. Sixteen concurrent
+// submits of a new executable write its object once, and every job runs
+// once on exactly those bytes.
 func TestSubmitCreatesNoPerJobFiles(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		exec := paddedProgram("shared", 4096, 's')
@@ -128,18 +148,32 @@ func TestSubmitCreatesNoPerJobFiles(t *testing.T) {
 		}
 		defer a.Close()
 		const n = 40
-		var ids []string
-		for i := 0; i < n; i++ {
-			tag := fmt.Sprintf("j%d", i)
-			rt.expect(tag, exec)
-			id, err := a.Submit(SubmitRequest{Owner: []string{"amy", "ben"}[i%2], Executable: exec, Args: []string{tag}})
-			if err != nil {
-				t.Fatal(err)
+		ids := make([]string, n)
+		run := func(from, to int) {
+			t.Helper()
+			for i := from; i < to; i++ {
+				tag := fmt.Sprintf("j%d", i)
+				rt.expect(tag, exec)
+				id, err := a.Submit(SubmitRequest{Owner: []string{"amy", "ben"}[i%2], Executable: exec, Args: []string{tag}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
 			}
-			ids = append(ids, id)
+			for i := from; i < to; i++ {
+				waitAgentState(t, a, ids[i], Completed)
+				want := fmt.Sprintf("ran j%d\n", i)
+				waitFor(t, ids[i]+"'s output", 5*time.Second, func() bool {
+					out, err := a.Stdout(ids[i])
+					return err == nil && string(out) == want
+				})
+			}
 		}
-		for _, id := range ids {
-			waitAgentState(t, a, id, Completed)
+		run(0, 2) // each owner's first job
+		first := countFiles(t, dir)
+		run(2, n)
+		if got := countFiles(t, dir); got != first {
+			t.Fatalf("the state directory holds %d files after %d jobs, %d after each owner's first", got, n, first)
 		}
 		rt.checkRanOnce(t)
 		spool := filepath.Join(dir, "spool")
@@ -149,8 +183,8 @@ func TestSubmitCreatesNoPerJobFiles(t *testing.T) {
 		if got := dirEntries(t, filepath.Join(dir, "logs")); len(got) != 2 {
 			t.Fatalf("logs/ holds %v, want one user log per owner", got)
 		}
-		if got := dirEntries(t, filepath.Join(spool, "out")); len(got) > n {
-			t.Fatalf("out/ holds %d files for %d jobs", len(got), n)
+		if got := dirEntries(t, filepath.Join(spool, "out")); got != nil {
+			t.Fatalf("the spool holds per-job output files: %v", got)
 		}
 		if got := dirEntries(t, filepath.Join(spool, "jobs")); got != nil {
 			t.Fatalf("the spool grew per-job directories: %v", got)
@@ -390,8 +424,8 @@ func TestRecoverLegacySpoolRecord(t *testing.T) {
 				out, err := a2.Stdout(id)
 				return err == nil && string(out) == "ran legacy\n"
 			})
-			if _, err := os.Stat(filepath.Join(dir, "spool", "jobs", id, "stdout")); err != nil {
-				t.Fatalf("the output did not land where the record's spec names: %v", err)
+			if out, err := a2.gassS.ReadFile("jobs/" + id + "/stdout"); err != nil || string(out) != "ran legacy\n" {
+				t.Fatalf("the path the record's spec names reads %q, %v", out, err)
 			}
 			if ha {
 				waitFor(t, "the job's end to release "+legacyKey, 5*time.Second, func() bool {
@@ -416,5 +450,63 @@ func TestRecoverLegacySpoolRecord(t *testing.T) {
 				t.Fatalf("new job's spec names %s and %s", spec.Executable, spec.StdoutURL)
 			}
 		})
+	}
+}
+
+// TestOutputFileThenLog: output an agent of the per-file layout streamed
+// into out/<id>.stdout before it stopped is not lost to the append log.
+// The appends that follow read back after the file's bytes, through Stdout
+// and through gass.read windows on either side of the seam.
+func TestOutputFileThenLog(t *testing.T) {
+	rt := newBytesRuntime()
+	exec := paddedProgram("seam", 4096, 's')
+	rt.expect("seam", exec)
+	site := newRuntimeSite(t, rt)
+	dir := t.TempDir()
+	const id, before = "gj1", "streamed by the per-file layout\n"
+	out := filepath.Join(dir, "spool", "out")
+	if err := os.MkdirAll(out, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(out, id+".stdout"), []byte(before), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAgent(AgentConfig{
+		StateDir: dir,
+		Selector: StaticSelector(site.GatekeeperAddr()),
+		Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	got, err := a.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{"seam"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != id {
+		t.Fatalf("the first job is %s, want %s", got, id)
+	}
+	waitAgentState(t, a, id, Completed)
+	want := before + "ran seam\n"
+	waitFor(t, "the job's output", 5*time.Second, func() bool {
+		out, err := a.Stdout(id)
+		return err == nil && string(out) == want
+	})
+	c := gass.NewClient(nil, nil)
+	defer c.Close()
+	u := a.gassS.URLFor("out/" + id + ".stdout")
+	seam := len(before)
+	for off := seam - 3; off <= seam+3; off++ {
+		for n := 1; n <= 8; n++ {
+			data, eof, err := c.ReadAt(u, int64(off), n)
+			end := min(off+n, len(want))
+			if err != nil || string(data) != want[off:end] || eof != (end == len(want)) {
+				t.Fatalf("gass.read(%d, %d) = %q, eof=%v, %v; want %q, eof=%v", off, n, data, eof, err, want[off:end], end == len(want))
+			}
+		}
+	}
+	if size, exists, err := c.Stat(u); err != nil || !exists || size != int64(len(want)) {
+		t.Fatalf("gass.stat = %d, %v, %v; want %d", size, exists, err, len(want))
 	}
 }

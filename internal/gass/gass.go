@@ -17,6 +17,20 @@
 // same confined tree. The Condor-G agent commits its spool objects under
 // Root, reads its output through ReadFile and pushes executables from Open.
 //
+// # Append streams
+//
+// gass.append creates no file. Each append is one framed record
+// (crc32c | path len | data len | path | data) written with one positional
+// write to a single append-only log under the root, and an in-memory index
+// maps each path to its records' extents and size. A path's content is its
+// on-disk file, if there is one, followed by its logged bytes: ReadFile,
+// gass.read and gass.stat serve that concatenation, and an append answers
+// with its size. A path with logged bytes is a stream: gass.write to it is
+// refused, and Open serves on-disk files only. Appends are not fsynced.
+// Opening the log walks its record headers once to rebuild the index, and
+// cuts off a torn tail and a last record whose checksum fails. The log
+// lives under the root, but no request path names it.
+//
 // # Resume contract
 //
 // Reads are offset-based: gass.read takes (path, offset, maxLen) and
@@ -38,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -74,11 +89,13 @@ func ParseURL(s string) (URL, error) {
 	return URL{Addr: addr, Path: path}, nil
 }
 
-// Server exposes a directory tree over the wire protocol.
+// Server exposes a directory tree over the wire protocol, and the streams
+// of its append log beside it.
 type Server struct {
 	root string
 	srv  *wire.Server
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes writes and guards log
+	log  *appendLog
 }
 
 // ServerOptions configures a GASS server.
@@ -100,6 +117,10 @@ func NewServer(root string, opts ServerOptions) (*Server, error) {
 	if err := os.MkdirAll(root, 0o700); err != nil {
 		return nil, err
 	}
+	log, err := openAppendLog(filepath.Join(root, appendLogName))
+	if err != nil {
+		return nil, err
+	}
 	ws, err := wire.NewServer(wire.ServerConfig{
 		Name:   ServiceName,
 		Anchor: opts.Anchor,
@@ -107,9 +128,10 @@ func NewServer(root string, opts ServerOptions) (*Server, error) {
 		Faults: opts.Faults,
 	})
 	if err != nil {
+		log.f.Close()
 		return nil, err
 	}
-	s := &Server{root: root, srv: ws}
+	s := &Server{root: root, srv: ws, log: log}
 	ws.Handle("gass.stat", s.handleStat)
 	ws.HandleBlob("gass.read", s.handleRead)
 	ws.HandleBlob("gass.write", s.handleWrite)
@@ -127,41 +149,60 @@ func (s *Server) Root() string { return s.root }
 func (s *Server) URLFor(relPath string) URL { return URL{Addr: s.Addr(), Path: relPath} }
 
 // Close shuts the server down.
-func (s *Server) Close() error { return s.srv.Close() }
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	if cerr := s.log.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-// resolve confines a request path to the served root.
-func (s *Server) resolve(p string) (string, error) {
+// clean confines a request path to the served root: it returns the path
+// relative to the root in canonical form. A ".." segment and the append
+// log's own name are refused.
+func clean(p string) (string, error) {
 	for _, seg := range strings.Split(filepath.ToSlash(p), "/") {
 		if seg == ".." {
 			return "", fmt.Errorf("gass: path escapes root: %q", p)
 		}
 	}
-	return filepath.Join(s.root, filepath.Clean("/"+p)), nil
+	rel := strings.TrimPrefix(path.Clean("/"+filepath.ToSlash(p)), "/")
+	if rel == appendLogName {
+		return "", fmt.Errorf("gass: %q is not served", p)
+	}
+	return rel, nil
 }
 
-// openForWrite resolves rel, makes its directory and opens the file for
-// writing. The caller holds s.mu across the open and what it writes.
-func (s *Server) openForWrite(rel string, flags int, perm os.FileMode) (*os.File, error) {
-	path, err := s.resolve(rel)
-	if err != nil {
-		return nil, err
+// resolve confines a request path to the served root: it returns the
+// path's key (see clean) and its file.
+func (s *Server) resolve(p string) (key, full string, err error) {
+	if key, err = clean(p); err != nil {
+		return "", "", err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o700); err != nil {
-		return nil, err
-	}
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flags, perm)
+	return key, filepath.Join(s.root, filepath.FromSlash(key)), nil
 }
 
 // writeAt is gass.write: data lands at off, in a file emptied first when
-// truncate is set.
+// truncate is set. A path with appended bytes is a stream, not a file, and
+// is refused.
 func (s *Server) writeAt(rel string, off int64, data []byte, truncate bool) error {
-	flags := 0
+	key, full, err := s.resolve(rel)
+	if err != nil {
+		return err
+	}
+	flags := os.O_CREATE | os.O_WRONLY
 	if truncate {
-		flags = os.O_TRUNC
+		flags |= os.O_TRUNC
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.openForWrite(rel, flags, 0o700)
+	if s.log.streams[key] != nil {
+		return fmt.Errorf("gass: %q is an append stream", rel)
+	}
+	if err := os.MkdirAll(filepath.Dir(full), 0o700); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(full, flags, 0o700)
 	if err != nil {
 		return err
 	}
@@ -170,23 +211,106 @@ func (s *Server) writeAt(rel string, off int64, data []byte, truncate bool) erro
 	return err
 }
 
-// ReadFile returns the file at rel (a path under the served root); a file
-// nobody has written yet is os.ErrNotExist.
-func (s *Server) ReadFile(rel string) ([]byte, error) {
-	path, err := s.resolve(rel)
+// appendTo is gass.append: data becomes one record of the path's stream
+// in the append log. It returns the path's size after the append.
+func (s *Server) appendTo(rel string, data []byte) (int64, error) {
+	key, full, err := s.resolve(rel)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return os.ReadFile(path)
+	if key == "" {
+		return 0, fmt.Errorf("gass: append to the root %q", rel)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.log.streams[key]
+	if st == nil {
+		st = &stream{base: -1}
+	}
+	if err := st.lookupBase(full); err != nil {
+		return 0, err
+	}
+	if err := s.log.append(key, st, data); err != nil {
+		return 0, err
+	}
+	return st.base + st.size, nil
 }
 
-// Open opens the file at rel (a path under the served root) for reading.
-func (s *Server) Open(rel string) (*os.File, error) {
-	path, err := s.resolve(rel)
+// view is a snapshot of one path's content: the first base bytes of its
+// on-disk file, then its logged extents.
+type view struct {
+	full string
+	base int64
+	exts []extent
+	size int64
+}
+
+// streamView returns the view of rel when its stream is in the log, and
+// ok false (with the resolved file path) when it is a plain file.
+func (s *Server) streamView(rel string) (v view, ok bool, err error) {
+	key, full, err := s.resolve(rel)
+	if err != nil {
+		return view{}, false, err
+	}
+	v.full = full
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.log.streams[key]
+	if st == nil {
+		return v, false, nil
+	}
+	if err := st.lookupBase(full); err != nil {
+		return view{}, false, err
+	}
+	v.base, v.exts, v.size = st.base, st.extents, st.base+st.size
+	return v, true, nil
+}
+
+// readAt fills p from v at off; the caller keeps the window inside v.size.
+func (s *Server) readAt(v view, p []byte, off int64) error {
+	if off < v.base {
+		f, err := os.Open(v.full)
+		if err != nil {
+			return err
+		}
+		k := min(int64(len(p)), v.base-off)
+		_, err = f.ReadAt(p[:k], off)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		p, off = p[k:], v.base
+	}
+	return s.log.readAt(v.exts, p, off-v.base)
+}
+
+// ReadFile returns the content at rel (a path under the served root): its
+// on-disk file followed by its appended bytes. A path nobody has written
+// or appended to yet is os.ErrNotExist.
+func (s *Server) ReadFile(rel string) ([]byte, error) {
+	v, ok, err := s.streamView(rel)
 	if err != nil {
 		return nil, err
 	}
-	return os.Open(path)
+	if !ok {
+		return os.ReadFile(v.full)
+	}
+	buf := make([]byte, v.size)
+	if err := s.readAt(v, buf, 0); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// Open opens the on-disk file at rel (a path under the served root) for
+// reading. An append stream's logged bytes are not in it: ReadFile serves
+// those.
+func (s *Server) Open(rel string) (*os.File, error) {
+	_, full, err := s.resolve(rel)
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(full)
 }
 
 // fileReq is the body of every verb: the file, where (gass.read/write), how
@@ -208,11 +332,14 @@ func (s *Server) handleStat(_ string, body json.RawMessage) (any, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	path, err := s.resolve(req.Path)
+	v, ok, err := s.streamView(req.Path)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := os.Stat(path)
+	if ok {
+		return statResp{Size: v.size, Exists: true}, nil
+	}
+	fi, err := os.Stat(v.full)
 	if errors.Is(err, os.ErrNotExist) {
 		return statResp{Exists: false}, nil
 	}
@@ -231,18 +358,27 @@ func (s *Server) handleRead(_ string, body json.RawMessage, _ []byte) (any, []by
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, err
 	}
-	path, err := s.resolve(req.Path)
+	if req.MaxLen <= 0 || req.MaxLen > ChunkSize {
+		req.MaxLen = ChunkSize
+	}
+	v, ok, err := s.streamView(req.Path)
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.Open(path)
+	if ok {
+		off := max(req.Offset, 0)
+		n := max(min(int64(req.MaxLen), v.size-off), 0)
+		buf := make([]byte, n)
+		if err := s.readAt(v, buf, off); err != nil {
+			return nil, nil, err
+		}
+		return readResp{EOF: off+n >= v.size}, buf, nil
+	}
+	f, err := os.Open(v.full)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gass: %w", err)
 	}
 	defer f.Close()
-	if req.MaxLen <= 0 || req.MaxLen > ChunkSize {
-		req.MaxLen = ChunkSize
-	}
 	// One byte past the window tells whether the window reaches the end:
 	// a read that fills the window exactly up to the end of the file sees
 	// no io.EOF.
@@ -263,7 +399,7 @@ func (s *Server) handleWrite(_ string, body json.RawMessage, data []byte) (any, 
 }
 
 type appendResp struct {
-	Size int64 `json:"size"` // file size after append
+	Size int64 `json:"size"` // the path's size after the append
 }
 
 func (s *Server) handleAppend(_ string, body json.RawMessage, data []byte) (any, []byte, error) {
@@ -271,19 +407,9 @@ func (s *Server) handleAppend(_ string, body json.RawMessage, data []byte) (any,
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.openForWrite(req.Path, os.O_APPEND, 0o600)
+	size, err := s.appendTo(req.Path, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	if _, err := f.Write(data); err != nil {
-		return nil, nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	return appendResp{Size: fi.Size()}, nil, nil
+	return appendResp{Size: size}, nil, nil
 }

@@ -28,7 +28,8 @@ type JobManager struct {
 
 	mu        sync.Mutex
 	closed    bool
-	delivered bool // the client holds the job's terminal state
+	delivered bool   // the client holds the job's terminal state
+	cbAddr    string // where cbClient reports; "" when the client gave none
 	cbClient  *wire.Client
 	stop      chan struct{}
 }
@@ -40,44 +41,77 @@ const pushRetry = 10 * time.Millisecond
 // startJobManager creates, registers and starts a JobManager for job.
 func (s *Site) startJobManager(job *siteJob) {
 	jm := &JobManager{site: s, job: job, stop: make(chan struct{})}
-	// Dialled under the job lock that publishes the daemon, so a concurrent
-	// re-point (Site.repoint) either sees this daemon or hands it the new
-	// address.
+	// Acquired under the job lock that publishes the daemon, so a
+	// concurrent re-point (Site.repoint) either sees this daemon or hands
+	// it the new address.
 	job.mu.Lock()
-	jm.cbClient = dialCallback(job.callback)
+	jm.cbAddr, jm.cbClient = job.callback, s.acquireCallback(job.callback)
 	job.jm = jm
 	job.mu.Unlock()
 	go jm.run()
 }
 
-// dialCallback returns a client for the caller's callback endpoint, or nil
-// when it gave none. Callbacks ride on the client's own channel trust.
-func dialCallback(addr string) *wire.Client {
+// callbackConn is one connection to a client's callback endpoint, shared
+// by the site's JobManagers that report there.
+type callbackConn struct {
+	client *wire.Client
+	refs   int
+}
+
+// acquireCallback returns the site's client for the callback endpoint at
+// addr, dialling it for the first JobManager that reports there, or nil
+// when the caller gave no endpoint. Callbacks ride on the client's own
+// channel trust. Each acquire is paired with a releaseCallback.
+func (s *Site) acquireCallback(addr string) *wire.Client {
 	if addr == "" {
 		return nil
 	}
-	return wire.Dial(addr, wire.ClientConfig{
-		ServerName: CallbackService,
-		Timeout:    time.Second,
-		Retries:    1,
-	})
+	s.cbMu.Lock()
+	defer s.cbMu.Unlock()
+	cc := s.callbacks[addr]
+	if cc == nil {
+		cc = &callbackConn{client: wire.Dial(addr, wire.ClientConfig{
+			ServerName: CallbackService,
+			Timeout:    time.Second,
+			Retries:    1,
+		})}
+		s.callbacks[addr] = cc
+	}
+	cc.refs++
+	return cc.client
+}
+
+// releaseCallback drops one JobManager's hold on the callback client for
+// addr; the last release closes the connection.
+func (s *Site) releaseCallback(addr string) {
+	if addr == "" {
+		return
+	}
+	s.cbMu.Lock()
+	cc := s.callbacks[addr]
+	cc.refs--
+	if cc.refs > 0 {
+		s.cbMu.Unlock()
+		return
+	}
+	delete(s.callbacks, addr)
+	s.cbMu.Unlock()
+	cc.client.Close()
 }
 
 // setCallback redirects the daemon's status callbacks to addr: the caller's
 // callback endpoint moved (Site.repoint).
 func (jm *JobManager) setCallback(addr string) {
-	cb := dialCallback(addr)
+	cb := jm.site.acquireCallback(addr)
 	jm.mu.Lock()
-	old := jm.cbClient
+	old := jm.cbAddr
 	if jm.closed {
-		old = cb
+		old = addr
 	} else {
-		jm.cbClient = cb
+		jm.cbAddr, jm.cbClient = addr, cb
 	}
 	jm.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
+	jm.site.releaseCallback(old)
 }
 
 // markDelivered records that the client holds the job's terminal state — a
@@ -98,11 +132,9 @@ func (jm *JobManager) Close() {
 	}
 	jm.closed = true
 	close(jm.stop)
-	cb := jm.cbClient
+	addr := jm.cbAddr
 	jm.mu.Unlock()
-	if cb != nil {
-		cb.Close()
-	}
+	jm.site.releaseCallback(addr)
 }
 
 // run is the daemon's main loop, woken through the job's kick channel. Each
@@ -189,16 +221,14 @@ func (jm *JobManager) exit() bool {
 		return false
 	}
 	jm.closed = true
-	cb := jm.cbClient
+	addr := jm.cbAddr
 	jm.mu.Unlock()
 	jm.job.mu.Lock()
 	if jm.job.jm == jm {
 		jm.job.jm = nil
 	}
 	jm.job.mu.Unlock()
-	if cb != nil {
-		cb.Close()
-	}
+	jm.site.releaseCallback(addr)
 	return true
 }
 

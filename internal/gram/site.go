@@ -81,6 +81,9 @@ type Site struct {
 	serial  int
 	crashed bool
 	closing bool // Close in progress: LRM kills are site-lost, not failures
+
+	cbMu      sync.Mutex
+	callbacks map[string]*callbackConn // by client callback address
 }
 
 func (s *Site) isClosing() bool {
@@ -216,7 +219,8 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		return nil, err
 	}
 	s := &Site{cfg: cfg, store: store, stage: stage,
-		jobs: make(map[string]*siteJob), bySubID: make(map[string]*siteJob)}
+		jobs: make(map[string]*siteJob), bySubID: make(map[string]*siteJob),
+		callbacks: make(map[string]*callbackConn)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}

@@ -295,6 +295,13 @@ func (s *Server) Resume() {
 	s.mu.Unlock()
 }
 
+// Conns reports how many connections the server holds open.
+func (s *Server) Conns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
 // Close shuts the server down, severing all connections.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Static hygiene gate: formatting, vet, and the journal-corruption and
-# frame-decoder fuzz corpora, run from the repo root. Used by the verify recipe and safe to
-# run standalone; exits non-zero (with the offending files on stdout) on
-# any violation.
+# Static hygiene gate: formatting, vet, and the journal-corruption,
+# frame-decoder and append-log fuzz corpora, run from the repo root. Used
+# by the verify recipe and safe to run standalone; exits non-zero (with
+# the offending files on stdout) on any violation.
 #
 # Set CHECK_FUZZ_TIME (e.g. "30s") to also run a bounded randomized fuzz
 # pass on top of the checked-in/seed corpus.
@@ -66,11 +66,14 @@ go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsO
 # its own spool without dialing it: one content-addressed object per
 # payload, written once however many submits race on it, replicated keys
 # released only by the last job naming them, records of the old per-job
-# layout still recovered, and one user log per owner across restarts.
+# layout still recovered, and one user log per owner across restarts. A
+# job's output creates no file: it is a stream of the GASS append log, read
+# back after any file an older layout left at its path, and a site's
+# JobManagers share one callback connection.
 go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
 go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy' ./internal/gram/ ./internal/condorg/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
-go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog' ./internal/condorg/
+go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog|TestOutputFileThenLog|TestCallbacksShareOneConnection' ./internal/condorg/
 
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
@@ -115,10 +118,15 @@ go test -count=1 ./internal/jsonscan/
 # blob frames among the seeds — decode to a message or an error, never a
 # panic.
 go test -run FuzzDecodeMessage -count=1 ./internal/wire/
+# And the FuzzAppendLog one: arbitrary bytes as a GASS append log open
+# without a panic, index only extents inside the file, reopen to the same
+# streams and take an append that reads back.
+go test -run FuzzAppendLog -count=1 ./internal/gass/
 if [ -n "${CHECK_FUZZ_TIME:-}" ]; then
     go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime "$CHECK_FUZZ_TIME" ./internal/journal/
     go test -run FuzzMembers -fuzz FuzzMembers -fuzztime "$CHECK_FUZZ_TIME" ./internal/jsonscan/
     go test -run FuzzDecodeMessage -fuzz FuzzDecodeMessage -fuzztime "$CHECK_FUZZ_TIME" ./internal/wire/
+    go test -run FuzzAppendLog -fuzz FuzzAppendLog -fuzztime "$CHECK_FUZZ_TIME" ./internal/gass/
 fi
 
 echo "check.sh: gofmt + go vet + bench module + ladder, batch-route and staging-plane tests + fuzz corpora clean"
