@@ -267,6 +267,10 @@ type Agent struct {
 	bySiteJob  map[string]string     // site job ID -> agent job ID
 	tombstoned map[string]*jobRecord // jobs with unacked cancels
 	managers   map[string]*GridManager
+	// sessions holds one gatekeeper connection per (gatekeeper,
+	// credential), shared by the managers of every owner using that
+	// credential, so it outlives any one of them.
+	sessions *gram.Sessions
 	// creds holds per-owner refreshed proxies; owners without an entry
 	// use cfg.Credential (the agent-wide default).
 	creds   map[string]*gsi.Credential
@@ -326,6 +330,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		bySiteJob:  make(map[string]string),
 		tombstoned: make(map[string]*jobRecord),
 		managers:   make(map[string]*GridManager),
+		sessions:   gram.NewSessions(cfg.Clock),
 		logFiles:   make(map[string]*os.File),
 		lazy:       make(map[*journal.Store][]*jobRecord),
 		pipeSem:    newFairSem(cfg.Pipeline.MaxInFlight),

@@ -48,7 +48,7 @@ func newGridManager(a *Agent, owner string, cred *gsi.Credential) *GridManager {
 	gm := &GridManager{
 		agent:       a,
 		owner:       owner,
-		gram:        gram.NewClient(cred, a.cfg.Clock),
+		gram:        a.sessions.NewClient(cred),
 		perSite:     a.cfg.Pipeline.PerSiteInFlight,
 		workers:     make(map[string]*siteWorker),
 		cancelBusy:  make(map[string]bool),
@@ -84,8 +84,8 @@ func (gm *GridManager) halt() {
 	}
 }
 
-// join waits out a halted or retired manager's loop and workers and drops
-// its GRAM connections.
+// join waits out a halted or retired manager's loop and workers and lets
+// go of its GRAM connections.
 func (gm *GridManager) join() {
 	gm.wg.Wait()
 	gm.workerWG.Wait()
@@ -142,10 +142,10 @@ func (gm *GridManager) enqueueRecovery(recs []*jobRecord) {
 // finishes a task); the §4.2 failure probe and retirement stay strictly
 // ticker-paced, so a burst of events never turns into a probe storm against
 // remote sites and a queue that drains and refills within one interval keeps
-// its manager — GRAM sessions and breaker memory included. No remote I/O
-// happens on this goroutine — every pass only partitions work onto the
-// per-site pipelines, so the tick cadence (and the probe-lag metric) stays
-// flat even when a site is blackholed.
+// its manager, breaker memory included. No remote I/O happens on this
+// goroutine — every pass only partitions work onto the per-site pipelines,
+// so the tick cadence (and the probe-lag metric) stays flat even when a site
+// is blackholed.
 func (gm *GridManager) run() {
 	defer gm.wg.Done()
 	interval := gm.agent.cfg.Probe.Interval
@@ -197,8 +197,7 @@ func (gm *GridManager) run() {
 func (gm *GridManager) idle() bool {
 	gm.mu.Lock()
 	// Outstanding pipeline tasks are live remote operations (a submit may
-	// be mid-two-phase-commit); retirement must wait for the ledger to
-	// drain or gram.Close would yank connections out from under them.
+	// be mid-two-phase-commit); retirement waits for the ledger to drain.
 	busy := len(gm.pending) > 0 || len(gm.recovery) > 0 || gm.outstanding > 0
 	gm.mu.Unlock()
 	if busy {

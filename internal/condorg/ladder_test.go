@@ -414,47 +414,135 @@ func TestJobManagerExits(t *testing.T) {
 }
 
 // TestCallbacksShareOneConnection: a site's JobManagers report to the agent
-// over one callback connection, however many of its jobs are live, and the
-// connection goes once the last of them exits.
+// over one callback connection and push output and pull executables over
+// one GASS connection, however many of its jobs are live, and both
+// connections outlast a lull in which every JobManager has exited: two
+// bursts cost one accept at each of the agent's listeners. The site's
+// Close closes them.
 func TestCallbacksShareOneConnection(t *testing.T) {
-	var accepts atomic.Int64
+	var cbAccepts, gassAccepts atomic.Int64
+	counter := func(n *atomic.Int64) *wire.Faults {
+		return &wire.Faults{RefuseConn: func() bool {
+			n.Add(1)
+			return false
+		}}
+	}
 	site := newSite(t, "s", &atomic.Int64{}, t.TempDir(), "")
 	t.Cleanup(site.Close)
 	a, err := NewAgent(AgentConfig{
 		StateDir: t.TempDir(),
 		Selector: StaticSelector(site.GatekeeperAddr()),
 		Probe:    ProbeOptions{Interval: time.Minute}, // only callbacks report
-		Faults: FaultOptions{Callback: &wire.Faults{RefuseConn: func() bool {
-			accepts.Add(1)
-			return false
-		}}},
+		// The site pulls each executable through GASS, beside the pushes.
+		Stage:  StageOptions{Disabled: true},
+		Faults: FaultOptions{Callback: counter(&cbAccepts), GASS: counter(&gassAccepts)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(a.Close)
 	const n = 16
-	ids := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range ids {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ids[i], errs[i] = a.Submit(SubmitRequest{Owner: "u", Executable: gram.Program("task"), Args: []string{"200ms"}})
-		}(i)
-	}
-	wg.Wait()
-	for i, id := range ids {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	burst := func(exe []byte) {
+		ids := make([]string, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range ids {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ids[i], errs[i] = a.Submit(SubmitRequest{Owner: "u", Executable: exe, Args: []string{"200ms"}})
+			}(i)
 		}
-		waitAgentState(t, a, id, Completed)
+		wg.Wait()
+		for i, id := range ids {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			waitAgentState(t, a, id, Completed)
+		}
+		waitFor(t, "every JobManager to exit", 5*time.Second, func() bool {
+			return site.LiveJobManagers() == 0
+		})
 	}
-	if got := accepts.Load(); got != 1 {
-		t.Fatalf("the callback listener accepted %d connections from one site for %d jobs, want 1", got, n)
+	burst(gram.Program("task"))
+	// The lull: no JobManager is left, and the connections stay.
+	time.Sleep(50 * time.Millisecond)
+	if got, gassGot := a.cbSrv.Conns(), a.gassS.Conns(); got != 1 || gassGot != 1 {
+		t.Fatalf("between bursts the agent holds %d callback and %d GASS connections from the site, want 1 and 1", got, gassGot)
 	}
-	waitFor(t, "every JobManager to exit and its callback connection to close", 5*time.Second, func() bool {
-		return site.LiveJobManagers() == 0 && a.cbSrv.Conns() == 0
+	burst(paddedProgram("task", 4096, 'b'))
+	if got, gassGot := cbAccepts.Load(), gassAccepts.Load(); got != 1 || gassGot != 1 {
+		t.Fatalf("the agent accepted %d callback and %d GASS connections from one site over two bursts of %d jobs, want 1 and 1", got, gassGot, n)
+	}
+	site.Close()
+	waitFor(t, "the site's connections to close with it", 5*time.Second, func() bool {
+		return a.cbSrv.Conns() == 0 && a.gassS.Conns() == 0
 	})
+}
+
+// TestSessionOutlivesManager: owners sharing a credential share one
+// authenticated gatekeeper session, which outlives any one of their
+// managers. A retiring manager leaves it to the others; an owner switched to
+// its own proxy handshakes once, alone; the session closes when the last
+// manager holding it retires, so the next manager handshakes again.
+func TestSessionOutlivesManager(t *testing.T) {
+	w := newLadderWorld(t, 50*time.Millisecond)
+	hellos := func() int { return w.gk.get(wire.HelloMethod) }
+	submit := func(owner, d string) string {
+		id, err := w.agent.Submit(SubmitRequest{Owner: owner, Executable: gram.Program("task"), Args: []string{d}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	live := func(owner string) bool {
+		w.agent.mu.Lock()
+		defer w.agent.mu.Unlock()
+		gm := w.agent.managers[owner]
+		return gm != nil && !gm.done()
+	}
+	// B's job outlives everything A does below.
+	b := submit("B", "3s")
+	waitAgentState(t, w.agent, submit("A", "1ms"), Completed)
+	if got := hellos(); got != 1 {
+		t.Fatalf("%d gatekeeper handshakes for two owners under one credential, want 1", got)
+	}
+	waitFor(t, "A's idle manager to retire", 5*time.Second, func() bool { return !live("A") })
+	if !live("B") {
+		t.Fatal("B's manager retired with its job still running")
+	}
+	waitAgentState(t, w.agent, submit("A", "1ms"), Completed)
+	if got := hellos(); got != 1 {
+		t.Fatalf("A's second manager made %d handshakes, want none: B's manager holds the session", got-1)
+	}
+
+	// A switches to its own proxy while its manager runs a job: A
+	// handshakes once under it, B keeps the session it has.
+	proxy, err := gsi.NewProxy(w.cfg.Credential, time.Now(), 6*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := submit("A", "300ms")
+	waitFor(t, "A's job to be submitted", 5*time.Second, func() bool {
+		info, err := w.agent.Status(a)
+		return err == nil && info.Contact.JobID != ""
+	})
+	w.agent.SetOwnerCredential("A", proxy)
+	waitAgentState(t, w.agent, a, Completed)
+	if got := hellos(); got != 2 {
+		t.Fatalf("%d gatekeeper handshakes after A's switch, want 2: one for A's proxy, none for B", got)
+	}
+	waitAgentState(t, w.agent, b, Completed)
+	waitFor(t, "both managers to retire", 5*time.Second, func() bool {
+		return w.agent.ActiveGridManagers() == 0
+	})
+	if got := hellos(); got != 2 {
+		t.Fatalf("%d gatekeeper handshakes, want 2", got)
+	}
+	// The last retirement closed the shared session: the next manager
+	// under the agent credential handshakes afresh.
+	waitAgentState(t, w.agent, submit("B", "1ms"), Completed)
+	if got := hellos(); got != 3 {
+		t.Fatalf("%d gatekeeper handshakes after both managers retired, want 3: the session outlived its last holder", got)
+	}
 }

@@ -30,16 +30,6 @@ func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
 	return &Client{cred: cred, clock: clock, conns: make(map[string]*wire.Client)}
 }
 
-// SetCredential swaps in a refreshed proxy for all future requests.
-func (c *Client) SetCredential(cred *gsi.Credential) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cred = cred
-	for _, wc := range c.conns {
-		wc.SetCredential(cred)
-	}
-}
-
 func (c *Client) conn(addr string) *wire.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -54,17 +44,6 @@ func (c *Client) conn(addr string) *wire.Client {
 	})
 	c.conns[addr] = wc
 	return wc
-}
-
-// Forget drops the cached connection for addr (after a server restart the
-// next call redials automatically; Forget just frees the socket eagerly).
-func (c *Client) Forget(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wc, ok := c.conns[addr]; ok {
-		wc.Close()
-		delete(c.conns, addr)
-	}
 }
 
 // Close releases all connections.

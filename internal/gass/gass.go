@@ -148,6 +148,9 @@ func (s *Server) Root() string { return s.root }
 // URLFor returns the URL of a path under this server.
 func (s *Server) URLFor(relPath string) URL { return URL{Addr: s.Addr(), Path: relPath} }
 
+// Conns reports how many connections the server holds open.
+func (s *Server) Conns() int { return s.srv.Conns() }
+
 // Close shuts the server down.
 func (s *Server) Close() error {
 	err := s.srv.Close()

@@ -314,8 +314,8 @@ func (c *Client) BatchSubmit(gkAddr string, entries []BatchSubmitEntry) ([]Batch
 		req.Entries[i] = sr
 	}
 	var resp batchSubmitResp
-	if err := c.guard(gkAddr, "batch-submit", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.batch-submit", req, &resp)
+	if err := c.guard(gkAddr, "batch-submit", func(gk *wire.Client) error {
+		return gk.Call("gram.batch-submit", req, &resp)
 	}); err != nil {
 		return nil, err
 	}
@@ -370,8 +370,8 @@ func (c *Client) BatchRefreshCredential(gkAddr string, jobIDs []string, lifetime
 // slot per entry.
 func (c *Client) batchOp(gkAddr, verb, method string, req any, n int) ([]error, error) {
 	var resp batchOpResp
-	if err := c.guard(gkAddr, "batch-"+verb, func() error {
-		return c.gatekeeper(gkAddr).Call(method, req, &resp)
+	if err := c.guard(gkAddr, "batch-"+verb, func(gk *wire.Client) error {
+		return gk.Call(method, req, &resp)
 	}); err != nil {
 		return nil, err
 	}
@@ -397,8 +397,8 @@ func (c *Client) BatchStatus(gkAddr string, jobIDs []string) ([]BatchStatusResul
 // (status, commit) to the gatekeeper and returns one result per entry.
 func (c *Client) statusOp(gkAddr, verb, method string, req any, n int) ([]BatchStatusResult, error) {
 	var resp batchStatusResp
-	if err := c.guard(gkAddr, "batch-"+verb, func() error {
-		return c.gatekeeper(gkAddr).Call(method, req, &resp)
+	if err := c.guard(gkAddr, "batch-"+verb, func(gk *wire.Client) error {
+		return gk.Call(method, req, &resp)
 	}); err != nil {
 		return nil, err
 	}

@@ -14,18 +14,25 @@ import (
 )
 
 // Client is the submit-side GRAM library used by the GridManager. One
-// client serves one user credential; every verb goes to a site's Gatekeeper,
-// whose connection is cached per address. Every network operation passes
-// through a per-gatekeeper circuit breaker, so a dead site fast-fails
-// instead of making each caller wait out the full timeout ladder.
+// client serves one user credential; every verb goes to a site's Gatekeeper
+// over a connection shared through the client's Sessions. Every network
+// operation passes through a per-gatekeeper circuit breaker, so a dead site
+// fast-fails instead of making each caller wait out the full timeout ladder.
 type Client struct {
-	clock gsi.Clock
+	clock    gsi.Clock
+	sessions *Sessions
 
 	mu     sync.Mutex
 	cred   *gsi.Credential
 	health *faultclass.BreakerSet
-	gkConn map[string]*wire.Client
-	obs    *obs.Registry
+	// held maps each gatekeeper this client has called to the shared
+	// connection it holds there; nil after a credential switch left the
+	// old one, until the next call acquires the new credential's.
+	held map[string]*session
+	// pins counts this client's calls in flight per connection, which
+	// may outlive its hold there; only these may ride a re-key.
+	pins map[*session]int
+	obs  *obs.Registry
 	// timeouts are shortened by tests.
 	timeout time.Duration
 	retries int
@@ -35,32 +42,83 @@ type Client struct {
 	noSession bool
 }
 
-// NewClient creates a GRAM client authenticating as cred. Its connections
-// speak the binary codec with session auth; SetWire overrides that.
-func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
+// Sessions shares authenticated gatekeeper connections among the Clients
+// made from it: one wire.Client per gatekeeper, credential and wire
+// settings, held by every Client that has called that gatekeeper under that
+// credential and closed once the last of them lets go and no call is still
+// on it. An agent keeps one Sessions for all its GridManagers, so a manager
+// that retires leaves its sessions to the managers still running under the
+// same proxy; each Client keeps its own breakers and metrics.
+type Sessions struct {
+	clock gsi.Clock
+	cache *connCache[sessionKey, *wire.Client]
+}
+
+// sessionKey names one shared gatekeeper connection.
+type sessionKey struct {
+	addr      string
+	cred      *gsi.Credential
+	timeout   time.Duration
+	retries   int
+	codec     string
+	noSession bool
+}
+
+// session is one shared gatekeeper connection as a Client holds it.
+type session = cacheEntry[sessionKey, *wire.Client]
+
+// NewSessions creates an empty connection share whose sessions sign with
+// clock's time.
+func NewSessions(clock gsi.Clock) *Sessions {
 	if clock == nil {
 		clock = gsi.WallClock
 	}
+	dial := func(k sessionKey) *wire.Client {
+		return wire.Dial(k.addr, wire.ClientConfig{
+			ServerName:     GatekeeperService,
+			Credential:     k.cred,
+			Clock:          clock,
+			Timeout:        k.timeout,
+			Retries:        k.retries,
+			Codec:          k.codec,
+			DisableSession: k.noSession,
+		})
+	}
+	return &Sessions{clock: clock, cache: newConnCache(dial, func(wc *wire.Client) { wc.Close() }, false)}
+}
+
+// NewClient creates a GRAM client authenticating as cred whose gatekeeper
+// connections are shared through s. Its connections speak the binary codec
+// with session auth; SetWire overrides that.
+func (s *Sessions) NewClient(cred *gsi.Credential) *Client {
 	return &Client{
-		clock:   clock,
-		cred:    cred,
-		health:  faultclass.NewBreakerSet(faultclass.BreakerConfig{}),
-		gkConn:  make(map[string]*wire.Client),
-		timeout: 2 * time.Second,
-		retries: 3,
-		codec:   wire.CodecBinary,
+		clock:    s.clock,
+		sessions: s,
+		cred:     cred,
+		health:   faultclass.NewBreakerSet(faultclass.BreakerConfig{}),
+		held:     make(map[string]*session),
+		pins:     make(map[*session]int),
+		timeout:  2 * time.Second,
+		retries:  3,
+		codec:    wire.CodecBinary,
 	}
 }
 
+// NewClient creates a GRAM client authenticating as cred that shares its
+// connections with no other client.
+func NewClient(cred *gsi.Credential, clock gsi.Clock) *Client {
+	return NewSessions(clock).NewClient(cred)
+}
+
 // SetWire selects the frame codec (wire.CodecJSON or wire.CodecBinary)
-// and whether session auth is disabled for future connections. Existing
-// connections are dropped so the change takes effect immediately.
+// and whether session auth is disabled for future connections. The client
+// lets go of its connections so the change takes effect immediately.
 func (c *Client) SetWire(codec string, disableSession bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.codec = codec
 	c.noSession = disableSession
-	c.dropConnsLocked()
+	c.releaseLocked()
 }
 
 // SetBreakerConfig replaces the per-endpoint circuit breakers (dropping
@@ -105,8 +163,8 @@ func (c *Client) SetObs(r *obs.Registry) {
 func (c *Client) HealthSnapshot() map[string]faultclass.BreakerInfo {
 	c.mu.Lock()
 	h := c.health
-	addrs := make([]string, 0, len(c.gkConn))
-	for addr := range c.gkConn {
+	addrs := make([]string, 0, len(c.held))
+	for addr := range c.held {
 		addrs = append(addrs, addr)
 	}
 	c.mu.Unlock()
@@ -124,7 +182,7 @@ func (c *Client) HealthSnapshot() map[string]faultclass.BreakerInfo {
 // failures (not remote application errors — those prove the endpoint
 // alive) count against the breaker. verb labels the metrics this call
 // feeds (gram_rtt_seconds, gram_errors_total, gram_breaker_open_total).
-func (c *Client) guard(addr, verb string, op func() error) error {
+func (c *Client) guard(addr, verb string, op func(gk *wire.Client) error) error {
 	c.mu.Lock()
 	h := c.health
 	reg := c.obs
@@ -134,8 +192,10 @@ func (c *Client) guard(addr, verb string, op func() error) error {
 		return faultclass.New(faultclass.Transient,
 			fmt.Errorf("gram: %s: %w", addr, faultclass.ErrBreakerOpen))
 	}
+	sess := c.session(addr)
+	defer c.unpin(sess)
 	start := time.Now()
-	err := op()
+	err := op(sess.conn)
 	if reg != nil {
 		reg.Histogram(obs.Key("gram_rtt_seconds", "verb", verb)).Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -158,16 +218,29 @@ func (c *Client) SetTimeouts(timeout time.Duration, retries int) {
 	defer c.mu.Unlock()
 	c.timeout = timeout
 	c.retries = retries
-	c.dropConnsLocked()
+	c.releaseLocked()
 }
 
-// SetCredential swaps in a refreshed proxy.
+// SetCredential swaps in a refreshed proxy. A connection that no other
+// client holds or has a call on is re-keyed in place: it drops its
+// session, and this client's calls in flight retry on a fresh one that
+// presents the new proxy. Any other stays with the old proxy for the
+// clients and calls still on it; the next call here takes the new
+// credential's connection.
 func (c *Client) SetCredential(cred *gsi.Credential) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cred = cred
-	for _, wc := range c.gkConn {
-		wc.SetCredential(cred)
+	for addr, sess := range c.held {
+		if sess == nil {
+			continue
+		}
+		if c.sessions.cache.rekey(sess, c.keyLocked(addr), c.pins[sess]) {
+			sess.conn.SetCredential(cred)
+			continue
+		}
+		c.sessions.cache.release(sess)
+		c.held[addr] = nil
 	}
 }
 
@@ -178,41 +251,56 @@ func (c *Client) Credential() *gsi.Credential {
 	return c.cred
 }
 
-// gatekeeper returns (dialing if necessary) the cached connection to the
-// Gatekeeper at addr. The map is read under the lock so Close (which
-// replaces it) cannot race concurrent callers.
-func (c *Client) gatekeeper(addr string) *wire.Client {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wc, ok := c.gkConn[addr]; ok {
-		return wc
-	}
-	wc := wire.Dial(addr, wire.ClientConfig{
-		ServerName:     GatekeeperService,
-		Credential:     c.cred,
-		Clock:          c.clock,
-		Timeout:        c.timeout,
-		Retries:        c.retries,
-		Codec:          c.codec,
-		DisableSession: c.noSession,
-	})
-	c.gkConn[addr] = wc
-	return wc
+// keyLocked names the connection this client uses for addr. c.mu held.
+func (c *Client) keyLocked(addr string) sessionKey {
+	return sessionKey{addr: addr, cred: c.cred, timeout: c.timeout, retries: c.retries,
+		codec: c.codec, noSession: c.noSession}
 }
 
-// Close releases all connections.
+// session returns the connection to the Gatekeeper at addr, acquiring it
+// from the shared sessions on first use, pinned for one call: the caller
+// unpins it when the call is over.
+func (c *Client) session(addr string) *session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sess := c.held[addr]
+	if sess == nil {
+		sess = c.sessions.cache.acquire(c.keyLocked(addr))
+		c.held[addr] = sess
+	}
+	c.sessions.cache.pin(sess)
+	c.pins[sess]++
+	return sess
+}
+
+// unpin ends one call of this client's on sess. The client's own count
+// drops first, so a re-key never counts a call the cache still pins as
+// this client's.
+func (c *Client) unpin(sess *session) {
+	c.mu.Lock()
+	if c.pins[sess]--; c.pins[sess] == 0 {
+		delete(c.pins, sess)
+	}
+	c.mu.Unlock()
+	c.sessions.cache.unpin(sess)
+}
+
+// Close lets go of every connection this client holds; each closes once
+// no other client holds it and no call is still on it.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dropConnsLocked()
+	c.releaseLocked()
 }
 
-// dropConnsLocked closes and forgets every cached connection. c.mu held.
-func (c *Client) dropConnsLocked() {
-	for _, wc := range c.gkConn {
-		wc.Close()
+// releaseLocked lets go of and forgets every held connection. c.mu held.
+func (c *Client) releaseLocked() {
+	for _, sess := range c.held {
+		if sess != nil {
+			c.sessions.cache.release(sess)
+		}
 	}
-	c.gkConn = make(map[string]*wire.Client)
+	c.held = make(map[string]*session)
 }
 
 // NewSubmissionID mints the unique identifier the GridManager journals
@@ -300,8 +388,8 @@ func (c *Client) Cancel(contact JobContact) error {
 
 // PingGatekeeper probes the site's interface machine.
 func (c *Client) PingGatekeeper(addr string) error {
-	return c.guard(addr, "ping-gk", func() error {
-		return c.gatekeeper(addr).Ping("gram.ping")
+	return c.guard(addr, "ping-gk", func(gk *wire.Client) error {
+		return gk.Ping("gram.ping")
 	})
 }
 
@@ -311,8 +399,8 @@ func (c *Client) PingGatekeeper(addr string) error {
 // other verb, so staging work fast-fails against a dead site.
 func (c *Client) StageCheck(gkAddr, hash string) (present bool, offset int64, err error) {
 	var resp stageCheckResp
-	err = c.guard(gkAddr, "stage-check", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.stage-check", stageReq{Hash: hash}, &resp)
+	err = c.guard(gkAddr, "stage-check", func(gk *wire.Client) error {
+		return gk.Call("gram.stage-check", stageReq{Hash: hash}, &resp)
 	})
 	return resp.Present, resp.Offset, err
 }
@@ -322,8 +410,8 @@ func (c *Client) StageCheck(gkAddr, hash string) (present bool, offset int64, er
 // point a client journals.
 func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (acked int64, err error) {
 	var resp stageChunkResp
-	err = c.guard(gkAddr, "stage-chunk", func() error {
-		_, err := c.gatekeeper(gkAddr).CallBlob("gram.stage-chunk", stageReq{Hash: hash, Offset: offset}, data, &resp)
+	err = c.guard(gkAddr, "stage-chunk", func(gk *wire.Client) error {
+		_, err := gk.CallBlob("gram.stage-chunk", stageReq{Hash: hash, Offset: offset}, data, &resp)
 		return err
 	})
 	return resp.Acked, err
@@ -332,8 +420,8 @@ func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (ack
 // StageCommit asks the site to verify the assembled bytes (size + sha256)
 // and promote them into its executable cache. Idempotent.
 func (c *Client) StageCommit(gkAddr, hash string, total int64) error {
-	return c.guard(gkAddr, "stage-commit", func() error {
-		return c.gatekeeper(gkAddr).Call("gram.stage-commit", stageReq{Hash: hash, Total: total}, nil)
+	return c.guard(gkAddr, "stage-commit", func(gk *wire.Client) error {
+		return gk.Call("gram.stage-commit", stageReq{Hash: hash, Total: total}, nil)
 	})
 }
 
@@ -341,7 +429,7 @@ func (c *Client) StageCommit(gkAddr, hash string, total int64) error {
 // for a job whose daemon died. The job's contact does not change: it names
 // the Gatekeeper, not the daemon. A daemon that is still alive is left alone.
 func (c *Client) RestartJobManager(contact JobContact) error {
-	return c.guard(contact.GatekeeperAddr, "jm-restart", func() error {
-		return c.gatekeeper(contact.GatekeeperAddr).Call("gram.jm-restart", jmRestartReq{JobID: contact.JobID}, nil)
+	return c.guard(contact.GatekeeperAddr, "jm-restart", func(gk *wire.Client) error {
+		return gk.Call("gram.jm-restart", jmRestartReq{JobID: contact.JobID}, nil)
 	})
 }

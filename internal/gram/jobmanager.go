@@ -28,9 +28,8 @@ type JobManager struct {
 
 	mu        sync.Mutex
 	closed    bool
-	delivered bool   // the client holds the job's terminal state
-	cbAddr    string // where cbClient reports; "" when the client gave none
-	cbClient  *wire.Client
+	delivered bool          // the client holds the job's terminal state
+	cb        *callbackConn // where status callbacks go; nil when the client gave none
 	stop      chan struct{}
 }
 
@@ -45,58 +44,31 @@ func (s *Site) startJobManager(job *siteJob) {
 	// concurrent re-point (Site.repoint) either sees this daemon or hands
 	// it the new address.
 	job.mu.Lock()
-	jm.cbAddr, jm.cbClient = job.callback, s.acquireCallback(job.callback)
+	jm.cb = s.acquireCallback(job.callback)
 	job.jm = jm
 	job.mu.Unlock()
 	go jm.run()
 }
 
-// callbackConn is one connection to a client's callback endpoint, shared
-// by the site's JobManagers that report there.
-type callbackConn struct {
-	client *wire.Client
-	refs   int
-}
+// callbackConn is the site's client for one callback endpoint, shared by
+// the JobManagers that report there.
+type callbackConn = cacheEntry[string, *wire.Client]
 
 // acquireCallback returns the site's client for the callback endpoint at
-// addr, dialling it for the first JobManager that reports there, or nil
-// when the caller gave no endpoint. Callbacks ride on the client's own
-// channel trust. Each acquire is paired with a releaseCallback.
-func (s *Site) acquireCallback(addr string) *wire.Client {
+// addr, or nil when the caller gave no endpoint. Each acquire is paired
+// with a releaseCallback.
+func (s *Site) acquireCallback(addr string) *callbackConn {
 	if addr == "" {
 		return nil
 	}
-	s.cbMu.Lock()
-	defer s.cbMu.Unlock()
-	cc := s.callbacks[addr]
-	if cc == nil {
-		cc = &callbackConn{client: wire.Dial(addr, wire.ClientConfig{
-			ServerName: CallbackService,
-			Timeout:    time.Second,
-			Retries:    1,
-		})}
-		s.callbacks[addr] = cc
-	}
-	cc.refs++
-	return cc.client
+	return s.callbacks.acquire(addr)
 }
 
-// releaseCallback drops one JobManager's hold on the callback client for
-// addr; the last release closes the connection.
-func (s *Site) releaseCallback(addr string) {
-	if addr == "" {
-		return
+// releaseCallback drops one JobManager's hold on cb.
+func (s *Site) releaseCallback(cb *callbackConn) {
+	if cb != nil {
+		s.callbacks.release(cb)
 	}
-	s.cbMu.Lock()
-	cc := s.callbacks[addr]
-	cc.refs--
-	if cc.refs > 0 {
-		s.cbMu.Unlock()
-		return
-	}
-	delete(s.callbacks, addr)
-	s.cbMu.Unlock()
-	cc.client.Close()
 }
 
 // setCallback redirects the daemon's status callbacks to addr: the caller's
@@ -104,11 +76,9 @@ func (s *Site) releaseCallback(addr string) {
 func (jm *JobManager) setCallback(addr string) {
 	cb := jm.site.acquireCallback(addr)
 	jm.mu.Lock()
-	old := jm.cbAddr
-	if jm.closed {
-		old = addr
-	} else {
-		jm.cbAddr, jm.cbClient = addr, cb
+	old := cb
+	if !jm.closed {
+		old, jm.cb = jm.cb, cb
 	}
 	jm.mu.Unlock()
 	jm.site.releaseCallback(old)
@@ -132,9 +102,9 @@ func (jm *JobManager) Close() {
 	}
 	jm.closed = true
 	close(jm.stop)
-	addr := jm.cbAddr
+	cb := jm.cb
 	jm.mu.Unlock()
-	jm.site.releaseCallback(addr)
+	jm.site.releaseCallback(cb)
 }
 
 // run is the daemon's main loop, woken through the job's kick channel. Each
@@ -148,8 +118,8 @@ func (jm *JobManager) run() {
 	jm.job.mu.Lock()
 	cred := jm.job.cred
 	jm.job.mu.Unlock()
-	gc := gass.NewClient(cred, jm.site.cfg.Clock)
-	defer gc.Close()
+	gc := jm.site.gassConns.acquire(cred)
+	defer func() { jm.site.gassConns.release(gc) }()
 	for {
 		select {
 		case <-jm.stop:
@@ -166,11 +136,13 @@ func (jm *JobManager) run() {
 		jm.job.mu.Unlock()
 		if current != cred {
 			cred = current
-			gc.SetCredential(cred)
+			old := gc
+			gc = jm.site.gassConns.acquire(cred)
+			jm.site.gassConns.release(old)
 		}
 		// Both streams are attempted even when the first fails.
-		outDone := jm.pushStream(gc, &jm.job.stdout, stdoutURL)
-		errDone := jm.pushStream(gc, &jm.job.stderr, stderrURL)
+		outDone := jm.pushStream(gc.conn, &jm.job.stdout, stdoutURL)
+		errDone := jm.pushStream(gc.conn, &jm.job.stderr, stderrURL)
 		// terminal was read before the push: the payload writes all of its
 		// output before the LRM reports it finished, so a drained buffer
 		// seen after a terminal state is the whole output.
@@ -221,14 +193,14 @@ func (jm *JobManager) exit() bool {
 		return false
 	}
 	jm.closed = true
-	addr := jm.cbAddr
+	cb := jm.cb
 	jm.mu.Unlock()
 	jm.job.mu.Lock()
 	if jm.job.jm == jm {
 		jm.job.jm = nil
 	}
 	jm.job.mu.Unlock()
-	jm.site.releaseCallback(addr)
+	jm.site.releaseCallback(cb)
 	return true
 }
 
@@ -236,7 +208,7 @@ func (jm *JobManager) exit() bool {
 // Best effort: the GridManager also polls.
 func (jm *JobManager) sendCallback(st StatusInfo) {
 	jm.mu.Lock()
-	cb := jm.cbClient
+	cb := jm.cb
 	closed := jm.closed
 	jm.mu.Unlock()
 	if cb == nil || closed {
@@ -259,7 +231,7 @@ func (jm *JobManager) sendCallback(st StatusInfo) {
 		// Only an acknowledged Done settles the matter: the client acts on a
 		// Failed verdict (resubmit, hold, give up) from its probe, so this
 		// daemon stays to answer that probe.
-		if err := cb.Call("gram.callback", st, nil); err == nil && st.State == StateDone {
+		if err := cb.conn.Call("gram.callback", st, nil); err == nil && st.State == StateDone {
 			jm.markDelivered()
 		}
 	}()

@@ -137,7 +137,9 @@ func TestWrongSiteScopedProxyRejectedOnRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := batchRefreshReq{JobIDs: []string{contact.JobID}, Delegated: data}
-	err = client.gatekeeper(contact.GatekeeperAddr).Call("gram.batch-refresh-credential", req, nil)
+	err = client.guard(contact.GatekeeperAddr, "batch-refresh-credential", func(gk *wire.Client) error {
+		return gk.Call("gram.batch-refresh-credential", req, nil)
+	})
 	if err == nil {
 		t.Fatal("gatekeeper accepted a refresh scoped to another site")
 	}

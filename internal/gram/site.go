@@ -82,8 +82,11 @@ type Site struct {
 	crashed bool
 	closing bool // Close in progress: LRM kills are site-lost, not failures
 
-	cbMu      sync.Mutex
-	callbacks map[string]*callbackConn // by client callback address
+	// callbacks holds one client per agent callback address, gassConns one
+	// GASS client per job credential: shared by the JobManagers (and, for
+	// GASS, the stage-in pulls) that use them, and kept across lulls.
+	callbacks *connCache[string, *wire.Client]
+	gassConns *connCache[*gsi.Credential, *gass.Client]
 }
 
 func (s *Site) isClosing() bool {
@@ -219,8 +222,14 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		return nil, err
 	}
 	s := &Site{cfg: cfg, store: store, stage: stage,
-		jobs: make(map[string]*siteJob), bySubID: make(map[string]*siteJob),
-		callbacks: make(map[string]*callbackConn)}
+		jobs: make(map[string]*siteJob), bySubID: make(map[string]*siteJob)}
+	// Callbacks ride on the client's own channel trust.
+	s.callbacks = newConnCache(func(addr string) *wire.Client {
+		return wire.Dial(addr, wire.ClientConfig{ServerName: CallbackService, Timeout: time.Second, Retries: 1})
+	}, func(wc *wire.Client) { wc.Close() }, true)
+	s.gassConns = newConnCache(func(cred *gsi.Credential) *gass.Client {
+		return gass.NewClient(cred, cfg.Clock)
+	}, (*gass.Client).Close, true)
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -678,8 +687,8 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 	cred := job.cred
 	job.mu.Unlock()
 
-	gc := gass.NewClient(cred, s.cfg.Clock)
-	defer gc.Close()
+	gc := s.gassConns.acquire(cred)
+	defer s.gassConns.release(gc)
 
 	// Failures before the LRM accepts the job mean it never ran here, so
 	// the submitter may safely run it elsewhere (SiteLost) — except an
@@ -695,7 +704,7 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 		s.notifyStatus(job)
 	}
 
-	execData, release, err := s.stageIn(gc, spec.Executable, spec.ExecutableHash)
+	execData, release, err := s.stageIn(gc.conn, spec.Executable, spec.ExecutableHash)
 	if err != nil {
 		fail(fmt.Errorf("stage-in executable: %w", err))
 		return
@@ -705,7 +714,7 @@ func (s *Site) stageAndSubmit(job *siteJob) {
 	job.mu.Unlock()
 	var stdin []byte
 	if spec.Stdin != "" {
-		stdin, _, err = s.stageIn(gc, spec.Stdin, "")
+		stdin, _, err = s.stageIn(gc.conn, spec.Stdin, "")
 		if err != nil {
 			job.unmapExec()
 			fail(fmt.Errorf("stage-in stdin: %w", err))
@@ -811,7 +820,8 @@ func (s *Site) pullResumable(gc *gass.Client, u gass.URL) ([]byte, error) {
 			if attempts >= maxAttempts {
 				return nil, err
 			}
-			gc.Forget(u.Addr)
+			// The next attempt redials a broken connection itself; gc is
+			// shared, so closing it here would cut other jobs' pushes.
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
@@ -1013,6 +1023,8 @@ func (s *Site) Close() {
 	for _, job := range jobs {
 		job.unmapExec()
 	}
+	s.callbacks.closeAll()
+	s.gassConns.closeAll()
 	s.stage.close()
 	s.store.Close()
 }

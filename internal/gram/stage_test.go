@@ -413,6 +413,72 @@ func TestPullResumableContinuesAfterReset(t *testing.T) {
 	}
 }
 
+// TestPullResetSparesSharedPush: a site's stage-in pulls and output pushes
+// share one GASS client per credential. A pull whose read keeps meeting
+// resets until its call gives up resumes on the client's own redial and
+// leaves the client open, so an output push in flight on it at that moment
+// retries on a fresh connection and lands.
+func TestPullResetSparesSharedPush(t *testing.T) {
+	var faults wire.Faults
+	gs, err := gass.NewServer(t.TempDir(), gass.ServerOptions{Faults: &faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	gc := gass.NewClient(nil, nil)
+	defer gc.Close()
+	payload := bytes.Repeat([]byte("x"), 4*gass.ChunkSize)
+	u := gs.URLFor("bin/exe")
+	if err := gc.WriteFile(u, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reads 2-5 are every attempt of one gass.read call (a first try and
+	// three retries), and each response tears the connection. The push
+	// starts when the last of them arrives, which waits long enough for the
+	// push to be in flight on the same connection when it tears. Every
+	// append is slow, so the push's retry finds the first reply cached.
+	const lastTorn = 5
+	var arrivals, responses atomic.Int64
+	start := make(chan struct{})
+	faults.SetDelay(func(m string) time.Duration {
+		switch {
+		case m == "gass.append":
+			return 300 * time.Millisecond
+		case m == "gass.read" && arrivals.Add(1) == lastTorn:
+			close(start)
+			return 100 * time.Millisecond
+		}
+		return 0
+	})
+	faults.SetConn(nil, nil, func(m string) bool {
+		if m != "gass.read" {
+			return false
+		}
+		n := responses.Add(1)
+		return n >= 2 && n <= lastTorn
+	})
+	pushed := make(chan error, 1)
+	go func() {
+		<-start
+		_, err := gc.Append(gs.URLFor("out/stdout"), []byte("task ok\n"))
+		pushed <- err
+	}()
+	got, err := (&Site{}).pullResumable(gc, u)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("pull: %d bytes, %v; want %d bytes", len(got), err, len(payload))
+	}
+	if n := responses.Load(); n <= lastTorn {
+		t.Fatalf("the pull made %d reads; its torn call should have given up and resumed", n)
+	}
+	if err := <-pushed; err != nil {
+		t.Fatalf("the push in flight when the pull's call gave up failed: %v", err)
+	}
+	if data, err := gs.ReadFile("out/stdout"); err != nil || string(data) != "task ok\n" {
+		t.Fatalf("pushed output reads %q, %v", data, err)
+	}
+}
+
 // TestStageInAuthExpiredHoldsClass: a stage pull that fails with an
 // expired credential keeps AuthExpired so the agent holds the job instead
 // of blindly resubmitting. Uses a GASS server that always rejects with a

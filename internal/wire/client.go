@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"net"
@@ -183,6 +184,10 @@ func (c *Client) call(seq uint64, method string, req any, blob []byte, resp any)
 				// with its class instead of retrying into it.
 				return nil, err
 			}
+			if errors.Is(err, ErrClosed) {
+				// No attempt can succeed on a closed client.
+				return nil, faultclass.New(faultclass.Transient, fmt.Errorf("%w: %s", ErrClosed, method))
+			}
 			lastErr = err
 			continue
 		}
@@ -277,6 +282,12 @@ func (c *Client) exchange(cc *clientConn, msg *Message) (*Message, error) {
 	select {
 	case m := <-ch:
 		if m == nil {
+			c.mu.Lock()
+			closed := c.closed
+			c.mu.Unlock()
+			if closed {
+				return nil, ErrClosed
+			}
 			return nil, fmt.Errorf("wire: connection lost")
 		}
 		return m, nil
@@ -314,12 +325,16 @@ func (c *Client) conn() (*clientConn, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	superseded := c.cc != cc || c.closed
+	closed := c.closed
+	superseded := c.cc != cc || closed
 	c.mu.Unlock()
 	if superseded {
 		// SetCredential or Close raced the handshake; this connection's
 		// session may be stale, so discard it rather than hand it out.
 		cc.err = fmt.Errorf("wire: connection superseded")
+		if closed {
+			cc.err = ErrClosed
+		}
 		close(cc.ready)
 		c.drop(cc)
 		return nil, cc.err
@@ -460,8 +475,8 @@ func (c *Client) Ping(method string) error {
 	return nil
 }
 
-// Close releases the connection. In-flight calls fail with ErrClosed or a
-// transport error.
+// Close releases the connection. In-flight calls and every later call fail
+// at once with a Transient error wrapping ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"condorg/internal/faultclass"
 	"condorg/internal/gsi"
 )
 
@@ -317,4 +318,45 @@ func TestClosedClient(t *testing.T) {
 		t.Fatal("call on closed client succeeded")
 	}
 	_ = s
+}
+
+// TestClosedClientFailsAtOnce: a closed client does not wait out its retry
+// backoff — neither a call made after Close nor one in flight when Close
+// runs — and the error is Transient and wraps ErrClosed.
+func TestClosedClientFailsAtOnce(t *testing.T) {
+	s, _ := newEchoServer(t, ServerConfig{Name: "test"})
+	c := Dial(s.Addr(), ClientConfig{ServerName: "test"})
+	if err := c.Call("echo", echoReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	start := time.Now()
+	err := c.Call("echo", echoReq{}, nil)
+	if took := time.Since(start); took >= 20*time.Millisecond {
+		t.Fatalf("call on a closed client took %v, want < 20ms", took)
+	}
+	if !errors.Is(err, ErrClosed) || faultclass.ClassOf(err) != faultclass.Transient {
+		t.Fatalf("call on a closed client: %v (class %v), want Transient wrapping ErrClosed", err, faultclass.ClassOf(err))
+	}
+
+	slow, _ := newEchoServer(t, ServerConfig{Name: "test", Faults: &Faults{
+		Delay: func(string) time.Duration { return 300 * time.Millisecond },
+	}})
+	c = Dial(slow.Addr(), ClientConfig{ServerName: "test", Timeout: 5 * time.Second})
+	done := make(chan error, 1)
+	go func() { done <- c.Call("echo", echoReq{}, nil) }()
+	time.Sleep(50 * time.Millisecond)
+	start = time.Now()
+	c.Close()
+	select {
+	case err := <-done:
+		if took := time.Since(start); took >= 20*time.Millisecond {
+			t.Fatalf("in-flight call returned %v after Close, want < 20ms", took)
+		}
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("in-flight call at Close: %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("in-flight call still waiting 1s after Close")
+	}
 }

@@ -27,9 +27,14 @@ go vet ./...
 (cd bench && go vet ./... && go build ./... && go test -short -count=1 ./...)
 
 # The submit ladder and the daemon lifetimes around it: what one warm job
-# costs on the wire, and that GridManagers and JobManagers last as long as
-# they are needed and no longer.
-go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridManagerRetiresAtProbePace|TestJobManagerExits' ./internal/condorg/
+# costs on the wire, that GridManagers and JobManagers last as long as
+# they are needed and no longer, and that the connections they use outlive
+# them: one gatekeeper session per credential, shared by owners' managers,
+# which a credential switch never moves under another manager's call; a
+# closed client fails its calls at once.
+go test -race -count=1 -run 'TestSubmitLadderWarm|TestStageKnownStale|TestGridManagerRetiresAtProbePace|TestJobManagerExits|TestSessionOutlivesManager' ./internal/condorg/
+go test -race -count=1 -run 'TestClosedClientFailsAtOnce' ./internal/wire/
+go test -race -count=1 -run 'TestConnCache|TestSwitchLeavesOthersCallsOnTheirIdentity' ./internal/gram/
 go test -race -count=1 -run 'TestWaitChange' ./internal/lrm/
 
 # The one submit/recover/probe/cancel/refresh route: batch frames (a lone
@@ -69,9 +74,10 @@ go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsO
 # layout still recovered, and one user log per owner across restarts. A
 # job's output creates no file: it is a stream of the GASS append log, read
 # back after any file an older layout left at its path, and a site's
-# JobManagers share one callback connection.
+# JobManagers and stage-in pulls share one callback and one GASS connection
+# that outlast a lull; a pull's reset leaves the shared GASS client open.
 go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
-go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy' ./internal/gram/ ./internal/condorg/
+go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy|TestPullResetSparesSharedPush' ./internal/gram/ ./internal/condorg/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
 go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog|TestOutputFileThenLog|TestCallbacksShareOneConnection' ./internal/condorg/
 
