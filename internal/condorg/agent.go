@@ -238,8 +238,6 @@ type Agent struct {
 
 	// stageKnown remembers which sites hold which executables (stage.go).
 	stageKnown stageKnown
-	// chunkBufs is the free list staging pushes read chunks into (stage.go).
-	chunkBufs chunkBufs
 
 	// pipeSem is the agent-wide remote-operation cap shared by every
 	// GridManager's site workers (AgentConfig.Pipeline.MaxInFlight),
@@ -334,7 +332,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		logFiles:   make(map[string]*os.File),
 		lazy:       make(map[*journal.Store][]*jobRecord),
 		pipeSem:    newFairSem(cfg.Pipeline.MaxInFlight),
-		chunkBufs:  make(chunkBufs, maxChunkBufs),
 	}
 	if !cfg.Obs.Disabled {
 		a.obs = obs.NewRegistry()

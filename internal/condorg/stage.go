@@ -9,18 +9,19 @@ package condorg
 // (stageStreams) is shared across all of the owner's staging jobs and
 // composes with Pipeline.PerSiteInFlight: a staging task occupies one
 // pipeline slot while its chunk RPCs share the stream semaphore. The push
-// streams from the spool object: each chunk is read from the file into a
-// buffer the agent reuses, so the executable is never on the heap whole.
+// streams from the spool object: each chunk's frame is sent from its
+// section of the open file, so the executable's bytes never reach the
+// agent's heap.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"os"
 	"sync"
 
 	"condorg/internal/faultclass"
+	"condorg/internal/wire"
 )
 
 // stageStreams caps concurrent chunk RPCs per site across all of one owner's
@@ -32,48 +33,15 @@ const (
 	stageChunkMax = 1 << 20
 )
 
-// stageChunkFor sizes the chunks of an object of total bytes so that it
-// moves in one window of stageStreams parallel RPCs when it can:
-// ceil(total/stageStreams), rounded up to a multiple of stageChunkMin and
-// kept within [stageChunkMin, stageChunkMax]. An object of up to
-// stageStreams*stageChunkMax bytes (4 MiB) is one window; a larger one
-// moves in windows of 1 MiB chunks.
+// stageChunkFor sizes the chunks of an object of total bytes: the object's
+// size rounded up to a multiple of stageChunkMin, at most stageChunkMax. An
+// object of up to 1 MiB is one chunk RPC, which also commits it; a larger
+// one moves in windows of up to stageStreams 1 MiB chunks. Every chunk
+// rides the one session the agent holds to the gatekeeper, so splitting an
+// object finer buys no bandwidth, only round trips.
 func stageChunkFor(total int64) int64 {
-	chunk := (total + stageStreams - 1) / stageStreams
-	chunk = (chunk + stageChunkMin - 1) / stageChunkMin * stageChunkMin
+	chunk := (total + stageChunkMin - 1) / stageChunkMin * stageChunkMin
 	return min(max(chunk, stageChunkMin), stageChunkMax)
-}
-
-// maxChunkBufs bounds the agent's free list of chunk buffers: what one
-// full window to each of four sites holds at once.
-const maxChunkBufs = 4 * stageStreams
-
-// chunkBufs is the agent's free list of chunk buffers, shared by every
-// owner's pushes. A chunk RPC borrows one for the read from the spool and
-// returns it once the RPC is over, so a steady stream of pushes allocates
-// nothing per chunk; the free list keeps at most maxChunkBufs buffers.
-type chunkBufs chan []byte
-
-// get returns a buffer of n bytes (n <= size), reused when a free one is
-// big enough. A new one is allocated at size bytes, the push's chunk size,
-// so every later chunk of the push fits it.
-func (b chunkBufs) get(n int, size int64) []byte {
-	select {
-	case buf := <-b:
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	default:
-	}
-	return make([]byte, n, size)
-}
-
-// put hands a buffer back; one beyond the bound is left to the collector.
-func (b chunkBufs) put(buf []byte) {
-	select {
-	case b <- buf:
-	default:
-	}
 }
 
 // maxStageKnown bounds the agent's stage-known set. At the bound an arbitrary
@@ -179,7 +147,13 @@ func (gm *GridManager) stageStats() (hits, misses map[string]int) {
 //   - AuthExpired → job held for a credential refresh;
 //   - transfer errors → the site-acked offset is journaled and the push
 //     resumes (bounded by maxStageAttempts), after which pre-staging is
-//     abandoned and the job proceeds to submit (the site pulls via GASS).
+//     abandoned and the job proceeds to submit (the site pulls via GASS);
+//   - the site's verdict on a chunk (a content hash that does not match,
+//     found by the chunk that completes the object) → routed like a failed
+//     stage-commit (stageFailed): the site has discarded the partial, so
+//     re-sending the window cannot help;
+//   - a spool object shorter than its recorded size → pre-staging is
+//     abandoned at once, before any byte is sent.
 func (gm *GridManager) stageJob(rec *jobRecord) {
 	rec.mu.Lock()
 	if rec.State.Terminal() || rec.State == Held || rec.Stage.Done {
@@ -188,6 +162,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	}
 	site := rec.Site
 	hash := rec.Stage.Hash
+	total := rec.Stage.Total
 	execRef := rec.Spec.Executable
 	journaled := rec.Stage.Offset
 	rec.mu.Unlock()
@@ -229,7 +204,11 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	gm.mu.Unlock()
 	gm.agent.obs.Counter("stage_cache_misses_total").Inc()
 
-	obj, total, err := gm.agent.openSpool(execRef)
+	obj, size, err := gm.agent.openSpool(execRef)
+	if err == nil && size < total {
+		obj.Close()
+		err = fmt.Errorf("%w: %d of %d bytes", wire.ErrShortSection, size, total)
+	}
 	if err != nil {
 		// The spool is local state; losing it is not the site's fault.
 		// Fall back to submit — stage-in there will fail the same way and
@@ -254,6 +233,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 	attempts := 0
 	sem := gm.stageStream(site)
 	chunks := 0
+	committed := false // a chunk's ack reached total: the site verified and cached it
 	for off < total {
 		select {
 		case <-gm.stopCh:
@@ -274,8 +254,14 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 				gm.agent.persist(rec, lazy)
 			}
 		}
+		if off == total {
+			// The chunk that completed the object committed it; an error
+			// of another chunk of the window was a torn reply.
+			committed = true
+			break
+		}
 		if err != nil {
-			if errors.Is(err, faultclass.ErrBreakerOpen) ||
+			if errors.Is(err, faultclass.ErrBreakerOpen) || wire.IsRemote(err) ||
 				faultclass.ClassOf(err) == faultclass.AuthExpired {
 				gm.stageFailed(rec, site, err, requeue, finish)
 				return
@@ -289,6 +275,7 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 			// the site where it actually is, then resume from there.
 			if present, siteOff, cerr := gm.gram.StageCheck(site, hash); cerr == nil {
 				if present {
+					committed = true
 					break
 				}
 				if siteOff > off {
@@ -306,9 +293,13 @@ func (gm *GridManager) stageJob(rec *jobRecord) {
 			rec.mu.Unlock()
 		}
 	}
-	if err := gm.gram.StageCommit(site, hash, total); err != nil {
-		gm.stageFailed(rec, site, err, requeue, finish)
-		return
+	if !committed {
+		// The site had acked every byte without committing them: a push
+		// that resumed at the object's end.
+		if err := gm.gram.StageCommit(site, hash, total); err != nil {
+			gm.stageFailed(rec, site, err, requeue, finish)
+			return
+		}
 	}
 	gm.agent.stageKnown.add(site, hash)
 	finish(false, fmt.Sprintf("staged %d bytes in %d chunks to %s", total, chunks, site))
@@ -324,9 +315,9 @@ type objectPush struct {
 
 // pushWindow sends up to stageStreams consecutive chunks starting at off in
 // parallel, each RPC holding one slot of the per-site stream semaphore and
-// one buffer of the agent's free list, read from the spool object just
-// before it goes out. It returns the highest contiguous site ack observed
-// and the first error.
+// sending its bytes from its section of the spool object as the frame goes
+// out. It returns the highest contiguous site ack observed and the first
+// error.
 func (gm *GridManager) pushWindow(site, hash string, p objectPush, off int64, sem chan struct{}, chunks *int) (int64, error) {
 	type result struct {
 		acked int64
@@ -335,29 +326,19 @@ func (gm *GridManager) pushWindow(site, hash string, p objectPush, off int64, se
 	var wg sync.WaitGroup
 	results := make([]result, 0, stageStreams)
 	var mu sync.Mutex
-	bufs := gm.agent.chunkBufs
 	for i := 0; i < stageStreams && off < p.total; i++ {
-		chunkOff, n := off, min(p.chunk, p.total-off)
+		sec := wire.Section{File: p.f, Off: off, N: min(p.chunk, p.total-off)}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
-			buf := bufs.get(int(n), p.chunk)
-			var acked int64
-			_, err := p.f.ReadAt(buf, chunkOff)
-			if err == io.EOF {
-				err = fmt.Errorf("condorg: spool object shorter than %d bytes", p.total)
-			}
-			if err == nil {
-				acked, err = gm.gram.StageChunk(site, hash, chunkOff, buf)
-			}
-			bufs.put(buf)
+			acked, err := gm.gram.StageSection(site, hash, p.total, sec)
 			<-sem
 			mu.Lock()
 			results = append(results, result{acked, err})
 			mu.Unlock()
 		}()
-		off += n
+		off += sec.N
 	}
 	wg.Wait()
 	var maxAck int64

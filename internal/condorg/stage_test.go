@@ -32,17 +32,18 @@ func paddedProgram(name string, n int, fill byte) []byte {
 // stageWorld is one site with injectable gatekeeper faults plus an agent
 // staging to it.
 type stageWorld struct {
-	site   *gram.Site
-	faults *wire.Faults
-	runs   *atomic.Int64
-	dir    string
-	cfg    AgentConfig
-	agent  *Agent
+	site    *gram.Site
+	siteDir string // the site's state directory
+	faults  *wire.Faults
+	runs    *atomic.Int64
+	dir     string
+	cfg     AgentConfig
+	agent   *Agent
 }
 
 func newStageWorld(t *testing.T) *stageWorld {
 	t.Helper()
-	w := &stageWorld{faults: &wire.Faults{}, runs: &atomic.Int64{}, dir: t.TempDir()}
+	w := &stageWorld{faults: &wire.Faults{}, runs: &atomic.Int64{}, dir: t.TempDir(), siteDir: t.TempDir()}
 	cluster, err := lrm.NewCluster(lrm.Config{Name: "site", Cpus: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func newStageWorld(t *testing.T) *stageWorld {
 		Name:             "site",
 		Cluster:          cluster,
 		Runtime:          buildRuntime(w.runs),
-		StateDir:         t.TempDir(),
+		StateDir:         w.siteDir,
 		CommitTimeout:    2 * time.Second,
 		GatekeeperFaults: w.faults,
 	})
@@ -420,18 +421,18 @@ func TestAgentIssuesNoSelfRPC(t *testing.T) {
 }
 
 // TestStageOneWindow pins what a push costs on the wire. The chunk size
-// comes from the object, so one of up to 4 MiB moves in a single window of
-// at most stageStreams parallel stage-chunk RPCs: 1 MiB is four 256 KiB
-// chunks and 100 KiB two 64 KiB ones. A larger object moves in 1 MiB
-// chunks, a window of stageStreams at a time. The first window's RPCs must
-// all be in flight together: each waits at the site for the others.
+// comes from the object, so one of up to 1 MiB moves in a single
+// stage-chunk RPC: 1 MiB is one 1 MiB chunk and 100 KiB one chunk sized
+// 128 KiB. A larger object moves in 1 MiB chunks, a window of stageStreams
+// at a time. The first window's RPCs must all be in flight together: each
+// waits at the site for the others.
 func TestStageOneWindow(t *testing.T) {
 	for _, tc := range []struct {
 		size, chunks int
 		chunk        int64
 	}{
-		{1 << 20, 4, 256 << 10},
-		{100 << 10, 2, 64 << 10},
+		{1 << 20, 1, 1 << 20},
+		{100 << 10, 1, 128 << 10},
 		{6 << 20, 6, 1 << 20},
 	} {
 		t.Run(fmt.Sprintf("%dKiB", tc.size>>10), func(t *testing.T) {

@@ -3,6 +3,7 @@ package gram
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -203,9 +204,13 @@ func (c *Client) guard(addr, verb string, op func(gk *wire.Client) error) error 
 				"verb", verb, "class", faultclass.ClassOf(err).String())).Inc()
 		}
 	}
-	if err != nil && !wire.IsRemote(err) {
+	switch {
+	case errors.Is(err, wire.ErrShortSection):
+		// This side's file, not the site, failed the call: the breaker
+		// hears of neither outcome.
+	case err != nil && !wire.IsRemote(err):
 		h.Failure(addr)
-	} else {
+	default:
 		h.Success(addr)
 	}
 	return err
@@ -407,7 +412,8 @@ func (c *Client) StageCheck(gkAddr, hash string) (present bool, offset int64, er
 
 // StageChunk pushes one chunk of executable bytes at offset. The returned
 // ack is the contiguous prefix the site has on stable storage — the resume
-// point a client journals.
+// point a client journals. The site does not know the object's size, so a
+// push through StageChunk ends with StageCommit.
 func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (acked int64, err error) {
 	var resp stageChunkResp
 	err = c.guard(gkAddr, "stage-chunk", func(gk *wire.Client) error {
@@ -417,8 +423,24 @@ func (c *Client) StageChunk(gkAddr, hash string, offset int64, data []byte) (ack
 	return resp.Acked, err
 }
 
+// StageSection pushes the chunk of an object of total bytes that sec holds,
+// sent from the file as the frame goes out; sec.Off is its offset in the
+// object. A reply whose ack reaches total means the site verified the
+// object and cached it, so no StageCommit follows. A section the file does
+// not hold fails with wire.ErrShortSection before anything is sent, and
+// does not count against the site's breaker.
+func (c *Client) StageSection(gkAddr, hash string, total int64, sec wire.Section) (acked int64, err error) {
+	var resp stageChunkResp
+	err = c.guard(gkAddr, "stage-chunk", func(gk *wire.Client) error {
+		_, err := gk.CallSection("gram.stage-chunk", stageReq{Hash: hash, Offset: sec.Off, Total: total}, sec, &resp)
+		return err
+	})
+	return resp.Acked, err
+}
+
 // StageCommit asks the site to verify the assembled bytes (size + sha256)
-// and promote them into its executable cache. Idempotent.
+// and promote them into its executable cache: the end of a push whose last
+// chunk did not complete the object. Idempotent.
 func (c *Client) StageCommit(gkAddr, hash string, total int64) error {
 	return c.guard(gkAddr, "stage-commit", func(gk *wire.Client) error {
 		return gk.Call("gram.stage-commit", stageReq{Hash: hash, Total: total}, nil)

@@ -8,8 +8,9 @@ package gram
 //
 //	objects/<sha256>       completed files, verified before rename
 //	partial/<sha256>.part  in-flight upload, chunks written at any offset;
-//	                       commit renames it into objects/
-//	partial/<sha256>.off   persisted contiguous acked offset
+//	                       the commit renames it into objects/
+//	partial/<sha256>.off   persisted contiguous acked offset, once an ack
+//	                       short of the object had to be kept
 //	partial/<sha256>.*.tmp a pulled executable on its way into objects/
 //
 // Resume contract: stage-chunk is idempotent and accepts chunks at any
@@ -18,13 +19,21 @@ package gram
 // (or whose connection was reset mid-chunk) asks stage-check where to
 // resume and re-sends only the unacked tail. A crash can forget
 // out-of-order chunks beyond the ack — re-sending them is safe, and the
-// final sha256 verification at stage-commit is the authority on content.
+// sha256 verification at the commit is the authority on content.
+//
+// Verification runs as the bytes land: the upload keeps a running sha256
+// of its acked prefix, so the commit compares a digest instead of reading
+// the object back. A chunk that carries the object's size and completes it
+// commits it in the same call; stage-commit is left for a push whose last
+// chunk did not (a client that never said the size, or a resumed upload
+// the site had already fully acked).
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -57,15 +66,18 @@ func validHash(h string) bool {
 	return true
 }
 
-// stagePart is one in-flight upload: its two files, held open from the
-// first chunk to commit or discard, the written byte ranges (merged
-// intervals) and the contiguous acked prefix. mu serializes the writers of
-// one hash; uploads of different hashes never wait for each other.
+// stagePart is one in-flight upload: its part file, held open from the
+// first chunk to commit or discard, its sidecar once it has one, the
+// written byte ranges (merged intervals), the contiguous acked prefix and
+// the running sha256 of that prefix. mu serializes the writers of one
+// hash; uploads of different hashes never wait for each other.
 type stagePart struct {
 	mu       sync.Mutex
 	part     *os.File // partial/<hash>.part
-	off      *os.File // partial/<hash>.off
+	off      *os.File // partial/<hash>.off; nil while none is on disk
+	size     int64    // how far the part file reaches
 	acked    int64
+	sum      hash.Hash  // sha256 of the part file's [0, acked)
 	ranges   [][2]int64 // written ranges the ack has not reached, by start
 	finished bool       // committed or discarded: look the hash up again
 }
@@ -170,8 +182,10 @@ func (c *stageCache) put(hash string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	tmp.Close()
-	err = os.WriteFile(tmp.Name(), data, 0o700)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), c.objectPath(hash))
 	}
@@ -189,11 +203,18 @@ func (c *stageCache) persistedAck(hash string) int64 {
 	if err != nil {
 		return 0
 	}
-	off, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil || off <= 0 {
+	fi, err := os.Stat(c.partPath(hash))
+	if err != nil {
 		return 0
 	}
-	if fi, err := os.Stat(c.partPath(hash)); err != nil || off > fi.Size() {
+	return parseAck(raw, fi.Size())
+}
+
+// parseAck reads a sidecar's ack, trusted only as far as a part file of
+// partSize bytes reaches; anything else is no ack.
+func parseAck(raw []byte, partSize int64) int64 {
+	off, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
+	if err != nil || off <= 0 || off > partSize {
 		return 0
 	}
 	return off
@@ -221,37 +242,72 @@ func (c *stageCache) acquire(hash string) (*stagePart, error) {
 		}
 		var err error
 		if !c.present(hash) {
-			p.acked = c.persistedAck(hash)
-			if p.off, err = os.OpenFile(c.offPath(hash), os.O_CREATE|os.O_WRONLY, 0o600); err == nil {
-				p.part, err = os.OpenFile(c.partPath(hash), os.O_CREATE|os.O_RDWR, 0o700)
-			}
-			if err == nil {
+			if err = c.open(hash, p); err == nil {
 				return p, nil
 			}
 		}
-		c.retire(hash, p, false)
+		c.retire(hash, p)
 		p.mu.Unlock()
 		return nil, err
 	}
 }
 
-// retire ends an upload: its files are closed (removed, when discard is
-// set) and the hash starts from a fresh entry next time. Caller holds p.mu.
-func (c *stageCache) retire(hash string, p *stagePart, discard bool) {
+// open gives a fresh entry its part file. A part file with bytes in it is
+// a previous incarnation's upload: the entry resumes at the ack its
+// sidecar persisted, and hashes the prefix that ack covers, once.
+func (c *stageCache) open(hash string, p *stagePart) error {
+	part, err := os.OpenFile(c.partPath(hash), os.O_CREATE|os.O_RDWR, 0o700)
+	if err != nil {
+		return err
+	}
+	fi, err := part.Stat()
+	if err != nil {
+		part.Close()
+		return err
+	}
+	p.part, p.size, p.sum = part, fi.Size(), sha256.New()
+	if p.size == 0 {
+		return nil // a new upload: nothing was acked
+	}
+	if p.off, err = os.OpenFile(c.offPath(hash), os.O_RDWR, 0); err != nil {
+		p.off = nil
+		return nil // no ack was persisted: every byte is re-sent
+	}
+	var raw [32]byte
+	n, _ := p.off.ReadAt(raw[:], 0) // io.EOF: the sidecar is shorter than raw
+	if acked := parseAck(raw[:n], p.size); acked > 0 {
+		if _, err := io.Copy(p.sum, io.NewSectionReader(part, 0, acked)); err == nil {
+			p.acked = acked
+		} else {
+			p.sum.Reset()
+		}
+	}
+	return nil
+}
+
+// retire ends an upload's entry: its files are closed, and the hash starts
+// from a fresh entry next time. What is on disk stays. Caller holds p.mu.
+func (c *stageCache) retire(hash string, p *stagePart) {
 	if p.part != nil {
 		p.part.Close()
 	}
 	if p.off != nil {
 		p.off.Close()
 	}
-	if discard {
-		os.Remove(c.partPath(hash))
-		os.Remove(c.offPath(hash))
-	}
 	p.finished = true
 	c.mu.Lock()
 	delete(c.parts, hash)
 	c.mu.Unlock()
+}
+
+// discard ends an upload and removes its files, so the next attempt
+// starts from zero. Caller holds p.mu.
+func (c *stageCache) discard(hash string, p *stagePart) {
+	os.Remove(c.partPath(hash))
+	if p.off != nil {
+		os.Remove(c.offPath(hash))
+	}
+	c.retire(hash, p)
 }
 
 // check reports whether hash is complete, and otherwise where to resume.
@@ -273,58 +329,112 @@ func (c *stageCache) check(hash string) (present bool, offset int64) {
 	return true, 0
 }
 
-// write lands one chunk at off — one pwrite on the open part file, plus a
-// fixed-width one on the sidecar when the ack moves — and returns the new
-// contiguous ack.
-func (c *stageCache) write(hash string, off int64, data []byte) (int64, error) {
+// writeChunk lands one chunk at off — one pwrite on the open part file —
+// and returns the new contiguous ack. When the ack moves, the bytes it
+// newly covers join the running hash: this chunk's straight from data,
+// those of chunks that arrived earlier out of order read back from the
+// part file. total, when the sender said it (0 when not), is the object's
+// size: the chunk that completes the object commits it, and an ack short
+// of it is persisted in the sidecar so a site restart resumes instead of
+// restarting.
+func (c *stageCache) writeChunk(hash string, off, total int64, data []byte) (int64, error) {
+	end := off + int64(len(data))
+	if off < 0 || (total > 0 && end > total) {
+		return 0, fmt.Errorf("gram: stage chunk [%d, %d) outside a %d-byte object", off, end, total)
+	}
 	p, err := c.acquire(hash)
 	if err != nil {
 		return 0, err
 	}
 	if p == nil {
 		// Already complete: acknowledge everything so the sender stops.
-		return off + int64(len(data)), nil
+		return max(end, total), nil
 	}
 	defer p.mu.Unlock()
-	if _, err := p.part.WriteAt(data, off); err != nil {
-		return 0, err
+	// The acked prefix is hashed already: a re-sent chunk rewrites none of
+	// it, so the bytes verified are the bytes on disk.
+	if from := max(off, p.acked); from < end {
+		if _, err := p.part.WriteAt(data[from-off:], from); err != nil {
+			return 0, err
+		}
+		p.size = max(p.size, end)
 	}
 	c.bytesReceived.Add(int64(len(data)))
 	prev := p.acked
-	acked := p.advance(off, off+int64(len(data)))
-	if acked != prev {
-		// Persist the ack so a site restart resumes instead of restarting.
-		_, _ = p.off.WriteAt([]byte(fmt.Sprintf("%019d", acked)), 0)
+	acked := p.advance(off, end)
+	if acked > prev {
+		// Only a chunk starting at or below the old ack moves it, and it
+		// reaches past it.
+		mid := min(end, acked)
+		p.sum.Write(data[prev-off : mid-off])
+		if acked > mid {
+			if _, err := io.Copy(p.sum, io.NewSectionReader(p.part, mid, acked-mid)); err != nil {
+				c.discard(hash, p) // the running hash is torn
+				return 0, err
+			}
+		}
+	}
+	if total > 0 && acked >= total {
+		return acked, c.promote(hash, p, total)
+	}
+	if acked > prev {
+		c.persistAck(hash, p)
 	}
 	return acked, nil
 }
 
-// commit verifies the assembled partial (size + sha256, hashed as a
-// stream) and promotes it to objects/ by renaming the part file itself.
-// Idempotent; a failed verification discards the partial so the next
-// attempt restarts clean.
+// persistAck writes the ack to the sidecar, fixed-width, creating the
+// sidecar the first time. Best effort: a lost ack costs a re-send after a
+// restart, nothing more. Caller holds p.mu.
+func (c *stageCache) persistAck(hash string, p *stagePart) {
+	if p.off == nil {
+		f, err := os.OpenFile(c.offPath(hash), os.O_CREATE|os.O_WRONLY, 0o600)
+		if err != nil {
+			return
+		}
+		p.off = f
+	}
+	_, _ = p.off.WriteAt([]byte(fmt.Sprintf("%019d", p.acked)), 0)
+}
+
+// commit verifies the assembled partial and promotes it to objects/: the
+// stage-commit of a push whose last chunk did not complete the object.
+// Idempotent.
 func (c *stageCache) commit(hash string, total int64) error {
 	p, err := c.acquire(hash)
 	if p == nil {
 		return err // nil: the object is already complete
 	}
 	defer p.mu.Unlock()
-	defer c.retire(hash, p, true) // promoted or discarded, the partial is over
-	h := sha256.New()
-	n, err := io.Copy(h, io.NewSectionReader(p.part, 0, total))
+	return c.promote(hash, p, total)
+}
+
+// promote ends an upload, whichever call completes it: it checks the acked
+// prefix against the claimed size and its running hash against the
+// claimed hash, and renames the part file itself into objects/. A mismatch
+// discards the partial (never promoting corrupt bytes), so the next
+// attempt restarts clean. Caller holds p.mu.
+func (c *stageCache) promote(hash string, p *stagePart, total int64) error {
+	var err error
+	if p.acked != total {
+		err = fmt.Errorf("gram: stage commit %s: assembled %d bytes, expected %d", hash[:12], p.acked, total)
+	} else if got := hex.EncodeToString(p.sum.Sum(nil)); got != hash {
+		err = fmt.Errorf("gram: stage commit: content hash %s does not match claimed %s", got[:12], hash[:12])
+	} else if p.size > total {
+		err = p.part.Truncate(total)
+	}
+	if err == nil {
+		err = os.Rename(c.partPath(hash), c.objectPath(hash))
+	}
 	if err != nil {
-		return fmt.Errorf("gram: stage commit %s: %w", hash[:12], err)
-	}
-	if n != total {
-		return fmt.Errorf("gram: stage commit %s: assembled %d bytes, expected %d", hash[:12], n, total)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != hash {
-		return fmt.Errorf("gram: stage commit: content hash %s does not match claimed %s", got[:12], hash[:12])
-	}
-	if err := p.part.Truncate(total); err != nil {
+		c.discard(hash, p)
 		return err
 	}
-	return os.Rename(c.partPath(hash), c.objectPath(hash))
+	if p.off != nil {
+		_ = os.Remove(c.offPath(hash)) // a stale sidecar beside an object is never read
+	}
+	c.retire(hash, p)
+	return nil
 }
 
 // close releases the files of every upload still in flight; their .part and
@@ -336,7 +446,7 @@ func (c *stageCache) close() {
 	c.mu.Unlock()
 	for hash, p := range parts {
 		p.mu.Lock()
-		c.retire(hash, p, false)
+		c.retire(hash, p)
 		p.mu.Unlock()
 	}
 }
@@ -344,7 +454,8 @@ func (c *stageCache) close() {
 // --- gatekeeper wire ops ---
 
 // stageReq is the body of all three stage verbs: check names the hash,
-// chunk adds the offset its blob lands at, commit the assembled size.
+// chunk adds the offset its blob lands at (and the object's size, when the
+// sender says it), commit the assembled size.
 type stageReq struct {
 	Hash   string `json:"hash"`
 	Offset int64  `json:"offset,omitempty"`
@@ -386,7 +497,7 @@ func (s *Site) handleStageChunk(peer string, body json.RawMessage, data []byte) 
 	if err != nil {
 		return nil, nil, err
 	}
-	acked, err := s.stage.write(req.Hash, req.Offset, data)
+	acked, err := s.stage.writeChunk(req.Hash, req.Offset, req.Total, data)
 	return stageChunkResp{Acked: acked}, nil, err
 }
 

@@ -166,7 +166,19 @@ func (c *Client) CallBlob(method string, req any, blob []byte, resp any) ([]byte
 	return c.call(c.NextSeq(), method, req, blob, resp)
 }
 
+// CallSection is CallBlob with the request's attachment read from a file
+// section as the frame goes out, on every attempt. A section the file does
+// not hold fails the call with ErrShortSection, without a retry.
+func (c *Client) CallSection(method string, req any, sec Section, resp any) ([]byte, error) {
+	return c.callFrom(c.NextSeq(), method, req, nil, &sec, resp)
+}
+
 func (c *Client) call(seq uint64, method string, req any, blob []byte, resp any) ([]byte, error) {
+	return c.callFrom(seq, method, req, blob, nil, resp)
+}
+
+// callFrom runs one RPC whose request attachment, if any, is blob or sec.
+func (c *Client) callFrom(seq uint64, method string, req any, blob []byte, sec *Section, resp any) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal request: %w", err)
@@ -176,9 +188,9 @@ func (c *Client) call(seq uint64, method string, req any, blob []byte, resp any)
 		if attempt > 0 {
 			time.Sleep(c.backoff(attempt))
 		}
-		msg, err := c.attempt(seq, method, body, blob)
+		msg, err := c.attempt(seq, method, body, blob, sec)
 		if err != nil {
-			if IsRemote(err) {
+			if IsRemote(err) || errors.Is(err, ErrShortSection) {
 				// A handshake rejection (e.g. AuthExpired) is the
 				// server's verdict, not a transport loss: surface it
 				// with its class instead of retrying into it.
@@ -221,7 +233,14 @@ func (c *Client) backoff(n int) time.Duration {
 	return d + time.Duration(mrand.Int63n(int64(d)/2+1))
 }
 
-func (c *Client) attempt(seq uint64, method string, body json.RawMessage, blob []byte) (*Message, error) {
+func (c *Client) attempt(seq uint64, method string, body json.RawMessage, blob []byte, sec *Section) (*Message, error) {
+	if sec != nil {
+		// Before the connection: a short file is this side's fault, and
+		// nothing has been sent that would have to be torn.
+		if err := sec.check(); err != nil {
+			return nil, err
+		}
+	}
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
@@ -233,6 +252,7 @@ func (c *Client) attempt(seq uint64, method string, body json.RawMessage, blob [
 		Method:   method,
 		Body:     body,
 		Blob:     blob,
+		section:  sec,
 	}
 	if cc.session != "" {
 		msg.Session = cc.session
@@ -462,7 +482,7 @@ func (c *Client) drop(cc *clientConn) {
 // (no retries — a probe wants a fast verdict, and mutating the shared retry
 // budget would race concurrent Calls).
 func (c *Client) Ping(method string) error {
-	msg, err := c.attempt(c.NextSeq(), method, []byte("{}"), nil)
+	msg, err := c.attempt(c.NextSeq(), method, []byte("{}"), nil, nil)
 	if err != nil {
 		if IsRemote(err) {
 			return err

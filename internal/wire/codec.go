@@ -83,7 +83,7 @@ func encodeBinary(m *Message) ([]byte, error) {
 	buf = appendField(buf, []byte(m.Fault))
 	buf = appendField(buf, tok)
 	buf = appendField(buf, m.Body)
-	return binary.AppendUvarint(buf, uint64(len(m.Blob))), nil
+	return binary.AppendUvarint(buf, uint64(m.blobLen())), nil
 }
 
 func appendField(buf, b []byte) []byte {
@@ -178,7 +178,7 @@ func decodeBinary(data []byte) (*Message, error) {
 func encodeFrame(m *Message, codec string) ([]byte, error) {
 	var head []byte
 	var err error
-	if codec == CodecBinary || len(m.Blob) > 0 {
+	if codec == CodecBinary || m.blobLen() > 0 {
 		head, err = encodeBinary(m)
 	} else if head, err = json.Marshal(m); err == nil {
 		head = append(make([]byte, 4, 4+len(head)), head...)
@@ -186,7 +186,7 @@ func encodeFrame(m *Message, codec string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := len(head) - 4 + len(m.Blob)
+	size := int64(len(head)-4) + m.blobLen()
 	if size > MaxFrame {
 		return nil, fmt.Errorf("wire: frame too large: %d", size)
 	}
@@ -195,16 +195,22 @@ func encodeFrame(m *Message, codec string) ([]byte, error) {
 }
 
 // writeFrameCodec writes one framed message in the given codec: one write,
-// or one gathered write of envelope and blob.
+// one gathered write of envelope and blob, or the envelope followed by the
+// blob's file section.
 func writeFrameCodec(w io.Writer, m *Message, codec string) error {
 	head, err := encodeFrame(m, codec)
 	if err != nil {
 		return err
 	}
-	if len(m.Blob) == 0 {
-		_, err = w.Write(head)
-	} else {
+	switch {
+	case m.section != nil:
+		if _, err = w.Write(head); err == nil {
+			err = sendSection(w, m.section)
+		}
+	case len(m.Blob) > 0:
 		_, err = (&net.Buffers{head, m.Blob}).WriteTo(w)
+	default:
+		_, err = w.Write(head)
 	}
 	return err
 }

@@ -63,9 +63,14 @@ go test -race -count=1 -run 'TestBatch' ./internal/gram/
 go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField|TestReadEventsMatchesUnmarshal' ./internal/condorg/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
-# negotiation, reply cache), the site cache's per-hash uploads and unique
-# temp names, a push of up to 4 MiB in one window read chunk by chunk from
-# the spool, a cache hit run on the mapped object (and the program name
+# negotiation, reply cache), sent from a file section, and read on the
+# server into reused buffers never handed out while their handler runs;
+# the site cache's per-hash uploads and unique temp names, a push of up to
+# 1 MiB in one chunk sent from the spool and committed by its last chunk
+# (a StageChunk client's commit still promotes), corrupt bytes refused at
+# the last chunk, a resume across a site restart verified, a short spool
+# object failing the push without touching the breaker, a cache hit run
+# on the mapped object (and the program name
 # read without a copy), every mapping released however its job ends, the
 # LRM letting go of finished payloads, and the agent using
 # its own spool without dialing it: one content-addressed object per
@@ -76,8 +81,8 @@ go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsO
 # back after any file an older layout left at its path, and a site's
 # JobManagers and stage-in pulls share one callback and one GASS connection
 # that outlast a lull; a pull's reset leaves the shared GASS client open.
-go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob' ./internal/wire/
-go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy|TestPullResetSparesSharedPush' ./internal/gram/ ./internal/condorg/
+go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob|TestBigFrameBufferHeldByItsHandler|TestCallSection' ./internal/wire/
+go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy|TestPullResetSparesSharedPush|TestStagePushCommitsWithLastChunk|TestStageCorruptBytesFailLastChunk|TestStageShortSpoolFailsPush|TestStageProbePatternPromotes|TestStageResumeAcrossSiteRestart|TestStageShortSectionSparesBreaker' ./internal/gram/ ./internal/condorg/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
 go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog|TestOutputFileThenLog|TestCallbacksShareOneConnection' ./internal/condorg/
 
