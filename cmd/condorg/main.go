@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -113,10 +114,11 @@ func usage() {
 	os.Exit(2)
 }
 
-// audit verifies a state directory's journal history offline: every frame
-// CRC, every hash-chain link, every segment boundary, and the snapshot
-// anchor. Exits 1 — naming the damaged segment and chain sequence — on any
-// corruption or leftover quarantine evidence.
+// audit verifies a state directory's journal history offline: the
+// directory's format stamp by the agent's own rule, then every frame CRC,
+// every hash-chain link, every segment boundary, and the snapshot anchor.
+// Exits 1 — naming the damaged segment and chain sequence — on a refused
+// stamp, any corruption, or leftover quarantine evidence.
 func audit(args []string) {
 	if len(args) < 1 || args[0] != "verify" {
 		fmt.Fprintln(os.Stderr, "usage: condorg audit verify -state dir [-json]")
@@ -128,50 +130,59 @@ func audit(args []string) {
 	if dir == "" {
 		log.Fatal("condorg audit verify: need -state")
 	}
+	if !auditVerify(dir, asJSON, os.Stdout, os.Stderr) {
+		os.Exit(1)
+	}
+}
+
+// auditVerify audits dir, an agent state directory or its queue directory,
+// writing the report to out and each failure to errs, and reports whether
+// the directory is one the agent opens with a clean history.
+func auditVerify(dir string, asJSON bool, out, errs io.Writer) bool {
 	// Accept either the agent StateDir or its queue directory directly.
-	if st, err := os.Stat(filepath.Join(dir, "queue")); err == nil && st.IsDir() {
-		dir = filepath.Join(dir, "queue")
+	state, queue := dir, filepath.Join(dir, "queue")
+	if st, err := os.Stat(filepath.Join(dir, "parts")); err == nil && st.IsDir() {
+		state, queue = filepath.Dir(filepath.Clean(dir)), dir
+	}
+	if _, err := condorg.CheckStateFormat(state); err != nil {
+		fmt.Fprintln(errs, "condorg audit:", err)
+		return false
 	}
 	// The queue is many independent stores, one per owner bucket. Each
 	// carries its own snapshot anchor and hash chain; all must verify.
-	dirs := journal.PartitionDirs(filepath.Join(dir, "parts"))
-	failed := false
-	for _, f := range journal.StoreFiles(dir) {
-		fmt.Fprintf(os.Stderr, "condorg audit: %s holds records outside parts/ (the retired single-store layout); the agent refuses this state directory\n", f)
-		failed = true
-	}
-	for _, d := range dirs {
+	ok := true
+	for _, d := range journal.PartitionDirs(filepath.Join(queue, "parts")) {
 		rep, verr := journal.VerifyDir(d)
 		if asJSON {
-			out, _ := json.MarshalIndent(rep, "", "  ")
-			fmt.Println(string(out))
+			raw, _ := json.MarshalIndent(rep, "", "  ")
+			fmt.Fprintln(out, string(raw))
 		} else {
-			fmt.Printf("== %s ==\n", d)
-			fmt.Printf("snapshot: %d keys, chain anchor seq %d\n", rep.Keys, rep.Snapshot.Seq)
+			fmt.Fprintf(out, "== %s ==\n", d)
+			fmt.Fprintf(out, "snapshot: %d keys, chain anchor seq %d\n", rep.Keys, rep.Snapshot.Seq)
 			for _, seg := range rep.Segments {
 				status := "ok"
 				if seg.Err != "" {
 					status = "CORRUPT: " + seg.Err
 				}
-				fmt.Printf("%-40s %7d records  seq %d..%d  %s\n", seg.Path, seg.Records, seg.First, seg.Last, status)
+				fmt.Fprintf(out, "%-40s %7d records  seq %d..%d  %s\n", seg.Path, seg.Records, seg.First, seg.Last, status)
 			}
 			for _, q := range rep.Quarantined {
-				fmt.Printf("%-40s QUARANTINED (inspect and remove to reopen)\n", q)
+				fmt.Fprintf(out, "%-40s QUARANTINED (inspect and remove to reopen)\n", q)
 			}
-			fmt.Printf("verified chain head: seq %d\n", rep.Head.Seq)
+			fmt.Fprintf(out, "verified chain head: seq %d\n", rep.Head.Seq)
 		}
 		if verr != nil {
-			fmt.Fprintln(os.Stderr, "condorg audit:", verr)
-			failed = true
+			fmt.Fprintln(errs, "condorg audit:", verr)
+			ok = false
 		} else if !rep.OK() {
-			fmt.Fprintln(os.Stderr, "condorg audit: history not clean (quarantined segments present)")
-			failed = true
+			fmt.Fprintln(errs, "condorg audit: history not clean (quarantined segments present)")
+			ok = false
 		}
 	}
-	if failed {
-		os.Exit(1)
+	if ok {
+		fmt.Fprintln(out, "history verified: every record extends the hash chain")
 	}
-	fmt.Println("history verified: every record extends the hash chain")
+	return ok
 }
 
 // auditFlags registers `condorg audit verify`'s flags.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"condorg/internal/condorg"
+	"condorg/internal/gram"
 	"condorg/internal/journal"
 )
 
@@ -223,5 +224,61 @@ func TestOperationsDocMatchesCLI(t *testing.T) {
 	missing := strings.Replace(doc, row, "| sync |", 1)
 	if d := docDrift(missing, sets()); len(d) != 1 || !strings.Contains(d[0], "-sync but the guide has no row") {
 		t.Errorf("a registration without a row went unnoticed: %q", d)
+	}
+}
+
+// TestAuditVerifyStamp: audit verify applies the agent's state-directory
+// rule, given the state directory or its queue directory: a stamped
+// directory verifies, and one without a stamp or with another is refused.
+func TestAuditVerifyStamp(t *testing.T) {
+	stamped := func(t *testing.T) string {
+		dir := t.TempDir()
+		a, err := condorg.NewAgent(condorg.AgentConfig{StateDir: dir, Selector: condorg.StaticSelector("127.0.0.1:1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Submit(condorg.SubmitRequest{Owner: "u", Executable: gram.Program("echo")}); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		return dir
+	}
+	for _, row := range []struct {
+		name    string
+		dir     func(t *testing.T) string
+		refusal string // "" when the audit passes
+	}{
+		{"stamped", stamped, ""},
+		{"stamped queue dir", func(t *testing.T) string { return filepath.Join(stamped(t), "queue") }, ""},
+		{"unstamped", func(t *testing.T) string {
+			dir := t.TempDir()
+			ps, err := journal.OpenPartitionSet(filepath.Join(dir, "queue", "parts"), 0, journal.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps.Close()
+			return dir
+		}, "holds queue/ but no FORMAT stamp"},
+		{"wrong number", func(t *testing.T) string {
+			dir := stamped(t)
+			if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, `is stamped FORMAT "2"`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var out, errs strings.Builder
+			ok := auditVerify(row.dir(t), false, &out, &errs)
+			if row.refusal == "" {
+				if !ok || errs.Len() > 0 || !strings.Contains(out.String(), "history verified") {
+					t.Fatalf("audit = %v\nstdout:\n%s\nstderr:\n%s", ok, out.String(), errs.String())
+				}
+				return
+			}
+			if ok || !strings.Contains(errs.String(), row.refusal) || out.Len() > 0 {
+				t.Fatalf("audit = %v; want refused naming %q\nstdout:\n%s\nstderr:\n%s", ok, row.refusal, out.String(), errs.String())
+			}
+		})
 	}
 }

@@ -199,16 +199,52 @@ type HAOptions struct {
 	SyncTimeout time.Duration
 }
 
-// openQueue opens the job queue of an agent or standby state directory:
-// the owner-partitioned store set under queue/parts. Store files in queue/
-// itself (the retired single-store layout) are refused, never migrated.
-func openQueue(stateDir string, partitions int, opts journal.StoreOptions) (*journal.PartitionSet, error) {
-	queue := filepath.Join(stateDir, "queue")
-	if files := journal.StoreFiles(queue); len(files) > 0 {
-		return nil, faultclass.New(faultclass.Permanent, fmt.Errorf(
-			"condorg: %s holds job-queue records outside queue/parts (the retired single-store layout); drain them with the release that wrote them, or move the file away", files[0]))
+// formatFile stamps a state directory with the one on-disk format this
+// agent reads and writes (DESIGN.md §10); a change of shape bumps the number.
+const formatFile, stateFormat = "FORMAT", "1"
+
+// CheckStateFormat applies the state-directory rule to dir, writing
+// nothing. A directory stamped with this agent's format opens (nil); one
+// that is missing or holds no agent files (queue/, spool/, logs/) is fresh,
+// for openQueue to stamp; any other is refused with a Permanent error that
+// says what it lacks and what to do. Nothing is migrated.
+func CheckStateFormat(dir string) (fresh bool, err error) {
+	refuse := func(format string, args ...any) (bool, error) {
+		lacks := fmt.Sprintf(format, args...)
+		return false, faultclass.New(faultclass.Permanent, fmt.Errorf(
+			"condorg: state directory %s %s; start on a fresh state directory, or drain this one with the release that wrote it", dir, lacks))
 	}
-	return journal.OpenPartitionSet(filepath.Join(queue, "parts"), partitions, opts)
+	raw, err := os.ReadFile(filepath.Join(dir, formatFile))
+	if got := strings.TrimSpace(string(raw)); err == nil && got != stateFormat {
+		return refuse("is stamped %s %q, but this agent reads only format %s", formatFile, got, stateFormat)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return false, err // nil: stamped with this agent's format
+	}
+	for _, name := range []string{"queue", "spool", "logs"} {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
+			return refuse("holds %s/ but no %s stamp: it predates state-dir format %s, the only one this agent reads", name, formatFile, stateFormat)
+		}
+	}
+	return true, nil
+}
+
+// openQueue opens the job queue of an agent or standby state directory,
+// the owner-partitioned store set under queue/parts, once the directory
+// passes CheckStateFormat; a fresh directory is stamped first.
+func openQueue(stateDir string, partitions int, opts journal.StoreOptions) (*journal.PartitionSet, error) {
+	fresh, err := CheckStateFormat(stateDir)
+	if err != nil {
+		return nil, err
+	}
+	if fresh {
+		if err := os.MkdirAll(stateDir, 0o700); err != nil {
+			return nil, err
+		}
+		if err := journal.WriteFileAtomic(filepath.Join(stateDir, formatFile), []byte(stateFormat+"\n")); err != nil {
+			return nil, err
+		}
+	}
+	return journal.OpenPartitionSet(filepath.Join(stateDir, "queue", "parts"), partitions, opts)
 }
 
 // maxOpenUserLogs bounds the user-log file handles kept open, one per
@@ -344,9 +380,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		a.mailbox = NewMailbox()
 		a.cfg.Notifier = a.mailbox
 	}
-	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "logs"), 0o700); err != nil {
-		return nil, err
-	}
 	jopts := cfg.Journal
 	jopts.Obs = a.obs
 	parts, err := openQueue(cfg.StateDir, cfg.Tenancy.Partitions, jopts)
@@ -354,6 +387,10 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	a.parts = parts
+	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "logs"), 0o700); err != nil {
+		parts.Close()
+		return nil, err
+	}
 	if cfg.HA.Enabled {
 		parts.SyncReplication(cfg.HA.SyncTimeout)
 	}

@@ -74,16 +74,11 @@ func userLog(evs []Event) []LogEvent {
 	return out
 }
 
-// traceOf is the trace view of evs: every event with a phase — all but the
-// user-log lines of a record written before the event stream — numbered
-// by position.
+// traceOf is the trace view of evs: every event, numbered by position.
 func traceOf(evs []Event) obs.Timeline {
-	tl := obs.Timeline{Events: make([]obs.TraceEvent, 0, len(evs))}
-	for _, ev := range evs {
-		if ev.Phase != "" {
-			tl.Events = append(tl.Events, obs.TraceEvent{
-				Seq: len(tl.Events), Wall: ev.At, Phase: ev.Phase, Site: ev.Site, Class: ev.Class, Detail: ev.Text})
-		}
+	tl := obs.Timeline{Events: make([]obs.TraceEvent, len(evs))}
+	for i, ev := range evs {
+		tl.Events[i] = obs.TraceEvent{Seq: i, Wall: ev.At, Phase: ev.Phase, Site: ev.Site, Class: ev.Class, Detail: ev.Text}
 	}
 	return tl
 }
@@ -200,19 +195,4 @@ func lastSite(evs []Event) string {
 		return ""
 	}
 	return evs[len(evs)-1].Site
-}
-
-// foldHistory appends the user log and trace a record written before the
-// event stream kept, merged in time order, to evs. Each list keeps its own
-// order, so both views read back as that release wrote them.
-func foldHistory(evs []Event, log []LogEvent, trace []obs.TraceEvent) []Event {
-	for len(log) > 0 || len(trace) > 0 {
-		if len(trace) == 0 || len(log) > 0 && log[0].Time.Before(trace[0].Wall) {
-			evs, log = append(evs, Event{At: log[0].Time, Code: log[0].Code, Text: log[0].Text}), log[1:]
-		} else {
-			t := trace[0]
-			evs, trace = append(evs, Event{At: t.Wall, Phase: t.Phase, Site: t.Site, Class: t.Class, Text: t.Detail}), trace[1:]
-		}
-	}
-	return evs
 }

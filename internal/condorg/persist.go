@@ -12,7 +12,6 @@ import (
 	"condorg/internal/gram"
 	"condorg/internal/journal"
 	"condorg/internal/jsonscan"
-	"condorg/internal/obs"
 )
 
 // The job record's journal history (DESIGN.md §10): one full image when the
@@ -59,18 +58,15 @@ type jobDoc struct {
 	Remote gram.JobState `json:"remote"`
 	// Events is the job's history, appended only through Agent.emit.
 	Events eventList `json:"events"`
-	// What a record written before the event stream holds instead of
-	// Events: read, folded into Events (foldHistory), never written.
-	// OldLog hides JobInfo.Log, which a job record leaves empty.
-	OldLog   []LogEvent    `json:"log,omitempty"`
-	OldTrace *obs.Timeline `json:"trace,omitempty"`
+	// Log hides JobInfo.Log, the user-log view of Events, which a job
+	// record never holds.
+	Log []LogEvent `json:"log,omitempty"`
 }
 
 // A patch is a JSON object holding, under its jobDoc name, every top-level
 // field whose value changed since the record's previous write, plus the
 // events appended since then under "events" (there, a list to append
-// rather than a value to replace). A patch of a record written before the
-// event stream carries "log" and "trace" lists instead.
+// rather than a value to replace).
 
 // docField is one top-level jobDoc field a patch replaces whole: its JSON
 // name and its index path (JobInfo's fields are promoted).
@@ -86,7 +82,7 @@ var docFields = func() []docField {
 	var out []docField
 	for _, f := range reflect.VisibleFields(reflect.TypeFor[jobDoc]()) {
 		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if f.Anonymous || !f.IsExported() || name == "-" || name == "events" || name == "log" || name == "trace" {
+		if f.Anonymous || !f.IsExported() || name == "-" || name == "events" || name == "log" {
 			continue
 		}
 		if name == "" {
@@ -142,46 +138,30 @@ func appendMember(buf []byte, name string, raw []byte) []byte {
 // records in fields the bytes of each replaceable field it set.
 func applyPatch(doc *jobDoc, fields [][]byte, raw json.RawMessage) error {
 	v := reflect.ValueOf(doc).Elem()
-	var oldLog []LogEvent
-	var oldTrace []obs.TraceEvent
-	err := jsonscan.Members(raw, func(name string, val []byte) error {
-		switch name {
-		case "events":
+	return jsonscan.Members(raw, func(name string, val []byte) error {
+		if name == "events" {
 			evs, err := doc.Events.decode(val)
 			if err != nil {
 				return fmt.Errorf("events: %w", err)
 			}
 			doc.Events = evs
-		case "log":
-			if err := json.Unmarshal(val, &oldLog); err != nil {
-				return fmt.Errorf("log: %w", err)
-			}
-		case "trace":
-			if err := json.Unmarshal(val, &oldTrace); err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
-		default:
-			i := fieldIndex(name)
-			if i < 0 {
-				return nil // as an image's unknown fields are
-			}
-			// A fresh value, so the patch replaces the field whole
-			// rather than merging into what the image held.
-			field := v.FieldByIndex(docFields[i].index)
-			fresh := reflect.New(field.Type())
-			if err := json.Unmarshal(val, fresh.Interface()); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			field.Set(fresh.Elem())
-			fields[i] = val
+			return nil
 		}
+		i := fieldIndex(name)
+		if i < 0 {
+			return nil // as an image's unknown fields are
+		}
+		// A fresh value, so the patch replaces the field whole rather
+		// than merging into what the image held.
+		field := v.FieldByIndex(docFields[i].index)
+		fresh := reflect.New(field.Type())
+		if err := json.Unmarshal(val, fresh.Interface()); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		field.Set(fresh.Elem())
+		fields[i] = val
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	doc.Events = foldHistory(doc.Events, oldLog, oldTrace)
-	return nil
 }
 
 // patchOf encodes what doc, whose docFields values are fields, adds to the
@@ -235,10 +215,6 @@ func foldJob(key string, image json.RawMessage, patches []json.RawMessage) (*job
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("condorg: job record %s: %w", key, err)
-	}
-	if doc.OldTrace != nil { // an image from before the event stream
-		doc.Events = foldHistory(doc.Events, doc.OldLog, doc.OldTrace.Events)
-		doc.OldLog, doc.OldTrace = nil, nil
 	}
 	for i, raw := range patches {
 		if err := applyPatch(&doc, fields, raw); err != nil {

@@ -621,88 +621,6 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestParentQueueStillLoads: a state directory written before patches
-// existed — v2 snapshots plus set records, in testdata/v2queue — loads and
-// reports its jobs, their user logs and their traces exactly as the
-// releases before the event stream did (jobs.json, traces.json), and takes
-// patches on top.
-func TestParentQueueStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "v2queue", "state"), dir)
-	raw, err := os.ReadFile(filepath.Join("testdata", "v2queue", "jobs.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []JobInfo
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	cfg := AgentConfig{StateDir: dir, Selector: noSites{}, DeferBinding: true, Probe: ProbeOptions{Interval: time.Hour}}
-	a, err := NewAgent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip := func(v any) string {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back []JobInfo
-		json.Unmarshal(raw, &back)
-		raw, _ = json.Marshal(back)
-		return string(raw)
-	}
-	if got, w := roundTrip(a.Jobs()), roundTrip(want); got != w {
-		a.Close()
-		t.Fatalf("jobs loaded from the old layout:\n%s\nwant\n%s", got, w)
-	}
-	raw, err = os.ReadFile(filepath.Join("testdata", "v2queue", "traces.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantTraces map[string][]obs.TraceEvent
-	if err := json.Unmarshal(raw, &wantTraces); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range want {
-		tl, err := a.Trace(j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !j.State.Terminal() { // this load's recover event
-			tl.Events = tl.Events[:len(tl.Events)-1]
-		}
-		if got, w := asJSON(t, tl.Events), asJSON(t, wantTraces[j.ID]); got != w {
-			a.Close()
-			t.Fatalf("trace of %s loaded from the old layout:\n%s\nwant\n%s", j.ID, got, w)
-		}
-	}
-	var held string
-	for _, j := range want {
-		if j.State == Held {
-			held = j.ID
-		}
-	}
-	if held == "" {
-		t.Fatal("fixture has no held job")
-	}
-	if err := a.Remove(held); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	b, err := NewAgent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if info, err := b.Status(held); err != nil || info.State != Removed {
-		t.Fatalf("held job after a patch on its old image: %+v, %v", info, err)
-	}
-	if info, _ := b.Status(held); info.Log[len(info.Log)-1].Code != "REMOVED" {
-		t.Fatalf("log after the patch ends %+v", info.Log[len(info.Log)-1])
-	}
-}
-
 // TestLazyLossReExecutes: a crash that loses a running job's lazy Active
 // patch costs nothing but the log line. A copy of the state directory taken
 // while that patch is still unflushed recovers the job, which completes

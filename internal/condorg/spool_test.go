@@ -8,12 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"condorg/internal/gass"
 	"condorg/internal/gram"
 	"condorg/internal/journal"
 	"condorg/internal/lrm"
@@ -345,168 +343,4 @@ func TestSharedSpoolSurvivesFinishUnderHA(t *testing.T) {
 	waitFor(t, "the last job's end to release "+key, 5*time.Second, func() bool {
 		return !journalHas(t, promoted.shardIfPresent("amy").store, key)
 	})
-}
-
-// TestRecoverLegacySpoolRecord: a job journaled before the spool was
-// content-addressed names jobs/<id>/executable and jobs/<id>/stdout. After
-// a restart it completes from that path, and Stdout reads the output its
-// spec names — whether the payload is on disk (the plain agent) or only in
-// the journal under its old key (HA).
-func TestRecoverLegacySpoolRecord(t *testing.T) {
-	for _, ha := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ha=%v", ha), func(t *testing.T) {
-			exec := paddedProgram("legacy", 1000, 'l')
-			rt := newBytesRuntime()
-			rt.expect("legacy", exec)
-			rt.expect("fresh", exec)
-			site := newRuntimeSite(t, rt)
-			dir := t.TempDir()
-			cfg := AgentConfig{
-				StateDir: dir,
-				Selector: StaticSelector(site.GatekeeperAddr()),
-				Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
-				HA:       HAOptions{Enabled: ha},
-			}
-			// Lay the queue out, then journal the record as the old layout did.
-			a1, err := NewAgent(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a1.Close()
-			const id = "gj7"
-			old := "gass://127.0.0.1:1/jobs/" + id + "/"
-			hash := gram.HashExecutable(exec)
-			doc := struct {
-				JobInfo
-				SubmissionID string       `json:"submission_id"`
-				Spec         gram.JobSpec `json:"spec"`
-			}{
-				JobInfo:      JobInfo{ID: id, Owner: "amy", State: Idle, Site: site.GatekeeperAddr(), SubmittedAt: time.Now()},
-				SubmissionID: gram.NewSubmissionID(),
-				Spec: gram.JobSpec{
-					Executable: old + "executable", Args: []string{"legacy"},
-					StdoutURL: old + "stdout", StderrURL: old + "stderr", ExecutableHash: hash,
-				},
-			}
-			doc.Stage = StageInfo{Hash: hash, Total: int64(len(exec))}
-			parts, err := openQueue(dir, 0, journal.StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := parts.PartitionFor("amy")
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacyKey := spoolKeyPrefix + "jobs/" + id + "/executable"
-			if ha {
-				err = st.Put(legacyKey, exec)
-			} else {
-				legacy := filepath.Join(dir, "spool", "jobs", id)
-				if err = os.MkdirAll(legacy, 0o700); err == nil {
-					err = os.WriteFile(filepath.Join(legacy, "executable"), exec, 0o600)
-				}
-			}
-			if err == nil {
-				err = st.Put(id, doc)
-			}
-			parts.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			a2, err := NewAgent(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a2.Close()
-			waitAgentState(t, a2, id, Completed)
-			waitFor(t, "the legacy job's output", 5*time.Second, func() bool {
-				out, err := a2.Stdout(id)
-				return err == nil && string(out) == "ran legacy\n"
-			})
-			if out, err := a2.gassS.ReadFile("jobs/" + id + "/stdout"); err != nil || string(out) != "ran legacy\n" {
-				t.Fatalf("the path the record's spec names reads %q, %v", out, err)
-			}
-			if ha {
-				waitFor(t, "the job's end to release "+legacyKey, 5*time.Second, func() bool {
-					return !journalHas(t, a2.shardIfPresent("amy").store, legacyKey)
-				})
-			}
-			// A new job still rides the content-addressed layout.
-			fresh, err := a2.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{"fresh"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fresh == id {
-				t.Fatalf("new job reused the recovered ID %s", id)
-			}
-			waitAgentState(t, a2, fresh, Completed)
-			rt.checkRanOnce(t)
-			info, _ := a2.job(fresh)
-			info.mu.Lock()
-			spec := info.Spec
-			info.mu.Unlock()
-			if !strings.HasSuffix(spec.Executable, "/objects/"+hash) || !strings.HasSuffix(spec.StdoutURL, "/out/"+fresh+".stdout") {
-				t.Fatalf("new job's spec names %s and %s", spec.Executable, spec.StdoutURL)
-			}
-		})
-	}
-}
-
-// TestOutputFileThenLog: output an agent of the per-file layout streamed
-// into out/<id>.stdout before it stopped is not lost to the append log.
-// The appends that follow read back after the file's bytes, through Stdout
-// and through gass.read windows on either side of the seam.
-func TestOutputFileThenLog(t *testing.T) {
-	rt := newBytesRuntime()
-	exec := paddedProgram("seam", 4096, 's')
-	rt.expect("seam", exec)
-	site := newRuntimeSite(t, rt)
-	dir := t.TempDir()
-	const id, before = "gj1", "streamed by the per-file layout\n"
-	out := filepath.Join(dir, "spool", "out")
-	if err := os.MkdirAll(out, 0o700); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(out, id+".stdout"), []byte(before), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAgent(AgentConfig{
-		StateDir: dir,
-		Selector: StaticSelector(site.GatekeeperAddr()),
-		Probe:    ProbeOptions{Interval: 40 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	got, err := a.Submit(SubmitRequest{Owner: "amy", Executable: exec, Args: []string{"seam"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != id {
-		t.Fatalf("the first job is %s, want %s", got, id)
-	}
-	waitAgentState(t, a, id, Completed)
-	want := before + "ran seam\n"
-	waitFor(t, "the job's output", 5*time.Second, func() bool {
-		out, err := a.Stdout(id)
-		return err == nil && string(out) == want
-	})
-	c := gass.NewClient(nil, nil)
-	defer c.Close()
-	u := a.gassS.URLFor("out/" + id + ".stdout")
-	seam := len(before)
-	for off := seam - 3; off <= seam+3; off++ {
-		for n := 1; n <= 8; n++ {
-			data, eof, err := c.ReadAt(u, int64(off), n)
-			end := min(off+n, len(want))
-			if err != nil || string(data) != want[off:end] || eof != (end == len(want)) {
-				t.Fatalf("gass.read(%d, %d) = %q, eof=%v, %v; want %q, eof=%v", off, n, data, eof, err, want[off:end], end == len(want))
-			}
-		}
-	}
-	if size, exists, err := c.Stat(u); err != nil || !exists || size != int64(len(want)) {
-		t.Fatalf("gass.stat = %d, %v, %v; want %d", size, exists, err, len(want))
-	}
 }

@@ -293,8 +293,7 @@ func TestStandbyRejectsPartitionMismatch(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	partsDir := filepath.Join(dir, "queue", "parts")
-	pinned, err := journal.OpenPartitionSet(partsDir, 8, journal.StoreOptions{})
+	pinned, err := openQueue(dir, 8, journal.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestStandbyRejectsPartitionMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), dir) {
 		t.Fatalf("mismatch error does not name the state directory: %v", err)
 	}
-	for _, p := range journal.PartitionDirs(partsDir) {
+	for _, p := range journal.PartitionDirs(filepath.Join(dir, "queue", "parts")) {
 		if rep, err := journal.VerifyDir(p); err != nil || rep.Head.Seq != 0 {
 			t.Fatalf("rejected standby applied records to %s: %+v err=%v", p, rep, err)
 		}

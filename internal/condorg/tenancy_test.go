@@ -221,9 +221,7 @@ func TestMaxActivePerOwnerAllowsHeld(t *testing.T) {
 }
 
 // TestPartitionedRecovery: jobs of many owners land in per-owner journal
-// partitions and all survive a restart. Records in queue/ itself — the
-// retired single-store layout — are refused with a Permanent error
-// naming the file: never migrated, never ignored.
+// partitions and all survive a restart.
 func TestPartitionedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	site := newSite(t, "part-site", &atomic.Int64{}, t.TempDir(), "")
@@ -261,43 +259,113 @@ func TestPartitionedRecovery(t *testing.T) {
 		t.Fatalf("recovered owners %v, want 3", owners)
 	}
 	a2.Close()
+}
 
-	// A root store with one job record appears in queue/.
-	queue := filepath.Join(dir, "queue")
-	root, err := journal.OpenStore(queue)
+// TestStateDirFormat: the state-directory rule, through both doors that
+// open a queue (NewAgent and NewStandby). A fresh directory is stamped and
+// a stamped one opens; one that holds agent files but no stamp, or another
+// stamp, is refused Permanent, naming the stamp, and left as it was.
+func TestStateDirFormat(t *testing.T) {
+	site := newSite(t, "format-site", &atomic.Int64{}, t.TempDir(), "")
+	t.Cleanup(site.Close)
+	sel := StaticSelector(site.GatekeeperAddr())
+	primary, err := NewAgent(AgentConfig{StateDir: t.TempDir(), Selector: sel, HA: HAOptions{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := root.Put("gj99", JobInfo{ID: "gj99", Owner: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	root.Close()
-	rootJournal := filepath.Join(queue, "journal.log")
-	before, err := os.ReadFile(rootJournal)
+	t.Cleanup(primary.Close)
+	ctl, err := NewControlServer(primary)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctl.Close() })
 
-	_, err = NewAgent(AgentConfig{StateDir: dir, Selector: sel})
-	if err == nil || !strings.Contains(err.Error(), rootJournal) {
-		t.Fatalf("NewAgent over root-store records = %v; want a refusal naming %s", err, rootJournal)
-	}
-	if faultclass.ClassOf(err) != faultclass.Permanent {
-		t.Fatalf("refusal classified %v, want Permanent", faultclass.ClassOf(err))
-	}
-	if after, err := os.ReadFile(rootJournal); err != nil || !bytes.Equal(before, after) {
-		t.Fatalf("refused root store was modified (err=%v)", err)
-	}
-	for _, pdir := range journal.PartitionDirs(filepath.Join(queue, "parts")) {
-		st, err := journal.OpenStore(pdir)
+	ranOn := func(t *testing.T, dir string) {
+		a, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var info JobInfo
-		found, _ := st.Get("gj99", &info)
-		st.Close()
-		if found {
-			t.Fatalf("root-store record migrated into %s", pdir)
+		a.Close()
+	}
+	rows := []struct {
+		name    string
+		prepare func(t *testing.T, dir string)
+		refusal string // "" when the directory opens
+	}{
+		{"empty", func(*testing.T, string) {}, ""},
+		{"stamped", ranOn, ""},
+		{"unstamped with a journal", func(t *testing.T, dir string) {
+			ps, err := journal.OpenPartitionSet(filepath.Join(dir, "queue", "parts"), 0, journal.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ps.Close()
+			st, err := ps.PartitionFor("old")
+			if err == nil {
+				err = st.Put("gj1", JobInfo{ID: "gj1", Owner: "old"})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, "holds queue/ but no FORMAT stamp"},
+		{"unstamped with only spool", func(t *testing.T, dir string) {
+			if err := os.Mkdir(filepath.Join(dir, "spool"), 0o700); err != nil {
+				t.Fatal(err)
+			}
+		}, "holds spool/ but no FORMAT stamp"},
+		{"wrong number", func(t *testing.T, dir string) {
+			ranOn(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, formatFile), []byte("2\n"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}, `is stamped FORMAT "2"`},
+	}
+	doors := []struct {
+		name string
+		open func(dir string) error
+	}{
+		{"NewAgent", func(dir string) error {
+			a, err := NewAgent(AgentConfig{StateDir: dir, Selector: sel})
+			if err == nil {
+				a.Close()
+			}
+			return err
+		}},
+		{"NewStandby", func(dir string) error {
+			sb, err := NewStandby(StandbyConfig{Primary: ctl.Addr(), StateDir: dir, LeaseTTL: 3 * time.Second})
+			if err == nil {
+				err = sb.Close()
+			}
+			return err
+		}},
+	}
+	for _, door := range doors {
+		for _, row := range rows {
+			t.Run(door.name+"/"+row.name, func(t *testing.T) {
+				dir := t.TempDir()
+				row.prepare(t, dir)
+				before, _ := os.ReadFile(filepath.Join(dir, formatFile))
+				err := door.open(dir)
+				after, _ := os.ReadFile(filepath.Join(dir, formatFile))
+				if row.refusal == "" {
+					if err != nil {
+						t.Fatalf("%s refused: %v", door.name, err)
+					}
+					if string(after) != stateFormat+"\n" {
+						t.Fatalf("FORMAT holds %q after the open, want %q", after, stateFormat+"\n")
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), row.refusal) || !strings.Contains(err.Error(), "fresh state directory") {
+					t.Fatalf("%s = %v; want a refusal saying %q and what to do", door.name, err, row.refusal)
+				}
+				if faultclass.ClassOf(err) != faultclass.Permanent {
+					t.Fatalf("refusal classified %v, want Permanent", faultclass.ClassOf(err))
+				}
+				if !bytes.Equal(before, after) {
+					t.Fatalf("the refused directory's FORMAT went from %q to %q", before, after)
+				}
+			})
 		}
 	}
 }

@@ -7,7 +7,6 @@ package gass
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,11 +29,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // extent is one record's data: n bytes at off in the log file.
 type extent struct{ off, n int64 }
 
-// stream is one path's appended bytes, in order. They follow the first
-// base bytes of the path's on-disk file (base is -1 until looked up).
+// stream is one path's appended bytes, in order.
 type stream struct {
-	base    int64
-	size    int64 // logged bytes
+	size    int64
 	extents []extent
 }
 
@@ -82,7 +79,7 @@ func openAppendLog(path string) (*appendLog, error) {
 	for _, r := range recs {
 		st := l.streams[r.key]
 		if st == nil {
-			st = &stream{base: -1}
+			st = &stream{}
 			l.streams[r.key] = st
 		}
 		st.add(r.ext)
@@ -153,26 +150,6 @@ func (st *stream) add(e extent) {
 		st.extents = append(st.extents, e)
 		st.size += e.n
 	}
-}
-
-// lookupBase sets the stream's base from the on-disk file at full, the
-// first time it is needed.
-func (st *stream) lookupBase(full string) error {
-	if st.base >= 0 {
-		return nil
-	}
-	fi, err := os.Stat(full)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		st.base = 0
-	case err != nil:
-		return err
-	case !fi.Mode().IsRegular():
-		return fmt.Errorf("gass: %s is not a file", full)
-	default:
-		st.base = fi.Size()
-	}
-	return nil
 }
 
 // append writes data to key's stream st as one record, then indexes it

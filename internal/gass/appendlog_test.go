@@ -156,6 +156,22 @@ func TestAppendLogDiskFormat(t *testing.T) {
 			t.Fatalf("gass.write over a stream: %v, want refused", err)
 		}
 	})
+
+	t.Run("a file is not appended to", func(t *testing.T) {
+		s, _ := serverOnLog(t, first)
+		c := NewClient(nil, nil)
+		defer c.Close()
+		u := s.URLFor("out/file")
+		if err := c.WriteFile(u, []byte("written\n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Append(u, []byte("appended\n")); err == nil || !strings.Contains(err.Error(), "not an append stream") {
+			t.Fatalf("gass.append to a file: %v, want refused", err)
+		}
+		if got, err := s.ReadFile("out/file"); err != nil || string(got) != "written\n" {
+			t.Fatalf("out/file = %q, %v after the refusal", got, err)
+		}
+	})
 }
 
 // TestAppendCreatesNoFile: appends to many paths leave the root holding
@@ -261,7 +277,7 @@ func FuzzAppendLog(f *testing.F) {
 		}
 		st := l2.streams["out/after"]
 		if st == nil {
-			st = &stream{base: -1}
+			st = &stream{}
 		}
 		if err := l2.append("out/after", st, []byte("tail")); err != nil {
 			t.Fatal(err)

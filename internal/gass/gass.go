@@ -22,11 +22,11 @@
 // gass.append creates no file. Each append is one framed record
 // (crc32c | path len | data len | path | data) written with one positional
 // write to a single append-only log under the root, and an in-memory index
-// maps each path to its records' extents and size. A path's content is its
-// on-disk file, if there is one, followed by its logged bytes: ReadFile,
-// gass.read and gass.stat serve that concatenation, and an append answers
-// with its size. A path with logged bytes is a stream: gass.write to it is
-// refused, and Open serves on-disk files only. Appends are not fsynced.
+// maps each path to its records' extents and size. A path is an on-disk file
+// or a stream of logged bytes, never both: gass.write to a stream is
+// refused, and so is a first append to a path that is on disk. ReadFile,
+// gass.read and gass.stat serve either, an append answers with the
+// stream's size, and Open serves on-disk files only. Appends are not fsynced.
 // Opening the log walks its record headers once to rebuild the index, and
 // cuts off a torn tail and a last record whose checksum fails. The log
 // lives under the root, but no request path names it.
@@ -228,22 +228,24 @@ func (s *Server) appendTo(rel string, data []byte) (int64, error) {
 	defer s.mu.Unlock()
 	st := s.log.streams[key]
 	if st == nil {
-		st = &stream{base: -1}
-	}
-	if err := st.lookupBase(full); err != nil {
-		return 0, err
+		// The path's first append: a path on disk is a file, not a stream.
+		if _, err := os.Stat(full); err == nil {
+			return 0, fmt.Errorf("gass: %q is a file, not an append stream", rel)
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return 0, err
+		}
+		st = &stream{}
 	}
 	if err := s.log.append(key, st, data); err != nil {
 		return 0, err
 	}
-	return st.base + st.size, nil
+	return st.size, nil
 }
 
-// view is a snapshot of one path's content: the first base bytes of its
-// on-disk file, then its logged extents.
+// view is a snapshot of one path: its file and, for a stream, its logged
+// extents and size.
 type view struct {
 	full string
-	base int64
 	exts []extent
 	size int64
 }
@@ -262,34 +264,13 @@ func (s *Server) streamView(rel string) (v view, ok bool, err error) {
 	if st == nil {
 		return v, false, nil
 	}
-	if err := st.lookupBase(full); err != nil {
-		return view{}, false, err
-	}
-	v.base, v.exts, v.size = st.base, st.extents, st.base+st.size
+	v.exts, v.size = st.extents, st.size
 	return v, true, nil
 }
 
-// readAt fills p from v at off; the caller keeps the window inside v.size.
-func (s *Server) readAt(v view, p []byte, off int64) error {
-	if off < v.base {
-		f, err := os.Open(v.full)
-		if err != nil {
-			return err
-		}
-		k := min(int64(len(p)), v.base-off)
-		_, err = f.ReadAt(p[:k], off)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		p, off = p[k:], v.base
-	}
-	return s.log.readAt(v.exts, p, off-v.base)
-}
-
 // ReadFile returns the content at rel (a path under the served root): its
-// on-disk file followed by its appended bytes. A path nobody has written
-// or appended to yet is os.ErrNotExist.
+// on-disk file or its appended bytes. A path nobody has written or appended
+// to yet is os.ErrNotExist.
 func (s *Server) ReadFile(rel string) ([]byte, error) {
 	v, ok, err := s.streamView(rel)
 	if err != nil {
@@ -299,7 +280,7 @@ func (s *Server) ReadFile(rel string) ([]byte, error) {
 		return os.ReadFile(v.full)
 	}
 	buf := make([]byte, v.size)
-	if err := s.readAt(v, buf, 0); err != nil {
+	if err := s.log.readAt(v.exts, buf, 0); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -372,7 +353,7 @@ func (s *Server) handleRead(_ string, body json.RawMessage, _ []byte) (any, []by
 		off := max(req.Offset, 0)
 		n := max(min(int64(req.MaxLen), v.size-off), 0)
 		buf := make([]byte, n)
-		if err := s.readAt(v, buf, off); err != nil {
+		if err := s.log.readAt(v.exts, buf, off); err != nil {
 			return nil, nil, err
 		}
 		return readResp{EOF: off+n >= v.size}, buf, nil

@@ -86,6 +86,7 @@ func FuzzStoreReplay(f *testing.F) {
 		return raw
 	}()
 	f.Add(mixed)
+	f.Add(invalidValueJournal(f))                                   // a good frame around a value that is not JSON
 	f.Add(mixed[:len(mixed)-5])                                     // torn patch tail
 	f.Add(append(append([]byte(nil), mixed...), mixed[:30]...))     // replayed prefix as a torn tail
 	f.Add(append(mixed[:len(mixed)/2:len(mixed)/2], mixed[40:]...)) // spliced middle
@@ -137,4 +138,42 @@ func FuzzStoreReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// invalidValueJournal is a chained journal whose middle record's value is
+// not JSON: its CRC and chain link were computed around those bytes, so
+// only readDelta's json.Valid tells it from a record the store wrote.
+func invalidValueJournal(tb testing.TB) []byte {
+	path := filepath.Join(tb.TempDir(), "invalid.log")
+	j, err := Open(path, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, v := range []string{`{"n":1}`, `{"n":}`, `{"n":3}`} {
+		if err := j.AppendRaw(recSet, json.RawMessage(`{"key":"k","value":`+v+`}`)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	j.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestInvalidValueRefused: a value that is not one JSON document is refused
+// at open as corruption, even in a frame whose CRC and chain verify. Replay
+// copies values raw into snapshots and the standby stream, so one such
+// value would make a whole partition's snapshot unreadable.
+func TestInvalidValueRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeJournalFile), invalidValueJournal(t), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenStore(dir)
+	var ce *CorruptionError
+	if !errors.As(err, &ce) {
+		t.Fatalf("open over an invalid value = %v; want a *CorruptionError", err)
+	}
 }

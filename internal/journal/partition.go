@@ -75,8 +75,9 @@ func OpenPartitionSet(dir string, n int, opts StoreOptions) (*PartitionSet, erro
 		}
 		n = meta.N // the on-disk layout wins over the configured count
 	} else {
+		// Fsynced and renamed: a torn pin would fail every later open.
 		raw, _ := json.Marshal(partitionMeta{N: n})
-		if err := os.WriteFile(metaPath, raw, 0o600); err != nil {
+		if err := WriteFileAtomic(metaPath, raw); err != nil {
 			return nil, err
 		}
 	}

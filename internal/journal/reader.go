@@ -67,7 +67,9 @@ func readDelta(data []byte) (d storeDelta, ok bool) {
 	v := data[i : len(data)-1 : len(data)-1]
 	// The value is the one part the store never parses itself: it must be
 	// exactly one JSON document, with no space around it for encoding/json
-	// to trim.
+	// to trim. The CRC and chain do not make json.Valid redundant: values
+	// are copied raw into snapshots and the standby stream, so one invalid
+	// value would make a whole snapshot unreadable.
 	if len(v) == 0 || jsonscan.Space(v[0]) || jsonscan.Space(v[len(v)-1]) || !json.Valid(v) {
 		return d, false
 	}

@@ -282,22 +282,6 @@ func quarantinedFiles(dir string) []string {
 	return out
 }
 
-// StoreFiles lists the non-empty Store files directly in dir (snapshot,
-// journal segments, quarantined evidence): does dir itself hold a Store?
-func StoreFiles(dir string) []string {
-	entries, _ := os.ReadDir(dir)
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		_, old := oldSegmentNumber(name)
-		ours := old || name == storeSnapshotFile || name == storeJournalFile || strings.HasSuffix(name, quarantineSuffix)
-		if info, err := e.Info(); ours && err == nil && info.Size() > 0 {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	return out
-}
-
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, storeSnapshotFile) }
 func (s *Store) journalPath() string  { return filepath.Join(s.dir, storeJournalFile) }
 func (s *Store) oldPath(n int) string {
@@ -350,9 +334,8 @@ func (s *Store) listOldSegments() []int {
 
 // storeSnapshot is the on-disk snapshot: format version, the chain head
 // the data was captured at, each key's image, and the patches appended to
-// each key since its image (left out when no key has any). Version 3 added
-// the patches; a version 2 snapshot, from before patches existed, still
-// loads as images without patches.
+// each key since its image (left out when no key has any). Version 3 is
+// the only one read.
 type storeSnapshot struct {
 	V       int                          `json:"v"`
 	Chain   ChainState                   `json:"chain"`
@@ -375,8 +358,8 @@ func loadSnapshotFile(path string) (ChainState, map[string]entry, error) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return ChainState{}, nil, &CorruptionError{Path: path, Reason: fmt.Sprintf("snapshot does not parse: %v", err)}
 	}
-	if snap.V != 2 && snap.V != 3 {
-		return ChainState{}, nil, &CorruptionError{Path: path, Reason: "snapshot carries no chain anchor (not a v2 or v3 snapshot)"}
+	if snap.V != 3 {
+		return ChainState{}, nil, &CorruptionError{Path: path, Reason: "snapshot carries no v3 chain anchor"}
 	}
 	return snap.Chain, entries(snap.Data, snap.Patches), nil
 }

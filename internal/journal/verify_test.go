@@ -314,28 +314,35 @@ func TestUnchainedRecordRefused(t *testing.T) {
 	}
 }
 
-// TestUnanchoredSnapshotRefused: a snapshot without the v2 chain anchor (a
-// bare key map) cannot prove the journal extends it, so it is refused and
-// quarantined like any other damage — never loaded.
+// TestUnanchoredSnapshotRefused: a snapshot that is not v3 — a bare key
+// map, or a v2 snapshot from before patches — is not one this store wrote,
+// so it is refused and quarantined like any other damage, never loaded.
 func TestUnanchoredSnapshotRefused(t *testing.T) {
-	dir := t.TempDir()
-	spath := filepath.Join(dir, storeSnapshotFile)
-	if err := WriteFileAtomic(spath, []byte(`{"old":{"n":1}}`)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := VerifyDir(dir)
-	var ce *CorruptionError
-	if !errors.As(err, &ce) || ce.Path != spath {
-		t.Fatalf("VerifyDir over a bare-map snapshot = %v; want a CorruptionError naming it", err)
-	}
-	_, err = OpenStore(dir)
-	if !errors.As(err, &ce) || ce.Path != spath || faultclass.ClassOf(err) != faultclass.Permanent {
-		t.Fatalf("open over a bare-map snapshot = %v; want a Permanent CorruptionError naming it", err)
-	}
-	if _, err := os.Stat(spath + quarantineSuffix); err != nil {
-		t.Fatalf("snapshot not quarantined: %v", err)
-	}
-	if _, err := OpenStore(dir); err == nil {
-		t.Fatal("second open over the quarantined snapshot succeeded")
+	for name, body := range map[string]string{
+		"bare-map": `{"old":{"n":1}}`,
+		"v2":       `{"v":2,"chain":{"seq":0,"hash":""},"data":{"old":{"n":1}}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			spath := filepath.Join(dir, storeSnapshotFile)
+			if err := WriteFileAtomic(spath, []byte(body)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := VerifyDir(dir)
+			var ce *CorruptionError
+			if !errors.As(err, &ce) || ce.Path != spath {
+				t.Fatalf("VerifyDir over %s = %v; want a CorruptionError naming it", body, err)
+			}
+			_, err = OpenStore(dir)
+			if !errors.As(err, &ce) || ce.Path != spath || faultclass.ClassOf(err) != faultclass.Permanent {
+				t.Fatalf("open over %s = %v; want a Permanent CorruptionError naming it", body, err)
+			}
+			if _, err := os.Stat(spath + quarantineSuffix); err != nil {
+				t.Fatalf("snapshot not quarantined: %v", err)
+			}
+			if _, err := OpenStore(dir); err == nil {
+				t.Fatal("second open over the quarantined snapshot succeeded")
+			}
+		})
 	}
 }

@@ -52,15 +52,15 @@ go test -race -count=1 -run 'TestBatch' ./internal/gram/
 
 # The job journal: an admit image plus patches folds back to the record
 # in memory (plainly, across compaction, across a standby takeover), and
-# every record field patches; a state directory of the previous release
-# still loads, its user logs and traces folded into event streams; Submit
-# acks only a journaled job, Wait and WaitAll report only a durable
-# terminal state, a running job's lazy log line is in the user log at
-# once, a line the user log refused is appended by the next write, a lost
-# lazy write is re-derived, and a job costs a quarter of the bytes. Every
+# every record field patches; a fresh state directory is stamped with its
+# format and one with no stamp or another is refused, by agent and
+# standby alike; Submit acks only a journaled job, Wait and WaitAll report
+# only a durable terminal state, a running job's lazy log line is in the
+# user log at once, a line the user log refused is appended by the next
+# write, a lost lazy write is re-derived, and a job costs a quarter of the bytes. Every
 # kind of event reaches its views and bumps its counter once, and a
 # record's events read back in place exactly as encoding/json reads them.
-go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestParentQueueStillLoads|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField|TestReadEventsMatchesUnmarshal' ./internal/condorg/
+go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsOnlyDurableTerminal|TestJournalFoldEquivalence|TestStateDirFormat|TestLazyLossReExecutes|TestJournalBytesPerJob|TestPersistClassesCarryEverything|TestFailedTerminalWriteLeavesJobUnsettled|TestUserLogShowsRunningJob|TestUserLogRetriesFailedAppend|TestEmitKinds|TestPatchCarriesEveryField|TestReadEventsMatchesUnmarshal' ./internal/condorg/
 
 # The staging data plane: bulk bytes as the frame's blob (codec edges, no
 # negotiation, reply cache), sent from a file section, and read on the
@@ -75,16 +75,15 @@ go test -race -count=1 -run 'TestSubmitFailsWhenAdmitWriteFails|TestWaitReturnsO
 # LRM letting go of finished payloads, and the agent using
 # its own spool without dialing it: one content-addressed object per
 # payload, written once however many submits race on it, replicated keys
-# released only by the last job naming them, records of the old per-job
-# layout still recovered, and one user log per owner across restarts. A
-# job's output creates no file: it is a stream of the GASS append log, read
-# back after any file an older layout left at its path, and a site's
+# released only by the last job naming them, and one user log per owner
+# across restarts. A job's output creates no file: it is a stream of the
+# GASS append log, never appended to a file on disk, and a site's
 # JobManagers and stage-in pulls share one callback and one GASS connection
 # that outlast a lull; a pull's reset leaves the shared GASS client open.
 go test -race -count=1 -run 'TestCodecRoundTrip|TestBinaryDecodeTruncations|TestDecodedBlobAliasesFrame|TestWriteFrameCodecOversized|TestBlob|TestBigFrameBufferHeldByItsHandler|TestCallSection' ./internal/wire/
 go test -race -count=1 -run 'TestStageCachePutConcurrent|TestStageUploadsDoNotSerialize|TestStageOneWindow|TestStageInHitDoesNotCopy|TestStagePushStreamsFromSpool|TestStageMappingReleased|TestProgramNameDoesNotCopy|TestPullResetSparesSharedPush|TestStagePushCommitsWithLastChunk|TestStageCorruptBytesFailLastChunk|TestStageShortSpoolFailsPush|TestStageProbePatternPromotes|TestStageResumeAcrossSiteRestart|TestStageShortSectionSparesBreaker' ./internal/gram/ ./internal/condorg/
 go test -race -count=1 -run 'TestLRMReleasesPayload' ./internal/lrm/
-go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestRecoverLegacySpoolRecord|TestOnDiskUserLog|TestOutputFileThenLog|TestCallbacksShareOneConnection' ./internal/condorg/
+go test -race -count=1 -run 'TestAgentIssuesNoSelfRPC|TestSubmitCreatesNoPerJobFiles|TestSharedSpoolSurvivesFinishUnderHA|TestOnDiskUserLog|TestCallbacksShareOneConnection' ./internal/condorg/
 
 # The multi-tenant API surface is public contract: every exported
 # top-level identifier in the gateway, the wire substrate, the
@@ -120,10 +119,11 @@ fi
 go test -run FuzzStoreReplay -count=1 ./internal/journal/
 # And the patch record beside it: replay, snapshots, lazy writes, the
 # replication stream, delta framing byte-identical to encoding/json, the
-# in-place record reader decoding exactly what encoding/json decodes, and
-# partitions that open side by side failing, quarantining and closing as
-# one store would; the readers under it match encoding/json too.
-go test -count=1 -run 'TestStorePatchReplay|TestStoreLazyWriteRidesNextCommit|TestStreamReplicatesPatches|TestFrameDeltaMatchesMarshal|TestReadRecordMatchesUnmarshal|TestOpenPartitionSetCorruptPartition' ./internal/journal/
+# in-place record reader decoding exactly what encoding/json decodes and
+# refusing a value that is not JSON however sound its frame and chain,
+# and partitions that open side by side failing, quarantining and closing
+# as one store would; the readers under it match encoding/json too.
+go test -count=1 -run 'TestStorePatchReplay|TestStoreLazyWriteRidesNextCommit|TestStreamReplicatesPatches|TestFrameDeltaMatchesMarshal|TestReadRecordMatchesUnmarshal|TestInvalidValueRefused|TestOpenPartitionSetCorruptPartition' ./internal/journal/
 go test -count=1 ./internal/jsonscan/
 # And the FuzzDecodeMessage one: arbitrary bytes — truncated and overrun
 # blob frames among the seeds — decode to a message or an error, never a
